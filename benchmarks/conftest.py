@@ -2,8 +2,10 @@
 
 Every benchmark regenerates one of the paper's tables or figures as a
 plain-text artifact: it prints the table to stdout (so ``pytest benchmarks/
---benchmark-only -s`` shows everything) and also writes it under
-``benchmarks/results/`` so EXPERIMENTS.md can point at stable files.
+--benchmark-only -s`` shows everything) and also writes it under the
+git-ignored ``benchmarks/out/``, so running the suite never rewrites the
+committed snapshots in ``benchmarks/results/`` (refresh those by copying
+from ``benchmarks/out/`` by hand).
 
 Next to each human-readable table, benchmarks also drop a machine-readable
 ``BENCH_<name>.json`` twin (via :func:`record_json`) so the performance
@@ -21,7 +23,7 @@ from typing import Optional
 
 import pytest
 
-RESULTS_DIR = Path(__file__).parent / "results"
+RESULTS_DIR = Path(__file__).parent / "out"
 
 
 def cpu_count() -> int:
@@ -78,9 +80,9 @@ def record_json(results_dir):
     ``payload`` should carry the workload identity, the engine configuration
     and the measured numbers; the fixture adds the machine context (CPU count,
     Python version), the git commit, and the engine/backend environment
-    overrides every reading needs for interpretation -- a 1-core runner
-    cannot show a multiprocessing win, a ``REPRO_ENGINE=symbolic`` run is not
-    comparable to a stepping run, and the JSON must say so.
+    overrides every reading needs for interpretation -- a
+    ``REPRO_ENGINE=symbolic`` run is not comparable to a stepping run, and
+    the JSON must say so.
     """
 
     def _record(name: str, payload: dict) -> Path:

@@ -25,16 +25,6 @@ closed form must beat the dense engine by >= 5x with a bit-identical
 flattened report, and an ``n = 4096`` end-to-end run must finish inside a
 fixed wall-clock budget on the 1-CPU container.
 
-A fourth table records shard-count scaling for the ``sharded`` engine
-(``REPRO_SHARDS`` in {1, 2, 4, 8}) with a shard-serial and a worker-mode
-column per row, against a ``sparse`` baseline.  ``REPRO_BENCH_SCALING_N``
-overrides the instance size (default 256; CI's benchmark job runs the
-n=1024 ladder where worker-retention is required to beat sparse).  The
-worker-mode floors only apply on machines with >= 2 usable CPUs -- a 1-core
-runner cannot show a multiprocessing win, exactly like the dense floors
-only apply when NumPy is installed -- and every configuration, floored or
-not, must stay bit-identical to sparse.
-
 Every table also emits a machine-readable ``BENCH_*.json`` twin (workload,
 engine config, measured seconds, speedups, CPU count) so the performance
 trajectory is diffable across PRs.
@@ -42,15 +32,13 @@ trajectory is diffable across PRs.
 
 from __future__ import annotations
 
-import os
 import time
 
-from conftest import cpu_count, run_once
+from conftest import run_once
 
 from repro.analysis import render_table
 from repro.congest import Network, available_engines, force_engine
 from repro.congest.apsp import distributed_weighted_apsp
-from repro.congest.engine.sharded import SHARDS_ENV_VAR, WORKERS_ENV_VAR
 from repro.graphs import random_weighted_graph
 
 HEADERS = [
@@ -66,10 +54,10 @@ HEADERS = [
 NODE_COUNTS = (64, 128, 256)
 
 #: Acceptance floors on the n=256 instance (speedup over the legacy loop).
-#: The dense floor is the ISSUE-2 acceptance criterion; the sparse and
-#: sharded floors are no-regression guards with headroom for CI load
-#: (sparse measures ~1.5-2x idle, shard-serial sharded ~1.2-1.8x).
-REQUIRED_SPEEDUP = {"dense": 3.0, "sparse": 1.0, "sharded": 1.0}
+#: The dense floor is the ISSUE-2 acceptance criterion; the sparse floor is
+#: a no-regression guard with headroom for CI load (sparse measures ~1.5-2x
+#: idle).
+REQUIRED_SPEEDUP = {"dense": 3.0, "sparse": 1.0}
 
 
 def _best_of(func, repeats):
@@ -94,7 +82,7 @@ def _sweep():
         repeats = 2 if n < 256 else 1
         reference = None
         legacy_time = None
-        for engine in ("legacy", "sparse", "dense", "sharded"):
+        for engine in ("legacy", "sparse", "dense"):
             if engine not in available_engines():
                 continue
             with force_engine(engine):
@@ -185,7 +173,7 @@ def _bounded_distance_sweep():
     reference = None
     legacy_time = None
     dense_speedup = None
-    for engine in ("legacy", "sparse", "dense", "sharded"):
+    for engine in ("legacy", "sparse", "dense"):
         if engine not in available_engines():
             continue
         with force_engine(engine):
@@ -302,7 +290,7 @@ def _tree_primitive_sweep():
     reference = None
     legacy_time = None
     dense_speedup = None
-    for engine in ("legacy", "sparse", "dense", "sharded"):
+    for engine in ("legacy", "sparse", "dense"):
         if engine not in available_engines():
             continue
         with force_engine(engine):
@@ -526,175 +514,3 @@ def test_bench_symbolic_pipeline(benchmark, record_artifact, record_json):
             f"dense engine at n={SYMBOLIC_PIPELINE_N} "
             f"(needs {SYMBOLIC_REQUIRED_SPEEDUP}x)"
         )
-
-
-# --------------------------------------------------------------------------- #
-# Shard-count scaling: the sharded engine across REPRO_SHARDS, shard-serial
-# vs worker-retained, against a sparse baseline.
-# --------------------------------------------------------------------------- #
-SHARD_COUNTS = (1, 2, 4, 8)
-
-#: Instance-size override: CI's benchmark job runs the n=1024 ladder where
-#: worker-retention must beat sparse; the tier-1 default stays cheap.
-SCALING_N_ENV_VAR = "REPRO_BENCH_SCALING_N"
-DEFAULT_SCALING_N = 256
-
-#: The beats-sparse floor only applies at or above this instance size: below
-#: it the per-round pipe latency is not amortized by enough per-round work
-#: for the win to be load-robust (the ISSUE-6 criterion is n >= 1024).
-WORKER_BEATS_SPARSE_MIN_N = 1024
-
-SHARD_HEADERS = [
-    "shards",
-    "n",
-    "boundary edges",
-    "cross-worker edges",
-    "serial [s]",
-    "serial vs sparse",
-    "workers",
-    "worker [s]",
-    "worker vs sparse",
-    "identical",
-]
-
-
-def _scaling_node_count() -> int:
-    raw = os.environ.get(SCALING_N_ENV_VAR, "").strip()
-    return int(raw) if raw else DEFAULT_SCALING_N
-
-
-def _shard_scaling_sweep():
-    n = _scaling_node_count()
-    cores = cpu_count()
-    network = Network(
-        random_weighted_graph(n, average_degree=4.0, max_weight=100, seed=7)
-    )
-    with force_engine("sparse"):
-        sparse_time, reference = _best_of(
-            lambda: distributed_weighted_apsp(network), repeats=1
-        )
-    rows = []
-    records = []
-    timings = {}
-    saved = {var: os.environ.get(var) for var in (SHARDS_ENV_VAR, WORKERS_ENV_VAR)}
-    try:
-        for shards in SHARD_COUNTS:
-            os.environ[SHARDS_ENV_VAR] = str(shards)
-            view = network.shard_view(shards)
-
-            os.environ.pop(WORKERS_ENV_VAR, None)  # serial: isolate routing cost
-            with force_engine("sharded"):
-                serial_time, (outputs, report) = _best_of(
-                    lambda: distributed_weighted_apsp(network), repeats=1
-                )
-            matches = outputs == reference[0] and report == reference[1]
-            assert matches, f"shard-serial diverged from sparse at {shards} shards"
-
-            # Worker mode: as many workers as shards allow, up to the CPU
-            # count (floored at 2 so even a 1-core runner measures -- and
-            # records -- the multiprocessing overhead honestly).
-            workers = min(shards, max(2, cores)) if shards > 1 else 1
-            if workers > 1:
-                os.environ[WORKERS_ENV_VAR] = str(workers)
-                with force_engine("sharded"):
-                    worker_time, (w_outputs, w_report) = _best_of(
-                        lambda: distributed_weighted_apsp(network), repeats=1
-                    )
-                worker_matches = (
-                    w_outputs == reference[0] and w_report == reference[1]
-                )
-                assert worker_matches, (
-                    f"worker mode diverged from sparse at {shards} shards"
-                )
-                matches = matches and worker_matches
-            else:
-                worker_time = serial_time  # 1 shard degenerates to serial
-
-            timings[shards] = (serial_time, worker_time)
-            cross_worker = (
-                view.cross_worker_edge_count(workers) if workers > 1 else 0
-            )
-            rows.append(
-                [
-                    shards,
-                    n,
-                    view.cross_shard_edge_count,
-                    cross_worker,
-                    f"{serial_time:.3f}",
-                    f"{sparse_time / serial_time:.2f}x",
-                    workers,
-                    f"{worker_time:.3f}",
-                    f"{sparse_time / worker_time:.2f}x",
-                    "yes" if matches else "NO",
-                ]
-            )
-            records.append(
-                {
-                    "workload": "weighted-apsp",
-                    "engine": "sharded",
-                    "n": n,
-                    "shards": shards,
-                    "workers": workers,
-                    "boundary_edges": view.cross_shard_edge_count,
-                    "cross_worker_edges": cross_worker,
-                    "serial_seconds": round(serial_time, 4),
-                    "worker_seconds": round(worker_time, 4),
-                    "serial_speedup_vs_sparse": round(sparse_time / serial_time, 3),
-                    "worker_speedup_vs_sparse": round(sparse_time / worker_time, 3),
-                }
-            )
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-    return n, cores, sparse_time, rows, records, timings
-
-
-def test_bench_sharded_shard_scaling(benchmark, record_artifact, record_json):
-    n, cores, sparse_time, rows, records, timings = run_once(
-        benchmark, _shard_scaling_sweep
-    )
-    record_artifact(
-        "simulator_sharded_scaling",
-        render_table(
-            SHARD_HEADERS,
-            rows,
-            title=(
-                f"Sharded engine shard-count scaling: weighted APSP, "
-                f"shard-serial vs worker-retained ({cores} CPU(s), "
-                f"sparse baseline {sparse_time:.3f}s)"
-            ),
-        ),
-    )
-    record_json(
-        "sharded_scaling",
-        {
-            "workload": "weighted-apsp",
-            "n": n,
-            "sparse_seconds": round(sparse_time, 4),
-            "shard_counts": list(SHARD_COUNTS),
-            "rows": records,
-        },
-    )
-    # The worker-mode floors need real parallelism *and* enough per-round
-    # work to amortize the pipe traffic: like the dense floors are skipped
-    # without NumPy, these are skipped on a single-CPU runner and below the
-    # n=1024 ladder (bit-identity above is asserted unconditionally --
-    # correctness never depends on the machine).
-    if cores < 2 or n < WORKER_BEATS_SPARSE_MIN_N:
-        return
-    first, last = SHARD_COUNTS[0], SHARD_COUNTS[-1]
-    slope_start = timings[first][0]
-    slope_end = timings[last][1]
-    assert slope_end < slope_start, (
-        f"the 1 -> {last} shard curve does not slope downward: worker mode "
-        f"at {last} shards took {slope_end:.3f}s vs {slope_start:.3f}s "
-        f"shard-serial at {first} shard"
-    )
-    best_worker = min(worker for _serial, worker in timings.values())
-    assert best_worker < sparse_time, (
-        f"worker-retained sharding never beat sparse at n={n}: best "
-        f"{best_worker:.3f}s vs sparse {sparse_time:.3f}s"
-    )

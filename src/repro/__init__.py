@@ -24,7 +24,7 @@ The library is organised in layers (see DESIGN.md):
 * :mod:`repro.analysis` -- complexity formulas, scaling fits and the
   renderers that regenerate Table 1/2 and the figures.
 * :mod:`repro.runtime` -- the unified run-configuration entry point
-  (``configure(engine=..., backend=..., shards=..., workers=...)``).
+  (``configure(engine=..., backend=...)``).
 * :mod:`repro.service` -- simulation-as-a-service: ``RunSpec`` batch jobs
   over a thread pool, a content-addressed result cache, and
   Prometheus-text metrics (``python -m repro.service``).

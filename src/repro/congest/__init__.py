@@ -14,7 +14,7 @@ This subpackage provides:
 * :class:`~repro.congest.simulator.Simulator` -- the synchronous round
   scheduler with full round / message / bandwidth accounting.  It is a thin
   facade over the pluggable execution engines in
-  :mod:`repro.congest.engine` (``sparse`` / ``dense`` / ``sharded`` /
+  :mod:`repro.congest.engine` (``sparse`` / ``dense`` / ``symbolic`` /
   ``legacy``, selected per run or via ``REPRO_ENGINE``); every engine
   produces bit-identical round reports.
 * Building-block protocols used throughout the paper's constructions:
@@ -26,7 +26,7 @@ This subpackage provides:
   the classical rows of Table 1.
 """
 
-from repro.congest.network import Network, CongestConfig, ShardView
+from repro.congest.network import Network, CongestConfig
 from repro.congest.message import Message, message_size_bits, encode_value
 from repro.congest.algorithm import NodeAlgorithm, NodeContext
 from repro.congest.simulator import Simulator, RoundReport, SimulationResult
@@ -39,11 +39,6 @@ from repro.congest.engine import (
     force_engine,
     get_engine,
     register_engine,
-)
-from repro.congest.engine.sharded import (
-    ShardWorkerError,
-    close_worker_pools,
-    shard_worker_pool,
 )
 from repro.congest.primitives import (
     build_bfs_tree,
@@ -70,7 +65,6 @@ from repro.congest.apsp import (
 __all__ = [
     "Network",
     "CongestConfig",
-    "ShardView",
     "Message",
     "message_size_bits",
     "encode_value",
@@ -87,9 +81,6 @@ __all__ = [
     "force_engine",
     "get_engine",
     "register_engine",
-    "ShardWorkerError",
-    "close_worker_pools",
-    "shard_worker_pool",
     "build_bfs_tree",
     "broadcast_from",
     "convergecast_max",

@@ -4,14 +4,13 @@ See :mod:`repro.congest.engine.base` for the registry contract and
 :mod:`repro.congest.engine.schema` for the message-schema hook that makes a
 protocol eligible for the schema-driven engines (the vectorized ``dense``
 engine and the closed-form ``symbolic`` engine).  Importing this package
-registers the bundled engines (``sparse``, ``legacy``, ``sharded``,
-``symbolic``, and -- when NumPy is importable -- ``dense``).
+registers the bundled engines (``sparse``, ``legacy``, ``symbolic``, and
+-- when NumPy is importable -- ``dense``).
 """
 
 from repro.congest.engine.types import (
     RoundLimitExceeded,
     RoundReport,
-    ShardRoundCharges,
     SimulationResult,
 )
 from repro.congest.engine.base import (
@@ -32,7 +31,6 @@ from repro.congest.engine.schema import (
 # Engine registration happens at import time, mirroring the kernel backends.
 from repro.congest.engine import sparse as _sparse  # noqa: F401  (registers)
 from repro.congest.engine import legacy as _legacy  # noqa: F401  (registers)
-from repro.congest.engine import sharded as _sharded  # noqa: F401  (registers)
 from repro.congest.engine import symbolic as _symbolic  # noqa: F401  (registers)
 
 try:  # The dense engine needs NumPy; everything else must work without it.
@@ -43,7 +41,6 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 __all__ = [
     "RoundLimitExceeded",
     "RoundReport",
-    "ShardRoundCharges",
     "SimulationResult",
     "ENGINE_ENV_VAR",
     "ExecutionEngine",

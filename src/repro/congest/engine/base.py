@@ -11,12 +11,6 @@ resolves one per run.  Four engines ship with the library:
   that executes whole rounds as vectorized scatter/reduce over the network's
   CSR adjacency.  Only algorithms that declare a structured numeric message
   schema (:meth:`NodeAlgorithm.message_schema`) are eligible.
-* ``"sharded"`` -- the shard-partitioned executor: the node set is split
-  into ``REPRO_SHARDS`` contiguous CSR-aware shards whose deliver/compute
-  phases run per shard (in-process by default, forked worker processes when
-  ``REPRO_SHARD_WORKERS > 1``), exchanging cross-shard messages through
-  per-round boundary buffers.  Runs arbitrary node programs and needs no
-  NumPy.
 * ``"symbolic"`` -- the closed-form executor: derives the whole
   :class:`RoundReport` analytically for schedule-determined schemas (tree
   primitives, broadcast replays, arrival-gated min-plus runs) instead of
@@ -30,9 +24,9 @@ Selection order (first match wins):
 2. a :func:`force_engine` override (used by the differential tests and the
    engine benchmarks),
 3. the ``REPRO_ENGINE`` environment variable (``sparse``, ``dense``,
-   ``sharded``, ``symbolic``, ``legacy`` or ``auto``),
+   ``symbolic``, ``legacy`` or ``auto``),
 4. ``auto``: ``dense`` when the run is dense-eligible, otherwise ``sparse``
-   (``sharded`` and ``symbolic`` are opt-in and never auto-selected).
+   (``symbolic`` is opt-in and never auto-selected).
 
 A forced or environment-selected engine that cannot execute a particular run
 (e.g. ``dense`` for an algorithm without a message schema) falls back to

@@ -155,12 +155,11 @@ def _empty_plan(memory: Dict[int, Dict[str, Any]]) -> _TreePlan:
 # --------------------------------------------------------------------------- #
 # BFS-tree construction (flood-and-echo)
 # --------------------------------------------------------------------------- #
-#: Memoized explore-flood layerings, keyed like ``Network.shard_view``: per
-#: graph (by ``id``, evicted via ``weakref.finalize`` when the graph dies --
-#: :class:`WeightedGraph` is deliberately unhashable), by (mutation counter,
-#: root).  ``supports()`` and ``run()`` both need the layering, so one run
-#: would otherwise walk the graph twice; ``None`` records a disconnected
-#: outcome.
+#: Memoized explore-flood layerings: per graph (by ``id``, evicted via
+#: ``weakref.finalize`` when the graph dies -- :class:`WeightedGraph` is
+#: deliberately unhashable), by (mutation counter, root).  ``supports()``
+#: and ``run()`` both need the layering, so one run would otherwise walk the
+#: graph twice; ``None`` records a disconnected outcome.
 _BFS_LAYER_CACHE: Dict[int, Dict[Tuple[Any, int], Any]] = {}
 
 

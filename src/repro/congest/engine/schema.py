@@ -28,7 +28,7 @@ Their round structure is fixed by the tree alone -- a flood phase, per-edge
 pipelined up/down phases, and an echo-terminated stop wave -- so the dense
 engine computes the whole message schedule analytically instead of
 interpreting ``receive`` per node.  Every schema is purely declarative --
-the sparse/legacy/sharded engines ignore it, and the differential tests
+the sparse/legacy engines ignore it, and the differential tests
 assert that the dense execution of a schema is bit-identical to running the
 node program itself.
 """

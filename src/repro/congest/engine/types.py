@@ -8,16 +8,13 @@ import them without importing the facade.  The facade re-exports them, so
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from repro.congest.algorithm import NodeContext
-from repro.congest.message import Message
 
 __all__ = [
     "RoundReport",
-    "ShardRoundCharges",
     "SimulationResult",
     "RoundLimitExceeded",
     "encode_result_value",
@@ -213,111 +210,6 @@ class RoundReport:
         if not isinstance(protocol, str):
             raise ValueError(f"RoundReport field 'protocol' must be a str, got {protocol!r}")
         return cls(protocol=protocol, **fields)
-
-
-@dataclass(frozen=True)
-class ShardRoundCharges:
-    """One shard's contribution to a single round's :class:`RoundReport`.
-
-    The sharded engine accounts each round per shard -- over the messages the
-    shard's nodes *sent* (each directed edge has a unique sender, so the
-    per-edge bit sums never straddle shards) -- and merges the partials in
-    stable shard order.  Because shards are contiguous slices of the node
-    order, that merge reproduces the sparse engine's single-pass accounting
-    bit for bit: totals add, maxima take the maximum, and the first
-    strict-bandwidth violation (in shard order, then local first-message
-    order) is exactly the edge the sparse engine would have raised on.
-
-    Attributes
-    ----------
-    messages / bits / max_message_bits:
-        The shard's message count, payload-bit sum and largest message.
-    max_edge_charge:
-        ``max(1, ceil(edge_bits / B))`` over the shard's directed edges
-        (only meaningful in non-strict mode).
-    violation_bits:
-        In strict-bandwidth mode, the bit sum of the shard's first
-        over-budget edge in message order, or ``None``.
-    """
-
-    messages: int = 0
-    bits: int = 0
-    max_message_bits: int = 0
-    max_edge_charge: int = 1
-    violation_bits: Optional[int] = None
-
-    @staticmethod
-    def merge_into(
-        report: "RoundReport",
-        partials: Iterable[Optional["ShardRoundCharges"]],
-        protocol: str,
-        bandwidth: int,
-    ) -> int:
-        """Fold one round's per-shard partials (in shard order) into ``report``.
-
-        Returns the round's ``max_edge_charge`` (the congestion-adjusted cost
-        of the round); raises the strict-bandwidth :class:`ValueError` --
-        with exactly the sparse engine's message text -- on the first partial
-        carrying a violation.  ``None`` entries stand for shards that sent
-        nothing and contribute nothing.  Both sharded execution modes
-        (in-process shard-serial and worker-retained, where the partials
-        arrive over a pipe) merge through this one helper, so the
-        bit-identical accounting cannot drift between them.
-        """
-        max_edge_charge = 1
-        for charges in partials:
-            if charges is None or not charges.messages:
-                continue
-            if charges.violation_bits is not None:
-                raise ValueError(
-                    f"protocol '{protocol}' exceeded the bandwidth: "
-                    f"{charges.violation_bits} bits on one edge in one "
-                    f"round (B={bandwidth})"
-                )
-            report.total_messages += charges.messages
-            report.total_bits += charges.bits
-            if charges.max_message_bits > report.max_message_bits:
-                report.max_message_bits = charges.max_message_bits
-            if charges.max_edge_charge > max_edge_charge:
-                max_edge_charge = charges.max_edge_charge
-        return max_edge_charge
-
-    @classmethod
-    def from_messages(
-        cls,
-        sized_messages: List[Tuple[Message, int]],
-        bandwidth: int,
-        strict: bool,
-    ) -> "ShardRoundCharges":
-        """Account one shard's sized out-messages exactly like sparse does."""
-        messages = 0
-        bits_total = 0
-        max_bits = 0
-        edge_bits: Dict[Tuple[int, int], int] = {}
-        for message, bits in sized_messages:
-            messages += 1
-            bits_total += bits
-            if bits > max_bits:
-                max_bits = bits
-            key = (message.sender, message.receiver)
-            edge_bits[key] = edge_bits.get(key, 0) + bits
-        max_edge_charge = 1
-        violation: Optional[int] = None
-        for bits in edge_bits.values():
-            if bits > bandwidth:
-                if strict:
-                    violation = bits
-                    break
-                charge = math.ceil(bits / bandwidth)
-                if charge > max_edge_charge:
-                    max_edge_charge = charge
-        return cls(
-            messages=messages,
-            bits=bits_total,
-            max_message_bits=max_bits,
-            max_edge_charge=max_edge_charge,
-            violation_bits=violation,
-        )
 
 
 @dataclass

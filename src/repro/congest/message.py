@@ -130,9 +130,9 @@ def make_message_sizer(
     back to the per-message memoized walk (:meth:`Message.size_bits` stays
     the single source of truth).
 
-    Both the sparse and the sharded engine size at enqueue time through this
-    helper, so the cache-admission rule -- and with it the bit-identical
-    accounting -- cannot drift between them.
+    The sparse engine sizes at enqueue time through this helper; keeping the
+    cache-admission rule next to :meth:`Message.size_bits` keeps the
+    accounting bit-identical to the per-message walk.
     """
     cache: Dict[Tuple[str, Any], int] = {}
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.graphs.properties import unweighted_diameter
 from repro.graphs.weighted_graph import WeightedGraph
 
-__all__ = ["CongestConfig", "Network", "ShardView"]
+__all__ = ["CongestConfig", "Network"]
 
 
 @dataclass(frozen=True)
@@ -55,156 +55,6 @@ class CongestConfig:
         return self.bandwidth_words * self.word_bits(num_nodes)
 
 
-@dataclass(frozen=True, eq=False)
-class ShardView:
-    """A contiguous, CSR-aware partition of a network's node set.
-
-    Shard ``s`` owns the contiguous slice ``nodes[starts[s]:starts[s+1]]`` of
-    the network's node order (the same order the CSR snapshot and every
-    execution engine iterate in), so concatenating per-shard node lists in
-    shard order reproduces the global node order exactly -- the property the
-    sharded engine's deterministic merge relies on.  Shard boundaries are
-    placed to balance ``1 + degree`` per node (computed from the frozen CSR
-    snapshot), i.e. the per-shard deliver/compute work, not just node counts.
-
-    Attributes
-    ----------
-    num_shards:
-        Number of shards ``S`` (each non-empty, so ``S <= n``).
-    starts:
-        ``S + 1`` cut positions into the node order.
-    shards:
-        Per-shard node labels, in node order.
-    shard_by_node:
-        Mapping from node label to owning shard index.
-    boundary_edges:
-        Per shard, the frozen set of *outgoing* directed cross-shard edges
-        ``(u, v)`` with ``u`` in the shard and ``v`` outside it.  Built once
-        per topology.  Messages on exactly these edges cross shard
-        boundaries, so the sharded engine pays the per-message routing
-        lookup only for shards whose set is non-empty (a shard with no
-        boundary edges bulk-routes its whole out-buffer to itself), and the
-        shard-scaling benchmark reports the counts.
-    """
-
-    num_shards: int
-    starts: Tuple[int, ...]
-    shards: Tuple[Tuple[int, ...], ...]
-    shard_by_node: Dict[int, int]
-    boundary_edges: Tuple[FrozenSet[Tuple[int, int]], ...]
-
-    def shard_of(self, node: int) -> int:
-        """Index of the shard owning ``node``."""
-        return self.shard_by_node[node]
-
-    @property
-    def cross_shard_edge_count(self) -> int:
-        """Total number of directed cross-shard edges."""
-        return sum(len(edges) for edges in self.boundary_edges)
-
-    def worker_blocks(self, num_workers: int) -> Tuple[Tuple[int, ...], ...]:
-        """Contiguous shard blocks for ``num_workers`` sharded-engine workers.
-
-        Workers own *contiguous* runs of shards (ceil split, so every worker
-        gets at least one shard and blocks cover the shard range in order).
-        Contiguity is what lets the worker-retention protocol reassemble the
-        sparse engine's global delivery order from ``pre + local + post``
-        segments: every shard outside a worker's block is entirely before or
-        entirely after it in sender order.
-        """
-        if not isinstance(num_workers, int) or isinstance(num_workers, bool):
-            raise ValueError(f"num_workers must be an int, got {num_workers!r}")
-        if not 1 <= num_workers <= self.num_shards:
-            raise ValueError(
-                f"num_workers must be between 1 and the shard count "
-                f"({self.num_shards}), got {num_workers}"
-            )
-        per_worker = -(-self.num_shards // num_workers)  # ceil
-        return tuple(
-            tuple(range(start, min(start + per_worker, self.num_shards)))
-            for start in range(0, self.num_shards, per_worker)
-        )
-
-    def cross_worker_edge_count(self, num_workers: int) -> int:
-        """Directed edges crossing a *worker block* boundary.
-
-        With intra-shard retention only these edges' messages travel through
-        the coordinator pipes; edges between two shards of the same worker
-        block stay worker-local.  The shard-scaling benchmark reports this
-        next to :attr:`cross_shard_edge_count` to make the retention win
-        legible.
-        """
-        blocks = self.worker_blocks(num_workers)
-        worker_of_shard = {
-            shard: worker for worker, ids in enumerate(blocks) for shard in ids
-        }
-        return sum(
-            1
-            for shard, edges in enumerate(self.boundary_edges)
-            for (_u, v) in edges
-            if worker_of_shard[self.shard_by_node[v]] != worker_of_shard[shard]
-        )
-
-    @classmethod
-    def build(cls, graph: WeightedGraph, num_shards: int) -> "ShardView":
-        """Partition ``graph``'s node order into ``num_shards`` shards."""
-        from repro.kernels.csr import CSRGraph
-
-        csr = CSRGraph.from_graph(graph)
-        n = csr.num_nodes
-        if not isinstance(num_shards, int) or isinstance(num_shards, bool):
-            raise ValueError(f"num_shards must be an int, got {num_shards!r}")
-        if not 1 <= num_shards <= n:
-            raise ValueError(
-                f"num_shards must be between 1 and the node count ({n}), "
-                f"got {num_shards}"
-            )
-        indptr = csr.indptr
-        loads = [1 + indptr[i + 1] - indptr[i] for i in range(n)]
-        total = sum(loads)
-
-        starts = [0]
-        acc = 0
-        cursor = 0
-        for shard in range(num_shards):
-            remaining = num_shards - shard - 1
-            target = total * (shard + 1) / num_shards
-            acc += loads[cursor]
-            end = cursor + 1  # every shard owns at least one node
-            while end < n - remaining and acc + loads[end] <= target:
-                acc += loads[end]
-                end += 1
-            starts.append(end)
-            cursor = end
-        starts[-1] = n
-
-        shard_index = [0] * n
-        shards = []
-        for shard in range(num_shards):
-            lo, hi = starts[shard], starts[shard + 1]
-            shards.append(tuple(csr.nodes[lo:hi]))
-            for i in range(lo, hi):
-                shard_index[i] = shard
-
-        boundary: List[set] = [set() for _ in range(num_shards)]
-        indices = csr.indices
-        for i in range(n):
-            shard = shard_index[i]
-            for j in indices[indptr[i] : indptr[i + 1]]:
-                if shard_index[j] != shard:
-                    boundary[shard].add((csr.nodes[i], csr.nodes[j]))
-
-        return cls(
-            num_shards=num_shards,
-            starts=tuple(starts),
-            shards=tuple(shards),
-            shard_by_node={
-                node: shard for shard, nodes in enumerate(shards) for node in nodes
-            },
-            boundary_edges=tuple(frozenset(edges) for edges in boundary),
-        )
-
-
 class Network:
     """A CONGEST communication network over a weighted graph.
 
@@ -233,7 +83,6 @@ class Network:
         self._config = config or CongestConfig()
         self._unweighted_diameter_cache: float | None = None
         self._unit_companion_cache: tuple[int, "Network"] | None = None
-        self._shard_view_cache: dict[tuple[int, int], ShardView] = {}
 
     # ------------------------------------------------------------------ #
     @property
@@ -292,26 +141,6 @@ class Network:
     def max_weight(self) -> int:
         """The maximum edge weight ``W`` (assumed globally known, as in Appendix A)."""
         return self._graph.max_weight()
-
-    def shard_view(self, num_shards: int) -> ShardView:
-        """The contiguous ``num_shards``-way partition of this network.
-
-        Memoized per shard count and keyed by the graph's mutation counter,
-        so the sharded engine's partition and cross-shard edge index are
-        built once per (topology, shard count) rather than once per run;
-        any topology mutation transparently invalidates the memo.
-        """
-        version = getattr(self._graph, "_version", None)
-        if version is not None:
-            cached = self._shard_view_cache.get((version, num_shards))
-            if cached is not None:
-                return cached
-        view = ShardView.build(self._graph, num_shards)
-        if version is not None:
-            if any(key[0] != version for key in self._shard_view_cache):
-                self._shard_view_cache = {}  # drop views of a mutated topology
-            self._shard_view_cache[(version, num_shards)] = view
-        return view
 
     def unit_weight_companion(self) -> "Network":
         """The unit-weight twin of this network (same topology and config).

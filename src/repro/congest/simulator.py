@@ -22,23 +22,13 @@ congestion-adjusted counts.
 Since the engine refactor, :class:`Simulator` is a thin facade: the actual
 round loop lives in one of the pluggable execution engines under
 :mod:`repro.congest.engine` (``sparse`` by default, the vectorized ``dense``
-engine for protocols with a structured message schema, the shard-partitioned
-``sharded`` engine -- ``REPRO_SHARDS`` shards, optionally executed by
-``REPRO_SHARD_WORKERS`` forked worker processes -- and the pinned ``legacy``
-seed loop).  Every engine produces bit-identical :class:`RoundReport`
-numbers and identical outputs, so which engine runs is purely a performance
-decision -- overridable per call (``engine=``), per process
+engine and the closed-form ``symbolic`` engine for protocols with a
+structured message schema, and the pinned ``legacy`` seed loop).  Every
+engine produces bit-identical :class:`RoundReport` numbers and identical
+outputs, so which engine runs is purely a performance decision --
+overridable per call (``engine=``), per process
 (:func:`repro.congest.engine.force_engine`) or per environment
 (``REPRO_ENGINE``).
-
-In sharded worker mode, intra-block messages are retained inside the worker
-that produced them (only boundary bundles and per-shard accounting partials
-cross the coordinator pipes), and consecutive ``run`` calls on the same
-network reuse a persistent forked worker pool instead of re-forking per run
--- pin one explicitly with :func:`repro.congest.shard_worker_pool` for
-deterministic teardown.  Attaching an ``observer`` transparently falls back
-to fully materialized rounds so the observed message stream stays identical
-to the sparse engine's.
 """
 
 from __future__ import annotations
@@ -115,9 +105,10 @@ class Simulator:
             ownership boundary; it never affects the execution itself.
         engine:
             Optional explicit engine name (``"sparse"``, ``"dense"``,
-            ``"sharded"``, ``"legacy"``).  Defaults to the forced / ``REPRO_ENGINE`` /
-            ``auto`` selection; an explicitly named engine that cannot
-            execute this run raises instead of falling back.
+            ``"symbolic"``, ``"legacy"``).  Defaults to the forced /
+            ``REPRO_ENGINE`` / ``auto`` selection; an explicitly named
+            engine that cannot execute this run raises instead of falling
+            back.
 
         Returns
         -------

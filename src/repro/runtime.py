@@ -1,20 +1,17 @@
 """Unified run configuration for every execution knob in one place.
 
-The library grew three independent selection mechanisms as the performance
-layers landed: the CONGEST engine registry (``REPRO_ENGINE`` /
-:func:`repro.congest.engine.force_engine`), the kernel *and* quantum backend
-registries (both on ``REPRO_BACKEND`` with their own ``force_backend``
-context managers), and the sharded engine's ``REPRO_SHARDS`` /
-``REPRO_SHARD_WORKERS`` environment knobs.  Composing them by hand means
-four nested context managers and two environment mutations with four
-restore paths.
+The library has two independent selection mechanisms: the CONGEST engine
+registry (``REPRO_ENGINE`` / :func:`repro.congest.engine.force_engine`) and
+the kernel *and* quantum backend registries (both on ``REPRO_BACKEND`` with
+their own ``force_backend`` context managers).  Composing them by hand means
+three nested context managers with three restore paths.
 
 :class:`RunConfig` + :func:`configure` collapse that into one call with one
 restore path::
 
     from repro.runtime import configure
 
-    with configure(engine="sharded", backend="python", shards=4, workers=2):
+    with configure(engine="dense", backend="python"):
         result = Simulator(network).run(protocol)
 
 Every knob is optional; ``None`` leaves the corresponding selection
@@ -30,27 +27,10 @@ configuration cannot drift apart.
 from __future__ import annotations
 
 import contextlib
-import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-__all__ = ["RunConfig", "configure", "shard_count_setting", "shard_worker_setting"]
-
-#: Backend names the quantum registry can honour (``scipy`` resolves to
-#: ``numpy`` there); kernels validate the name against their own registry.
-_SHARD_ENV = "REPRO_SHARDS"
-_WORKER_ENV = "REPRO_SHARD_WORKERS"
-
-
-def _validate_count(name: str, value: Optional[int]) -> Optional[int]:
-    """Validate an optional positive-integer knob (shards/workers)."""
-    if value is None:
-        return None
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(
-            f"invalid {name} value {value!r}: expected a positive integer or None"
-        )
-    return value
+__all__ = ["RunConfig", "configure"]
 
 
 @dataclass(frozen=True)
@@ -60,28 +40,18 @@ class RunConfig:
     Attributes
     ----------
     engine:
-        CONGEST execution engine name (``sparse``/``dense``/``sharded``/
-        ``symbolic``/``legacy``) or ``None`` to leave selection alone.  The
-        forced engine is still subject to per-run eligibility and falls back
-        to ``sparse`` exactly like ``REPRO_ENGINE`` would.
+        CONGEST execution engine name (``sparse``/``dense``/``symbolic``/
+        ``legacy``) or ``None`` to leave selection alone.  The forced engine
+        is still subject to per-run eligibility and falls back to ``sparse``
+        exactly like ``REPRO_ENGINE`` would.
     backend:
         Kernel *and* quantum backend name (``scipy``/``numpy``/``python``)
         or ``None``.  The quantum registry resolves ``scipy`` to its
         ``numpy`` tier, mirroring the shared ``REPRO_BACKEND`` semantics.
-    shards / workers:
-        Sharded-engine shard and worker counts, applied via the
-        ``REPRO_SHARDS`` / ``REPRO_SHARD_WORKERS`` environment knobs the
-        engine reads (and restored afterwards).
     """
 
     engine: Optional[str] = None
     backend: Optional[str] = None
-    shards: Optional[int] = None
-    workers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        _validate_count("shards", self.shards)
-        _validate_count("workers", self.workers)
 
     def validate(self) -> "RunConfig":
         """Eagerly resolve every named knob, raising with the registry lists."""
@@ -112,57 +82,15 @@ class RunConfig:
 
                 stack.enter_context(force_kernel(self.backend))
                 stack.enter_context(force_quantum(self.backend))
-            if self.shards is not None:
-                stack.enter_context(_env_override(_SHARD_ENV, str(self.shards)))
-            if self.workers is not None:
-                stack.enter_context(_env_override(_WORKER_ENV, str(self.workers)))
             yield self
 
 
-def shard_count_setting() -> str:
-    """The raw ``REPRO_SHARDS`` environment setting (``""`` when unset).
-
-    The sharded engine parses this through its own
-    ``resolve_shard_count``; the read lives here so every ``REPRO_*``
-    environment read stays inside the runtime/registry modules (the REP103
-    lint contract) and composes with :func:`configure`'s restore path.
-    """
-    return os.environ.get(_SHARD_ENV, "")
-
-
-def shard_worker_setting() -> str:
-    """The raw ``REPRO_SHARD_WORKERS`` environment setting (``""`` when unset)."""
-    return os.environ.get(_WORKER_ENV, "")
-
-
-@contextlib.contextmanager
-def _env_override(name: str, value: str) -> Iterator[None]:
-    """Set ``name=value`` in the environment, restoring the prior state."""
-    previous = os.environ.get(name)
-    os.environ[name] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(name, None)
-        else:
-            os.environ[name] = previous
-
-
-def configure(
-    engine: Optional[str] = None,
-    backend: Optional[str] = None,
-    shards: Optional[int] = None,
-    workers: Optional[int] = None,
-):
+def configure(engine: Optional[str] = None, backend: Optional[str] = None):
     """Context manager applying a :class:`RunConfig` in one call.
 
     ``with configure(engine="dense", backend="numpy"): ...`` is the single
     entry point replacing nested ``force_engine`` / ``force_backend``
-    (kernels and quantum) calls plus manual ``REPRO_SHARDS`` /
-    ``REPRO_SHARD_WORKERS`` environment juggling.  The old entry points all
-    keep working; this composes them.
+    (kernels and quantum) calls.  The old entry points all keep working;
+    this composes them.
     """
-    return RunConfig(
-        engine=engine, backend=backend, shards=shards, workers=workers
-    ).apply()
+    return RunConfig(engine=engine, backend=backend).apply()

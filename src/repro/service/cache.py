@@ -6,7 +6,7 @@ one process and one live object.  The service cache keys on *content*
 instead: the cache key is the SHA-256 of a canonical JSON document carrying
 the graph's :meth:`~repro.graphs.WeightedGraph.content_digest`, the protocol
 name and parameters, the bandwidth configuration, the per-run options and
-the execution knobs (engine / backend / shards / workers).  Two different
+the execution knobs (engine / backend).  Two different
 graph objects with identical content, or the same request issued by two
 different processes pointing at the same cache directory, hit the same
 entry.
@@ -27,8 +27,11 @@ requests and the disk format equals the wire format.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -42,7 +45,7 @@ __all__ = ["CacheStats", "ResultCache", "cache_key", "semantic_key"]
 #: Fields of a spec that select *how* a run executes rather than *what* it
 #: computes.  Engine-invariant protocols produce identical results across
 #: all of them, which is what cross-engine serving exploits.
-_EXECUTION_FIELDS = ("engine", "backend", "shards", "workers")
+_EXECUTION_FIELDS = ("engine", "backend")
 
 
 def _key_material(spec: RunSpec, graph_digest: str, semantic: bool) -> str:
@@ -65,7 +68,7 @@ def cache_key(spec: RunSpec, graph_digest: str) -> str:
 
 
 def semantic_key(spec: RunSpec, graph_digest: str) -> str:
-    """The execution-agnostic key (spec minus engine/backend/shards/workers)."""
+    """The execution-agnostic key (spec minus engine/backend)."""
     return hashlib.sha256(
         _key_material(spec, graph_digest, semantic=True).encode()
     ).hexdigest()
@@ -186,10 +189,20 @@ class ResultCache:
                 if self._semantic_index.get(evicted["semantic_key"]) == evicted_key:
                     del self._semantic_index[evicted["semantic_key"]]
         if self._directory is not None:
-            path = self._directory / f"{exact}.json"
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
-            tmp.replace(path)
+            # Concurrent writers of one key each get their own temp file in
+            # the cache directory, so the final rename is atomic and no
+            # writer can truncate another's half-written file.
+            fd, tmp = tempfile.mkstemp(
+                dir=self._directory, prefix=f"{exact}.", suffix=".tmp"
+            )
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(json.dumps(document, sort_keys=True, indent=2) + "\n")
+                os.replace(tmp, self._directory / f"{exact}.json")
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+                raise
         return exact
 
     # ------------------------------------------------------------------ #

@@ -10,19 +10,17 @@ counted in a :class:`~repro.service.metrics.MetricsRegistry`.
 Concurrency model (the GIL caveat, stated honestly): worker *threads* are
 the right executor here because the expensive engines already release the
 work from the interpreter -- ``dense`` runs NumPy kernels (which drop the
-GIL in the C layer), ``sharded`` with ``workers > 1`` forks real processes,
-and cache hits are pure lookups.  Pure-Python engine runs (``sparse``,
-``symbolic``, ``legacy``) do serialize on the GIL; batches of those gain
-concurrency only in wall-clock overlap of their NumPy/forked phases, not
-CPU parallelism.  Scaling pure-Python throughput across cores is a
-process-pool front end, which the sharded engine already provides per run.
+GIL in the C layer) and cache hits are pure lookups.  Pure-Python engine
+runs (``sparse``, ``symbolic``, ``legacy``) do serialize on the GIL; batches
+of those gain concurrency only in wall-clock overlap of their NumPy phases,
+not CPU parallelism.
 
-Execution-knob scoping: a spec's engine/backend/shards/workers are applied
-through :func:`repro.runtime.configure`, which pins *process-wide*
-registries.  To keep one job's knobs from leaking into a concurrently
-running job, the executor serializes the apply-and-run section with a lock
-unless the service was built with ``isolate_execution=False`` (single-knob
-deployments that want maximal overlap).
+Execution-knob scoping: a spec's engine/backend are applied through
+:func:`repro.runtime.configure`, which pins *process-wide* registries.  To
+keep one job's knobs from leaking into a concurrently running job, the
+executor serializes the apply-and-run section with a lock unless the service
+was built with ``isolate_execution=False`` (single-knob deployments that
+want maximal overlap).
 """
 
 from __future__ import annotations
@@ -135,7 +133,7 @@ class SimulationService:
         one.  Pass ``ResultCache(directory=...)`` for a persistent tier.
     allow_cross_engine:
         Opt-in: let an engine-invariant protocol's cached result answer a
-        request that names a *different* engine/backend/shard configuration.
+        request that names a *different* engine/backend configuration.
     metrics:
         A shared :class:`MetricsRegistry`; a private one is created by
         default.

@@ -1,13 +1,13 @@
 """The unified request API: one serializable description of one run.
 
 Before the service layer, running a protocol meant picking one of five
-differently-shaped ``run(...)`` entry points and up to three environment
+differently-shaped ``run(...)`` entry points and several environment
 variables.  A :class:`RunSpec` captures *everything* about a run in one
 frozen value: the workload (a registered protocol name plus parameters),
 the input graph (a seeded generator spec or an inline edge list), the
-bandwidth configuration, the execution knobs (engine / backend / shards /
-workers -- applied through :mod:`repro.runtime`) and the per-run options
-(``max_rounds``, ``halt_on_quiescence``).
+bandwidth configuration, the execution knobs (engine / backend -- applied
+through :mod:`repro.runtime`) and the per-run options (``max_rounds``,
+``halt_on_quiescence``).
 
 Specs serialize canonically: :meth:`RunSpec.canonical_json` is byte-stable
 under parameter reordering, which is what the content-addressed result
@@ -253,7 +253,7 @@ class RunSpec:
         The input :class:`GraphSpec`.
     params:
         Protocol parameters (JSON-safe values only).
-    engine / backend / shards / workers:
+    engine / backend:
         Execution knobs, applied via :func:`repro.runtime.configure`;
         ``None`` leaves the process/environment selection untouched.
     max_rounds / halt_on_quiescence:
@@ -268,8 +268,6 @@ class RunSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
     engine: Optional[str] = None
     backend: Optional[str] = None
-    shards: Optional[int] = None
-    workers: Optional[int] = None
     max_rounds: Optional[int] = None
     halt_on_quiescence: Optional[bool] = None
     bandwidth_words: int = 2
@@ -284,8 +282,6 @@ class RunSpec:
         object.__setattr__(
             self, "params", MappingProxyType(_freeze_json(dict(self.params), "$.params"))
         )
-        _check_positive("shards", self.shards)
-        _check_positive("workers", self.workers)
         _check_positive("max_rounds", self.max_rounds)
         _check_positive("bandwidth_words", self.bandwidth_words)
 
@@ -306,12 +302,7 @@ class RunSpec:
 
     def run_config(self) -> RunConfig:
         """The :class:`repro.runtime.RunConfig` this spec asks for."""
-        return RunConfig(
-            engine=self.engine,
-            backend=self.backend,
-            shards=self.shards,
-            workers=self.workers,
-        )
+        return RunConfig(engine=self.engine, backend=self.backend)
 
     def run_options(self) -> RunOptions:
         """The per-run simulator options this spec asks for."""
@@ -344,8 +335,6 @@ class RunSpec:
             "params": dict(self.params),
             "engine": self.engine,
             "backend": self.backend,
-            "shards": self.shards,
-            "workers": self.workers,
             "max_rounds": self.max_rounds,
             "halt_on_quiescence": self.halt_on_quiescence,
             "bandwidth_words": self.bandwidth_words,
@@ -365,8 +354,6 @@ class RunSpec:
             "params",
             "engine",
             "backend",
-            "shards",
-            "workers",
             "max_rounds",
             "halt_on_quiescence",
             "bandwidth_words",
@@ -382,8 +369,6 @@ class RunSpec:
             params=payload.get("params", {}),
             engine=payload.get("engine"),
             backend=payload.get("backend"),
-            shards=payload.get("shards"),
-            workers=payload.get("workers"),
             max_rounds=payload.get("max_rounds"),
             halt_on_quiescence=payload.get("halt_on_quiescence"),
             bandwidth_words=payload.get("bandwidth_words", 2),

@@ -1,19 +1,13 @@
 """Differential tests: every execution engine must be indistinguishable.
 
 The engines (``legacy`` seed loop, optimized ``sparse``, vectorized
-``dense``, shard-partitioned ``sharded``) may differ arbitrarily in how they
+``dense``, closed-form ``symbolic``) may differ arbitrarily in how they
 execute a round, but never in what they compute: outputs must be identical
 and the ``RoundReport`` numbers (rounds, congested_rounds, total_messages,
 total_bits, max_message_bits) bit-identical, across every migrated protocol,
 on random, structured, hop-truncated (unreachable-entry) and single-node
 networks.  The paper's round-complexity tables are read off these reports,
 so any engine divergence is a correctness bug.
-
-``available_engines()`` includes ``sharded`` unconditionally, so every test
-in this file already crosses it (at the "auto" shard count); the dedicated
-section at the bottom additionally sweeps ``REPRO_SHARDS`` in {1, 2, 4} and
-the multiprocessing worker mode over the announce-schedule (Algorithm 2/3)
-protocols and a composite flood/echo tree-primitive run.
 """
 
 from __future__ import annotations
@@ -681,137 +675,6 @@ class _NoSchema(NodeAlgorithm):
 
     def receive(self, ctx, round_number, messages):
         ctx.halt()
-
-
-# --------------------------------------------------------------------------- #
-# Sharded engine cross-product: the invariance guarantee must hold for every
-# shard count (REPRO_SHARDS in {1, 2, 4}) and in multiprocessing worker mode,
-# including the announce-schedule (Algorithm 2/3) networks.
-# --------------------------------------------------------------------------- #
-def _sharded_tree_protocol(network):
-    """One composite flood/echo run: BFS build + broadcast + gather +
-    convergecast, with the summed report (folds the tree primitives into the
-    sharded cross-product)."""
-    root = min(network.nodes)
-    tree, build_report = build_bfs_tree(network, root)
-    _, broadcast_report = broadcast_values_from(
-        network, root, ["a", "b", "c"], tree=tree
-    )
-    collected, gather_report = gather_values_to(
-        network, root, {node: [node] for node in network.nodes}, tree=tree
-    )
-    total, convergecast_report = convergecast_sum(
-        network, {node: node for node in network.nodes}, tree=tree
-    )
-    report = build_report
-    for partial in (broadcast_report, gather_report, convergecast_report):
-        report = report.merge_sequential(partial)
-    return (tree.parent, tree.depth, collected, total), report
-
-
-_SHARDED_PROTOCOLS = {
-    "weighted-apsp": lambda network: distributed_weighted_apsp(network),
-    "leader-election": lambda network: elect_leader(network),
-    "tree-primitives": _sharded_tree_protocol,
-    "algorithm-2": lambda network: bounded_distance_sssp_protocol(
-        network, min(network.nodes), 20
-    ),
-    "algorithm-3": lambda network: multi_source_bounded_hop_protocol(
-        network, sorted(network.nodes)[:2], 3, 0.5, levels=2, seed=3
-    ),
-}
-
-
-@pytest.mark.parametrize("shards", ["1", "2", "4"])
-@pytest.mark.parametrize("name", ["path", "star", "random-0", "single-node"])
-def test_sharded_shard_counts_identical(monkeypatch, shards, name):
-    network = NETWORKS[name]
-    monkeypatch.delenv("REPRO_SHARD_WORKERS", raising=False)
-    for label, protocol in _SHARDED_PROTOCOLS.items():
-        if name == "single-node" and label == "algorithm-3":
-            continue  # needs two sources
-        with force_engine("sparse"):
-            reference = protocol(network)
-        monkeypatch.setenv("REPRO_SHARDS", shards)
-        with force_engine("sharded"):
-            result = protocol(network)
-        monkeypatch.delenv("REPRO_SHARDS")
-        assert result[0] == reference[0], (label, shards)
-        assert result[1] == reference[1], (label, shards)
-
-
-@pytest.mark.parametrize(
-    "shards,workers", [("1", "2"), ("2", "2"), ("4", "2"), ("4", "4")]
-)
-def test_sharded_worker_mode_identical(monkeypatch, shards, workers):
-    """Forked workers must not perturb outputs, reports or announce gating.
-
-    Covers the retained-delivery protocol (no observer) across the shard x
-    worker grid, including the degenerate 1-shard case (workers clamp to 1,
-    i.e. shard-serial) and the one-shard-per-worker extreme."""
-    network = NETWORKS["random-1"]
-    monkeypatch.setenv("REPRO_SHARDS", shards)
-    monkeypatch.setenv("REPRO_SHARD_WORKERS", workers)
-    for label, protocol in _SHARDED_PROTOCOLS.items():
-        with force_engine("sparse"):
-            reference = protocol(network)
-        with force_engine("sharded"):
-            result = protocol(network)
-        assert result[0] == reference[0], label
-        assert result[1] == reference[1], label
-
-
-def test_sharded_worker_strict_bandwidth_parity(monkeypatch):
-    """Strict-bandwidth violations must carry sparse's exact error text even
-    when the violating shard lives inside a forked worker (the per-shard
-    partials ship ``violation_bits`` back; the shard-order merge picks the
-    same first violation sparse would have raised on)."""
-    graph = random_weighted_graph(10, average_degree=3.0, max_weight=60, seed=5)
-    network = Network(
-        graph,
-        CongestConfig(bandwidth_words=1, word_bits_override=8, strict_bandwidth=True),
-    )
-    with pytest.raises(ValueError) as reference:
-        Simulator(network).run(
-            _BellmanFordAlgorithm(sorted(network.nodes)),
-            halt_on_quiescence=True,
-            engine="sparse",
-        )
-    monkeypatch.setenv("REPRO_SHARDS", "4")
-    monkeypatch.setenv("REPRO_SHARD_WORKERS", "2")
-    with pytest.raises(ValueError) as excinfo:
-        Simulator(network).run(
-            _BellmanFordAlgorithm(sorted(network.nodes)),
-            halt_on_quiescence=True,
-            engine="sharded",
-        )
-    assert str(excinfo.value) == str(reference.value)
-
-
-def test_sharded_strict_bandwidth_parity_per_shard_count(monkeypatch):
-    """The first over-budget edge (and hence the error text) must not depend
-    on the shard count: shards are contiguous in sender order, so shard-order
-    merge reproduces the sparse engine's first violation exactly."""
-    graph = random_weighted_graph(10, average_degree=3.0, max_weight=60, seed=5)
-    network = Network(
-        graph,
-        CongestConfig(bandwidth_words=1, word_bits_override=8, strict_bandwidth=True),
-    )
-    with pytest.raises(ValueError) as reference:
-        Simulator(network).run(
-            _BellmanFordAlgorithm(sorted(network.nodes)),
-            halt_on_quiescence=True,
-            engine="sparse",
-        )
-    for shards in ("1", "2", "4"):
-        monkeypatch.setenv("REPRO_SHARDS", shards)
-        with pytest.raises(ValueError) as excinfo:
-            Simulator(network).run(
-                _BellmanFordAlgorithm(sorted(network.nodes)),
-                halt_on_quiescence=True,
-                engine="sharded",
-            )
-        assert str(excinfo.value) == str(reference.value), shards
 
 
 @pytest.mark.skipif("dense" not in ENGINES, reason="dense engine needs NumPy")

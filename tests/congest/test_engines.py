@@ -46,7 +46,7 @@ class TestRegistry:
     def test_bundled_engines_registered(self):
         assert "sparse" in ENGINES
         assert "legacy" in ENGINES
-        assert "sharded" in ENGINES  # registered with or without NumPy
+        assert "symbolic" in ENGINES  # registered with or without NumPy
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown execution engine"):
@@ -64,8 +64,8 @@ class TestRegistry:
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         algorithm = _Quiet()
         with force_engine("legacy"):
-            with force_engine("sharded"):
-                assert resolve_engine(None, network, algorithm).name == "sharded"
+            with force_engine("sparse"):
+                assert resolve_engine(None, network, algorithm).name == "sparse"
             # Leaving the inner block restores the *outer* pin, not "auto".
             assert resolve_engine(None, network, algorithm).name == "legacy"
         assert resolve_engine(None, network, algorithm).name == "sparse"
@@ -74,18 +74,10 @@ class TestRegistry:
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         with force_engine("legacy"):
             with pytest.raises(RuntimeError):
-                with force_engine("sharded"):
+                with force_engine("sparse"):
                     raise RuntimeError("mid-block failure")
             assert resolve_engine(None, network, _Quiet()).name == "legacy"
         assert resolve_engine(None, network, _Quiet()).name == "sparse"
-
-    def test_auto_never_selects_sharded(self, network, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        # Sharding is opt-in (env/force/explicit): auto resolution picks the
-        # fastest eligible engine, never the shard-partitioned executor.
-        assert resolve_engine(None, network, _Quiet()).name == "sparse"
-        monkeypatch.setenv("REPRO_ENGINE", "sharded")
-        assert resolve_engine(None, network, _Quiet()).name == "sharded"
 
     def test_force_engine_pins_and_restores(self, network, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)

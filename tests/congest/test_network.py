@@ -61,21 +61,3 @@ class TestNetwork:
         graph = path_graph(4, max_weight=50, seed=1)
         network = Network(graph)
         assert network.max_weight() == graph.max_weight()
-
-
-class TestShardViewAccessor:
-    """Network.shard_view basics; the partition itself is exercised in
-    tests/congest/test_sharded.py alongside the sharded engine."""
-
-    def test_shard_view_partitions_the_node_order(self):
-        network = Network(path_graph(8, max_weight=3, seed=0))
-        view = network.shard_view(3)
-        assert [node for shard in view.shards for node in shard] == network.nodes
-        assert view.num_shards == 3
-
-    def test_shard_view_single_node(self):
-        network = Network(WeightedGraph(nodes=[7]))
-        view = network.shard_view(1)
-        assert view.shards == ((7,),)
-        assert view.shard_of(7) == 0
-        assert view.cross_shard_edge_count == 0

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -33,7 +35,7 @@ class TestKeys:
     def test_semantic_key_ignores_execution_fields(self):
         digest = "ab" * 32
         a = semantic_key(sssp_spec(engine="sparse", backend="python"), digest)
-        b = semantic_key(sssp_spec(engine="dense", shards=3, workers=1), digest)
+        b = semantic_key(sssp_spec(engine="dense"), digest)
         assert a == b
 
     def test_semantic_key_still_sees_protocol_params(self):
@@ -65,7 +67,7 @@ class TestKeys:
 class TestWarmHitsEqualFreshRuns:
     @pytest.mark.parametrize("engine", available_engines())
     def test_warm_hit_equals_fresh_run(self, engine):
-        spec = sssp_spec(engine=engine, workers=1)
+        spec = sssp_spec(engine=engine)
         cold_service = SimulationService(max_workers=1)
         fresh = cold_service.run(spec)
         cold_service.close()
@@ -212,6 +214,49 @@ class TestLruAndDiskTier:
         service.run(spec)
         assert cache.stats.disk_hits == 1
         service.close()
+
+    def test_concurrent_stores_of_one_key_do_not_collide(self, tmp_path):
+        # Two misses on one spec store the same key at once: each writer must
+        # go through its own temp file, or one truncates the other's and the
+        # loser's rename fails with FileNotFoundError.
+        from repro.congest.engine.types import RoundReport, SimulationResult
+
+        cache = ResultCache(directory=tmp_path)
+        spec = sssp_spec()
+        digest = "ef" * 32
+        result = SimulationResult(
+            outputs={node: list(range(50)) for node in range(50)},
+            report=RoundReport(1, 0, 0, 0, 0, "x"),
+            contexts={},
+        )
+        barrier = threading.Barrier(2, timeout=30)
+        errors = []
+
+        def writer():
+            try:
+                for _ in range(40):
+                    barrier.wait()
+                    cache.store(spec, digest, result)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [threading.Thread(target=writer) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        key = cache_key(spec, digest)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [f"{key}.json"]
+        fresh = ResultCache(directory=tmp_path)
+        assert fresh.lookup(spec, digest) is not None
 
     def test_bad_max_entries_rejected(self):
         with pytest.raises(ValueError, match="max_entries"):

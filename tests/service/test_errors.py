@@ -1,10 +1,9 @@
 """Regression tests: invalid selections fail with the registry menu.
 
-The contract (PR 9's bugfix satellite): an unknown engine, backend, shard
-count or protocol must raise ``ValueError`` naming the registered options --
-never a bare ``KeyError`` or an unexplained fallback -- whether it arrives
-via ``Simulator.run(engine=...)``, an environment variable, or the service
-layer's ``RunSpec``.
+The contract: an unknown engine, backend or protocol must raise
+``ValueError`` naming the registered options -- never a bare ``KeyError`` or
+an unexplained fallback -- whether it arrives via ``Simulator.run(engine=...)``,
+an environment variable, or the service layer's ``RunSpec``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ class TestSimulatorEngineErrors:
             simulator.run(_BellmanFordAlgorithm([0]), engine="nope")
         message = str(excinfo.value)
         assert "nope" in message
-        assert "sparse" in message and "sharded" in message and "symbolic" in message
+        assert "sparse" in message and "legacy" in message and "symbolic" in message
 
     def test_env_engine_bogus_names_registry(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "bogus")
@@ -59,27 +58,6 @@ class TestBackendErrors:
         with pytest.raises(ValueError) as excinfo:
             get_backend("nope")
         assert "nope" in str(excinfo.value)
-
-
-class TestShardEnvErrors:
-    @pytest.mark.parametrize("raw", ["zero", "-2", "0", "1.5"])
-    def test_invalid_repro_shards_is_value_error(self, raw, monkeypatch):
-        from repro.congest.engine.sharded import resolve_shard_count
-
-        monkeypatch.setenv("REPRO_SHARDS", raw)
-        with pytest.raises(ValueError, match="REPRO_SHARDS"):
-            resolve_shard_count(100)
-
-    def test_invalid_repro_shards_reaches_service_as_value_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "banana")
-        service = SimulationService(max_workers=1)
-        spec = run_spec(engine="sharded")
-        handle = service.submit(spec)
-        with pytest.raises(ValueError, match="REPRO_SHARDS"):
-            handle.result()
-        assert handle.poll().state.value == "failed"
-        assert "REPRO_SHARDS" in (handle.poll().error or "")
-        service.close()
 
 
 class TestServiceValidationErrors:

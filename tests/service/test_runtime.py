@@ -14,35 +14,20 @@ pytestmark = pytest.mark.service
 class TestRunConfigValidation:
     def test_default_is_all_none(self):
         config = RunConfig()
-        assert (config.engine, config.backend, config.shards, config.workers) == (
-            None,
-            None,
-            None,
-            None,
-        )
+        assert (config.engine, config.backend) == (None, None)
         config.validate()
 
     def test_unknown_engine_names_registry(self):
         with pytest.raises(ValueError) as excinfo:
             RunConfig(engine="warp").validate()
         message = str(excinfo.value)
-        assert "warp" in message and "sparse" in message and "sharded" in message
+        assert "warp" in message and "sparse" in message and "symbolic" in message
 
     def test_unknown_backend_names_registry(self):
         with pytest.raises(ValueError) as excinfo:
             RunConfig(backend="tpu").validate()
         message = str(excinfo.value)
         assert "tpu" in message and "python" in message
-
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, "4", True])
-    def test_bad_shards_rejected_at_construction(self, bad):
-        with pytest.raises(ValueError, match="shards"):
-            RunConfig(shards=bad)
-
-    @pytest.mark.parametrize("bad", [0, -1, 2.5, "4", True])
-    def test_bad_workers_rejected_at_construction(self, bad):
-        with pytest.raises(ValueError, match="workers"):
-            RunConfig(workers=bad)
 
     def test_apply_validates_eagerly(self):
         with pytest.raises(ValueError, match="warp"):
@@ -67,36 +52,29 @@ class TestConfigureComposition:
             assert kernel_backend().name == "python"
             assert quantum_backend().name == "python"
 
-    def test_shard_knobs_set_and_restore_env(self):
-        os.environ.pop("REPRO_SHARDS", None)
-        previous_workers = os.environ.get("REPRO_SHARD_WORKERS")
-        with configure(shards=3, workers=1):
-            assert os.environ["REPRO_SHARDS"] == "3"
-            assert os.environ["REPRO_SHARD_WORKERS"] == "1"
-        assert "REPRO_SHARDS" not in os.environ
-        assert os.environ.get("REPRO_SHARD_WORKERS") == previous_workers
-
     def test_restores_preexisting_env_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "7")
-        with configure(shards=2):
-            assert os.environ["REPRO_SHARDS"] == "2"
-        assert os.environ["REPRO_SHARDS"] == "7"
+        from repro.congest import Network
+        from repro.congest.engine.base import resolve_engine
+        from repro.congest.sssp import _BellmanFordAlgorithm
+        from repro.graphs import path_graph
+
+        network = Network(path_graph(4))
+        algorithm = _BellmanFordAlgorithm([0])
+        monkeypatch.setenv("REPRO_ENGINE", "legacy")
+        with configure(engine="sparse"):
+            # The forced engine wins over the environment while applied ...
+            assert resolve_engine(None, network, algorithm).name == "sparse"
+        # ... and the environment selection is untouched afterwards.
+        assert os.environ["REPRO_ENGINE"] == "legacy"
+        assert resolve_engine(None, network, algorithm).name == "legacy"
 
     def test_restores_after_body_raises(self):
-        os.environ.pop("REPRO_SHARDS", None)
-        with pytest.raises(RuntimeError):
-            with configure(engine="sparse", shards=5):
-                raise RuntimeError("boom")
-        assert "REPRO_SHARDS" not in os.environ
         from repro.congest.engine import base as engine_base
 
+        with pytest.raises(RuntimeError):
+            with configure(engine="sparse"):
+                raise RuntimeError("boom")
         assert engine_base._FORCED is None
-
-    def test_shards_drive_sharded_engine(self):
-        from repro.congest.engine.sharded import resolve_shard_count
-
-        with configure(shards=4):
-            assert resolve_shard_count(1000) == 4
 
     def test_end_to_end_run_under_configure(self):
         from repro.congest import Network, Simulator

@@ -85,8 +85,6 @@ class TestRunSpecSerialization:
         spec = path_spec(
             engine="dense",
             backend="numpy",
-            shards=2,
-            workers=1,
             max_rounds=99,
             halt_on_quiescence=True,
             bandwidth_words=3,
@@ -114,10 +112,14 @@ class TestRunSpecSerialization:
         payload = json.loads(text)
         assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
-    def test_from_json_rejects_unknown_fields(self):
+    # Besides a made-up field, the two execution knobs older specs carried
+    # (always serialized, ``null`` unless set): such payloads must fail
+    # loudly, not silently run on sparse.
+    @pytest.mark.parametrize("field", ["turbo", "shards", "workers"])
+    def test_from_json_rejects_unknown_fields(self, field):
         payload = path_spec().to_json()
-        payload["turbo"] = True
-        with pytest.raises(ValueError, match="turbo"):
+        payload[field] = None
+        with pytest.raises(ValueError, match=f"unknown fields \\['{field}'\\]"):
             RunSpec.from_json(payload)
 
     def test_from_json_requires_protocol_and_graph(self):
@@ -160,7 +162,7 @@ class TestRunSpecValidation:
         assert "cuda" in message
         assert "python" in message  # always-registered fallback backend
 
-    @pytest.mark.parametrize("field", ["shards", "workers", "max_rounds"])
+    @pytest.mark.parametrize("field", ["max_rounds"])
     @pytest.mark.parametrize("bad", [0, -3, 1.5, "two", True])
     def test_counts_must_be_positive_ints(self, field, bad):
         with pytest.raises(ValueError, match=field):
