@@ -13,9 +13,9 @@ single :class:`Message` object (unless an observer needs them).  Per round it
    receiver -- the scatter/reduce formulation of the synchronous min-plus
    round -- applying the schema's value cap and per-column activity windows;
 3. re-broadcasts either the strictly improved entries (the node programs'
-   "announce on improvement" rule) or, for announce-schedule schemas, the
-   masked scatter of entries whose gate fires this round (Algorithm 2's
-   time-of-arrival rule ``value <= offset``, at most once per entry).
+   "announce on improvement" rule) or, for ``arrival_gated`` schemas, the
+   masked scatter of not-yet-announced entries with ``dist <= offset``
+   (Algorithm 2's time-of-arrival rule, at most once per entry).
 
 Weight-override runs (Algorithm 1's rounded weights ``w_i`` pre-loaded via
 ``initial_memory``) and per-column weight transforms (Algorithm 3's level
@@ -246,7 +246,7 @@ class DenseEngine(ExecutionEngine):
         else:
             raise ValueError(f"unknown send_initial mode {schema.send_initial!r}")
         sent &= has_neighbors  # broadcasting over zero neighbors sends nothing
-        announced = sent.copy() if schema.announce_once else None
+        announced = sent.copy() if schema.arrival_gated else None
 
         report = RoundReport(protocol=algorithm.name)
         round_number = 0
@@ -336,15 +336,13 @@ class DenseEngine(ExecutionEngine):
             if budget is not None and round_number >= budget:
                 halted = True
                 sent = np.zeros((n, k), dtype=bool)
-            elif schema.announce_at is None:
+            elif announced is None:
                 sent = improved & has_neighbors
             else:
                 # Gated announcements: the improvement mask is irrelevant --
                 # an entry may broadcast rounds after it last improved -- so
-                # the scatter mask is eligibility AND the schedule gate.
-                allowed = np.isfinite(dist)
-                if announced is not None:
-                    allowed = allowed & ~announced
+                # the scatter mask is eligibility AND the arrival gate.
+                allowed = ~announced
                 if window_first is not None:
                     in_window = (round_number >= window_first) & (
                         round_number <= window_last
@@ -353,20 +351,16 @@ class DenseEngine(ExecutionEngine):
                     offsets = round_number - window_first
                 else:
                     offsets = round_number
-                allowed = allowed & np.asarray(
-                    schema.announce_at(dist, offsets), dtype=bool
-                )
-                sent = allowed & has_neighbors
-                if announced is not None:
-                    announced |= sent
+                sent = allowed & (dist <= offsets) & has_neighbors
+                announced |= sent
 
             if not halted and not sent.any():
                 if halt_on_quiescence:
                     halted = True
                 elif self._announcements_pending(
-                    schema, dist, announced, has_neighbors, window_last, round_number
+                    dist, announced, has_neighbors, window_last, round_number
                 ):
-                    # Nothing in flight, but the announce schedule can still
+                    # Nothing in flight, but the arrival gate can still
                     # fire in a later round (a delayed window opening, an
                     # entry waiting for the round offset to reach its value):
                     # keep stepping rounds one by one.
@@ -436,7 +430,6 @@ class DenseEngine(ExecutionEngine):
 
     @staticmethod
     def _announcements_pending(
-        schema: MinPlusSchema,
         dist: np.ndarray,
         announced: Optional[np.ndarray],
         has_neighbors: np.ndarray,
@@ -444,11 +437,9 @@ class DenseEngine(ExecutionEngine):
         round_number: int,
     ) -> bool:
         """Whether a gated announcement could still fire after this round."""
-        if schema.announce_at is None:
+        if announced is None:
             return False
-        pending = np.isfinite(dist) & has_neighbors
-        if announced is not None:
-            pending = pending & ~announced
+        pending = np.isfinite(dist) & has_neighbors & ~announced
         if window_last is not None:
             pending = pending & (window_last > round_number)[None, :]
         return bool(pending.any())

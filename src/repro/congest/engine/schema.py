@@ -7,8 +7,8 @@ classical baselines of the paper (Table 1/2): every node keeps one
 monotonically non-increasing numeric value per key (a source, or a single
 anonymous slot), every delivered value is relaxed through
 ``min(current, received [+ edge weight])``, and the re-broadcast rule is
-either "announce every strict improvement" (Bellman-Ford) or an *announce
-schedule* (Nanongkai's Algorithm 2 time-of-arrival discipline: a node
+either "announce every strict improvement" (Bellman-Ford) or *arrival
+gated* (Nanongkai's Algorithm 2 time-of-arrival discipline: a node
 broadcasts its value exactly once, in the round whose offset reaches the
 value).  Payloads are tuples ``(label, key, value)`` (``(label, value)``
 for single-slot protocols, ``(label, *key, value)`` for flattened composite
@@ -17,7 +17,7 @@ keys).
 A :class:`~repro.congest.algorithm.NodeAlgorithm` opts in by returning a
 :class:`MinPlusSchema` from :meth:`message_schema`; Bellman-Ford SSSP/APSP
 (and hence unweighted BFS flooding) in :mod:`repro.congest.sssp` and the
-announce-schedule protocols of :mod:`repro.nanongkai` (Algorithm 2
+arrival-gated protocols of :mod:`repro.nanongkai` (Algorithm 2
 bounded-distance SSSP -- and through it the Algorithm 1 level loop -- plus
 the delay-staggered Algorithm 3 multi-source run) do.
 
@@ -81,21 +81,14 @@ class MinPlusSchema:
         exactly as the node program would have left it, so
         :meth:`NodeAlgorithm.output` and ``SimulationResult.contexts`` are
         engine-independent.
-    announce_at:
-        Optional announce schedule ``announce_at(value, offset) -> bool``
-        replacing the default announce-on-improvement rule: after relaxing,
-        a node (re-)broadcasts a column exactly when the gate fires for the
-        column's value at the current round offset.  ``offset`` is the
-        absolute round number, or -- when :attr:`column_windows` is set --
-        the round number relative to the column's window start, so
-        Algorithm 2's time-of-arrival rule is simply ``value <= offset``.
-        Must be vectorizable: the dense engine calls it with the full
-        ``(n, k)`` value array and a scalar/per-column offset and expects a
-        broadcastable boolean mask.
-    announce_once:
-        With an announce schedule, restrict every (node, column) entry to at
-        most one broadcast over the whole run (entries broadcast during
-        ``initialize`` count); mirrors the node programs' ``announced`` flag.
+    arrival_gated:
+        Replaces the default announce-on-improvement rule with Algorithm 2's
+        time-of-arrival rule: each finite entry broadcasts at most once over
+        the whole run (entries broadcast during ``initialize`` count), in the
+        first round whose offset reaches its value.  The offset is the round
+        number, or -- when :attr:`column_windows` is set -- the round number
+        minus the column's window start.  Mirrors the node programs'
+        ``announced`` flag.
     value_cap:
         When set, relaxed candidates strictly above the cap are discarded
         (the receiver keeps its previous value), mirroring Algorithm 2's
@@ -138,8 +131,7 @@ class MinPlusSchema:
     send_initial: str = "finite"
     add_edge_weight: bool = True
     round_budget: Optional[int] = None
-    announce_at: Optional[Callable[[Any, Any], Any]] = None
-    announce_once: bool = False
+    arrival_gated: bool = False
     value_cap: Optional[int] = None
     column_windows: Optional[Tuple[Tuple[int, int], ...]] = None
     weight_memory_key: Optional[str] = None

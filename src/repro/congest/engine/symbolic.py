@@ -11,16 +11,16 @@ strict-bandwidth violation) from the schedule the schema determines:
   pure Python -- the symbolic engine therefore registers without NumPy.
 * :class:`BroadcastReplaySchema` runs (the overlay global-broadcast replay)
   read the report off the closed form in :func:`broadcast_replay_report`.
-* :class:`MinPlusSchema` runs whose announce schedule is *arrival-gated*
-  (``announce_at`` with ``announce_once``, the Algorithm 2/3 time-of-arrival
-  discipline) run on an event queue over the CSR adjacency: an entry's
-  single broadcast round is found by bisecting the monotone gate, deliveries
-  relax neighbor state exactly as the node program would, and the idle
-  stretches between deliveries -- the delay-staggered windows of Algorithm 3
-  spend most of their budget idle -- are charged in O(1) instead of being
-  stepped.  Announce-on-improvement floods (plain Bellman-Ford) re-broadcast
-  on a data-dependent schedule with no useful closed form; those runs are
-  not supported and fall back per the registry rules.
+* :class:`MinPlusSchema` runs declared ``arrival_gated`` (the Algorithm 2/3
+  time-of-arrival discipline) run on an event queue over the CSR adjacency:
+  an entry's single broadcast round is computed from its value and its
+  column's window start, deliveries relax neighbor state exactly as the node
+  program would, and the idle stretches between deliveries -- the
+  delay-staggered windows of Algorithm 3 spend most of their budget idle --
+  are charged in O(1) instead of being stepped.  Announce-on-improvement
+  floods (plain Bellman-Ford) re-broadcast on a data-dependent schedule with
+  no useful closed form; those runs are not supported and fall back per the
+  registry rules.
 
 The engine is registered always (pure Python) but never auto-selected:
 ``REPRO_ENGINE=symbolic`` (or ``force_engine``/``engine=``) opts in, and any
@@ -32,12 +32,10 @@ exact materialization.
 
 The contract is the library invariant: outputs, contexts and every
 :class:`RoundReport` field are bit-identical to the sparse engine, enforced
-by ``tests/congest/test_engine_differential.py``.  Correctness of the event
-model leans on two schema guarantees: the announce gate is monotone in the
-round offset (an entry whose gate fires keeps firing until it announces),
-and ``announce_once`` limits every entry to a single broadcast -- together
-they make "first gate round" a pure function of the entry's value, which is
-what the bisection computes.  Unlike dense there is no ``2**53`` exactness
+by ``tests/congest/test_engine_differential.py``.  The event model rests on
+the ``arrival_gated`` rule: every entry broadcasts at most once, in the
+first round whose offset reaches its value, so an entry's broadcast round is
+a pure function of its value.  Unlike dense there is no ``2**53`` exactness
 bound: all arithmetic is on exact Python ints.
 """
 
@@ -191,11 +189,9 @@ def _minplus_supports(
 ) -> bool:
     """Whether the event-queue executor can run this min-plus schema.
 
-    Arrival-gated schedules only: ``announce_at`` present (the gate is the
-    closed form) and ``announce_once`` (one event per entry).  The bundled
-    gates are ``value <= offset``; any gate monotone in ``offset`` works.
+    Arrival-gated schedules only: their broadcast rounds are the closed form.
     """
-    if schema.announce_at is None or not schema.announce_once:
+    if not schema.arrival_gated:
         return False
     if schema.send_initial not in ("finite", "none"):
         return False
@@ -272,14 +268,13 @@ def _minplus_closed_form(
 ) -> Tuple[List[List[Any]], RoundReport]:
     """Run an arrival-gated min-plus schema on the event queue.
 
-    Every entry broadcasts at most once (``announce_once``), in the first
-    round its monotone gate fires -- a pure function of the entry's value,
-    found by bisection when the value is set.  The queue holds
-    ``(delivery_round, seq, sender, column, value, is_initial)`` events;
-    an event is stale (superseded or already announced) when popped unless
-    the sender's column still holds exactly the scheduled value.  Rounds
-    with no delivery are charged in bulk, which is where the asymptotic win
-    over the round-stepping engines comes from.
+    Every entry broadcasts at most once, in the first round whose offset
+    reaches its value -- computed directly when the value is set.  The
+    queue holds ``(delivery_round, seq, sender, column, value, is_initial)``
+    events; an event is stale (superseded or already announced) when popped
+    unless the sender's column still holds exactly the scheduled value.
+    Rounds with no delivery are charged in bulk, which is where the
+    asymptotic win over the round-stepping engines comes from.
     """
     nodes = list(network.nodes)
     n = len(nodes)
@@ -292,7 +287,6 @@ def _minplus_closed_form(
     add_edge_weight = schema.add_edge_weight
     value_cap = schema.value_cap
     column_weight = schema.column_weight
-    gate = schema.announce_at
 
     overrides = resolve_weight_overrides(network, schema, initial_memory)
 
@@ -347,27 +341,23 @@ def _minplus_closed_form(
         """Queue entry (i, j)'s announcement at its first gate round."""
         nonlocal seq
         base = window_first[j] if window_first is not None else 0
-        lo = max(first_eval, 1, base)
         hi = max_rounds if window_last is None else min(window_last[j], max_rounds)
         if budget is not None and budget - 1 < hi:
             hi = budget - 1
-        if lo > hi or not gate(value, hi - base):
+        # First round r >= first_eval whose offset r - base reaches value;
+        # ceil keeps the round an int should a schema flood integral floats.
+        fire = max(first_eval, 1, base, math.ceil(value) + base)
+        if fire > hi:
             # The gate never fires while the entry may broadcast; the node
             # idles (still charged) exactly like the stepping engines.
             return
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if gate(value, mid - base):
-                hi = mid
-            else:
-                lo = mid + 1
         seq += 1
-        heapq.heappush(heap, (lo + 1, seq, i, j, value, False))
+        heapq.heappush(heap, (fire + 1, seq, i, j, value, False))
 
     if schema.send_initial == "finite":
         # Finite initial entries broadcast during initialize (delivered in
-        # round 1) and count against announce_once, exactly like the node
-        # programs' initialize-time announcements.
+        # round 1) and count as the entry's one broadcast, exactly like the
+        # node programs' initialize-time announcements.
         for i in range(n):
             if not degrees[i]:
                 continue

@@ -11,10 +11,10 @@ This is the inner loop of Nanongkai's weight-rounding scheme: the rounded
 weight functions ``w_i`` make the interesting distances small enough
 (``L = (1 + 2/ε)·ℓ``) that ``O(L)`` rounds are affordable.
 
-The protocol declares an announce-schedule :class:`MinPlusSchema` (gate
-``value <= offset``, announce-once, value cap ``L``, optional pre-loaded
-rounded weights), so the whole Algorithm 1/2 pipeline is eligible for the
-vectorized ``dense`` execution engine.
+The protocol declares an arrival-gated :class:`MinPlusSchema` (announce
+once, in the round whose offset reaches the value; value cap ``L``;
+optional pre-loaded rounded weights), so the whole Algorithm 1/2 pipeline
+is eligible for the vectorized ``dense`` execution engine.
 """
 
 from __future__ import annotations
@@ -83,8 +83,7 @@ class BoundedDistanceSsspAlgorithm(NodeAlgorithm):
             send_initial="finite",
             add_edge_weight=True,
             value_cap=bound,
-            announce_at=lambda value, offset: value <= offset,
-            announce_once=True,
+            arrival_gated=True,
             round_budget=bound + 1,
             weight_memory_key=self._weight_key,
             finalize=lambda node, row: {

@@ -147,8 +147,7 @@ class MultiSourceBoundedHopAlgorithm(NodeAlgorithm):
             send_initial="none",
             add_edge_weight=True,
             value_cap=bound,
-            announce_at=lambda value, offset: value <= offset,
-            announce_once=True,
+            arrival_gated=True,
             round_budget=self._duration,
             column_windows=windows,
             column_weight=column_weight,

@@ -74,8 +74,18 @@ def semantic_key(spec: RunSpec, graph_digest: str) -> str:
     ).hexdigest()
 
 
+#: Fields every stored cache document carries; a disk entry missing any of
+#: them (or not a JSON object at all) is corrupt.
+_DOCUMENT_FIELDS = ("key", "semantic_key", "result")
+
+
 class CacheStats:
-    """Hit/miss/store counters for one :class:`ResultCache`."""
+    """Hit/miss/store counters for one :class:`ResultCache`.
+
+    ``corrupt`` counts disk entries read back as something other than a
+    cache document (not JSON, or JSON without the document fields); each
+    such read is served as a miss.
+    """
 
     def __init__(self) -> None:
         self.hits = 0
@@ -84,6 +94,7 @@ class CacheStats:
         self.cross_engine_hits = 0
         self.disk_hits = 0
         self.evictions = 0
+        self.corrupt = 0
 
     def snapshot(self) -> Dict[str, int]:
         return dict(self.__dict__)
@@ -221,15 +232,14 @@ class ResultCache:
         path = self._directory / f"{key}.json"
         if not path.is_file():
             return None
-        try:
-            document = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+        document = self._read_disk(path)
+        if document is None:
             return None
         with self._lock:
             self.stats.disk_hits += 1
             self._entries[key] = document
             self._entries.move_to_end(key)
-            self._semantic_index.setdefault(document.get("semantic_key", ""), key)
+            self._semantic_index.setdefault(document["semantic_key"], key)
             while len(self._entries) > self._max_entries:
                 evicted_key, evicted = self._entries.popitem(last=False)
                 self.stats.evictions += 1
@@ -248,15 +258,32 @@ class ResultCache:
         if self._directory is None:
             return None
         for path in sorted(self._directory.glob("*.json")):
-            try:
-                document = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            if document.get("semantic_key") == semantic:
+            document = self._read_disk(path)
+            if document is not None and document["semantic_key"] == semantic:
                 with self._lock:
                     self.stats.disk_hits += 1
                     self._semantic_index.setdefault(semantic, document["key"])
                 return document
+        return None
+
+    def _read_disk(self, path: Path) -> Optional[Dict[str, Any]]:
+        """The cache document stored at ``path``, or ``None`` when unreadable.
+
+        A file that is not JSON, or JSON that is not an object carrying the
+        document fields, counts as corrupt and is treated as a miss.
+        """
+        try:
+            document = json.loads(path.read_text())
+        except OSError:
+            return None
+        except ValueError:  # not JSON, or not UTF-8
+            document = None
+        if isinstance(document, dict) and all(
+            field in document for field in _DOCUMENT_FIELDS
+        ):
+            return document
+        with self._lock:
+            self.stats.corrupt += 1
         return None
 
     # ------------------------------------------------------------------ #

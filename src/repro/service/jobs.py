@@ -18,9 +18,8 @@ not CPU parallelism.
 Execution-knob scoping: a spec's engine/backend are applied through
 :func:`repro.runtime.configure`, which pins *process-wide* registries.  To
 keep one job's knobs from leaking into a concurrently running job, the
-executor serializes the apply-and-run section with a lock unless the service
-was built with ``isolate_execution=False`` (single-knob deployments that
-want maximal overlap).
+executor always serializes the apply-and-run section with a lock; cache
+lookups and stores stay outside it.
 """
 
 from __future__ import annotations
@@ -137,9 +136,6 @@ class SimulationService:
     metrics:
         A shared :class:`MetricsRegistry`; a private one is created by
         default.
-    isolate_execution:
-        Serialize the configure-and-run section so concurrent jobs cannot
-        observe each other's forced engine/backend (the safe default).
     """
 
     def __init__(
@@ -148,7 +144,6 @@ class SimulationService:
         cache: Optional[ResultCache] = None,
         allow_cross_engine: bool = False,
         metrics: Optional[MetricsRegistry] = None,
-        isolate_execution: bool = True,
     ) -> None:
         if not isinstance(max_workers, int) or isinstance(max_workers, bool) or max_workers < 1:
             raise ValueError(
@@ -160,7 +155,6 @@ class SimulationService:
         self._cache = cache if cache is not None else ResultCache()
         self._allow_cross_engine = allow_cross_engine
         self._metrics = metrics if metrics is not None else MetricsRegistry()
-        self._isolate = isolate_execution
         self._execution_lock = threading.Lock()
         self._jobs: Dict[str, _Job] = {}
         self._jobs_lock = threading.Lock()
@@ -343,10 +337,7 @@ class SimulationService:
                 graph = spec.graph.build()
             network = Network(graph, spec.congest_config())
             run_started = time.perf_counter()
-            if self._isolate:
-                with self._execution_lock:
-                    result = self._run_spec(protocol, network, spec)
-            else:
+            with self._execution_lock:
                 result = self._run_spec(protocol, network, spec)
             run_seconds = time.perf_counter() - run_started
             self._run_latency.observe(run_seconds, engine=spec.engine or "auto")

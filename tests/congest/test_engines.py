@@ -418,7 +418,7 @@ class TestAnnounceScheduleSchemas:
                     keys=("a", "b"),
                     initial=lambda node: [0, 0],
                     finalize=lambda node, row: {},
-                    announce_at=lambda value, offset: value <= offset,
+                    arrival_gated=True,
                     round_budget=3,
                     column_windows=((1, 2),),  # two columns, one window
                 )
@@ -453,9 +453,9 @@ class TestAnnounceScheduleSchemas:
         assert not get_engine("dense").supports(network, _HugeTransform())
 
     def test_schedule_that_never_fires_hits_the_round_limit_on_every_engine(self):
-        """A finite pending entry keeps the dense loop stepping (the gate
-        could fire later); if it never does, the failure mode must match the
-        engines that run the node program."""
+        """A finite pending entry keeps the dense loop stepping (its window
+        could open later); if the gate never fires before the round limit,
+        the failure mode must match the engines that run the node program."""
         from repro.congest.engine.schema import MinPlusSchema
         from repro.congest.simulator import RoundLimitExceeded
 
@@ -470,8 +470,8 @@ class TestAnnounceScheduleSchemas:
                     initial=lambda node: [node],
                     send_initial="none",
                     add_edge_weight=False,
-                    announce_at=lambda value, offset: (value < 0) & (offset < 0),
-                    announce_once=True,
+                    arrival_gated=True,
+                    column_windows=((100, 200),),  # opens after max_rounds
                     finalize=lambda node, row: {"value": int(row[0])},
                 )
 

@@ -15,7 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.congest import Network, Simulator
-from repro.congest.engine import BroadcastReplaySchema, force_engine
+from repro.congest.engine import (
+    BroadcastReplaySchema,
+    available_engines,
+    force_engine,
+)
 from repro.congest.engine.symbolic import (
     broadcast_replay_report,
     minplus_round_trace,
@@ -23,7 +27,10 @@ from repro.congest.engine.symbolic import (
 from repro.congest.message import message_size_bits
 from repro.graphs import WeightedGraph
 from repro.nanongkai.bounded_distance_sssp import BoundedDistanceSsspAlgorithm
-from repro.nanongkai.multi_source import multi_source_bounded_hop_protocol
+from repro.nanongkai.multi_source import (
+    MultiSourceBoundedHopAlgorithm,
+    multi_source_bounded_hop_protocol,
+)
 
 
 class TestBroadcastReplaySchema:
@@ -159,3 +166,36 @@ def test_symbolic_report_matches_sparse_on_random_networks(network, bound):
         results[engine] = Simulator(network).run(algorithm, engine=engine)
     assert results["symbolic"].report == results["sparse"].report
     assert results["symbolic"].outputs == results["sparse"].outputs
+
+
+@given(random_networks(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_multi_source_matches_sparse_on_random_networks(network, data):
+    """Algorithm 3's delay-staggered level windows gate each column at an
+    offset from its window start; report, outputs and every round's totals
+    must match the stepping engine."""
+    sources = data.draw(
+        st.lists(st.sampled_from(sorted(network.nodes)), min_size=1, max_size=3)
+    )
+    hop_bound = data.draw(st.integers(min_value=1, max_value=3))
+    levels = data.draw(st.integers(min_value=1, max_value=3))
+    delays = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=6),
+            min_size=len(sources),
+            max_size=len(sources),
+        )
+    )
+    algorithm = MultiSourceBoundedHopAlgorithm(
+        sources, hop_bound, 0.5, levels, delays
+    )
+    sparse = Simulator(network).run(algorithm, engine="sparse")
+    engines = [e for e in ("symbolic", "dense") if e in available_engines()]
+    for engine in engines:
+        result = Simulator(network).run(algorithm, engine=engine)
+        assert result.report == sparse.report, engine
+        assert result.outputs == sparse.outputs, engine
+    trace = minplus_round_trace(network, algorithm, max_rounds=10_000)
+    assert [(r, m, b) for r, m, b, _ in trace] == _sparse_round_totals(
+        network, algorithm
+    )

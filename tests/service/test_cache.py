@@ -191,17 +191,24 @@ class TestLruAndDiskTier:
         assert second.cache.stats.cross_engine_hits == 1
         second.close()
 
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize(
+        "payload",
+        ["{not json", "[]", "{}", '{"key": "x"}'],
+        ids=["not-json", "list", "empty-object", "key-only"],
+    )
+    def test_corrupt_disk_entry_is_a_miss(self, tmp_path, payload):
         spec = sssp_spec()
         service = SimulationService(max_workers=1, cache=ResultCache(directory=tmp_path))
         service.run(spec)
         service.close()
         for path in tmp_path.glob("*.json"):
-            path.write_text("{not json")
+            path.write_text(payload)
         again = SimulationService(max_workers=1, cache=ResultCache(directory=tmp_path))
         again.run(spec)
         assert again.cache.stats.misses == 1
         assert again.cache.stats.hits == 0
+        assert again.cache.stats.corrupt == 1
+        assert again.cache.snapshot()["corrupt"] == 1
         again.close()
 
     def test_clear_drops_memory_not_disk(self, tmp_path):
