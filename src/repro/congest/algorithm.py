@@ -119,9 +119,10 @@ class NodeAlgorithm:
         """Declare a structured numeric message schema, if the protocol has one.
 
         Returning a :class:`repro.congest.engine.schema.MinPlusSchema`
-        makes the protocol eligible for the vectorized ``dense`` execution
-        engine, which runs whole rounds as scatter/reduce over the network's
-        CSR adjacency instead of interpreting ``receive`` per node.  The
+        makes the protocol eligible for a schema-driven execution engine --
+        the closed-form ``symbolic`` engine for arrival-gated schedules, the
+        vectorized ``dense`` engine for announce-on-improvement floods --
+        instead of interpreting ``receive`` per node.  The
         schema must describe the protocol *exactly* -- the engines are
         required to produce bit-identical round reports -- so only declare
         one when every message the protocol sends fits the schema's shape.

@@ -7,14 +7,16 @@ resolves one per run.  Four engines ship with the library:
 * ``"sparse"`` -- the default event-driven scheduler: same semantics as the
   seed loop, but with an active-node set instead of full halted scans, pooled
   inboxes, enqueue-time message sizing and single-pass edge-charge accounting.
-* ``"dense"`` -- a NumPy engine (registered only when NumPy is importable)
-  that executes whole rounds as vectorized scatter/reduce over the network's
-  CSR adjacency.  Only algorithms that declare a structured numeric message
-  schema (:meth:`NodeAlgorithm.message_schema`) are eligible.
 * ``"symbolic"`` -- the closed-form executor: derives the whole
   :class:`RoundReport` analytically for schedule-determined schemas (tree
   primitives, broadcast replays, arrival-gated min-plus runs) instead of
-  stepping rounds.  Pure Python, needs no NumPy, never auto-selected.
+  stepping rounds.  Pure Python, needs no NumPy.
+* ``"dense"`` -- a NumPy engine (registered only when NumPy is importable)
+  that executes whole rounds as vectorized scatter/reduce over the network's
+  CSR adjacency.  It runs the announce-on-improvement floods (Bellman-Ford,
+  BFS flooding, the min-id flood) and the tree primitives; only algorithms
+  that declare a structured numeric message schema
+  (:meth:`NodeAlgorithm.message_schema`) are eligible.
 * ``"legacy"`` -- the seed scheduler loop, kept verbatim as the pinned
   reference the benchmarks and differential tests compare against.
 
@@ -25,8 +27,8 @@ Selection order (first match wins):
    engine benchmarks),
 3. the ``REPRO_ENGINE`` environment variable (``sparse``, ``dense``,
    ``symbolic``, ``legacy`` or ``auto``),
-4. ``auto``: ``dense`` when the run is dense-eligible, otherwise ``sparse``
-   (``symbolic`` is opt-in and never auto-selected).
+4. ``auto``: the first of ``symbolic``, ``dense`` and ``sparse`` that can
+   execute the run.
 
 A forced or environment-selected engine that cannot execute a particular run
 (e.g. ``dense`` for an algorithm without a message schema) falls back to
@@ -131,8 +133,8 @@ def resolve_engine(
 ) -> ExecutionEngine:
     """Select the engine for one run (explicit > forced > env > auto).
 
-    ``name=None`` consults the override/environment; ``"auto"`` prefers the
-    fastest eligible engine.  An explicitly named engine that cannot execute
+    ``name=None`` consults the override/environment; ``"auto"`` picks the
+    first eligible engine of ``symbolic``, ``dense``, ``sparse``.  An explicitly named engine that cannot execute
     the run raises; a forced/environment preference silently falls back to
     the ``sparse`` engine, so a blanket ``REPRO_ENGINE=dense`` accelerates
     the eligible protocols without breaking the rest.
@@ -143,7 +145,7 @@ def resolve_engine(
     if name is None:
         name = os.environ.get(ENGINE_ENV_VAR, "auto").strip().lower() or "auto"
     if name == "auto":
-        for preferred in ("dense",):
+        for preferred in ("symbolic", "dense"):
             engine = _REGISTRY.get(preferred)
             if engine is not None and engine.supports(
                 network, algorithm, initial_memory

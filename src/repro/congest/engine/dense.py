@@ -1,8 +1,9 @@
 """The dense NumPy engine: whole rounds as vectorized scatter/reduce.
 
-Eligible protocols declare a :class:`MinPlusSchema`
-(:meth:`NodeAlgorithm.message_schema`); for those the engine never creates a
-single :class:`Message` object (unless an observer needs them).  Per round it
+Eligible protocols declare an announce-on-improvement :class:`MinPlusSchema`
+(:meth:`NodeAlgorithm.message_schema`): Bellman-Ford SSSP/APSP, BFS flooding
+and the min-id flood.  For those the engine never creates a single
+:class:`Message` object (unless an observer needs them).  Per round it
 
 1. charges the in-flight broadcasts analytically -- each sender's per-edge
    bit load is the sum of its improved entries' exact
@@ -11,16 +12,13 @@ single :class:`Message` object (unless an observer needs them).  Per round it
 2. relaxes all deliveries at once with a masked gather over the network's
    CSR adjacency (the PR 1 kernel snapshot) and a ``minimum.reduceat`` per
    receiver -- the scatter/reduce formulation of the synchronous min-plus
-   round -- applying the schema's value cap and per-column activity windows;
-3. re-broadcasts either the strictly improved entries (the node programs'
-   "announce on improvement" rule) or, for ``arrival_gated`` schemas, the
-   masked scatter of not-yet-announced entries with ``dist <= offset``
-   (Algorithm 2's time-of-arrival rule, at most once per entry).
+   round;
+3. re-broadcasts the strictly improved entries (the node programs'
+   "announce on improvement" rule).
 
-Weight-override runs (Algorithm 1's rounded weights ``w_i`` pre-loaded via
-``initial_memory``) and per-column weight transforms (Algorithm 3's level
-columns) replace the CSR weight gather with per-receiver override /
-per-column weight matrices built once up front.
+``arrival_gated`` schemas (Algorithms 1-3) and runs with pre-loaded node
+memory are not eligible: the symbolic engine executes the former in closed
+form, and both fall back to ``sparse`` when forced onto this engine.
 
 Protocols declaring a :class:`TreeSchema` (the flood/echo tree primitives:
 BFS-tree build, pipelined broadcast, convergecast, pipelined gather) are
@@ -44,7 +42,6 @@ import numpy as np
 from repro.congest.algorithm import NodeAlgorithm, NodeContext
 from repro.congest.engine import dense_tree
 from repro.congest.engine.base import ExecutionEngine, register_engine
-from repro.congest.engine.minplus import resolve_weight_overrides
 from repro.congest.engine.schema import MinPlusSchema, TreeSchema
 from repro.congest.engine.types import (
     RoundLimitExceeded,
@@ -98,42 +95,21 @@ class DenseEngine(ExecutionEngine):
             schema = schema.flood
         if not isinstance(schema, MinPlusSchema):
             return False
-        try:
-            overrides = resolve_weight_overrides(network, schema, initial_memory)
-        except ValueError:
-            # Pre-loaded state the schema cannot express; such runs stay on
-            # the sparse engine (which runs the node program as-is).
+        if schema.arrival_gated or initial_memory:
+            # Gated schedules belong to the symbolic engine; pre-loaded
+            # state stays on sparse (which runs the node program as-is).
             return False
         # Every state value must stay exactly representable in float64, or
         # the relaxation sums would silently diverge from the exact-int
         # engines.  Conservative bound for the bundled schemas (whose initial
-        # values are 0 or node ids): the largest id magnitude, the value cap
-        # when the schema enforces one (plus one overshooting candidate),
-        # otherwise the longest possible relaxation chain.  Runs that could
-        # cross 2^53 fall back to the sparse engine; the run loop
-        # additionally guards every scheduled payload, so a custom schema
-        # with larger initial values fails loudly instead of drifting.
+        # values are 0 or node ids): the largest id magnitude plus the
+        # longest possible relaxation chain.  Runs that could cross 2^53
+        # fall back to the sparse engine; the run loop additionally guards
+        # every scheduled payload, so a custom schema with larger initial
+        # values fails loudly instead of drifting.
         bound = max((abs(node) for node in network.nodes), default=0)
-        if schema.value_cap is not None:
-            bound = max(bound, int(schema.value_cap))
         if schema.add_edge_weight and network.num_nodes > 1:
-            max_weight = network.max_weight()
-            if overrides is not None:
-                max_weight = max(
-                    (max(entry.values()) for entry in overrides.values() if entry),
-                    default=1,
-                )
-            if schema.column_weight is not None:
-                # column_weight is documented monotone, so the max base
-                # weight bounds every transformed weight.
-                max_weight = max(
-                    schema.column_weight(column, max_weight)
-                    for column in range(schema.num_columns)
-                )
-            if schema.value_cap is not None:
-                bound += max_weight
-            else:
-                bound += network.num_nodes * max_weight
+            bound += network.num_nodes * network.max_weight()
         return bound < _EXACT_FLOAT_LIMIT
 
     def run(
@@ -161,11 +137,14 @@ class DenseEngine(ExecutionEngine):
                     observer=observer,
                 )
             schema = schema.flood  # min-plus semantics, executed below
-        if not isinstance(schema, MinPlusSchema):
+        if (
+            not isinstance(schema, MinPlusSchema)
+            or schema.arrival_gated
+            or initial_memory
+        ):
             raise ValueError(
                 f"dense engine cannot execute protocol '{algorithm.name}'"
             )
-        overrides = resolve_weight_overrides(network, schema, initial_memory)
 
         nodes = list(network.nodes)
         n = len(nodes)
@@ -178,47 +157,6 @@ class DenseEngine(ExecutionEngine):
         indptr, indices, weights = csr.numpy_arrays()
         degrees = np.diff(indptr)
         has_neighbors = (degrees > 0)[:, None]
-
-        if overrides is not None:
-            # Relaxations read the *receiver's* override for the sending
-            # neighbor, so the per-directed-edge array is built from each
-            # receiver's CSR slice (asymmetric overrides stay faithful).
-            replaced = np.empty(len(indices), dtype=np.float64)
-            for i, node in enumerate(nodes):
-                table = overrides[node]
-                for e in range(int(indptr[i]), int(indptr[i + 1])):
-                    replaced[e] = table[nodes[int(indices[e])]]
-            weights = replaced
-        edge_weights = weights[:, None]
-        if schema.column_weight is not None:
-            edge_weights = self._column_weight_matrix(schema, weights, k)
-        if (
-            schema.add_edge_weight
-            and edge_weights.size
-            and (
-                not np.isfinite(edge_weights).all()
-                or np.abs(edge_weights).max() >= _EXACT_FLOAT_LIMIT
-            )
-        ):
-            raise RuntimeError(
-                "dense engine built a non-finite or non-exact edge weight; "
-                "override and per-column weights must be integers of "
-                f"magnitude below 2**53 (protocol '{algorithm.name}')"
-            )
-
-        window_first = window_last = None
-        if schema.column_windows is not None:
-            if len(schema.column_windows) != k:
-                raise ValueError(
-                    f"schema declares {len(schema.column_windows)} column "
-                    f"windows for {k} columns"
-                )
-            window_first = np.array(
-                [first for first, _ in schema.column_windows], dtype=np.int64
-            )
-            window_last = np.array(
-                [last for _, last in schema.column_windows], dtype=np.int64
-            )
 
         # Per-column constant part of one message's charged size: label,
         # optional key label(s), tuple overhead and tag.
@@ -246,7 +184,6 @@ class DenseEngine(ExecutionEngine):
         else:
             raise ValueError(f"unknown send_initial mode {schema.send_initial!r}")
         sent &= has_neighbors  # broadcasting over zero neighbors sends nothing
-        announced = sent.copy() if schema.arrival_gated else None
 
         report = RoundReport(protocol=algorithm.name)
         round_number = 0
@@ -311,21 +248,8 @@ class DenseEngine(ExecutionEngine):
                 masked = np.where(sent, dist, np.inf)
                 contributions = masked[indices]
                 if schema.add_edge_weight:
-                    contributions = contributions + edge_weights
+                    contributions = contributions + weights[:, None]
                 candidates = np.minimum.reduceat(contributions, indptr[:-1], axis=0)
-                if schema.value_cap is not None:
-                    candidates = np.where(
-                        candidates <= schema.value_cap, candidates, np.inf
-                    )
-                if window_first is not None:
-                    # A column relaxes only while its window is open at the
-                    # receiver; a message sent in the window's last round was
-                    # charged above but is discarded here, exactly as the
-                    # node program drops announcements of a closed level.
-                    relax_open = (round_number > window_first) & (
-                        round_number <= window_last
-                    )
-                    candidates = np.where(relax_open[None, :], candidates, np.inf)
                 new_dist = np.minimum(dist, candidates)
                 improved = new_dist < dist
                 dist = new_dist
@@ -336,35 +260,12 @@ class DenseEngine(ExecutionEngine):
             if budget is not None and round_number >= budget:
                 halted = True
                 sent = np.zeros((n, k), dtype=bool)
-            elif announced is None:
-                sent = improved & has_neighbors
             else:
-                # Gated announcements: the improvement mask is irrelevant --
-                # an entry may broadcast rounds after it last improved -- so
-                # the scatter mask is eligibility AND the arrival gate.
-                allowed = ~announced
-                if window_first is not None:
-                    in_window = (round_number >= window_first) & (
-                        round_number <= window_last
-                    )
-                    allowed = allowed & in_window[None, :]
-                    offsets = round_number - window_first
-                else:
-                    offsets = round_number
-                sent = allowed & (dist <= offsets) & has_neighbors
-                announced |= sent
+                sent = improved & has_neighbors
 
             if not halted and not sent.any():
                 if halt_on_quiescence:
                     halted = True
-                elif self._announcements_pending(
-                    dist, announced, has_neighbors, window_last, round_number
-                ):
-                    # Nothing in flight, but the arrival gate can still
-                    # fire in a later round (a delayed window opening, an
-                    # entry waiting for the round offset to reach its value):
-                    # keep stepping rounds one by one.
-                    continue
                 elif budget is not None:
                     # Nothing in flight and nothing will ever be: the nodes
                     # idle (one charged round each) until the budget round
@@ -399,50 +300,11 @@ class DenseEngine(ExecutionEngine):
         contexts: Dict[int, NodeContext] = {}
         for i, node in enumerate(nodes):
             ctx = NodeContext(node=node, network=network)
-            if initial_memory:
-                ctx.memory.update(initial_memory.get(node, {}))
             ctx.memory.update(schema.finalize(node, dist[i]))
             ctx._halted = True
             contexts[node] = ctx
         outputs = {node: algorithm.output(contexts[node]) for node in nodes}
         return SimulationResult(outputs=outputs, report=report, contexts=contexts)
-
-    @staticmethod
-    def _column_weight_matrix(
-        schema: MinPlusSchema, weights: np.ndarray, k: int
-    ) -> np.ndarray:
-        """The ``(E, k)`` per-column weight matrix, built once up front.
-
-        ``column_weight`` is evaluated through the *scalar* Python function
-        on each distinct base weight (Algorithm 3's levels reuse the exact
-        ``rounded_weight`` the node program calls), so the matrix is
-        bit-identical to the per-message weights of the sparse engines.
-        """
-        unique, inverse = np.unique(weights, return_inverse=True)
-        matrix = np.empty((len(weights), k), dtype=np.float64)
-        for column in range(k):
-            mapped = np.array(
-                [float(schema.column_weight(column, int(base))) for base in unique],
-                dtype=np.float64,
-            )
-            matrix[:, column] = mapped[inverse]
-        return matrix
-
-    @staticmethod
-    def _announcements_pending(
-        dist: np.ndarray,
-        announced: Optional[np.ndarray],
-        has_neighbors: np.ndarray,
-        window_last: Optional[np.ndarray],
-        round_number: int,
-    ) -> bool:
-        """Whether a gated announcement could still fire after this round."""
-        if announced is None:
-            return False
-        pending = np.isfinite(dist) & has_neighbors & ~announced
-        if window_last is not None:
-            pending = pending & (window_last > round_number)[None, :]
-        return bool(pending.any())
 
     @staticmethod
     def _materialize(

@@ -1,18 +1,21 @@
-"""Structured message schemas: the contract between algorithms and ``dense``.
+"""Structured message schemas: the contract between algorithms and the
+schema-driven engines (``symbolic`` and ``dense``).
 
-The dense engine cannot run arbitrary Python node programs -- it executes
-whole rounds as vectorized scatter/reduce over the network's CSR adjacency.
-What it *can* run is the min-plus flooding family that dominates the
-classical baselines of the paper (Table 1/2): every node keeps one
+Those engines cannot run arbitrary Python node programs -- ``dense``
+executes whole rounds as vectorized scatter/reduce over the network's CSR
+adjacency, ``symbolic`` derives the schedule in closed form.  What they
+*can* run is the min-plus flooding family that dominates the classical
+baselines of the paper (Table 1/2): every node keeps one
 monotonically non-increasing numeric value per key (a source, or a single
 anonymous slot), every delivered value is relaxed through
 ``min(current, received [+ edge weight])``, and the re-broadcast rule is
 either "announce every strict improvement" (Bellman-Ford) or *arrival
 gated* (Nanongkai's Algorithm 2 time-of-arrival discipline: a node
 broadcasts its value exactly once, in the round whose offset reaches the
-value).  Payloads are tuples ``(label, key, value)`` (``(label, value)``
-for single-slot protocols, ``(label, *key, value)`` for flattened composite
-keys).
+value).  ``symbolic`` runs the arrival-gated schemas, ``dense`` the
+announce-on-improvement ones.  Payloads are tuples ``(label, key, value)``
+(``(label, value)`` for single-slot protocols, ``(label, *key, value)`` for
+flattened composite keys).
 
 A :class:`~repro.congest.algorithm.NodeAlgorithm` opts in by returning a
 :class:`MinPlusSchema` from :meth:`message_schema`; Bellman-Ford SSSP/APSP
@@ -25,12 +28,12 @@ The second family is :class:`TreeSchema`: the flood/echo tree primitives of
 :mod:`repro.congest.primitives` (BFS-tree construction, pipelined broadcast,
 convergecast, pipelined gather, and the min-id leader-election flood).
 Their round structure is fixed by the tree alone -- a flood phase, per-edge
-pipelined up/down phases, and an echo-terminated stop wave -- so the dense
-engine computes the whole message schedule analytically instead of
-interpreting ``receive`` per node.  Every schema is purely declarative --
-the sparse/legacy engines ignore it, and the differential tests
-assert that the dense execution of a schema is bit-identical to running the
-node program itself.
+pipelined up/down phases, and an echo-terminated stop wave -- so the
+schema-driven engines compute the whole message schedule analytically
+instead of interpreting ``receive`` per node.  Every schema is purely
+declarative -- the sparse/legacy engines ignore it, and the differential
+tests assert that the schema-driven execution is bit-identical to running
+the node program itself.
 """
 
 from __future__ import annotations
@@ -88,7 +91,9 @@ class MinPlusSchema:
         first round whose offset reaches its value.  The offset is the round
         number, or -- when :attr:`column_windows` is set -- the round number
         minus the column's window start.  Mirrors the node programs'
-        ``announced`` flag.
+        ``announced`` flag.  The four fields below belong to this rule:
+        setting any of them without ``arrival_gated=True`` is rejected at
+        construction.
     value_cap:
         When set, relaxed candidates strictly above the cap are discarded
         (the receiver keeps its previous value), mirroring Algorithm 2's
@@ -107,15 +112,15 @@ class MinPlusSchema:
         a dict ``{weight_memory_key: {neighbor: weight}}`` of override
         weights (Algorithm 1's rounded weights ``w_i``); relaxations use the
         *receiver's* override for the sending neighbor instead of the
-        network weight.  The dense engine only accepts runs whose pre-loaded
-        memory is exactly this shape (positive integer weights covering
-        every incident edge); anything else stays on the sparse engine.
+        network weight.  The symbolic engine only accepts runs whose
+        pre-loaded memory is exactly this shape (positive integer weights
+        covering every incident edge); anything else stays on the sparse
+        engine.
     column_weight:
         Optional per-column weight transform ``column_weight(column, w) ->
         w'`` applied to the (possibly overridden) edge weight before
         relaxing that column (Algorithm 3 relaxes level ``i`` columns under
-        the rounded weights ``w_i``).  Must be deterministic and, for the
-        dense engine's exactness pre-check, monotone in ``w``.
+        the rounded weights ``w_i``).  Must be deterministic.
     flatten_keys:
         When ``True``, tuple keys are splatted into the payload --
         ``(label, *key, value)`` -- matching protocols whose announcements
@@ -137,6 +142,28 @@ class MinPlusSchema:
     weight_memory_key: Optional[str] = None
     column_weight: Optional[Callable[[int, int], int]] = None
     flatten_keys: bool = False
+
+    def __post_init__(self) -> None:
+        if not self.arrival_gated:
+            for name in (
+                "value_cap",
+                "column_windows",
+                "weight_memory_key",
+                "column_weight",
+            ):
+                if getattr(self, name) is not None:
+                    raise ValueError(
+                        f"MinPlusSchema.{name} is only meaningful with "
+                        f"arrival_gated=True"
+                    )
+        if (
+            self.column_windows is not None
+            and len(self.column_windows) != self.num_columns
+        ):
+            raise ValueError(
+                f"schema declares {len(self.column_windows)} column "
+                f"windows for {self.num_columns} columns"
+            )
 
     @property
     def num_columns(self) -> int:
@@ -196,8 +223,8 @@ class TreeSchema:
     (``parent`` / ``children`` / ``depth``, exactly the contents of
     :class:`repro.congest.primitives.BfsTree`) so the schema layer stays
     free of protocol-layer imports.  Like :class:`MinPlusSchema`, the
-    schema must describe the node program *exactly*: the dense engine
-    derives the full per-round message schedule (payloads, senders and
+    schema must describe the node program *exactly*: the schema-driven
+    engines derive the full per-round message schedule (payloads, senders and
     receivers included) from it, and the differential tests require
     bit-identical :class:`~repro.congest.engine.types.RoundReport` numbers
     against the engines that interpret the node program.

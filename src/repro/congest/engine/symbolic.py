@@ -1,7 +1,7 @@
 """The symbolic engine: closed-form round accounting, no round stepping.
 
-Where the dense engine executes every round as a vectorized scatter/reduce,
-this engine never steps idle rounds at all -- it derives the complete
+Where the stepping engines execute every round, this engine never steps
+idle rounds at all -- it derives the complete
 :class:`~repro.congest.engine.types.RoundReport` (per-round message counts,
 bit totals, max message size, per-edge congestion charges and the first
 strict-bandwidth violation) from the schedule the schema determines:
@@ -22,21 +22,22 @@ strict-bandwidth violation) from the schedule the schema determines:
   no useful closed form; those runs are not supported and fall back per the
   registry rules.
 
-The engine is registered always (pure Python) but never auto-selected:
-``REPRO_ENGINE=symbolic`` (or ``force_engine``/``engine=``) opts in, and any
-run it cannot execute falls back to ``sparse`` exactly like the other
-specialised engines.  Attaching an ``observer`` to a min-plus or
-broadcast-replay run also falls back to ``sparse`` -- closed forms have no
-message stream to report -- while tree runs keep ``dense_tree``'s native
-exact materialization.
+The engine is registered always (pure Python) and is ``auto``'s first
+choice: every run it supports executes here by default, the rest go to
+``dense`` or ``sparse``.  Pre-loaded node memory is accepted only in the
+shape a schema's ``weight_memory_key`` declares (Algorithm 1's rounded
+weights); any other pre-loaded state is declined.  Attaching an
+``observer`` to a min-plus or broadcast-replay run hands the run to
+``sparse`` -- closed forms have no message stream to report -- while tree
+runs keep ``dense_tree``'s native exact materialization.
 
 The contract is the library invariant: outputs, contexts and every
 :class:`RoundReport` field are bit-identical to the sparse engine, enforced
 by ``tests/congest/test_engine_differential.py``.  The event model rests on
 the ``arrival_gated`` rule: every entry broadcasts at most once, in the
 first round whose offset reaches its value, so an entry's broadcast round is
-a pure function of its value.  Unlike dense there is no ``2**53`` exactness
-bound: all arithmetic is on exact Python ints.
+a pure function of its value.  Unlike ``dense`` there is no ``2**53``
+exactness bound: all arithmetic is on exact Python ints.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.congest.algorithm import NodeAlgorithm, NodeContext
 from repro.congest.engine import dense_tree
 from repro.congest.engine.base import ExecutionEngine, get_engine, register_engine
-from repro.congest.engine.minplus import resolve_weight_overrides
 from repro.congest.engine.schema import (
     BroadcastReplaySchema,
     MinPlusSchema,
@@ -196,10 +196,60 @@ def _minplus_supports(
     if schema.send_initial not in ("finite", "none"):
         return False
     try:
-        resolve_weight_overrides(network, schema, initial_memory)
+        _resolve_weight_overrides(network, schema, initial_memory)
     except ValueError:
         return False
     return True
+
+
+def _resolve_weight_overrides(
+    network: Network,
+    schema: MinPlusSchema,
+    initial_memory: Optional[Dict[int, Dict[str, Any]]],
+) -> Optional[Dict[int, Dict[int, int]]]:
+    """Extract and validate per-node override weights from ``initial_memory``.
+
+    Returns ``None`` when the run carries no pre-loaded memory and the schema
+    expects none.  Raises ``ValueError`` for any run the event queue cannot
+    express faithfully: pre-loaded memory without a ``weight_memory_key``
+    schema (arbitrary node-program state), memory entries beyond the single
+    override dict, overrides missing an incident edge, or non-positive /
+    non-integer weights (which would break the exact-int relaxation).
+    ``supports()`` turns the error into a clean fallback to ``sparse``.
+    """
+    key = schema.weight_memory_key
+    if not initial_memory:
+        if key is not None:
+            raise ValueError(
+                "schema declares weight overrides but the run pre-loads none"
+            )
+        return None
+    if key is None:
+        raise ValueError("pre-loaded node memory without a weight_memory_key")
+    node_set = set(network.nodes)
+    if set(initial_memory) - node_set:
+        raise ValueError("pre-loaded memory names nodes outside the network")
+    overrides: Dict[int, Dict[int, int]] = {}
+    for node in network.nodes:
+        memory = initial_memory.get(node)
+        if memory is None or set(memory) != {key}:
+            raise ValueError(
+                f"node {node} pre-loads memory beyond the '{key}' overrides"
+            )
+        table = memory[key]
+        if not isinstance(table, dict):
+            raise ValueError(f"override weights for node {node} are not a dict")
+        entry: Dict[int, int] = {}
+        for neighbor in network.neighbors(node):
+            weight = table.get(neighbor)
+            if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
+                raise ValueError(
+                    f"override weight for edge ({node}, {neighbor}) is not a "
+                    f"positive integer: {weight!r}"
+                )
+            entry[neighbor] = weight
+        overrides[node] = entry
+    return overrides
 
 
 def _final_contexts(
@@ -288,7 +338,7 @@ def _minplus_closed_form(
     value_cap = schema.value_cap
     column_weight = schema.column_weight
 
-    overrides = resolve_weight_overrides(network, schema, initial_memory)
+    overrides = _resolve_weight_overrides(network, schema, initial_memory)
 
     csr = CSRGraph.from_graph(network.graph)
     indptr, indices = csr.indptr, csr.indices
@@ -309,19 +359,13 @@ def _minplus_closed_form(
 
     window_first = window_last = None
     if schema.column_windows is not None:
-        if len(schema.column_windows) != k:
-            raise ValueError(
-                f"schema declares {len(schema.column_windows)} column "
-                f"windows for {k} columns"
-            )
         window_first = [first for first, _ in schema.column_windows]
         window_last = [last for _, last in schema.column_windows]
 
     overhead = [schema.payload_overhead_bits(j, word_bits) for j in range(k)]
 
     # column_weight is deterministic, so each (column, base weight) pair is
-    # evaluated through the exact scalar function once (dense's unique-weight
-    # matrix, memoized lazily).
+    # evaluated through the exact scalar function once, memoized lazily.
     column_weight_memo: Dict[Tuple[int, int], int] = {}
 
     dist: List[List[Any]] = []

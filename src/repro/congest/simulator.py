@@ -21,9 +21,12 @@ congestion-adjusted counts.
 
 Since the engine refactor, :class:`Simulator` is a thin facade: the actual
 round loop lives in one of the pluggable execution engines under
-:mod:`repro.congest.engine` (``sparse`` by default, the vectorized ``dense``
-engine and the closed-form ``symbolic`` engine for protocols with a
-structured message schema, and the pinned ``legacy`` seed loop).  Every
+:mod:`repro.congest.engine`.  By default the first eligible of three runs
+it: the closed-form ``symbolic`` engine (schedule-determined schemas: tree
+primitives, broadcast replays, arrival-gated min-plus runs), the vectorized
+``dense`` engine (announce-on-improvement floods), then the event-driven
+``sparse`` engine (any node program); the pinned ``legacy`` seed loop is
+opt-in.  Every
 engine produces bit-identical :class:`RoundReport` numbers and identical
 outputs, so which engine runs is purely a performance decision --
 overridable per call (``engine=``), per process

@@ -14,7 +14,7 @@ weight functions ``w_i`` make the interesting distances small enough
 The protocol declares an arrival-gated :class:`MinPlusSchema` (announce
 once, in the round whose offset reaches the value; value cap ``L``;
 optional pre-loaded rounded weights), so the whole Algorithm 1/2 pipeline
-is eligible for the vectorized ``dense`` execution engine.
+runs on the closed-form ``symbolic`` execution engine.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = ["BoundedDistanceSsspAlgorithm", "bounded_distance_sssp_protocol"]
 _INF = math.inf
 
 #: Memory key under which override weights are pre-loaded for the rounding
-#: levels of Algorithm 1 (and declared to the dense engine's schema).
+#: levels of Algorithm 1 (and declared to the symbolic engine's schema).
 _WEIGHT_KEY = "override_weights"
 
 

@@ -446,9 +446,9 @@ def test_tree_runs_support_quiescence_halting(engine):
 def test_bounded_distance_sssp_with_initial_memory_identical():
     """Weight-override runs (pre-loaded memory) stay engine-invariant.
 
-    Since the announce-schedule schema these runs are *eligible* for dense
-    (the overrides are declared via ``weight_memory_key``), so this doubles
-    as the override-column differential check.
+    These runs are *eligible* for symbolic (the overrides are declared via
+    ``weight_memory_key``), so this doubles as the override-column
+    differential check.
     """
     network = NETWORKS["random-0"]
     source = min(network.nodes)
@@ -532,28 +532,41 @@ def test_multi_source_bounded_hop_identical(name):
 
 
 @pytest.mark.skipif("dense" not in ENGINES, reason="dense engine needs NumPy")
-def test_announce_schedule_runs_are_dense_eligible():
-    """The Theorem 1.1 protocols must actually *run* dense, not fall back."""
-    from repro.congest.engine import get_engine
+def test_gated_runs_decline_dense():
+    """Arrival-gated runs belong to symbolic: dense declines them, an
+    explicit dense request fails loudly, and a forced dense preference runs
+    them on sparse with the reference report."""
+    from repro.congest.engine import get_engine, resolve_engine
 
     network = NETWORKS["random-0"]
     source = min(network.nodes)
     dense = get_engine("dense")
-    assert dense.supports(network, BoundedDistanceSsspAlgorithm(source, 20))
     override = {
         node: {"override_weights": dict(network.incident_weights(node))}
         for node in network.nodes
     }
-    assert dense.supports(
-        network,
-        BoundedDistanceSsspAlgorithm(source, 20, weight_key="override_weights"),
-        initial_memory=override,
-    )
-    # An explicit engine request must execute (it raises when unsupported).
-    result = Simulator(network).run(
-        BoundedDistanceSsspAlgorithm(source, 20), engine="dense"
-    )
-    assert result.report.rounds == 21
+    runs = [
+        (BoundedDistanceSsspAlgorithm(source, 20), None),
+        (
+            BoundedDistanceSsspAlgorithm(source, 20, weight_key="override_weights"),
+            override,
+        ),
+    ]
+    for algorithm, memory in runs:
+        assert not dense.supports(network, algorithm, initial_memory=memory)
+        with pytest.raises(ValueError, match="dense"):
+            Simulator(network).run(algorithm, initial_memory=memory, engine="dense")
+        with pytest.raises(ValueError, match="dense"):
+            dense.run(network, algorithm, max_rounds=100, initial_memory=memory)
+        with force_engine("dense"):
+            assert resolve_engine(None, network, algorithm, memory).name == "sparse"
+            forced = Simulator(network).run(algorithm, initial_memory=memory)
+        reference = Simulator(network).run(
+            algorithm, initial_memory=memory, engine="sparse"
+        )
+        assert forced.report == reference.report
+        assert forced.outputs == reference.outputs
+        assert forced.report.rounds == 21
 
 
 def test_malformed_weight_overrides_raise_before_the_run():

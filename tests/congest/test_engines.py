@@ -21,9 +21,12 @@ from repro.congest import (
 )
 from repro.congest.engine import base as engine_base
 from repro.congest.engine.base import resolve_engine
-from repro.congest.primitives import _MinIdFloodAlgorithm
+from repro.congest.engine.schema import MinPlusSchema
+from repro.congest.primitives import _BfsTreeAlgorithm, _MinIdFloodAlgorithm
 from repro.congest.sssp import _BellmanFordAlgorithm
 from repro.graphs import WeightedGraph, path_graph, random_weighted_graph
+from repro.nanongkai.bounded_distance_sssp import BoundedDistanceSsspAlgorithm
+from repro.nanongkai.multi_source import MultiSourceBoundedHopAlgorithm
 
 ENGINES = available_engines()
 
@@ -127,6 +130,24 @@ class TestRegistry:
             ).name
             == "sparse"
         )
+
+    def test_auto_resolution_per_protocol_family(self, network, monkeypatch):
+        """``auto`` tries symbolic, then dense, then sparse."""
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        source = min(network.nodes)
+        flood_engine = "dense" if "dense" in ENGINES else "sparse"
+        expected = [
+            (BoundedDistanceSsspAlgorithm(source, 10), "symbolic"),
+            (MultiSourceBoundedHopAlgorithm([source], 2, 0.5, 2, [1]), "symbolic"),
+            (_BfsTreeAlgorithm(source), "symbolic"),
+            (_BellmanFordAlgorithm(list(network.nodes)), flood_engine),
+            (_MinIdFloodAlgorithm(5), flood_engine),
+            (_Quiet(), "sparse"),
+        ]
+        for algorithm, engine in expected:
+            assert resolve_engine(None, network, algorithm).name == engine, (
+                algorithm.name
+            )
 
     def test_custom_engine_registration(self, network):
         class EchoEngine(engine_base.ExecutionEngine):
@@ -334,15 +355,12 @@ class TestQuiescenceSemantics:
 
 
 # --------------------------------------------------------------------------- #
-# Announce-schedule schema validation: the dense engine must refuse (fall
+# Announce-schedule schema validation: the symbolic engine must refuse (fall
 # back) or fail loudly on every pre-loaded-memory / schema shape it cannot
 # express, and the schema payload helpers must mirror the node programs.
 # --------------------------------------------------------------------------- #
-@pytest.mark.skipif("dense" not in ENGINES, reason="dense engine needs NumPy")
 class TestWeightOverrideValidation:
     def _algorithm(self, source=0, bound=10, weight_key="override_weights"):
-        from repro.nanongkai.bounded_distance_sssp import BoundedDistanceSsspAlgorithm
-
         return BoundedDistanceSsspAlgorithm(source, bound, weight_key=weight_key)
 
     def _memory(self, network):
@@ -352,22 +370,24 @@ class TestWeightOverrideValidation:
         }
 
     def test_well_formed_overrides_are_eligible(self, network):
-        dense = get_engine("dense")
-        assert dense.supports(network, self._algorithm(), self._memory(network))
+        symbolic = get_engine("symbolic")
+        assert symbolic.supports(network, self._algorithm(), self._memory(network))
 
     def test_schema_key_without_memory_falls_back(self, network):
         # The node program would KeyError on its first weight lookup; the
-        # dense engine must not silently run the network weights instead.
-        dense = get_engine("dense")
-        assert not dense.supports(network, self._algorithm())
+        # symbolic engine must not silently run the network weights instead.
+        symbolic = get_engine("symbolic")
+        assert not symbolic.supports(network, self._algorithm())
 
     def test_extra_memory_keys_fall_back(self, network):
         memory = self._memory(network)
         memory[min(network.nodes)]["extra_state"] = 1
-        assert not get_engine("dense").supports(network, self._algorithm(), memory)
-        with pytest.raises(ValueError, match="dense|memory"):
+        assert not get_engine("symbolic").supports(
+            network, self._algorithm(), memory
+        )
+        with pytest.raises(ValueError, match="symbolic|memory"):
             Simulator(network).run(
-                self._algorithm(), initial_memory=memory, engine="dense"
+                self._algorithm(), initial_memory=memory, engine="symbolic"
             )
 
     def test_non_integer_weights_fall_back(self, network):
@@ -375,88 +395,96 @@ class TestWeightOverrideValidation:
         node = min(network.nodes)
         neighbor = network.neighbors(node)[0]
         memory[node]["override_weights"][neighbor] = 2.5
-        assert not get_engine("dense").supports(network, self._algorithm(), memory)
+        assert not get_engine("symbolic").supports(
+            network, self._algorithm(), memory
+        )
 
     def test_non_positive_weights_fall_back(self, network):
         memory = self._memory(network)
         node = min(network.nodes)
         neighbor = network.neighbors(node)[0]
         memory[node]["override_weights"][neighbor] = 0
-        assert not get_engine("dense").supports(network, self._algorithm(), memory)
+        assert not get_engine("symbolic").supports(
+            network, self._algorithm(), memory
+        )
 
     def test_unknown_nodes_in_memory_fall_back(self, network):
         memory = self._memory(network)
         memory[987654] = {"override_weights": {}}
-        assert not get_engine("dense").supports(network, self._algorithm(), memory)
+        assert not get_engine("symbolic").supports(
+            network, self._algorithm(), memory
+        )
 
     def test_memory_without_schema_key_falls_back(self, network):
         memory = self._memory(network)
-        assert not get_engine("dense").supports(
+        assert not get_engine("symbolic").supports(
             network, self._algorithm(weight_key=None), memory
         )
 
-    def test_huge_override_weights_fall_back(self, network):
+    def test_huge_override_weights_stay_exact(self, network):
+        # Symbolic relaxes exact Python ints, so weights past float64's 2^53
+        # are eligible and must match the node program bit for bit.
         memory = self._memory(network)
         node = min(network.nodes)
         neighbor = network.neighbors(node)[0]
-        memory[node]["override_weights"][neighbor] = 2**53
-        assert not get_engine("dense").supports(network, self._algorithm(), memory)
+        memory[node]["override_weights"][neighbor] = 2**53 + 1
+        algorithm = self._algorithm(source=neighbor)
+        assert get_engine("symbolic").supports(network, algorithm, memory)
+        symbolic, sparse = (
+            Simulator(network).run(algorithm, initial_memory=memory, engine=engine)
+            for engine in ("symbolic", "sparse")
+        )
+        assert symbolic.report == sparse.report
+        assert symbolic.outputs == sparse.outputs
 
 
-@pytest.mark.skipif("dense" not in ENGINES, reason="dense engine needs NumPy")
 class TestAnnounceScheduleSchemas:
-    def test_column_window_count_must_match_columns(self, network):
-        from repro.congest.engine.schema import MinPlusSchema
+    def test_column_window_count_must_match_columns(self):
+        with pytest.raises(ValueError, match="2 column windows for 1 columns"):
+            MinPlusSchema(
+                label="x",
+                tag="",
+                keys=None,
+                initial=lambda node: [0],
+                finalize=lambda node, row: {},
+                arrival_gated=True,
+                round_budget=3,
+                column_windows=((1, 2), (2, 3)),  # one column, two windows
+            )
 
-        class _BadWindows(NodeAlgorithm):
-            name = "bad-windows"
-
-            def message_schema(self):
-                return MinPlusSchema(
-                    label="x",
-                    tag="",
-                    keys=("a", "b"),
-                    initial=lambda node: [0, 0],
-                    finalize=lambda node, row: {},
-                    arrival_gated=True,
-                    round_budget=3,
-                    column_windows=((1, 2),),  # two columns, one window
-                )
-
-            def receive(self, ctx, round_number, messages):
-                ctx.halt()
-
-        with pytest.raises(ValueError, match="column windows"):
-            Simulator(network).run(_BadWindows(), engine="dense")
-
-    def test_huge_column_weights_fall_back(self, network):
-        from repro.congest.engine.schema import MinPlusSchema
-
-        class _HugeTransform(NodeAlgorithm):
-            name = "huge-transform"
-
-            def message_schema(self):
-                return MinPlusSchema(
-                    label="x",
-                    tag="",
-                    keys=(0,),
-                    initial=lambda node: [0 if node == 0 else float("inf")],
-                    finalize=lambda node, row: {},
-                    value_cap=10,
-                    round_budget=3,
-                    column_weight=lambda column, weight: weight * 2**53,
-                )
-
-            def receive(self, ctx, round_number, messages):
-                ctx.halt()
-
-        assert not get_engine("dense").supports(network, _HugeTransform())
+    @pytest.mark.parametrize(
+        "field", ["value_cap", "column_windows", "weight_memory_key", "column_weight"]
+    )
+    def test_gated_fields_require_arrival_gating(self, field):
+        value = {
+            "value_cap": 10,
+            "column_windows": ((1, 2),),
+            "weight_memory_key": "override_weights",
+            "column_weight": lambda column, weight: weight,
+        }[field]
+        with pytest.raises(ValueError, match=f"MinPlusSchema.{field} "):
+            MinPlusSchema(
+                label="x",
+                tag="",
+                keys=None,
+                initial=lambda node: [0],
+                finalize=lambda node, row: {},
+                **{field: value},
+            )
+        gated = MinPlusSchema(
+            label="x",
+            tag="",
+            keys=None,
+            initial=lambda node: [0],
+            finalize=lambda node, row: {},
+            arrival_gated=True,
+            **{field: value},
+        )
+        assert getattr(gated, field) == value
 
     def test_schedule_that_never_fires_hits_the_round_limit_on_every_engine(self):
-        """A finite pending entry keeps the dense loop stepping (its window
-        could open later); if the gate never fires before the round limit,
+        """An entry whose window opens after the round limit never fires;
         the failure mode must match the engines that run the node program."""
-        from repro.congest.engine.schema import MinPlusSchema
         from repro.congest.simulator import RoundLimitExceeded
 
         class _NeverAnnounce(NodeAlgorithm):
@@ -484,14 +512,14 @@ class TestAnnounceScheduleSchemas:
         network = Network(path_graph(4, max_weight=3, seed=0))
         messages = {}
         for engine in ENGINES:
-            with pytest.raises(RoundLimitExceeded) as excinfo:
-                Simulator(network, max_rounds=9).run(_NeverAnnounce(), engine=engine)
+            # A forced preference, not engine=: dense declines gated runs and
+            # hands them to sparse.
+            with force_engine(engine), pytest.raises(RoundLimitExceeded) as excinfo:
+                Simulator(network, max_rounds=9).run(_NeverAnnounce())
             messages[engine] = str(excinfo.value)
         assert len(set(messages.values())) == 1, messages
 
     def test_flattened_keys_splat_into_payloads(self):
-        from repro.congest.engine.schema import MinPlusSchema
-
         schema = MinPlusSchema(
             label="ms",
             tag="mssp",
