@@ -117,7 +117,7 @@ def _tree_arrays(network: Network, schema: TreeSchema) -> _TreeArrays:
             raise _Unsupported(f"node {node} has no valid tree parent")
         if depth[node] != depth[p] + 1:
             raise _Unsupported(f"node {node} breaks the depth invariant")
-        if node not in network.neighbors(p):
+        if not network.graph.has_edge(p, node):
             raise _Unsupported(f"tree edge ({p}, {node}) is not a network edge")
         actual_children[p].append(node)
     children: Dict[int, List[int]] = {}

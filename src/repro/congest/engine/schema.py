@@ -67,7 +67,10 @@ class MinPlusSchema:
         (``math.inf`` for "unknown"); all finite values the protocol ever
         floods must be integers of magnitude below ``2**53`` (exact in
         float64), as produced by the paper's positive-integer weights and
-        node ids -- the dense engine refuses or aborts otherwise.
+        node ids -- the dense engine refuses or aborts otherwise.  Arrival-
+        gated runs on the symbolic engine compute in float64 only while every
+        value and round stays below ``2**53`` and switch to the exact-int
+        reference kernel beyond it, so they have no such bound.
     send_initial:
         Which initial entries are broadcast during ``initialize``:
         ``"finite"`` (every finite entry, e.g. each source announces itself),
@@ -120,7 +123,9 @@ class MinPlusSchema:
         Optional per-column weight transform ``column_weight(column, w) ->
         w'`` applied to the (possibly overridden) edge weight before
         relaxing that column (Algorithm 3 relaxes level ``i`` columns under
-        the rounded weights ``w_i``).  Must be deterministic.
+        the rounded weights ``w_i``).  Must be deterministic and return
+        integers ``>= 1``; the symbolic engine raises ``ValueError``
+        otherwise.
     flatten_keys:
         When ``True``, tuple keys are splatted into the payload --
         ``(label, *key, value)`` -- matching protocols whose announcements

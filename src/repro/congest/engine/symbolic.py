@@ -12,37 +12,40 @@ strict-bandwidth violation) from the schedule the schema determines:
 * :class:`BroadcastReplaySchema` runs (the overlay global-broadcast replay)
   read the report off the closed form in :func:`broadcast_replay_report`.
 * :class:`MinPlusSchema` runs declared ``arrival_gated`` (the Algorithm 2/3
-  time-of-arrival discipline) run on an event queue over the CSR adjacency:
-  an entry's single broadcast round is computed from its value and its
-  column's window start, deliveries relax neighbor state exactly as the node
-  program would, and the idle stretches between deliveries -- the
-  delay-staggered windows of Algorithm 3 spend most of their budget idle --
-  are charged in O(1) instead of being stepped.  Announce-on-improvement
-  floods (plain Bellman-Ford) re-broadcast on a data-dependent schedule with
-  no useful closed form; those runs are not supported and fall back per the
+  time-of-arrival discipline) are one bounded Dijkstra per column.  Every
+  weight is an integer ``>= 1`` and every initially finite entry broadcasts
+  in round ``base + value`` (``base`` is the column's window start, 0
+  without windows), so each entry ends at its column's cap- and
+  window-bounded Dijkstra distance ``d`` and broadcasts exactly once, in
+  round ``base + d``.  The kernel backend's
+  :meth:`~repro.kernels.backend.KernelBackend.gated_minplus` computes the
+  distances and a per-round histogram of the broadcasts; the report adds the
+  idle rounds up to the round budget.  Announce-on-improvement floods
+  (plain Bellman-Ford) re-broadcast on a data-dependent schedule with no
+  useful closed form; those runs are not supported and fall back per the
   registry rules.
 
 The engine is registered always (pure Python) and is ``auto``'s first
 choice: every run it supports executes here by default, the rest go to
 ``dense`` or ``sparse``.  Pre-loaded node memory is accepted only in the
 shape a schema's ``weight_memory_key`` declares (Algorithm 1's rounded
-weights); any other pre-loaded state is declined.  Attaching an
-``observer`` to a min-plus or broadcast-replay run hands the run to
-``sparse`` -- closed forms have no message stream to report -- while tree
-runs keep ``dense_tree``'s native exact materialization.
+weights); any other pre-loaded state is declined, as are gated runs that
+flood values unchanged (``add_edge_weight=False``), initial entries that
+broadcast before round ``base + value``, and ``send_initial="all"``.
+Attaching an ``observer`` to a min-plus or broadcast-replay run hands the
+run to ``sparse`` -- closed forms have no message stream to report -- and
+so does ``halt_on_quiescence`` on a min-plus run; tree runs keep
+``dense_tree``'s native exact materialization.
 
 The contract is the library invariant: outputs, contexts and every
 :class:`RoundReport` field are bit-identical to the sparse engine, enforced
-by ``tests/congest/test_engine_differential.py``.  The event model rests on
-the ``arrival_gated`` rule: every entry broadcasts at most once, in the
-first round whose offset reaches its value, so an entry's broadcast round is
-a pure function of its value.  Unlike ``dense`` there is no ``2**53``
-exactness bound: all arithmetic is on exact Python ints.
+by ``tests/congest/test_engine_differential.py``.  The kernel works on
+float64 only while every value stays below ``2**53`` and otherwise on exact
+Python ints, so weights of any size are exact.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -60,9 +63,13 @@ from repro.congest.engine.types import (
     SimulationResult,
 )
 from repro.congest.network import Network
+from repro.kernels.backend import GatedColumn, GatedRounds, get_backend
 from repro.kernels.csr import CSRGraph
 
 __all__ = ["SymbolicEngine", "broadcast_replay_report", "minplus_round_trace"]
+
+#: Per column, the ``(node index, value)`` of every initially finite entry.
+_Seeds = List[List[Tuple[int, int]]]
 
 
 def broadcast_replay_report(
@@ -115,7 +122,7 @@ class SymbolicEngine(ExecutionEngine):
             schema = schema.flood
         if not isinstance(schema, MinPlusSchema):
             return False
-        return _minplus_supports(network, schema, initial_memory)
+        return _minplus_inputs(network, schema, initial_memory) is not None
 
     def run(
         self,
@@ -137,10 +144,13 @@ class SymbolicEngine(ExecutionEngine):
                 halt_on_quiescence=halt_on_quiescence,
                 observer=observer,
             )
-        if observer is not None:
-            # Closed forms never materialize a message stream; hand observer
-            # runs to the engine that interprets the node program, so the
-            # observed rounds are exactly the reference stream.
+        if observer is not None or (
+            halt_on_quiescence and not isinstance(schema, BroadcastReplaySchema)
+        ):
+            # Closed forms never materialize a message stream, and a
+            # quiescence halt ends the run in the first round with nothing in
+            # flight, even with a gate still to fire; hand these runs to the
+            # engine that interprets the node program.
             return get_engine("sparse").run(
                 network,
                 algorithm,
@@ -161,19 +171,18 @@ class SymbolicEngine(ExecutionEngine):
             )
         if isinstance(schema, TreeSchema):
             schema = schema.flood
-        if not isinstance(schema, MinPlusSchema) or not _minplus_supports(
-            network, schema, initial_memory
-        ):
-            raise ValueError(
-                f"symbolic engine cannot execute protocol '{algorithm.name}'"
-            )
-        dist, report = _minplus_closed_form(
-            network,
-            algorithm,
-            schema,
-            max_rounds,
-            initial_memory,
-            halt_on_quiescence,
+        dist, active, last_round = _minplus_closed_form(
+            network, algorithm.name, schema, max_rounds, initial_memory
+        )
+        report = RoundReport(
+            rounds=last_round,
+            congested_rounds=last_round
+            + sum(active.edge_charge)
+            - len(active.round),
+            total_messages=sum(active.messages),
+            total_bits=sum(active.bits),
+            max_message_bits=max(active.max_message_bits, default=0),
+            protocol=algorithm.name,
         )
         contexts = _final_contexts(network, initial_memory, schema, dist)
         outputs = {
@@ -182,24 +191,55 @@ class SymbolicEngine(ExecutionEngine):
         return SimulationResult(outputs=outputs, report=report, contexts=contexts)
 
 
-def _minplus_supports(
+def _minplus_inputs(
     network: Network,
     schema: MinPlusSchema,
     initial_memory: Optional[Dict[int, Dict[str, Any]]],
-) -> bool:
-    """Whether the event-queue executor can run this min-plus schema.
+) -> Optional[Tuple[_Seeds, Optional[Dict[int, Dict[int, int]]]]]:
+    """The seeds and override weights of a run the closed form covers.
 
-    Arrival-gated schedules only: their broadcast rounds are the closed form.
+    Covered: arrival-gated schemas that relax through the edge weight, with
+    ``send_initial`` ``"finite"`` or ``"none"``, override memory exactly as
+    :func:`_resolve_weight_overrides` accepts it, and initial rows whose
+    finite entries are non-negative ints broadcasting in round
+    ``base + value`` -- round 0 for ``"finite"`` (``initialize``), round
+    ``base + value >= 1`` for ``"none"``.  Returns ``None`` otherwise.
     """
-    if not schema.arrival_gated:
-        return False
-    if schema.send_initial not in ("finite", "none"):
-        return False
+    if (
+        not schema.arrival_gated
+        or not schema.add_edge_weight
+        or schema.send_initial not in ("finite", "none")
+    ):
+        return None
     try:
-        _resolve_weight_overrides(network, schema, initial_memory)
+        overrides = _resolve_weight_overrides(network, schema, initial_memory)
     except ValueError:
-        return False
-    return True
+        return None
+    k = schema.num_columns
+    windows = schema.column_windows
+    announce_at_zero = schema.send_initial == "finite"
+    seeds: _Seeds = [[] for _ in range(k)]
+    for index, node in enumerate(network.nodes):
+        row = list(schema.initial(node))
+        if len(row) != k:
+            raise ValueError(
+                f"schema initial() returned {len(row)} values, expected {k}"
+            )
+        if row.count(math.inf) == k:
+            continue
+        for j, value in enumerate(row):
+            if value == math.inf:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                return None
+            base, close = windows[j] if windows is not None else (0, 0)
+            if announce_at_zero:
+                if base + value != 0 or close < 0:
+                    return None
+            elif base + value < 1:
+                return None
+            seeds[j].append((index, value))
+    return seeds, overrides
 
 
 def _resolve_weight_overrides(
@@ -210,11 +250,11 @@ def _resolve_weight_overrides(
     """Extract and validate per-node override weights from ``initial_memory``.
 
     Returns ``None`` when the run carries no pre-loaded memory and the schema
-    expects none.  Raises ``ValueError`` for any run the event queue cannot
+    expects none.  Raises ``ValueError`` for any run the closed form cannot
     express faithfully: pre-loaded memory without a ``weight_memory_key``
     schema (arbitrary node-program state), memory entries beyond the single
     override dict, overrides missing an incident edge, or non-positive /
-    non-integer weights (which would break the exact-int relaxation).
+    non-integer weights (the Dijkstra needs integer weights ``>= 1``).
     ``supports()`` turns the error into a clean fallback to ``sparse``.
     """
     key = schema.weight_memory_key
@@ -252,6 +292,53 @@ def _resolve_weight_overrides(
     return overrides
 
 
+def _column_weights(
+    csr: CSRGraph,
+    schema: MinPlusSchema,
+    overrides: Optional[Dict[int, Dict[int, int]]],
+) -> Tuple[List[List[int]], List[int]]:
+    """Directed weight vectors, and the vector index of each column.
+
+    CSR entry ``e`` of sender ``u`` points at receiver ``indices[e]``, whose
+    override for ``u`` weighs the relaxation.  ``column_weight`` is applied
+    once per (column, distinct weight); columns that map identically share
+    one vector.  Raises ``ValueError`` when it returns anything but an
+    integer ``>= 1``.
+    """
+    base = csr.weights
+    if overrides is not None:
+        nodes, indptr, indices = csr.nodes, csr.indptr, csr.indices
+        base = [
+            overrides[nodes[receiver]][nodes[sender]]
+            for sender in range(csr.num_nodes)
+            for receiver in indices[indptr[sender] : indptr[sender + 1]]
+        ]
+    k = schema.num_columns
+    column_weight = schema.column_weight
+    if column_weight is None:
+        return [base], [0] * k
+    distinct = sorted(set(base))
+    slot = {weight: position for position, weight in enumerate(distinct)}
+    positions = [slot[weight] for weight in base]
+    vectors: List[List[int]] = []
+    groups: List[int] = []
+    index: Dict[Tuple[int, ...], int] = {}
+    for j in range(k):
+        mapped = tuple(column_weight(j, weight) for weight in distinct)
+        group = index.get(mapped)
+        if group is None:
+            for weight in mapped:
+                if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
+                    raise ValueError(
+                        f"column_weight for column {j} returned {weight!r}; "
+                        f"arrival-gated weights must be integers >= 1"
+                    )
+            group = index[mapped] = len(vectors)
+            vectors.append([mapped[position] for position in positions])
+        groups.append(group)
+    return vectors, groups
+
+
 def _final_contexts(
     network: Network,
     initial_memory: Optional[Dict[int, Dict[str, Any]]],
@@ -276,302 +363,93 @@ def minplus_round_trace(
     algorithm: NodeAlgorithm,
     max_rounds: int,
     initial_memory: Optional[Dict[int, Dict[str, Any]]] = None,
-    halt_on_quiescence: bool = False,
 ) -> List[Tuple[int, int, int, int]]:
     """Per-round ``(round, messages, bits, edge_charge)`` trace of a run.
 
-    Expands the closed form back into one entry per simulated round, idle
-    rounds included -- the differential tests compare this against per-round
-    totals collected from a sparse-engine observer, pinning not just the
-    final report but the whole round-by-round trajectory.
+    Expands the closed form's active-round records back into one entry per
+    simulated round, idle rounds included -- the differential tests compare
+    this against per-round totals collected from a sparse-engine observer,
+    pinning not just the final report but the whole round-by-round
+    trajectory.
     """
     schema = algorithm.message_schema()
     if isinstance(schema, TreeSchema) and schema.kind == "flood":
         schema = schema.flood
-    if not isinstance(schema, MinPlusSchema) or not _minplus_supports(
-        network, schema, initial_memory
-    ):
-        raise ValueError(
-            f"symbolic engine cannot trace protocol '{algorithm.name}'"
-        )
-    trace: List[Tuple[int, int, int, int]] = []
-    _minplus_closed_form(
-        network,
-        algorithm,
-        schema,
-        max_rounds,
-        initial_memory,
-        halt_on_quiescence,
-        trace=trace,
+    _, active, last_round = _minplus_closed_form(
+        network, algorithm.name, schema, max_rounds, initial_memory
     )
-    return trace
+    by_round = {
+        round_number: (messages, bits, charge)
+        for round_number, messages, bits, charge in zip(
+            active.round, active.messages, active.bits, active.edge_charge
+        )
+    }
+    return [
+        (round_number, *by_round.get(round_number, (0, 0, 1)))
+        for round_number in range(1, last_round + 1)
+    ]
 
 
 def _minplus_closed_form(
     network: Network,
-    algorithm: NodeAlgorithm,
-    schema: MinPlusSchema,
+    name: str,
+    schema: Any,
     max_rounds: int,
     initial_memory: Optional[Dict[int, Dict[str, Any]]],
-    halt_on_quiescence: bool,
-    trace: Optional[List[Tuple[int, int, int, int]]] = None,
-) -> Tuple[List[List[Any]], RoundReport]:
-    """Run an arrival-gated min-plus schema on the event queue.
+) -> Tuple[List[List[Any]], GatedRounds, int]:
+    """Final rows, active-round records and last round of a gated run.
 
-    Every entry broadcasts at most once, in the first round whose offset
-    reaches its value -- computed directly when the value is set.  The
-    queue holds ``(delivery_round, seq, sender, column, value, is_initial)``
-    events; an event is stale (superseded or already announced) when popped
-    unless the sender's column still holds exactly the scheduled value.
-    Rounds with no delivery are charged in bulk, which is where the
-    asymptotic win over the round-stepping engines comes from.
+    Entry ``d`` of column ``j`` broadcasts in round ``base_j + d`` while that
+    round is at most the window close and before the halting round; its
+    messages relax neighbors when they arrive inside the window
+    (``base_j < round <= close_j``) and by the halting round.  The run halts
+    in round ``max(round_budget, 1)``; raises exactly where the stepping
+    engines do (first strict-bandwidth violation, then the round limit).
     """
-    nodes = list(network.nodes)
-    n = len(nodes)
-    k = schema.num_columns
-    bandwidth = network.bandwidth_bits
-    strict = network.config.strict_bandwidth
-    budget = schema.round_budget
-    word_bits = network.word_bits
-    name = algorithm.name
-    add_edge_weight = schema.add_edge_weight
-    value_cap = schema.value_cap
-    column_weight = schema.column_weight
-
-    overrides = _resolve_weight_overrides(network, schema, initial_memory)
-
+    inputs = None
+    if isinstance(schema, MinPlusSchema):
+        inputs = _minplus_inputs(network, schema, initial_memory)
+    if inputs is None:
+        raise ValueError(f"symbolic engine cannot execute protocol '{name}'")
+    seeds, overrides = inputs
     csr = CSRGraph.from_graph(network.graph)
-    indptr, indices = csr.indptr, csr.indices
-    degrees = [indptr[i + 1] - indptr[i] for i in range(n)]
+    vectors, groups = _column_weights(csr, schema, overrides)
 
-    if overrides is None:
-        edge_weights = csr.weights
-    else:
-        # Relaxations read the *receiver's* override for the sending
-        # neighbor; indexing the sender's CSR row, entry e points at
-        # receiver indices[e], so the per-directed-edge weight is the
-        # receiver's table entry for the sender.
-        edge_weights = [0] * len(indices)
-        for i in range(n):
-            sender = nodes[i]
-            for e in range(indptr[i], indptr[i + 1]):
-                edge_weights[e] = overrides[nodes[indices[e]]][sender]
-
-    window_first = window_last = None
-    if schema.column_windows is not None:
-        window_first = [first for first, _ in schema.column_windows]
-        window_last = [last for _, last in schema.column_windows]
-
-    overhead = [schema.payload_overhead_bits(j, word_bits) for j in range(k)]
-
-    # column_weight is deterministic, so each (column, base weight) pair is
-    # evaluated through the exact scalar function once, memoized lazily.
-    column_weight_memo: Dict[Tuple[int, int], int] = {}
-
-    dist: List[List[Any]] = []
-    for node in nodes:
-        row = list(schema.initial(node))
-        if len(row) != k:
-            raise ValueError(
-                f"schema initial() returned {len(row)} values, expected {k}"
+    budget = schema.round_budget
+    halt = None if budget is None else max(budget, 1)
+    # Without a budget the limit can hold, the stepping engines run to
+    # max_rounds and then fail; the rounds up to it still decide whether a
+    # bandwidth violation comes first.
+    last_round = halt if halt is not None and halt <= max_rounds else max_rounds
+    windows = schema.column_windows
+    columns = []
+    for j in range(schema.num_columns):
+        base, close = windows[j] if windows is not None else (0, last_round)
+        columns.append(
+            GatedColumn(
+                group=groups[j],
+                seeds=tuple(seeds[j]),
+                offset=base + 1,
+                relax_limit=min(last_round, close) - 1 - base,
+                fire_limit=min(last_round - 1, close) - base,
+                overhead=schema.payload_overhead_bits(j, network.word_bits),
             )
-        dist.append(row)
-
-    announced = [[False] * k for _ in range(n)]
-    heap: List[Tuple[int, int, int, int, Any, bool]] = []
-    seq = 0
-
-    def schedule(i: int, j: int, value: Any, first_eval: int) -> None:
-        """Queue entry (i, j)'s announcement at its first gate round."""
-        nonlocal seq
-        base = window_first[j] if window_first is not None else 0
-        hi = max_rounds if window_last is None else min(window_last[j], max_rounds)
-        if budget is not None and budget - 1 < hi:
-            hi = budget - 1
-        # First round r >= first_eval whose offset r - base reaches value;
-        # ceil keeps the round an int should a schema flood integral floats.
-        fire = max(first_eval, 1, base, math.ceil(value) + base)
-        if fire > hi:
-            # The gate never fires while the entry may broadcast; the node
-            # idles (still charged) exactly like the stepping engines.
-            return
-        seq += 1
-        heapq.heappush(heap, (fire + 1, seq, i, j, value, False))
-
-    if schema.send_initial == "finite":
-        # Finite initial entries broadcast during initialize (delivered in
-        # round 1) and count as the entry's one broadcast, exactly like the
-        # node programs' initialize-time announcements.
-        for i in range(n):
-            if not degrees[i]:
-                continue
-            row = dist[i]
-            flags = announced[i]
-            for j in range(k):
-                value = row[j]
-                if not math.isinf(value):
-                    flags[j] = True
-                    seq += 1
-                    heapq.heappush(heap, (1, seq, i, j, value, True))
-    else:  # "none": finite initials wait for their gate like everyone else
-        for i in range(n):
-            if not degrees[i]:
-                continue
-            row = dist[i]
-            for j in range(k):
-                value = row[j]
-                if not math.isinf(value):
-                    schedule(i, j, value, 1)
-
-    def stale(event: Tuple[int, int, int, int, Any, bool]) -> bool:
-        _, _, i, j, value, is_initial = event
-        if dist[i][j] != value:
-            return True
-        return announced[i][j] and not is_initial
-
-    report = RoundReport(protocol=name)
-    round_number = 0
-    halted = False
-
-    while not halted:
-        round_number += 1
-        if round_number > max_rounds:
-            raise RoundLimitExceeded(
-                f"protocol '{name}' exceeded {max_rounds} rounds"
-            )
-
-        deliveries: List[Tuple[int, int, Any]] = []
-        while heap and heap[0][0] == round_number:
-            event = heapq.heappop(heap)
-            if stale(event):
-                continue
-            _, _, i, j, value, is_initial = event
-            if not is_initial:
-                announced[i][j] = True
-            deliveries.append((i, j, value))
-
-        # --- Accounting (analytic: one broadcast = degree copies) ---------- #
-        max_edge_charge = 1
-        round_messages = round_bits = 0
-        if deliveries:
-            per_sender: Dict[int, List[Tuple[int, Any]]] = {}
-            for i, j, value in deliveries:
-                per_sender.setdefault(i, []).append((j, value))
-            # Node order: the first strict violation matches the sparse
-            # engine's first violating edge (messages enqueue per sender in
-            # node order, and a broadcast loads each of its edges with the
-            # same per-column bit sum).
-            for i in sorted(per_sender):
-                entries = per_sender[i]
-                degree = degrees[i]
-                sender_bits = 0
-                for j, value in entries:
-                    vbits = max(1, int(value).bit_length() + 1)
-                    message_bits = overhead[j] + vbits
-                    sender_bits += message_bits
-                    if message_bits > report.max_message_bits:
-                        report.max_message_bits = message_bits
-                round_messages += len(entries) * degree
-                round_bits += sender_bits * degree
-                if sender_bits > bandwidth:
-                    if strict:
-                        raise ValueError(
-                            f"protocol '{name}' exceeded the "
-                            f"bandwidth: {sender_bits} bits on one edge in "
-                            f"one round (B={bandwidth})"
-                        )
-                    charge = -(-sender_bits // bandwidth)
-                    if charge > max_edge_charge:
-                        max_edge_charge = charge
-            report.total_messages += round_messages
-            report.total_bits += round_bits
-        report.rounds += 1
-        report.congested_rounds += max_edge_charge
-        if trace is not None:
-            trace.append((round_number, round_messages, round_bits, max_edge_charge))
-
-        # --- Relax deliveries over the sender's CSR row -------------------- #
-        for i, j, value in deliveries:
-            if window_first is not None and not (
-                window_first[j] < round_number <= window_last[j]
-            ):
-                # Charged above, dropped by every receiver: the column's
-                # window is not open at delivery time.
-                continue
-            for e in range(indptr[i], indptr[i + 1]):
-                receiver = indices[e]
-                if add_edge_weight:
-                    weight = edge_weights[e]
-                    if column_weight is not None:
-                        key = (j, weight)
-                        mapped = column_weight_memo.get(key)
-                        if mapped is None:
-                            mapped = column_weight(j, int(weight))
-                            column_weight_memo[key] = mapped
-                        weight = mapped
-                    candidate = value + weight
-                else:
-                    candidate = value
-                if value_cap is not None and candidate > value_cap:
-                    continue
-                row = dist[receiver]
-                if candidate < row[j]:
-                    row[j] = candidate
-                    if degrees[receiver] and not announced[receiver][j]:
-                        schedule(receiver, j, candidate, round_number)
-
-        # --- Halt / schedule, mirroring the stepping engines --------------- #
-        if budget is not None and round_number >= budget:
-            halted = True
-            heap.clear()
-            continue
-        while heap and stale(heap[0]):
-            heapq.heappop(heap)
-        next_delivery = heap[0][0] if heap else None
-        if next_delivery == round_number + 1:
-            continue
-        if halt_on_quiescence:
-            # First round with nothing in flight afterwards: the stepping
-            # engines halt here even when a gate could still fire later.
-            halted = True
-            continue
-        if next_delivery is not None:
-            # Idle stretch until the next scheduled delivery, charged in
-            # O(1): one round and one congested round each.
-            if next_delivery > max_rounds:
-                raise RoundLimitExceeded(
-                    f"protocol '{name}' exceeded {max_rounds} rounds"
-                )
-            gap = next_delivery - 1 - round_number
-            report.rounds += gap
-            report.congested_rounds += gap
-            if trace is not None:
-                for idle in range(round_number + 1, next_delivery):
-                    trace.append((idle, 0, 0, 1))
-            round_number = next_delivery - 1
-            continue
-        if budget is not None:
-            # Nothing in flight and nothing will ever be: the nodes idle
-            # (one charged round each) until the budget round halts them.
-            if budget > max_rounds:
-                raise RoundLimitExceeded(
-                    f"protocol '{name}' exceeded {max_rounds} rounds"
-                )
-            gap = budget - round_number
-            report.rounds += gap
-            report.congested_rounds += gap
-            if trace is not None:
-                for idle in range(round_number + 1, budget + 1):
-                    trace.append((idle, 0, 0, 1))
-            halted = True
-            continue
-        # No budget and no quiescence halting: the protocol can never
-        # terminate.  Fail exactly like the stepping engines.
-        raise RoundLimitExceeded(
-            f"protocol '{name}' exceeded {max_rounds} rounds"
         )
+    bandwidth = network.bandwidth_bits
+    dist, active = get_backend().gated_minplus(
+        csr, vectors, columns, schema.value_cap, bandwidth
+    )
 
-    return dist, report
+    if network.config.strict_bandwidth:
+        for bits in active.violation_bits:
+            if bits:
+                raise ValueError(
+                    f"protocol '{name}' exceeded the bandwidth: {bits} bits on "
+                    f"one edge in one round (B={bandwidth})"
+                )
+    if last_round != halt:
+        raise RoundLimitExceeded(f"protocol '{name}' exceeded {max_rounds} rounds")
+    return dist, active, last_round
 
 
 register_engine(SymbolicEngine())

@@ -1,7 +1,9 @@
 """Backend registry for the CSR kernels.
 
-Two backends ship with the library:
+Three backends ship with the library:
 
+* ``"scipy"`` -- SciPy's compiled ``csgraph`` Dijkstra for the exact and the
+  arrival-gated kernels (registered only when SciPy is importable).
 * ``"numpy"`` -- batched, vectorized relaxation kernels (registered only when
   NumPy is importable).
 * ``"python"`` -- a dependency-free fallback with the same semantics, using
@@ -15,21 +17,25 @@ Selection order (first match wins):
    ``python`` or ``auto``),
 4. ``auto``: SciPy when available, then NumPy, otherwise pure Python.
 
-Both backends are *exact* on the integer-weighted graphs the paper uses
-(float64 arithmetic on integer sums below ``2**53``), so switching backends
-never changes any oracle value -- the differential tests in
-``tests/kernels/`` enforce this end-to-end.
+Every backend is *exact* on the integer-weighted graphs the paper uses
+(float64 arithmetic on integer sums below ``2**53``; larger inputs take the
+exact-int reference), so switching backends never changes any oracle value
+-- the differential tests in ``tests/kernels/`` enforce this end-to-end.
 """
 
 from __future__ import annotations
 
 import contextlib
+import heapq
+import math
 import os
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.kernels.csr import CSRGraph
 
 __all__ = [
+    "GatedColumn",
+    "GatedRounds",
     "KernelBackend",
     "register_backend",
     "available_backends",
@@ -43,6 +49,44 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 _REGISTRY: Dict[str, "KernelBackend"] = {}
 _FORCED: Optional[str] = None
+
+
+class GatedColumn(NamedTuple):
+    """One column of an arrival-gated min-plus run (see :meth:`gated_minplus`).
+
+    An entry of value ``d`` broadcasts once, delivered in round
+    ``offset + d``; it relaxes its neighbors when ``d <= relax_limit`` and is
+    charged when ``d <= fire_limit``.
+    """
+
+    #: Index of the column's directed weight vector.
+    group: int
+    #: ``(node index, value)`` of every initially finite entry; values are
+    #: non-negative ints.
+    seeds: Tuple[Tuple[int, int], ...]
+    offset: int
+    relax_limit: int
+    fire_limit: int
+    #: Charged bits of one message besides its value's encoding.
+    overhead: int
+
+
+class GatedRounds(NamedTuple):
+    """Per-active-round records of a gated run, stored column-wise.
+
+    Entry ``t`` of every list belongs to delivery round ``round[t]``
+    (ascending); rounds without a delivery are absent.
+    """
+
+    round: List[int]
+    messages: List[int]
+    bits: List[int]
+    max_message_bits: List[int]
+    #: Congestion-adjusted cost of the round: ``ceil(max sender bits / B)``,
+    #: at least 1.
+    edge_charge: List[int]
+    #: Bits of the first sender (in node order) over the bandwidth, else 0.
+    violation_bits: List[int]
 
 
 class KernelBackend:
@@ -76,6 +120,93 @@ class KernelBackend:
     def all_pairs(self, csr: CSRGraph) -> List[Sequence[float]]:
         """Exact all-pairs distance rows, in CSR index order."""
         return self.multi_source_sssp(csr, range(csr.num_nodes))
+
+    def gated_minplus(
+        self,
+        csr: CSRGraph,
+        weights: Sequence[Sequence[int]],
+        columns: Sequence[GatedColumn],
+        value_cap: Optional[int],
+        bandwidth: int,
+    ) -> Tuple[List[List[Any]], GatedRounds]:
+        """Final rows and per-round message records of an arrival-gated run.
+
+        ``weights[g]`` holds one positive integer per CSR entry: entry ``e``
+        of row ``u`` relaxes ``indices[e]`` from ``u``.  Each column is a
+        bounded Dijkstra from its seeds, expanding entries up to
+        ``min(relax_limit, value_cap)`` and discarding candidates above
+        ``value_cap``.  Every entry at a node with neighbors whose value is
+        at most ``fire_limit`` sends one message per incident edge.  Returns
+        ``n`` rows of ``len(columns)`` values (ints, ``math.inf`` when
+        unreached) and the :class:`GatedRounds` of the delivered messages.
+
+        This heap implementation on exact ints is the reference; backends
+        may override it when their arithmetic stays exact.
+        """
+        n = csr.num_nodes
+        indptr, indices = csr.indptr, csr.indices
+        heappush, heappop = heapq.heappush, heapq.heappop
+        # delivery round * n + sender -> [entries, bits, largest message]
+        cells: Dict[int, List[int]] = {}
+        table: List[List[Any]] = []
+        for column in columns:
+            weight = weights[column.group]
+            limit = column.relax_limit
+            if value_cap is not None:
+                limit = min(limit, value_cap)
+            dist: List[Any] = [math.inf] * n
+            heap = []
+            for node, value in column.seeds:
+                dist[node] = value
+                heap.append((value, node))
+            heapq.heapify(heap)
+            while heap:
+                d, u = heappop(heap)
+                if d > limit:
+                    break
+                if d > dist[u]:
+                    continue  # stale heap entry
+                for e in range(indptr[u], indptr[u + 1]):
+                    v = indices[e]
+                    candidate = d + weight[e]
+                    if candidate < dist[v] and (
+                        value_cap is None or candidate <= value_cap
+                    ):
+                        dist[v] = candidate
+                        heappush(heap, (candidate, v))
+            for node, d in enumerate(dist):
+                if d <= column.fire_limit and indptr[node + 1] > indptr[node]:
+                    bits = column.overhead + d.bit_length() + 1
+                    key = (column.offset + d) * n + node
+                    cell = cells.get(key)
+                    if cell is None:
+                        cells[key] = [1, bits, bits]
+                    else:
+                        cell[0] += 1
+                        cell[1] += bits
+                        cell[2] = max(cell[2], bits)
+            table.append(dist)
+
+        per_round: Dict[int, List[int]] = {}
+        for key in sorted(cells):
+            delivery, sender = divmod(key, n)
+            entries, sender_bits, largest = cells[key]
+            degree = indptr[sender + 1] - indptr[sender]
+            record = per_round.get(delivery)
+            if record is None:
+                record = per_round[delivery] = [0, 0, 0, 1, 0]
+            record[0] += entries * degree
+            record[1] += sender_bits * degree
+            record[2] = max(record[2], largest)
+            record[3] = max(record[3], -(-sender_bits // bandwidth))
+            if sender_bits > bandwidth and not record[4]:
+                record[4] = sender_bits
+        records = GatedRounds(list(per_round), [], [], [], [], [])
+        for record in per_round.values():
+            for field, value in zip(records[1:], record):
+                field.append(value)
+        rows = [list(row) for row in zip(*table)] if table else [[] for _ in range(n)]
+        return rows, records
 
 
 def register_backend(backend: KernelBackend) -> None:

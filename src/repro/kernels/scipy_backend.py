@@ -3,9 +3,10 @@
 Exactly the kind of drop-in the backend registry exists for: SciPy's compiled
 Fibonacci-heap Dijkstra (``scipy.sparse.csgraph.dijkstra``) is an order of
 magnitude faster again than the vectorized relaxation, so when SciPy is
-present it becomes the ``auto`` choice for the exact-distance kernels.  The
-hop-*bounded* kernel has no ``csgraph`` equivalent and is inherited from the
-NumPy backend (SciPy implies NumPy).
+present it becomes the ``auto`` choice for the exact-distance kernels and
+for the arrival-gated min-plus kernel.  The hop-*bounded* kernel has no
+``csgraph`` equivalent and is inherited from the NumPy backend (SciPy implies
+NumPy).
 
 The sparse matrix mirror of a snapshot is cached in ``csr.memo`` so repeated
 kernel calls on the same snapshot build it once.
@@ -13,19 +14,24 @@ kernel calls on the same snapshot build it once.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import math
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from repro.kernels.backend import register_backend
+from repro.kernels.backend import GatedColumn, GatedRounds, register_backend
 from repro.kernels.csr import CSRGraph
 from repro.kernels.numpy_backend import NumpyBackend
 
 __all__ = ["ScipyBackend"]
 
 _MATRIX_KEY = "scipy:csr-matrix"
+_REVERSE_KEY = "scipy:reverse-entries"
+
+#: Every integer below this is exact in float64.
+_EXACT_FLOAT = 2**53
 
 
 class ScipyBackend(NumpyBackend):
@@ -57,6 +63,166 @@ class ScipyBackend(NumpyBackend):
 
     def sssp(self, csr: CSRGraph, source: int) -> np.ndarray:
         return self.multi_source_sssp(csr, [source])[0]
+
+    def gated_minplus(
+        self,
+        csr: CSRGraph,
+        weights: Sequence[Sequence[int]],
+        columns: Sequence[GatedColumn],
+        value_cap: Optional[int],
+        bandwidth: int,
+    ) -> Tuple[List[List[Any]], GatedRounds]:
+        """One ``csgraph`` Dijkstra per (weight vector, limit) batch of columns.
+
+        Each column gets a virtual source with an edge of weight ``value + 1``
+        to each of its seeds, so multi-seed columns need no special case; the
+        one-step extension past the limit and the per-round histogram are
+        vectorized.  Runs whose values could leave float64's exact range take
+        the exact-int reference.
+        """
+        n = csr.num_nodes
+        if not columns or not _exact_in_float64(n, weights, columns, value_cap):
+            return super().gated_minplus(csr, weights, columns, value_cap, bandwidth)
+        indptr, indices, _ = csr.numpy_arrays()
+        degree = np.diff(indptr)
+        has_edges = degree > 0
+        starts = indptr[:-1][has_edges]
+        reverse = self._reverse_entries(csr)
+        values = np.full((len(columns), n), np.inf)
+
+        batches: Dict[Tuple[int, int], List[int]] = {}
+        for j, column in enumerate(columns):
+            limit = column.relax_limit
+            if value_cap is not None:
+                limit = min(limit, value_cap)
+            batches.setdefault((column.group, limit), []).append(j)
+        for (group, limit), batch in batches.items():
+            if limit < 0:
+                continue  # nothing relaxes; the seeds are set below
+            weight = np.asarray(weights[group], dtype=np.float64)
+            seed_nodes = [node for j in batch for node, _ in columns[j].seeds]
+            seed_values = [value for j in batch for _, value in columns[j].seeds]
+            counts = np.cumsum([len(columns[j].seeds) for j in batch])
+            size = n + len(batch)
+            matrix = csr_matrix(
+                (
+                    np.concatenate([weight, np.asarray(seed_values, np.float64) + 1]),
+                    np.concatenate([indices, np.asarray(seed_nodes, np.int64)]),
+                    np.concatenate([indptr, len(indices) + counts]),
+                ),
+                shape=(size, size),
+            )
+            dist = (
+                _csgraph_dijkstra(
+                    matrix, directed=True, indices=np.arange(n, size), limit=limit + 1
+                )[:, :n]
+                - 1
+            )
+            if starts.size:
+                # Entries past the limit keep the best candidate from an
+                # expanded neighbor: row v's entry e points at neighbor u,
+                # and the weight of u -> v sits at the reverse entry.
+                candidates = dist[:, indices] + weight[reverse]
+                if value_cap is not None:
+                    candidates[candidates > value_cap] = np.inf
+                best = np.minimum.reduceat(candidates, starts, axis=1)
+                dist[:, has_edges] = np.minimum(dist[:, has_edges], best)
+            values[batch] = dist
+
+        seed_cols = [j for j, column in enumerate(columns) for _ in column.seeds]
+        seed_nodes = [node for column in columns for node, _ in column.seeds]
+        seed_values = np.asarray(
+            [value for column in columns for _, value in column.seeds], np.float64
+        )
+        values[seed_cols, seed_nodes] = np.minimum(
+            values[seed_cols, seed_nodes], seed_values
+        )
+
+        fire_limit = np.asarray([column.fire_limit for column in columns])
+        fired_cols, fired_nodes = np.nonzero(
+            (values <= fire_limit[:, None]) & has_edges
+        )
+        fired = values[fired_cols, fired_nodes]
+        offset = np.asarray([column.offset for column in columns], np.int64)
+        overhead = np.asarray([column.overhead for column in columns], np.int64)
+        keys = (offset[fired_cols] + fired.astype(np.int64)) * n + fired_nodes
+        # bit_length(d) is frexp's exponent for integral d >= 0 (0 for d = 0).
+        bits = overhead[fired_cols] + np.frexp(fired)[1] + 1
+        records = _round_records(keys, bits, n, degree, bandwidth)
+
+        finite = np.isfinite(values.T)
+        table = np.where(finite, values.T, 0).astype(np.int64).astype(object)
+        table[~finite] = math.inf
+        return table.tolist(), records
+
+    def _reverse_entries(self, csr: CSRGraph) -> np.ndarray:
+        """``reverse[e]``: the CSR entry of edge ``v -> u`` for entry ``u -> v``."""
+        reverse = csr.memo.get(_REVERSE_KEY)
+        if reverse is None:
+            indptr, indices, _ = csr.numpy_arrays()
+            n = csr.num_nodes
+            sources = np.repeat(np.arange(n), np.diff(indptr))
+            keys = sources * n + indices
+            order = np.argsort(keys)
+            reverse = order[np.searchsorted(keys[order], indices * n + sources)]
+            csr.memo[_REVERSE_KEY] = reverse
+        return reverse
+
+
+def _exact_in_float64(
+    n: int,
+    weights: Sequence[Sequence[int]],
+    columns: Sequence[GatedColumn],
+    value_cap: Optional[int],
+) -> bool:
+    """Whether every value and round key of the run stays below ``2**53``."""
+    heaviest = max((max(weight) for weight in weights if weight), default=0)
+    reach = max(column.relax_limit for column in columns)
+    if value_cap is not None:
+        reach = min(reach, value_cap)
+    largest_seed = max(
+        (value for column in columns for _, value in column.seeds), default=0
+    )
+    last_round = max(column.offset + column.fire_limit for column in columns)
+    return (
+        reach + 1 + heaviest < _EXACT_FLOAT
+        and largest_seed < _EXACT_FLOAT
+        and (last_round + 1) * n < _EXACT_FLOAT
+    )
+
+
+def _round_records(
+    keys: np.ndarray, bits: np.ndarray, n: int, degree: np.ndarray, bandwidth: int
+) -> GatedRounds:
+    """Histogram fired entries (key ``round * n + sender``) into round records."""
+    if not keys.size:
+        return GatedRounds([], [], [], [], [], [])
+    cells, cell_of = np.unique(keys, return_inverse=True)
+    entries = np.bincount(cell_of)
+    # Per-sender bit sums stay far below 2**53, so the float sums are exact.
+    sender_bits = np.bincount(cell_of, weights=bits).astype(np.int64)
+    largest = np.zeros(cells.size, np.int64)
+    np.maximum.at(largest, cell_of, bits)
+    rounds, senders = np.divmod(cells, n)
+    new_round = np.diff(rounds, prepend=-1) != 0
+    first = np.flatnonzero(new_round)
+    round_of = np.cumsum(new_round) - 1
+    # Cells are sorted by (round, sender), so the first over-budget cell of a
+    # round is its first violating sender in node order.
+    violation = np.zeros(first.size, np.int64)
+    over = np.flatnonzero(sender_bits > bandwidth)
+    over_rounds, first_over = np.unique(round_of[over], return_index=True)
+    violation[over_rounds] = sender_bits[over[first_over]]
+    fan_out = degree[senders]
+    charge = -(-np.maximum.reduceat(sender_bits, first) // bandwidth)
+    return GatedRounds(
+        rounds[first].tolist(),
+        np.add.reduceat(entries * fan_out, first).tolist(),
+        np.add.reduceat(sender_bits * fan_out, first).tolist(),
+        np.maximum.reduceat(largest, first).tolist(),
+        np.maximum(charge, 1).tolist(),
+        violation.tolist(),
+    )
 
 
 register_backend(ScipyBackend())

@@ -9,6 +9,8 @@ charges the same final round on every engine.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.congest import (
@@ -538,3 +540,187 @@ class TestAnnounceScheduleSchemas:
             finalize=lambda node, row: {},
         )
         assert nested.payload_for(0, 5.0) == ("ms", (0, 1), 5)
+
+
+# --------------------------------------------------------------------------- #
+# Gated shapes: symbolic runs the ones its closed form covers bit-identically
+# to the node program, declines the rest (or, for quiescence halting, hands
+# the run over) and the sparse engine runs the node program instead.
+# --------------------------------------------------------------------------- #
+class _GatedFlood(NodeAlgorithm):
+    """One arrival-gated min-plus column, executed as a node program."""
+
+    name = "gated-flood"
+
+    def __init__(
+        self,
+        initial,
+        send_initial="finite",
+        add_edge_weight=True,
+        budget=12,
+        window=None,
+        cap=None,
+    ):
+        self._initial = initial
+        self._send_initial = send_initial
+        self._add_edge_weight = add_edge_weight
+        self._budget = budget
+        self._window = window
+        self._cap = cap
+
+    def message_schema(self):
+        initial = self._initial
+        return MinPlusSchema(
+            label="g",
+            tag="gated",
+            keys=None,
+            initial=lambda node: [initial.get(node, float("inf"))],
+            finalize=lambda node, row: {"value": row[0]},
+            send_initial=self._send_initial,
+            add_edge_weight=self._add_edge_weight,
+            round_budget=self._budget,
+            arrival_gated=True,
+            value_cap=self._cap,
+            column_windows=None if self._window is None else (self._window,),
+        )
+
+    def initialize(self, ctx):
+        value = self._initial.get(ctx.node, float("inf"))
+        ctx.memory["value"] = value
+        ctx.memory["announced"] = False
+        finite = value != float("inf")
+        if self._send_initial == "all" or (self._send_initial == "finite" and finite):
+            ctx.broadcast(("g", value), tag="gated")
+            ctx.memory["announced"] = finite
+
+    def receive(self, ctx, round_number, messages):
+        memory = ctx.memory
+        first, last = self._window or (0, round_number)
+        if first < round_number <= last:
+            for message in messages:
+                candidate = message.payload[1]
+                if self._add_edge_weight:
+                    candidate += ctx.edge_weight(message.sender)
+                if self._cap is not None and candidate > self._cap:
+                    continue
+                if candidate < memory["value"]:
+                    memory["value"] = candidate
+        if round_number >= self._budget:
+            ctx.halt()
+            return
+        if (
+            not memory["announced"]
+            and memory["value"] != float("inf")
+            and memory["value"] <= round_number - first
+            and round_number <= last
+        ):
+            ctx.broadcast(("g", memory["value"]), tag="gated")
+            memory["announced"] = True
+
+    def output(self, ctx):
+        return ctx.memory["value"]
+
+
+class TestGatedShapes:
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {},
+            # The window closes (round 8) before the cap: entries past
+            # value 5 are relaxed but their broadcasts arrive too late.
+            {"send_initial": "none", "initial_value": 1, "window": (2, 8), "cap": 20},
+            # The budget halts the run (round 10) inside the window.
+            {"send_initial": "none", "initial_value": 1, "window": (2, 30), "budget": 10},
+        ],
+        ids=["plain", "window-closes-before-cap", "budget-cuts-window"],
+    )
+    @pytest.mark.parametrize("graph", ["unit-path", "random"])
+    def test_covered_shape_runs_natively(self, network, graph, shape):
+        """The node program mirrors its schema where symbolic runs."""
+        if graph == "unit-path":
+            network = Network(path_graph(12))
+        shape = dict(shape)
+        initial = {min(network.nodes): shape.pop("initial_value", 0)}
+        algorithm = _GatedFlood(initial, **shape)
+        assert get_engine("symbolic").supports(network, algorithm)
+        symbolic, sparse = (
+            Simulator(network).run(algorithm, engine=engine)
+            for engine in ("symbolic", "sparse")
+        )
+        assert symbolic.report == sparse.report
+        assert symbolic.outputs == sparse.outputs
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {"add_edge_weight": False},
+            # A finite initial entry announced in initialize (round 0) ahead
+            # of its gate round base + value = 3.
+            {"initial_value": 3},
+            # Gated, a 0 at base 0 waits for round 1, one past base + value.
+            {"send_initial": "none"},
+            {"send_initial": "all"},
+        ],
+        ids=[
+            "add-edge-weight-off",
+            "initial-fires-early",
+            "initial-fires-late",
+            "send-initial-all",
+        ],
+    )
+    def test_declined_shape_runs_on_sparse(self, network, shape):
+        shape = dict(shape)
+        initial = {min(network.nodes): shape.pop("initial_value", 0)}
+        algorithm = _GatedFlood(initial, **shape)
+        assert not get_engine("symbolic").supports(network, algorithm)
+        with force_engine("symbolic"):
+            forced = Simulator(network).run(algorithm)
+        sparse = Simulator(network).run(algorithm, engine="sparse")
+        assert forced.report == sparse.report
+        assert forced.outputs == sparse.outputs
+
+    def test_round_limit_before_the_budget_matches_sparse(self, network):
+        from repro.congest.simulator import RoundLimitExceeded
+
+        algorithm = _GatedFlood({min(network.nodes): 0}, budget=50)
+        assert get_engine("symbolic").supports(network, algorithm)
+        messages = {}
+        for engine in ("symbolic", "sparse"):
+            with pytest.raises(RoundLimitExceeded) as excinfo:
+                Simulator(network, max_rounds=9).run(algorithm, engine=engine)
+            messages[engine] = str(excinfo.value)
+        assert messages["symbolic"] == messages["sparse"]
+
+    def test_non_positive_column_weight_raises(self, network):
+        class _ZeroWeights(_GatedFlood):
+            def message_schema(self):
+                return dataclasses.replace(
+                    super().message_schema(), column_weight=lambda column, weight: 0
+                )
+
+        with pytest.raises(ValueError, match="column_weight for column 0 returned 0"):
+            Simulator(network).run(
+                _ZeroWeights({min(network.nodes): 0}), engine="symbolic"
+            )
+
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            BoundedDistanceSsspAlgorithm(0, 30),
+            # Window L + 1 = 4 rounds per level with delays 0 and 7: the
+            # staggered windows leave idle gaps a quiescence halt stops in.
+            MultiSourceBoundedHopAlgorithm([0, 5], 1, 1.0, 2, [0, 7]),
+        ],
+        ids=["algorithm-2", "algorithm-3"],
+    )
+    def test_gated_quiescence_identical_on_every_engine(self, network, algorithm):
+        results = {}
+        for engine in ENGINES:
+            with force_engine(engine):
+                results[engine] = Simulator(network).run(
+                    algorithm, halt_on_quiescence=True
+                )
+        reference = results.pop("sparse")
+        for engine, result in results.items():
+            assert result.report == reference.report, engine
+            assert result.outputs == reference.outputs, engine

@@ -1,0 +1,164 @@
+"""The arrival-gated min-plus kernel: exact-int reference vs the SciPy backend.
+
+``KernelBackend.gated_minplus`` returns each column's bounded Dijkstra
+distances and the per-round message records of the broadcasts they imply.
+The heap implementation on exact ints is the reference; the SciPy backend
+batches columns into ``csgraph`` calls and vectorizes the histogram.  Both
+must agree exactly -- same row values *and* types, same records -- including
+multi-seed columns, directed weights, limits that cut a column off before
+its cap, strict-bandwidth violations, and inputs past float64's exact range.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.graphs import WeightedGraph, path_graph
+from repro.kernels import CSRGraph, available_backends, get_backend
+from repro.kernels.backend import GatedColumn, GatedRounds
+
+pytestmark = pytest.mark.kernels
+
+needs_scipy = pytest.mark.skipif(
+    "scipy" not in available_backends(), reason="SciPy backend not installed"
+)
+
+
+def _typed(rows):
+    """Rows with each value's type, so ``5`` and ``5.0`` differ."""
+    return [[(type(value), value) for value in row] for row in rows]
+
+
+def _both(csr, weights, columns, value_cap, bandwidth):
+    reference = get_backend("python").gated_minplus(
+        csr, weights, columns, value_cap, bandwidth
+    )
+    scipy = get_backend("scipy").gated_minplus(
+        csr, weights, columns, value_cap, bandwidth
+    )
+    assert _typed(scipy[0]) == _typed(reference[0])
+    assert scipy[1] == reference[1]
+    return reference
+
+
+def test_reference_on_a_weighted_path():
+    """Path 0 -2- 1 -3- 2 from node 0: values 0, 2, 5 broadcast in rounds
+    1, 3 and 6, each to every neighbor."""
+    csr = CSRGraph.from_graph(WeightedGraph(edges=[(0, 1, 2), (1, 2, 3)]))
+    column = GatedColumn(
+        group=0, seeds=((0, 0),), offset=1, relax_limit=10, fire_limit=10, overhead=7
+    )
+    rows, records = get_backend("python").gated_minplus(
+        csr, [csr.weights], [column], None, 64
+    )
+    assert rows == [[0], [2], [5]]
+    assert records == GatedRounds(
+        round=[1, 3, 6],
+        messages=[1, 2, 1],
+        bits=[8, 2 * 10, 11],
+        max_message_bits=[8, 10, 11],
+        edge_charge=[1, 1, 1],
+        violation_bits=[0, 0, 0],
+    )
+
+
+def test_reference_relaxes_boundary_entries_it_never_fires():
+    """A limit below the cap: entries past it take their best candidate from
+    an expanded neighbor, and entries past the fire limit stay silent."""
+    csr = CSRGraph.from_graph(path_graph(4))  # unit weights: 0-1-2-3
+    column = GatedColumn(
+        group=0, seeds=((0, 0),), offset=1, relax_limit=1, fire_limit=1, overhead=0
+    )
+    rows, records = get_backend("python").gated_minplus(
+        csr, [[1] * csr.num_directed_edges], [column], 5, 64
+    )
+    assert rows == [[0], [1], [2], [math.inf]]
+    assert records.round == [1, 2]
+
+
+@needs_scipy
+def test_first_violating_sender_in_node_order():
+    """Two senders over budget in one round: the record keeps the first in
+    node order, while the charge follows the largest."""
+    graph = WeightedGraph(edges=[(0, 1, 1), (1, 2, 1)])
+    csr = CSRGraph.from_graph(graph)
+    columns = [
+        GatedColumn(0, ((0, 0), (2, 0)), 1, 5, 5, 20),
+        GatedColumn(0, ((2, 0),), 1, 5, 5, 40),
+    ]
+    _, records = _both(csr, [csr.weights], columns, None, 16)
+    assert records.round[0] == 1
+    assert records.violation_bits[0] == 21  # node 0: one 21-bit entry
+    assert records.edge_charge[0] == math.ceil((21 + 41) / 16)  # node 2
+
+
+@needs_scipy
+def test_values_past_float64_stay_exact():
+    """Weights past 2**53 send the SciPy backend to the exact-int reference."""
+    huge = 2**53 + 1
+    csr = CSRGraph.from_graph(WeightedGraph(edges=[(0, 1, huge), (1, 2, 1)]))
+    column = GatedColumn(0, ((0, 0),), 1, 2**60, 2**60, 0)
+    rows, records = _both(csr, [csr.weights], [column], None, 10**6)
+    assert rows == [[0], [huge], [huge + 1]]
+    assert records.round == [1, huge + 1, huge + 2]
+
+
+@st.composite
+def gated_runs(draw):
+    """A random graph, directed weight vectors and gated columns."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    graph = WeightedGraph(nodes=range(n))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                graph.add_edge(u, v, draw(st.integers(min_value=1, max_value=9)))
+    csr = CSRGraph.from_graph(graph)
+    directed = st.lists(
+        st.integers(min_value=1, max_value=9),
+        min_size=csr.num_directed_edges,
+        max_size=csr.num_directed_edges,
+    )
+    weights = draw(st.lists(directed, min_size=1, max_size=3))
+    columns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        nodes = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+        relax_limit = draw(st.integers(min_value=-1, max_value=30))
+        columns.append(
+            GatedColumn(
+                group=draw(st.integers(0, len(weights) - 1)),
+                seeds=tuple(
+                    (node, draw(st.integers(min_value=0, max_value=12)))
+                    for node in nodes
+                ),
+                offset=draw(st.integers(min_value=1, max_value=6)),
+                relax_limit=relax_limit,
+                fire_limit=relax_limit + draw(st.integers(min_value=0, max_value=3)),
+                overhead=draw(st.integers(min_value=0, max_value=40)),
+            )
+        )
+    value_cap = draw(st.none() | st.integers(min_value=0, max_value=30))
+    bandwidth = draw(st.integers(min_value=8, max_value=200))
+    return csr, weights, columns, value_cap, bandwidth
+
+
+@needs_scipy
+@given(gated_runs())
+@settings(max_examples=200, deadline=None)
+def test_scipy_matches_reference(run):
+    _both(*run)
+
+
+@needs_scipy
+@given(gated_runs())
+@settings(max_examples=25, deadline=None)
+def test_scipy_matches_reference_above_float64_range(run):
+    """Shift every weight past 2**53: both backends must run exact ints."""
+    csr, weights, columns, value_cap, bandwidth = run
+    shifted = [[weight + 2**53 for weight in vector] for vector in weights]
+    columns = [
+        column._replace(relax_limit=2**54, fire_limit=2**54) for column in columns
+    ]
+    _both(csr, shifted, columns, None, bandwidth)
