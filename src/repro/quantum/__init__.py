@@ -16,10 +16,14 @@ quantum machinery behind that primitive:
   :class:`GateMatrix` values with NumPy interop).
 * :mod:`repro.quantum.grover` -- Grover search / amplitude amplification over
   an arbitrary marking oracle, with oracle-query counting; the predicate is
-  evaluated once per search to precompute a marked mask.
+  evaluated once per search, and the state is the exact two-class pair
+  ``(a_marked, a_unmarked)``, so an iteration costs O(1).
 * :mod:`repro.quantum.minmax` -- the Dürr-Høyer quantum minimum / maximum
-  finding algorithm built on Grover search, with the ``log(1/δ)``
-  success-amplification repetitions batched onto one amplitude matrix.
+  finding algorithm built on that search, with the ``log(1/δ)``
+  success-amplification repetitions run one after another on forked streams.
+
+Each search has a ``*_reference`` twin that runs the same control flow on a
+full backend statevector; the differential tests compare the two.
 
 Importing this package registers the available backends: the pure-Python
 fallback always, the NumPy backend only when NumPy imports.  ``import
@@ -66,6 +70,8 @@ from repro.quantum.grover import (
     GroverResult,
     grover_search,
     grover_search_unknown,
+    grover_search_reference,
+    grover_search_unknown_reference,
     grover_iterations,
     amplitude_amplification_success_probability,
     exhaustive_oracle,
@@ -74,6 +80,7 @@ from repro.quantum.minmax import (
     QuantumExtremumResult,
     quantum_maximum,
     quantum_minimum,
+    quantum_extremum_reference,
     expected_minmax_queries,
 )
 
@@ -101,11 +108,14 @@ __all__ = [
     "GroverResult",
     "grover_search",
     "grover_search_unknown",
+    "grover_search_reference",
+    "grover_search_unknown_reference",
     "grover_iterations",
     "amplitude_amplification_success_probability",
     "exhaustive_oracle",
     "QuantumExtremumResult",
     "quantum_maximum",
     "quantum_minimum",
+    "quantum_extremum_reference",
     "expected_minmax_queries",
 ]

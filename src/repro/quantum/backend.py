@@ -1,11 +1,10 @@
 """Backend registry for the statevector kernels.
 
 The quantum subsystem mirrors the CSR kernel layer
-(:mod:`repro.kernels.backend`): amplitude storage and every hot operation on
-it -- Hadamard walls, phase oracles from precomputed marked masks, Grover
-diffusion, single-qubit gates, probability sampling, and the batched
-amplitude-matrix steps the Dürr-Høyer repetitions run on -- live behind a
-small registry with two implementations:
+(:mod:`repro.kernels.backend`): amplitude storage and every operation on it
+-- Hadamard walls, phase oracles from precomputed marked masks, Grover
+diffusion, single-qubit gates, probability sampling -- live behind a small
+registry with two implementations:
 
 * ``"numpy"`` -- vectorized complex-array operations (registered only when
   NumPy is importable).
@@ -20,6 +19,11 @@ Selection order (first match wins), identical to the kernel layer:
    ``scipy`` resolves to ``numpy`` here because SciPy adds nothing over NumPy
    for dense statevectors),
 4. ``auto``: NumPy when available, otherwise pure Python.
+
+Backends serve :class:`~repro.quantum.statevector.StateVector` and the
+``*_reference`` twins of the searches.  The searches themselves
+(:mod:`repro.quantum.grover`, :mod:`repro.quantum.minmax`) run on an exact
+two-class amplitude state in shared code and need no backend at all.
 
 Backends must be *observationally identical*: same oracle-query counts, same
 iteration schedules, and -- because all measurement randomness flows through
@@ -57,11 +61,10 @@ _FORCED: Optional[str] = None
 class QuantumBackend:
     """Interface every statevector backend implements.
 
-    A *state* is an opaque length-``dim`` amplitude buffer (1-D); a *matrix*
-    is an opaque ``rows x dim`` batch of amplitude buffers.  Masks and value
-    tables are likewise backend-native -- create them through the backend and
-    pass them back only to the same backend.  All mutating operations work in
-    place and return the buffer for chaining.
+    A *state* is an opaque length-``dim`` amplitude buffer (1-D).  Masks are
+    likewise backend-native -- create them through the backend and pass them
+    back only to the same backend.  All mutating operations work in place and
+    return the buffer for chaining.
     """
 
     name: str = "abstract"
@@ -90,18 +93,10 @@ class QuantumBackend:
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
-    # Masks and value tables
+    # Masks
     # ------------------------------------------------------------------ #
     def as_mask(self, flags: Sequence[bool], dim: int):
         """A backend-native marked mask from ``flags`` (padded with False)."""
-        raise NotImplementedError
-
-    def as_value_table(self, values: Sequence[float]):
-        """A backend-native table of ``f``-values for threshold masks."""
-        raise NotImplementedError
-
-    def threshold_mask(self, table, threshold: float, maximize: bool, dim: int):
-        """Mask marking entries strictly better than ``threshold``."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
@@ -156,26 +151,6 @@ class QuantumBackend:
         The draw is normalised by the buffer's total mass, so slightly
         unnormalised states (floating-point drift) sample correctly.
         """
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------ #
-    # Batched amplitude matrices (Dürr-Høyer repetitions in lockstep)
-    # ------------------------------------------------------------------ #
-    def uniform_matrix(self, rows: int, dim: int, size: int):
-        """A ``rows x dim`` matrix of uniform superpositions over ``size``."""
-        raise NotImplementedError
-
-    def reset_uniform_rows(self, matrix, rows: Sequence[int], size: int):
-        """Re-prepare the listed rows as uniform superpositions in place."""
-        raise NotImplementedError
-
-    def grover_step_rows(self, matrix, masks, rows: Sequence[int], size: int):
-        """One Grover iteration (phase flip by ``masks[row]`` + diffusion)
-        applied in place to each listed row."""
-        raise NotImplementedError
-
-    def row_probabilities(self, matrix, row: int):
-        """Probability buffer of one row (feed to :meth:`sample_index`)."""
         raise NotImplementedError
 
 

@@ -9,8 +9,8 @@ element with probability ``1 - δ``.
 This module provides the sequential version of that primitive on an explicit
 search domain:
 
-* :func:`grover_search` runs the textbook Grover iteration on a state vector,
-  counting oracle queries, and returns the measured element.
+* :func:`grover_search` runs the textbook Grover iteration, counting oracle
+  queries, and returns the measured element.
 * :func:`grover_iterations` gives the optimal iteration count
   ``floor(pi/4 * sqrt(N/M))``.
 * :func:`amplitude_amplification_success_probability` gives the exact success
@@ -21,22 +21,34 @@ When the number of marked elements is unknown, :func:`grover_search_unknown`
 uses the standard exponential-guessing schedule (Boyer-Brassard-Høyer-Tapp),
 which is also what Dürr-Høyer minimum finding calls internally.
 
-The searches execute on raw backend amplitude buffers
-(:mod:`repro.quantum.backend`), and the marking *predicate is evaluated once
-per basis state per search* to precompute a marked mask -- each of the
-``O(sqrt(N))`` Grover iterations then applies the mask without re-invoking
-the predicate.  ``oracle_queries`` still counts phase-oracle *applications*
-(the quantum query complexity), exactly as before.
+**Two-class state.**  Every search starts from the uniform superposition over
+the first ``N`` basis states and applies a fixed marked set for the whole
+round, so the phase flip and the diffusion apply the same float operations to
+every marked amplitude, and the same ones to every unmarked amplitude.  The
+state is therefore exactly two numbers, ``(a_marked, a_unmarked)`` (padding
+states stay 0), and one Grover iteration costs O(1) instead of O(2^q).
+:func:`_amplify_and_measure` steps that pair and measures it with the same
+single inverse-CDF draw a statevector would use, bisecting over the prefix
+counts of the marked set.  No statevector backend is involved, so every
+backend gets the same outcomes by construction.
+
+The ``*_reference`` twins run the same control flow on a full statevector
+(:mod:`repro.quantum.backend`: ``uniform_state``, ``phase_flip``,
+``diffusion``, ``sample_index``); the differential tests and benchmarks
+compare the two.  The marking predicate is evaluated once per domain element
+per search; ``oracle_queries`` counts phase-oracle *applications* (the
+quantum query complexity) plus one classical check per BBHT round.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.quantum.backend import get_backend
-from repro.quantum.rng import RandomSource, as_quantum_rng
+from repro.quantum.rng import QuantumRng, RandomSource, as_quantum_rng
 
 __all__ = [
     "GroverResult",
@@ -44,8 +56,17 @@ __all__ = [
     "amplitude_amplification_success_probability",
     "grover_search",
     "grover_search_unknown",
+    "grover_search_reference",
+    "grover_search_unknown_reference",
     "exhaustive_oracle",
 ]
+
+#: ``amplify(size, marked, iterations, rng) -> (outcome, success_probability)``:
+#: run ``iterations`` Grover iterations from the uniform state over ``size``
+#: elements with the sorted index list ``marked`` as the oracle, then measure.
+Amplifier = Callable[[int, Sequence[int], int, QuantumRng], Tuple[int, float]]
+
+_BBHT_GROWTH = 6 / 5
 
 
 @dataclass
@@ -63,8 +84,8 @@ class GroverResult:
     iterations:
         Number of Grover iterations performed.
     success_probability:
-        The exact probability (from the final state vector) of measuring a
-        marked element, recorded before measurement.
+        The probability (from the final state) of measuring a marked
+        element, recorded before measurement.
     """
 
     outcome: int
@@ -116,54 +137,98 @@ def _num_qubits_for(domain_size: int) -> int:
     return max(1, math.ceil(math.log2(domain_size)))
 
 
-def _marked_flags(domain_size: int, dim: int, oracle: Callable[[int], bool]) -> list:
-    """Evaluate the predicate once per domain element (padding stays False)."""
-    flags = [False] * dim
-    for state in range(domain_size):
-        flags[state] = bool(oracle(state))
-    return flags
+def _is_marked(marked: Sequence[int], index: int) -> bool:
+    position = bisect_right(marked, index)
+    return position > 0 and marked[position - 1] == index
 
 
-def grover_search(
+def _amplify_and_measure(
+    size: int, marked: Sequence[int], iterations: int, rng: QuantumRng
+) -> Tuple[int, float]:
+    """Grover-iterate the two-class state ``iterations`` times, then measure.
+
+    ``marked`` is the sorted list of marked indices; its length, never a
+    caller's hint, is the marked count.  The measurement is one inverse-CDF
+    draw over the ``2**q``-dimensional register: the smallest index whose
+    cumulative probability exceeds the draw, clamped to the last (padding)
+    state when the draw reaches the total mass.
+    """
+    num_marked = len(marked)
+    num_unmarked = size - num_marked
+    a_marked = a_unmarked = 1 / math.sqrt(size)
+    for _ in range(iterations):
+        mean = (num_marked * -a_marked + num_unmarked * a_unmarked) / size
+        a_marked, a_unmarked = 2 * mean + a_marked, 2 * mean - a_unmarked
+    p_marked, p_unmarked = a_marked * a_marked, a_unmarked * a_unmarked
+    draw = rng.random() * (num_marked * p_marked + num_unmarked * p_unmarked)
+    # The cumulative mass through index i is p_marked * c + p_unmarked *
+    # (i + 1 - c), with c the marked count in [0, i].  Find the first marked
+    # index whose cumulative mass exceeds the draw, then the first index of
+    # the unmarked gap before it that already does (c is constant there).
+    gap = bisect_right(
+        range(num_marked),
+        draw,
+        key=lambda j: p_marked * (j + 1) + p_unmarked * (marked[j] - j),
+    )
+    low = marked[gap - 1] + 1 if gap else 0
+    high = marked[gap] if gap < num_marked else size
+    outcome = low + bisect_right(
+        range(low, high),
+        draw,
+        key=lambda index: p_marked * gap + p_unmarked * (index + 1 - gap),
+    )
+    if outcome == size:
+        outcome = 2 ** _num_qubits_for(size) - 1
+    return outcome, num_marked * p_marked
+
+
+def _statevector_amplifier(backend: Optional[str]) -> Amplifier:
+    """The reference amplifier: the same round on a full backend statevector.
+
+    The mask of the last marked list is kept, so a BBHT search (many rounds
+    on one list) builds it once.
+    """
+    engine = get_backend(backend)
+    cached = [None, None]  # [marked list, its mask]
+
+    def amplify(
+        size: int, marked: Sequence[int], iterations: int, rng: QuantumRng
+    ) -> Tuple[int, float]:
+        dim = 2 ** _num_qubits_for(size)
+        if cached[0] is not marked:
+            flags = [False] * dim
+            for index in marked:
+                flags[index] = True
+            cached[:] = [marked, engine.as_mask(flags, dim)]
+        mask = cached[1]
+        state = engine.uniform_state(dim, size)
+        for _ in range(iterations):
+            engine.phase_flip(state, mask)
+            engine.diffusion(state, size)
+        success_probability = float(engine.masked_probability(state, mask))
+        return engine.sample_index(engine.probabilities(state), rng), success_probability
+
+    return amplify
+
+
+def _marked_indices(domain_size: int, oracle: Callable[[int], bool]) -> list:
+    """Evaluate the predicate once per domain element, in index order."""
+    return [state for state in range(domain_size) if oracle(state)]
+
+
+def _grover_search(
     domain_size: int,
     oracle: Callable[[int], bool],
-    num_marked: Optional[int] = None,
-    rng: Optional[RandomSource] = None,
-    backend: Optional[str] = None,
+    num_marked: Optional[int],
+    rng: Optional[RandomSource],
+    amplify: Amplifier,
 ) -> GroverResult:
-    """Run Grover search over ``{0, ..., domain_size - 1}``.
-
-    Parameters
-    ----------
-    domain_size:
-        Size of the search domain (need not be a power of two).
-    oracle:
-        Predicate marking the good elements (evaluated once per domain
-        element to precompute the marked mask).
-    num_marked:
-        If known, the number of marked elements; the optimal iteration count
-        is used.  If ``None`` the count is taken from the precomputed mask
-        (the tests use this mode); for the unknown-count quantum schedule use
-        :func:`grover_search_unknown`.
-    rng:
-        Measurement randomness (seed / ``random.Random`` / NumPy generator /
-        :class:`~repro.quantum.rng.QuantumRng`).
-    backend:
-        Optional backend override (defaults to registry selection).
-
-    Returns
-    -------
-    GroverResult
-    """
     if domain_size < 1:
         raise ValueError("domain_size must be positive")
     rng = as_quantum_rng(rng)
-    engine = get_backend(backend)
-    num_qubits = _num_qubits_for(domain_size)
-    dim = 2**num_qubits
-    flags = _marked_flags(domain_size, dim, oracle)
+    marked = _marked_indices(domain_size, oracle)
     if num_marked is None:
-        num_marked = sum(flags)
+        num_marked = len(marked)
     if num_marked == 0:
         # Nothing to find; measuring the uniform superposition gives an
         # unmarked element and zero queries are spent.
@@ -175,25 +240,104 @@ def grover_search(
             iterations=0,
             success_probability=0.0,
         )
-
-    mask = engine.as_mask(flags, dim)
-    state = engine.uniform_state(dim, domain_size)
-
     iterations = grover_iterations(domain_size, num_marked)
-    queries = 0
-    for _ in range(iterations):
-        engine.phase_flip(state, mask)
-        queries += 1
-        engine.diffusion(state, domain_size)
-
-    success_probability = float(engine.masked_probability(state, mask))
-    outcome = engine.sample_index(engine.probabilities(state), rng)
+    outcome, success_probability = amplify(domain_size, marked, iterations, rng)
     return GroverResult(
         outcome=outcome,
-        is_marked=flags[outcome],
-        oracle_queries=queries,
+        is_marked=_is_marked(marked, outcome),
+        oracle_queries=iterations,
         iterations=iterations,
         success_probability=success_probability,
+    )
+
+
+def _bbht_search(
+    domain_size: int,
+    marked: Sequence[int],
+    rng: QuantumRng,
+    amplify: Amplifier,
+    growth: float = _BBHT_GROWTH,
+    max_rounds: Optional[int] = None,
+) -> GroverResult:
+    """The Boyer-Brassard-Høyer-Tapp schedule over a sorted marked list."""
+    ceiling = 1.0
+    total_queries = 0
+    rounds = 0
+    query_budget = math.ceil(9 * math.sqrt(domain_size)) + 10
+    if max_rounds is None:
+        max_rounds = 4 * math.ceil(math.log2(domain_size) + 1) + 10
+    last_outcome = 0
+    while rounds < max_rounds and total_queries <= query_budget:
+        rounds += 1
+        iterations = rng.randrange(int(ceiling)) if int(ceiling) >= 1 else 0
+        outcome, success_probability = amplify(domain_size, marked, iterations, rng)
+        total_queries += iterations
+        if outcome >= domain_size:
+            # Padding state measured (domain not a power of two); re-draw
+            # uniformly from the domain as the classical check candidate.
+            outcome = rng.randrange(domain_size)
+        last_outcome = outcome
+        total_queries += 1  # classical verification query
+        if _is_marked(marked, outcome):
+            return GroverResult(
+                outcome=outcome,
+                is_marked=True,
+                oracle_queries=total_queries,
+                iterations=rounds,
+                success_probability=success_probability,
+            )
+        ceiling = min(growth * ceiling, math.sqrt(domain_size))
+    return GroverResult(
+        outcome=last_outcome,
+        is_marked=_is_marked(marked, last_outcome),
+        oracle_queries=total_queries,
+        iterations=rounds,
+        success_probability=0.0,
+    )
+
+
+def grover_search(
+    domain_size: int,
+    oracle: Callable[[int], bool],
+    num_marked: Optional[int] = None,
+    rng: Optional[RandomSource] = None,
+) -> GroverResult:
+    """Run Grover search over ``{0, ..., domain_size - 1}``.
+
+    Parameters
+    ----------
+    domain_size:
+        Size of the search domain (need not be a power of two).
+    oracle:
+        Predicate marking the good elements (evaluated once per domain
+        element to precompute the marked set).
+    num_marked:
+        If known, the number of marked elements; the optimal iteration count
+        is used.  If ``None`` the count is taken from the precomputed set
+        (the tests use this mode); for the unknown-count quantum schedule use
+        :func:`grover_search_unknown`.  The amplitudes always follow the
+        actual marked set.
+    rng:
+        Measurement randomness (seed / ``random.Random`` / NumPy generator /
+        :class:`~repro.quantum.rng.QuantumRng`).
+
+    Returns
+    -------
+    GroverResult
+    """
+    return _grover_search(domain_size, oracle, num_marked, rng, _amplify_and_measure)
+
+
+def grover_search_reference(
+    domain_size: int,
+    oracle: Callable[[int], bool],
+    num_marked: Optional[int] = None,
+    rng: Optional[RandomSource] = None,
+    backend: Optional[str] = None,
+) -> GroverResult:
+    """:func:`grover_search` on a full statevector of the selected backend."""
+    return _grover_search(
+        domain_size, oracle, num_marked, rng, _statevector_amplifier(backend)
     )
 
 
@@ -201,9 +345,8 @@ def grover_search_unknown(
     domain_size: int,
     oracle: Callable[[int], bool],
     rng: Optional[RandomSource] = None,
-    growth: float = 6 / 5,
+    growth: float = _BBHT_GROWTH,
     max_rounds: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> GroverResult:
     """Grover search when the number of marked elements is unknown.
 
@@ -218,49 +361,29 @@ def grover_search_unknown(
     """
     if domain_size < 1:
         raise ValueError("domain_size must be positive")
-    rng = as_quantum_rng(rng)
-    engine = get_backend(backend)
-    num_qubits = _num_qubits_for(domain_size)
-    dim = 2**num_qubits
-    flags = _marked_flags(domain_size, dim, oracle)
-    mask = engine.as_mask(flags, dim)
+    marked = _marked_indices(domain_size, oracle)
+    return _bbht_search(
+        domain_size, marked, as_quantum_rng(rng), _amplify_and_measure, growth, max_rounds
+    )
 
-    ceiling = 1.0
-    total_queries = 0
-    rounds = 0
-    query_budget = math.ceil(9 * math.sqrt(domain_size)) + 10
-    if max_rounds is None:
-        max_rounds = 4 * math.ceil(math.log2(domain_size) + 1) + 10
-    last_outcome = 0
-    while rounds < max_rounds and total_queries <= query_budget:
-        rounds += 1
-        iterations = rng.randrange(int(ceiling)) if int(ceiling) >= 1 else 0
-        state = engine.uniform_state(dim, domain_size)
-        for _ in range(iterations):
-            engine.phase_flip(state, mask)
-            engine.diffusion(state, domain_size)
-        total_queries += iterations
-        outcome = engine.sample_index(engine.probabilities(state), rng)
-        if outcome >= domain_size:
-            # Padding state measured (domain not a power of two); re-draw
-            # uniformly from the domain as the classical check candidate.
-            outcome = rng.randrange(domain_size)
-        last_outcome = outcome
-        total_queries += 1  # classical verification query
-        if flags[outcome]:
-            success_probability = float(engine.masked_probability(state, mask))
-            return GroverResult(
-                outcome=outcome,
-                is_marked=True,
-                oracle_queries=total_queries,
-                iterations=rounds,
-                success_probability=success_probability,
-            )
-        ceiling = min(growth * ceiling, math.sqrt(domain_size))
-    return GroverResult(
-        outcome=last_outcome,
-        is_marked=flags[last_outcome],
-        oracle_queries=total_queries,
-        iterations=rounds,
-        success_probability=0.0,
+
+def grover_search_unknown_reference(
+    domain_size: int,
+    oracle: Callable[[int], bool],
+    rng: Optional[RandomSource] = None,
+    growth: float = _BBHT_GROWTH,
+    max_rounds: Optional[int] = None,
+    backend: Optional[str] = None,
+) -> GroverResult:
+    """:func:`grover_search_unknown` on a full statevector of the selected backend."""
+    if domain_size < 1:
+        raise ValueError("domain_size must be positive")
+    marked = _marked_indices(domain_size, oracle)
+    return _bbht_search(
+        domain_size,
+        marked,
+        as_quantum_rng(rng),
+        _statevector_amplifier(backend),
+        growth,
+        max_rounds,
     )

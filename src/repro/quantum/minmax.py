@@ -1,4 +1,4 @@
-"""Dürr-Høyer quantum minimum / maximum finding, batched across repetitions.
+"""Dürr-Høyer quantum minimum / maximum finding.
 
 The paper's algorithm needs to find an element with the *maximum* value of a
 function ``f`` (an approximate eccentricity) over a search domain, with only
@@ -17,15 +17,16 @@ analysis, far smaller in practice) the result is the true optimum with
 probability at least 1/2, and repeating ``O(log(1/δ))`` times boosts the
 success probability to ``1 - δ``.
 
-The ``log(1/δ)`` repetitions are *independent* runs, so this module executes
-them in lockstep on one batched ``repetitions x dim`` amplitude matrix
-(:meth:`~repro.quantum.backend.QuantumBackend.grover_step_rows`): each tick
-applies one Grover iteration to every run that still owes iterations in its
-current Boyer-Brassard-Høyer-Tapp round, which the NumPy backend turns into a
-handful of array sweeps instead of ``repetitions`` separate simulations.
-Each run draws from its own forked RNG stream, so the results -- thresholds,
-iteration schedules, measured outcomes, query counts -- are identical to
-running the repetitions one at a time, on every backend.
+The ``log(1/δ)`` repetitions are independent runs, executed one after
+another, each on its own forked RNG stream.  Each threshold search is the
+BBHT schedule of :mod:`repro.quantum.grover` on the exact two-class amplitude
+state, so a Grover iteration costs O(1).  The marked set is the sorted list
+of entries strictly better than the threshold, compared exactly in Python
+(no float cast, so tables beyond ``2**53`` are marked correctly); since the
+threshold only improves, each new marked set is filtered from the previous
+one.  :func:`quantum_extremum_reference` runs the same control flow on a full
+statevector and is what the differential tests and benchmarks compare
+against.
 
 Every evaluation of ``f`` is counted; the distributed layer multiplies these
 query counts by the measured round cost of one distributed evaluation, which
@@ -35,20 +36,26 @@ is exactly how Lemma 3.1's ``T0 + O(sqrt(log(1/δ)/ρ)) * T`` bound arises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+import operator
+from dataclasses import dataclass
+from itertools import compress, repeat
+from typing import Callable, Optional, Sequence
 
-from repro.quantum.backend import QuantumBackend, get_backend
+from repro.quantum.grover import (
+    Amplifier,
+    _amplify_and_measure,
+    _bbht_search,
+    _statevector_amplifier,
+)
 from repro.quantum.rng import QuantumRng, RandomSource, as_quantum_rng
 
 __all__ = [
     "QuantumExtremumResult",
     "quantum_minimum",
     "quantum_maximum",
+    "quantum_extremum_reference",
     "expected_minmax_queries",
 ]
-
-_BBHT_GROWTH = 6 / 5
 
 
 @dataclass
@@ -97,153 +104,42 @@ def expected_minmax_queries(domain_size: int, confidence: float = 0.9) -> float:
 
 
 @dataclass
-class _RunState:
-    """Dürr-Høyer state machine for one repetition (one matrix row)."""
+class _Run:
+    """The final state of one Dürr-Høyer repetition."""
 
-    rng: QuantumRng
-    threshold_index: int
-    threshold_value: float
-    outer_budget: int
-    search_budget: int
-    max_rounds: int
-    total_queries: int = 1  # evaluating the initial threshold
-    updates: int = 0
-    # Current BBHT search state.
-    ceiling: float = 1.0
-    rounds: int = 0
-    search_queries: int = 0
-    pending_iterations: int = 0
-    done: bool = False
-    needs_reset: bool = field(default=True, repr=False)
+    index: int
+    value: float
+    queries: int
+    updates: int
 
 
-class _BatchedExtremumSearch:
-    """Run ``repetitions`` independent Dürr-Høyer searches in lockstep."""
+def _extremum_run(
+    values: Sequence, rng: QuantumRng, better: Callable, outer_budget: int, amplify: Amplifier
+) -> _Run:
+    """One Dürr-Høyer repetition: BBHT threshold searches until a budget runs out.
 
-    def __init__(
-        self,
-        values: Sequence[float],
-        rng: QuantumRng,
-        maximize: bool,
-        query_budget: Optional[int],
-        repetitions: int,
-        backend: QuantumBackend,
-    ) -> None:
-        domain_size = len(values)
-        if domain_size == 0:
-            raise ValueError("cannot search an empty domain")
-        self.values = values
-        self.maximize = maximize
-        self.backend = backend
-        self.domain_size = domain_size
-        self.num_qubits = max(1, math.ceil(math.log2(domain_size)))
-        self.dim = 2**self.num_qubits
-        self.sqrt_n = math.sqrt(domain_size)
-        outer_budget = (
-            math.ceil(9 * self.sqrt_n) + 20 if query_budget is None else query_budget
-        )
-        search_budget = math.ceil(9 * self.sqrt_n) + 10
-        max_rounds = 4 * math.ceil(math.log2(domain_size) + 1) + 10
-        self.table = backend.as_value_table(values)
-        # One forked stream per run: the draw order within a run is exactly
-        # that of a sequential execution, so batching cannot change results.
-        self.runs: List[_RunState] = []
-        for child in rng.spawn(max(1, repetitions)):
-            threshold_index = child.randrange(domain_size)
-            self.runs.append(
-                _RunState(
-                    rng=child,
-                    threshold_index=threshold_index,
-                    threshold_value=values[threshold_index],
-                    outer_budget=outer_budget,
-                    search_budget=search_budget,
-                    max_rounds=max_rounds,
-                )
-            )
-        self.matrix = backend.uniform_matrix(len(self.runs), self.dim, domain_size)
-        self.masks = [self._mask_for(run) for run in self.runs]
-        for row, run in enumerate(self.runs):
-            self._begin_bbht_round(row, run)
-
-    # ------------------------------------------------------------------ #
-    def _mask_for(self, run: _RunState):
-        return self.backend.threshold_mask(
-            self.table, run.threshold_value, self.maximize, self.dim
-        )
-
-    def _better(self, run: _RunState, index: int) -> bool:
-        if self.maximize:
-            return self.values[index] > run.threshold_value
-        return self.values[index] < run.threshold_value
-
-    def _begin_bbht_round(self, row: int, run: _RunState) -> None:
-        """Start the next BBHT round, or finish the run if budgets are spent.
-
-        Mirrors :func:`~repro.quantum.grover.grover_search_unknown`: the round
-        and query budgets are checked before each round; a search that
-        exhausts them without finding an improvement ends the whole run (with
-        good probability the threshold is already optimal).
-        """
-        if run.rounds >= run.max_rounds or run.search_queries > run.search_budget:
-            run.total_queries += run.search_queries
-            run.done = True
-            return
-        run.rounds += 1
-        ceiling = int(run.ceiling)
-        run.pending_iterations = run.rng.randrange(ceiling) if ceiling >= 1 else 0
-        run.needs_reset = True
-
-    def _finish_bbht_round(self, row: int, run: _RunState) -> None:
-        """Measure the row, check the candidate classically, and transition."""
-        run.search_queries += 1  # classical verification query
-        probabilities = self.backend.row_probabilities(self.matrix, row)
-        outcome = self.backend.sample_index(probabilities, run.rng)
-        if outcome >= self.domain_size:
-            outcome = run.rng.randrange(self.domain_size)
-        if self._better(run, outcome):
-            # Threshold search succeeded: fold its queries into the outer
-            # total, move the threshold, and start a fresh search (or stop if
-            # the outer budget is spent).
-            run.total_queries += run.search_queries
-            run.threshold_index = outcome
-            run.threshold_value = self.values[outcome]
-            run.updates += 1
-            self.masks[row] = self._mask_for(run)
-            if run.total_queries >= run.outer_budget:
-                run.done = True
-                return
-            run.ceiling = 1.0
-            run.rounds = 0
-            run.search_queries = 0
-            self._begin_bbht_round(row, run)
-        else:
-            run.ceiling = min(_BBHT_GROWTH * run.ceiling, self.sqrt_n)
-            self._begin_bbht_round(row, run)
-
-    # ------------------------------------------------------------------ #
-    def execute(self) -> List[_RunState]:
-        backend, matrix = self.backend, self.matrix
-        while True:
-            active = [row for row, run in enumerate(self.runs) if not run.done]
-            if not active:
-                break
-            reset_rows = [row for row in active if self.runs[row].needs_reset]
-            if reset_rows:
-                backend.reset_uniform_rows(matrix, reset_rows, self.domain_size)
-                for row in reset_rows:
-                    self.runs[row].needs_reset = False
-            step_rows = [row for row in active if self.runs[row].pending_iterations > 0]
-            if step_rows:
-                backend.grover_step_rows(matrix, self.masks, step_rows, self.domain_size)
-                for row in step_rows:
-                    run = self.runs[row]
-                    run.pending_iterations -= 1
-                    run.search_queries += 1
-            for row in active:
-                run = self.runs[row]
-                if not run.done and run.pending_iterations == 0 and not run.needs_reset:
-                    self._finish_bbht_round(row, run)
-        return self.runs
+    A threshold search that exhausts its BBHT budget without an improvement
+    ends the run (with good probability the threshold is already optimal).
+    """
+    size = len(values)
+    index = rng.randrange(size)
+    threshold = values[index]
+    marked = list(compress(range(size), map(better, values, repeat(threshold))))
+    queries = 1  # evaluating the initial threshold
+    updates = 0
+    while True:
+        search = _bbht_search(size, marked, rng, amplify)
+        queries += search.oracle_queries
+        if not search.is_marked:
+            break
+        index, threshold = search.outcome, values[search.outcome]
+        updates += 1
+        if queries >= outer_budget:
+            break
+        # The threshold only improves, so the new marked set is a subset.
+        better_values = map(better, map(values.__getitem__, marked), repeat(threshold))
+        marked = list(compress(marked, better_values))
+    return _Run(index, threshold, queries, updates)
 
 
 def _quantum_extremum(
@@ -252,33 +148,30 @@ def _quantum_extremum(
     repetitions: int,
     query_budget: Optional[int],
     maximize: bool,
-    backend: Optional[str],
+    amplify: Amplifier,
 ) -> QuantumExtremumResult:
-    runs = _BatchedExtremumSearch(
-        values=values,
-        rng=as_quantum_rng(rng),
-        maximize=maximize,
-        query_budget=query_budget,
-        repetitions=repetitions,
-        backend=get_backend(backend),
-    ).execute()
+    size = len(values)
+    if size == 0:
+        raise ValueError("cannot search an empty domain")
+    better = operator.gt if maximize else operator.lt
+    outer_budget = (
+        math.ceil(9 * math.sqrt(size)) + 20 if query_budget is None else query_budget
+    )
+    runs = [
+        _extremum_run(values, child, better, outer_budget, amplify)
+        for child in as_quantum_rng(rng).spawn(max(1, repetitions))
+    ]
     best = runs[0]
-    total_queries = 0
-    total_updates = 0
-    for run in runs:
-        total_queries += run.total_queries
-        total_updates += run.updates
-        if (maximize and run.threshold_value > best.threshold_value) or (
-            not maximize and run.threshold_value < best.threshold_value
-        ):
+    for run in runs[1:]:
+        if better(run.value, best.value):
             best = run
     true_optimum = max(values) if maximize else min(values)
     return QuantumExtremumResult(
-        index=best.threshold_index,
-        value=best.threshold_value,
-        oracle_queries=total_queries,
-        threshold_updates=total_updates,
-        is_exact=bool(best.threshold_value == true_optimum),
+        index=best.index,
+        value=best.value,
+        oracle_queries=sum(run.queries for run in runs),
+        threshold_updates=sum(run.updates for run in runs),
+        is_exact=bool(best.value == true_optimum),
     )
 
 
@@ -287,7 +180,6 @@ def quantum_minimum(
     rng: Optional[RandomSource] = None,
     repetitions: int = 3,
     query_budget: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> QuantumExtremumResult:
     """Find (with high probability) the index of the minimum value.
 
@@ -302,16 +194,13 @@ def quantum_minimum(
         Randomness source (seed / ``random.Random`` / NumPy generator /
         :class:`~repro.quantum.rng.QuantumRng`).
     repetitions:
-        Number of independent runs, executed in lockstep on one batched
-        amplitude matrix; the best result is kept (standard success
-        amplification).
+        Number of independent runs, each on its own forked stream; the best
+        result is kept (standard success amplification).
     query_budget:
         Optional per-run query cap (defaults to ``~9 sqrt(N)``).
-    backend:
-        Optional backend override (defaults to registry selection).
     """
     return _quantum_extremum(
-        values, rng, repetitions, query_budget, maximize=False, backend=backend
+        values, rng, repetitions, query_budget, False, _amplify_and_measure
     )
 
 
@@ -320,7 +209,6 @@ def quantum_maximum(
     rng: Optional[RandomSource] = None,
     repetitions: int = 3,
     query_budget: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> QuantumExtremumResult:
     """Find (with high probability) the index of the maximum value.
 
@@ -328,5 +216,24 @@ def quantum_maximum(
     uses (the radius algorithm uses the minimum variant at the outer level).
     """
     return _quantum_extremum(
-        values, rng, repetitions, query_budget, maximize=True, backend=backend
+        values, rng, repetitions, query_budget, True, _amplify_and_measure
+    )
+
+
+def quantum_extremum_reference(
+    values: Sequence[float],
+    maximize: bool,
+    rng: Optional[RandomSource] = None,
+    repetitions: int = 3,
+    query_budget: Optional[int] = None,
+    backend: Optional[str] = None,
+) -> QuantumExtremumResult:
+    """:func:`quantum_maximum` / :func:`quantum_minimum` on a full statevector.
+
+    Same runs, draws and budgets, but every threshold search steps a
+    ``2**q``-amplitude state of the selected backend.  Slow by design: it is
+    the oracle the two-class path is tested and benchmarked against.
+    """
+    return _quantum_extremum(
+        values, rng, repetitions, query_budget, maximize, _statevector_amplifier(backend)
     )

@@ -20,7 +20,7 @@ from repro.quantum.rng import QuantumRng
 
 
 class NumpyQuantumBackend(QuantumBackend):
-    """Batched, vectorized implementation (preferred by ``auto``)."""
+    """Vectorized implementation (preferred by ``auto``)."""
 
     name = "numpy"
 
@@ -51,19 +51,6 @@ class NumpyQuantumBackend(QuantumBackend):
         mask = np.zeros(dim, dtype=bool)
         flags = np.asarray(flags, dtype=bool)
         mask[: flags.shape[0]] = flags
-        return mask
-
-    def as_value_table(self, values: Sequence[float]) -> np.ndarray:
-        return np.asarray(values, dtype=float)
-
-    def threshold_mask(
-        self, table: np.ndarray, threshold: float, maximize: bool, dim: int
-    ) -> np.ndarray:
-        mask = np.zeros(dim, dtype=bool)
-        if maximize:
-            mask[: table.shape[0]] = table > threshold
-        else:
-            mask[: table.shape[0]] = table < threshold
         return mask
 
     # ------------------------------------------------------------------ #
@@ -130,39 +117,6 @@ class NumpyQuantumBackend(QuantumBackend):
         draw = rng.random() * cumulative[-1]
         index = int(np.searchsorted(cumulative, draw, side="right"))
         return min(index, cumulative.shape[0] - 1)
-
-    # ------------------------------------------------------------------ #
-    def uniform_matrix(self, rows: int, dim: int, size: int) -> np.ndarray:
-        matrix = np.zeros((rows, dim), dtype=complex)
-        matrix[:, :size] = 1 / math.sqrt(size)
-        return matrix
-
-    def reset_uniform_rows(
-        self, matrix: np.ndarray, rows: Sequence[int], size: int
-    ) -> np.ndarray:
-        rows = list(rows)
-        matrix[rows, :] = 0.0
-        matrix[rows, :size] = 1 / math.sqrt(size)
-        return matrix
-
-    def grover_step_rows(
-        self,
-        matrix: np.ndarray,
-        masks: Sequence[np.ndarray],
-        rows: Sequence[int],
-        size: int,
-    ) -> np.ndarray:
-        for row in rows:
-            state = matrix[row]
-            mask = masks[row]
-            state[mask] = -state[mask]
-            mean = state[:size].sum() / size
-            state[:size] = 2 * mean - state[:size]
-            state[size:] = -state[size:]
-        return matrix
-
-    def row_probabilities(self, matrix: np.ndarray, row: int) -> np.ndarray:
-        return self.probabilities(matrix[row])
 
 
 register_backend(NumpyQuantumBackend())

@@ -1,11 +1,11 @@
 """Dependency-free statevector backend on plain ``list`` buffers.
 
-States are Python lists of ``complex``; matrices are lists of such lists;
-masks are lists of ``bool``.  Arithmetic mirrors the NumPy backend operation
-for operation -- same butterfly structure for gates, same sequential
-accumulation for sums, the same single inverse-CDF draw per measurement -- so
-the two backends agree on every observable and differ at most in the last
-floating-point bits of the amplitudes.
+States are Python lists of ``complex`` and masks are lists of ``bool``.
+Arithmetic mirrors the NumPy backend operation for operation -- same
+butterfly structure for gates, same sequential accumulation for sums, the
+same single inverse-CDF draw per measurement -- so the two backends agree on
+every observable and differ at most in the last floating-point bits of the
+amplitudes.
 """
 
 from __future__ import annotations
@@ -46,19 +46,6 @@ class PythonQuantumBackend(QuantumBackend):
     # ------------------------------------------------------------------ #
     def as_mask(self, flags: Sequence[bool], dim: int) -> List[bool]:
         mask = [bool(flag) for flag in flags]
-        mask.extend([False] * (dim - len(mask)))
-        return mask
-
-    def as_value_table(self, values: Sequence[float]) -> List[float]:
-        return [float(value) for value in values]
-
-    def threshold_mask(
-        self, table: List[float], threshold: float, maximize: bool, dim: int
-    ) -> List[bool]:
-        if maximize:
-            mask = [value > threshold for value in table]
-        else:
-            mask = [value < threshold for value in table]
         mask.extend([False] * (dim - len(mask)))
         return mask
 
@@ -151,33 +138,6 @@ class PythonQuantumBackend(QuantumBackend):
             if draw < accumulated:
                 return index
         return len(probabilities) - 1
-
-    # ------------------------------------------------------------------ #
-    def uniform_matrix(self, rows: int, dim: int, size: int) -> List[List[complex]]:
-        return [self.uniform_state(dim, size) for _ in range(rows)]
-
-    def reset_uniform_rows(
-        self, matrix: List[List[complex]], rows: Sequence[int], size: int
-    ) -> List[List[complex]]:
-        for row in rows:
-            matrix[row] = self.uniform_state(len(matrix[row]), size)
-        return matrix
-
-    def grover_step_rows(
-        self,
-        matrix: List[List[complex]],
-        masks: Sequence[List[bool]],
-        rows: Sequence[int],
-        size: int,
-    ) -> List[List[complex]]:
-        for row in rows:
-            state = matrix[row]
-            self.phase_flip(state, masks[row])
-            self.diffusion(state, size)
-        return matrix
-
-    def row_probabilities(self, matrix: List[List[complex]], row: int) -> List[float]:
-        return self.probabilities(matrix[row])
 
 
 register_backend(PythonQuantumBackend())

@@ -68,8 +68,9 @@ class TestQuantumMaximum:
 
 
 class TestBatchedRepetitions:
-    """The log(1/δ) repetitions run in lockstep on one amplitude matrix;
-    batching must not change any observable versus independent runs."""
+    """The log(1/δ) repetitions run one after another, each on its own
+    forked stream; adding repetitions only adds independent runs, and every
+    backend selection gives the same observables."""
 
     def test_batched_equals_sum_of_single_runs_queries(self):
         values = random_values(11, 60)
