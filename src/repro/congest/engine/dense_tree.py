@@ -30,11 +30,12 @@ guarantee across random, structured and single-node networks.
 
 from __future__ import annotations
 
+import copy
 import math
 import weakref
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.congest.algorithm import NodeAlgorithm, NodeContext
 from repro.congest.engine.schema import TreeSchema
@@ -70,6 +71,38 @@ class _Unsupported(ValueError):
 
 
 # --------------------------------------------------------------------------- #
+# Per-graph memo of topology-derived layouts
+# --------------------------------------------------------------------------- #
+#: Memoized layouts, per graph (by ``id``, evicted via ``weakref.finalize``
+#: when the graph dies -- :class:`WeightedGraph` is deliberately unhashable)
+#: and, within a graph, keyed by its mutation counter first:
+#:
+#: * ``(version, root)`` -> the explore-flood layering of :func:`_bfs_layers`
+#:   (``supports()`` and ``run()`` both need it, so one run would otherwise
+#:   walk the graph twice); ``None`` records a disconnected outcome;
+#: * ``(version, root, "tree")`` -> the :class:`_TreeMemo` of the last tree
+#:   with that root validated by :func:`_tree_arrays`.
+#:
+#: A topology mutation bumps the counter and drops every entry of the graph.
+_BFS_LAYER_CACHE: Dict[int, Dict[Tuple[Any, ...], Any]] = {}
+
+
+def _graph_memo(graph: Any, version: Any) -> Dict[Tuple[Any, ...], Any]:
+    """``graph``'s memo, emptied of entries from an older topology."""
+    memo = _BFS_LAYER_CACHE.get(id(graph))
+    if memo is None:
+        memo = _BFS_LAYER_CACHE[id(graph)] = {}
+        weakref.finalize(graph, _BFS_LAYER_CACHE.pop, id(graph), None)
+    elif any(key[0] != version for key in memo):
+        memo.clear()
+    return memo
+
+
+def _copy_map(mapping: Optional[Mapping[Any, Any]]) -> Optional[Dict[Any, Any]]:
+    return None if mapping is None else dict(mapping)
+
+
+# --------------------------------------------------------------------------- #
 # Shared tree validation (broadcast / convergecast / gather)
 # --------------------------------------------------------------------------- #
 @dataclass
@@ -86,16 +119,72 @@ class _TreeArrays:
 
 
 def _tree_arrays(network: Network, schema: TreeSchema) -> _TreeArrays:
-    """Validate ``schema``'s tree maps; raise :class:`_Unsupported` on any
-    shape the node program would not execute cleanly (wrong root, missing
-    nodes, non-edges, inconsistent depths/children), so such runs fall back
-    to the engines that interpret the program and fail *its* way.
+    """The validated layout of ``schema``'s declared tree; raises
+    :class:`_Unsupported` on any shape the node program would not execute
+    cleanly, so such runs fall back to the engines that interpret the
+    program and fail *its* way.
 
-    Deliberately *not* memoized (unlike the BFS layering): ``supports()``
-    and ``run()`` hand us distinct schema objects whose tree maps are plain
-    dicts -- no weakref anchor to key a cache on safely -- and one dict
-    sweep per call is noise next to the schedule construction it guards.
+    Memoized per graph beside the BFS layering (see :data:`_BFS_LAYER_CACHE`),
+    by (mutation counter, root), together with a snapshot of the declared
+    ``depth`` / ``parent`` / ``children`` maps.  A lookup hits only when the
+    schema's maps compare equal (``==``) to that snapshot -- a C-level dict
+    comparison, far cheaper than the validation sweep -- never on object
+    identity, so a tree mutated after validation, or a different tree with
+    the same root, is validated again and replaces the entry.  Invalid
+    trees are cached too and re-raise the same message.  The returned
+    layout is shared: callers treat it as read-only.
     """
+    graph = network.graph
+    version = getattr(graph, "_version", None)
+    if version is None:
+        return _validate_tree(network, schema)
+    memo = _graph_memo(graph, version)
+    key = (version, schema.root, "tree")
+    entry = memo.get(key)
+    if entry is None or not entry.matches(schema):
+        entry = _TreeMemo.validate(network, schema)
+        memo[key] = entry
+    if isinstance(entry.outcome, str):
+        raise _Unsupported(entry.outcome)
+    return entry.outcome
+
+
+@dataclass(frozen=True)
+class _TreeMemo:
+    """A snapshot of one declared tree's maps and its validation outcome:
+    the :class:`_TreeArrays`, or the :class:`_Unsupported` message."""
+
+    depth: Optional[Dict[int, int]]
+    parent: Optional[Dict[int, Optional[int]]]
+    children: Optional[Dict[int, Any]]
+    outcome: Union[_TreeArrays, str]
+
+    @classmethod
+    def validate(cls, network: Network, schema: TreeSchema) -> "_TreeMemo":
+        try:
+            outcome: Union[_TreeArrays, str] = _validate_tree(network, schema)
+        except _Unsupported as error:
+            outcome = str(error)
+        # Any other error (maps of the wrong type) propagated uncached.  The
+        # snapshot copies the children lists too: declarers mutate in place.
+        children = schema.children
+        if children is not None:
+            children = {node: copy.copy(kids) for node, kids in children.items()}
+        return cls(_copy_map(schema.depth), _copy_map(schema.parent), children, outcome)
+
+    def matches(self, schema: TreeSchema) -> bool:
+        return (
+            schema.depth == self.depth
+            and schema.parent == self.parent
+            and schema.children == self.children
+        )
+
+
+def _validate_tree(network: Network, schema: TreeSchema) -> _TreeArrays:
+    """Validate ``schema``'s tree maps against the topology and node order
+    (wrong root, missing nodes, non-edges, inconsistent depths/children
+    raise :class:`_Unsupported`); the uncached work behind
+    :func:`_tree_arrays`."""
     nodes = list(network.nodes)
     order = {node: i for i, node in enumerate(nodes)}
     root = schema.root
@@ -155,14 +244,6 @@ def _empty_plan(memory: Dict[int, Dict[str, Any]]) -> _TreePlan:
 # --------------------------------------------------------------------------- #
 # BFS-tree construction (flood-and-echo)
 # --------------------------------------------------------------------------- #
-#: Memoized explore-flood layerings: per graph (by ``id``, evicted via
-#: ``weakref.finalize`` when the graph dies -- :class:`WeightedGraph` is
-#: deliberately unhashable), by (mutation counter, root).  ``supports()``
-#: and ``run()`` both need the layering, so one run would otherwise walk the
-#: graph twice; ``None`` records a disconnected outcome.
-_BFS_LAYER_CACHE: Dict[int, Dict[Tuple[Any, int], Any]] = {}
-
-
 def _bfs_layers(
     network: Network, root: int
 ) -> Tuple[Dict[int, int], Dict[int, Optional[int]]]:
@@ -170,28 +251,18 @@ def _bfs_layers(
     :class:`_Unsupported` when the flood cannot span the topology."""
     graph = network.graph
     version = getattr(graph, "_version", None)
+    if version is None:
+        return _compute_bfs_layers(network, root)
+    memo = _graph_memo(graph, version)
     key = (version, root)
-    if version is not None:
-        per_graph = _BFS_LAYER_CACHE.get(id(graph))
-        if per_graph is not None and key in per_graph:
-            cached = per_graph[key]
-            if cached is None:
-                raise _Unsupported(
-                    "the topology is disconnected: the flood never ends"
-                )
-            return cached
-    try:
-        layering = _compute_bfs_layers(network, root)
-    except _Unsupported:
-        layering = None
-    if version is not None:
-        per_graph = _BFS_LAYER_CACHE.get(id(graph))
-        if per_graph is None:
-            per_graph = _BFS_LAYER_CACHE[id(graph)] = {}
-            weakref.finalize(graph, _BFS_LAYER_CACHE.pop, id(graph), None)
-        if any(entry[0] != version for entry in per_graph):
-            per_graph.clear()  # drop layerings of a mutated topology
-        per_graph[key] = layering
+    if key in memo:
+        layering = memo[key]
+    else:
+        try:
+            layering = _compute_bfs_layers(network, root)
+        except _Unsupported:
+            layering = None
+        memo[key] = layering
     if layering is None:
         raise _Unsupported("the topology is disconnected: the flood never ends")
     return layering

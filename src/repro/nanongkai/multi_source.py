@@ -101,13 +101,31 @@ class MultiSourceBoundedHopAlgorithm(NodeAlgorithm):
             for instance, level in keys
         )
 
+        infinite_row = [_INF] * len(keys)
+        own_columns: Dict[int, List[int]] = {}
+        for column, (instance, _level) in enumerate(keys):
+            own_columns.setdefault(sources[instance], []).append(column)
+
         def initial(node: int) -> List[float]:
-            return [
-                0 if node == sources[instance] else _INF for instance, _level in keys
-            ]
+            row = list(infinite_row)
+            for column in own_columns.get(node, ()):
+                row[column] = 0
+            return row
 
         def column_weight(column: int, weight: int) -> int:
             return rounded_weight(weight, hop_bound, epsilon, keys[column][1])
+
+        # Per column: (instance, source, scale back to real distances,
+        # whether the column is the final level).
+        columns = [
+            (
+                instance,
+                sources[instance],
+                epsilon * (2**level) / (2 * hop_bound),
+                level == levels - 1,
+            )
+            for instance, level in keys
+        ]
 
         def finalize(node: int, row: Any) -> Dict[str, Any]:
             # Rebuild the memory the node program leaves behind: the final
@@ -118,17 +136,14 @@ class MultiSourceBoundedHopAlgorithm(NodeAlgorithm):
             }
             current: List[float] = [_INF] * len(sources)
             announced: List[bool] = [False] * len(sources)
-            for column, (instance, level) in enumerate(keys):
-                value = row[column]
+            for value, (instance, source, scale, last) in zip(row, columns):
                 finite = not math.isinf(value)
-                if level == levels - 1:
+                if last:
                     current[instance] = int(value) if finite else _INF
                     announced[instance] = finite
                 if not finite:
                     continue
-                scale = epsilon * (2**level) / (2 * hop_bound)
                 rescaled = int(value) * scale
-                source = sources[instance]
                 if rescaled < best[source]:
                     best[source] = rescaled
             return {

@@ -258,8 +258,9 @@ class SkeletonApproximator:
         tree = self._embedding.tree
         # The leader collects S_i (pipelined gather of the membership bits)
         # and broadcasts the chosen source id.
+        skeleton = set(self._skeleton)
         membership = {
-            node: ([node] if node in set(self._skeleton) else [])
+            node: ([node] if node in skeleton else [])
             for node in self._network.nodes
         }
         _, gather_report = gather_values_to(

@@ -13,6 +13,8 @@ so any engine divergence is a correctness bug.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.congest import (
     CongestConfig,
@@ -441,6 +443,112 @@ def test_tree_runs_support_quiescence_halting(engine):
     )
     assert quiescent.report == plain.report
     assert quiescent.outputs == plain.outputs
+
+
+@st.composite
+def _networks_with_trees(draw):
+    """A connected random network (spanning tree plus chords), a root and
+    the BFS tree the protocol builds from it."""
+    num_nodes = draw(st.integers(min_value=4, max_value=9))
+    graph = WeightedGraph(nodes=range(num_nodes))
+    for node in range(1, num_nodes):
+        graph.add_edge(draw(st.integers(0, node - 1)), node, draw(st.integers(1, 9)))
+    for _ in range(draw(st.integers(0, num_nodes // 2))):
+        u = draw(st.integers(0, num_nodes - 1))
+        v = draw(st.integers(0, num_nodes - 1))
+        if u != v and not graph.has_edge(u, v):
+            graph.add_edge(u, v, draw(st.integers(1, 9)))
+    network = Network(graph)
+    tree, _ = build_bfs_tree(network, draw(st.sampled_from(network.nodes)))
+    return network, tree
+
+
+def _mutate_tree(draw, network, tree):
+    """Apply one random in-place mutation to ``tree``'s declared maps."""
+    nodes = network.nodes
+    inner = [node for node in nodes if tree.children[node]]
+    mutations = ["drop-child", "duplicate-child", "bump-depth"]
+    if any(len(tree.children[node]) > 1 for node in inner):
+        mutations.append("reorder-children")
+    strangers = [
+        (node, other)
+        for node in nodes
+        if node != tree.root
+        for other in nodes
+        if other != node and not network.graph.has_edge(node, other)
+    ]
+    if strangers:
+        mutations.append("reparent")
+    mutation = draw(st.sampled_from(mutations))
+    if mutation == "drop-child":
+        node = draw(st.sampled_from(inner))
+        tree.children[node].remove(draw(st.sampled_from(tree.children[node])))
+    elif mutation == "duplicate-child":
+        node = draw(st.sampled_from(inner))
+        tree.children[node].append(draw(st.sampled_from(tree.children[node])))
+    elif mutation == "bump-depth":
+        tree.depth[draw(st.sampled_from(nodes))] += 1
+    elif mutation == "reorder-children":
+        node = draw(st.sampled_from([n for n in inner if len(tree.children[n]) > 1]))
+        tree.children[node][:] = draw(st.permutations(tree.children[node]))
+    else:  # reparent onto a non-neighbour, keeping the maps consistent
+        node, other = draw(st.sampled_from(strangers))
+        tree.children[tree.parent[node]].remove(node)
+        tree.children[other].append(node)
+        tree.parent[node] = other
+        tree.depth[node] = tree.depth[other] + 1
+    return mutation
+
+
+@given(case=_networks_with_trees(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_tree_layout_memo_never_serves_a_mutated_tree(case, data):
+    """A tree primitive warms the tree-layout memo; the tree is then mutated
+    in place and run again.  Every engine must agree -- same outputs and
+    reports, or the same exception -- so the schema-driven engines must
+    notice the mutation rather than replay the layout they validated."""
+    from repro.congest.engine import get_engine
+    from repro.congest.primitives import (
+        _ConvergecastAlgorithm,
+        _TreeBroadcastAlgorithm,
+        _TreeGatherAlgorithm,
+    )
+
+    network, tree = case
+    nodes = network.nodes
+    kind = data.draw(st.sampled_from(["broadcast", "convergecast", "gather"]))
+    make = {
+        "broadcast": lambda: _TreeBroadcastAlgorithm(tree, ["a", 7, "c"]),
+        "convergecast": lambda: _ConvergecastAlgorithm(
+            tree, {node: node % 3 for node in nodes}, max
+        ),
+        "gather": lambda: _TreeGatherAlgorithm(
+            tree, {node: [node] * (node % 3) for node in nodes}
+        ),
+    }[kind]
+    max_rounds = 6 * len(nodes) + 10
+
+    def outcomes():
+        seen = {}
+        for engine in ENGINES:
+            with force_engine(engine):
+                try:
+                    result = Simulator(network, max_rounds=max_rounds).run(make())
+                except Exception as error:  # compared across engines below
+                    seen[engine] = (type(error).__name__, str(error))
+                else:
+                    seen[engine] = (result.outputs, result.report)
+        return seen
+
+    def assert_agree(seen, label):
+        reference = seen["sparse"]
+        for engine, outcome in seen.items():
+            assert outcome == reference, f"{label}: {engine} diverges from sparse"
+
+    assert get_engine("symbolic").supports(network, make())  # memo warm
+    assert_agree(outcomes(), "valid tree")
+    mutation = _mutate_tree(data.draw, network, tree)
+    assert_agree(outcomes(), mutation)
 
 
 def test_bounded_distance_sssp_with_initial_memory_identical():
