@@ -29,6 +29,7 @@ import contextlib
 import heapq
 import math
 import os
+import random
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.kernels.csr import CSRGraph
@@ -92,11 +93,12 @@ class GatedRounds(NamedTuple):
 class KernelBackend:
     """Interface every kernel backend implements.
 
-    All methods work in *index space*: sources are dense indices into
-    ``csr.nodes`` and results are sequences of ``n`` floats per source, with
-    ``math.inf`` (or ``numpy.inf``) marking unreachable nodes.  The public
-    wrappers in :mod:`repro.kernels.api` translate labels and normalise the
-    output types.
+    The shortest-path methods work in *index space*: sources are dense
+    indices into ``csr.nodes`` and results are sequences of ``n`` floats per
+    source, with ``math.inf`` (or ``numpy.inf``) marking unreachable nodes.
+    The public wrappers in :mod:`repro.kernels.api` translate labels and
+    normalise the output types.  :meth:`skeleton_sets` samples Theorem 1.1's
+    skeleton sets for :func:`repro.nanongkai.sample_skeleton_sets`.
     """
 
     name: str = "abstract"
@@ -207,6 +209,34 @@ class KernelBackend:
                 field.append(value)
         rows = [list(row) for row in zip(*table)] if table else [[] for _ in range(n)]
         return rows, records
+
+    def skeleton_sets(
+        self,
+        nodes: Sequence[Any],
+        probability: float,
+        num_sets: int,
+        rng: random.Random,
+        ensure_nonempty: bool,
+    ) -> List[List[Any]]:
+        """``num_sets`` sorted subsets of ``nodes``, each node joining each
+        set when its ``rng.random()`` draw is below ``probability``.
+
+        Works on node labels, not indices.  Draws are taken node by node,
+        set by set; an empty set is patched with
+        ``nodes[rng.randrange(len(nodes))]`` when ``ensure_nonempty`` (the
+        caller guarantees ``nodes`` is then non-empty).  ``rng`` is left
+        after the last draw.
+
+        This loop is the reference; an override must consume ``rng``'s
+        stream identically and return the same sets.
+        """
+        sets: List[List[Any]] = []
+        for _ in range(num_sets):
+            members = [node for node in nodes if rng.random() < probability]
+            if not members and ensure_nonempty:
+                members = [nodes[rng.randrange(len(nodes))]]
+            sets.append(sorted(members))
+        return sets
 
 
 def register_backend(backend: KernelBackend) -> None:

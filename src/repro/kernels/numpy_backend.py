@@ -26,7 +26,8 @@ that range, so results are bit-for-bit identical to the pure-Python backend.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import random
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
@@ -129,6 +130,50 @@ class NumpyBackend(KernelBackend):
         self, csr: CSRGraph, sources: Sequence[int], max_hops: int
     ) -> List[np.ndarray]:
         return list(self._relax(csr, sources, max_hops))
+
+    # ------------------------------------------------------------------ #
+    def skeleton_sets(
+        self,
+        nodes: Sequence[Any],
+        probability: float,
+        num_sets: int,
+        rng: random.Random,
+        ensure_nonempty: bool,
+    ) -> List[List[Any]]:
+        # ``rng``'s Mersenne Twister state runs on in a legacy RandomState:
+        # its ``random_sample`` and CPython's ``random()`` both return
+        # genrand_res53 doubles (two 32-bit words each), so one vector of
+        # ``n`` draws is exactly the reference's ``n`` calls.  The state goes
+        # back to ``rng`` around the rare ``randrange`` patch and at the end.
+        n = len(nodes)
+        stream = np.random.RandomState(0)
+        _load_state(stream, rng)
+        sets: List[List[Any]] = []
+        for _ in range(num_sets):
+            hits = np.flatnonzero(stream.random_sample(n) < probability)
+            members = [nodes[index] for index in hits.tolist()]
+            if not members and ensure_nonempty:
+                _store_state(stream, rng)
+                members = [nodes[rng.randrange(n)]]
+                _load_state(stream, rng)
+            sets.append(sorted(members))
+        _store_state(stream, rng)
+        return sets
+
+
+def _load_state(stream: np.random.RandomState, rng: random.Random) -> None:
+    """Continue ``rng``'s MT19937 stream in ``stream``."""
+    internal = rng.getstate()[1]
+    stream.set_state(
+        ("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1])
+    )
+
+
+def _store_state(stream: np.random.RandomState, rng: random.Random) -> None:
+    """Hand ``stream``'s MT19937 position back to ``rng``."""
+    version, _, gauss_next = rng.getstate()
+    _, key, position = stream.get_state()[:3]
+    rng.setstate((version, tuple(key.tolist()) + (position,), gauss_next))
 
 
 register_backend(NumpyBackend())

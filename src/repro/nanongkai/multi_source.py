@@ -112,8 +112,15 @@ class MultiSourceBoundedHopAlgorithm(NodeAlgorithm):
                 row[column] = 0
             return row
 
+        # The columns of one level share their rounded weights.
+        rounded: Dict[Tuple[int, int], int] = {}
+
         def column_weight(column: int, weight: int) -> int:
-            return rounded_weight(weight, hop_bound, epsilon, keys[column][1])
+            key = (keys[column][1], weight)
+            value = rounded.get(key)
+            if value is None:
+                value = rounded[key] = rounded_weight(weight, hop_bound, epsilon, key[0])
+            return value
 
         # Per column: (instance, source, scale back to real distances,
         # whether the column is the final level).

@@ -18,6 +18,7 @@ layer can apply Lemma 3.1 with measured ``T0`` and ``T``.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -30,6 +31,7 @@ from repro.congest.primitives import (
 )
 from repro.congest.simulator import RoundReport
 from repro.graphs.shortest_paths import INFINITY
+from repro.kernels import get_backend
 from repro.nanongkai.multi_source import multi_source_bounded_hop_protocol
 from repro.nanongkai.overlay import (
     OverlayEmbedding,
@@ -106,20 +108,25 @@ def sample_skeleton_sets(
         random node so downstream code never deals with empty skeletons; the
         event has negligible probability at the paper's parameter settings
         and the patch does not affect the approximation guarantee.
+
+    The draws run through the kernel backend's
+    :meth:`~repro.kernels.KernelBackend.skeleton_sets`; every backend
+    returns the same sets for the same seed.  Raises ``ValueError`` for
+    ``num_sets < 1``, a NaN or non-positive ``expected_size``, and an empty
+    ``nodes`` with ``ensure_nonempty``.
     """
     if num_sets < 1:
         raise ValueError("num_sets must be at least 1")
+    if math.isnan(expected_size):
+        raise ValueError("expected_size must not be NaN")
     if expected_size <= 0:
         raise ValueError("expected_size must be positive")
-    rng = random.Random(seed)
+    if not nodes and ensure_nonempty:
+        raise ValueError("cannot patch an empty skeleton set from an empty node set")
     probability = min(1.0, expected_size / max(1, len(nodes)))
-    sets: List[List[int]] = []
-    for _ in range(num_sets):
-        members = [node for node in nodes if rng.random() < probability]
-        if not members and ensure_nonempty:
-            members = [nodes[rng.randrange(len(nodes))]]
-        sets.append(sorted(members))
-    return sets
+    return get_backend().skeleton_sets(
+        nodes, probability, num_sets, random.Random(seed), ensure_nonempty
+    )
 
 
 def approximate_distance_via_skeleton(
@@ -218,6 +225,7 @@ class SkeletonApproximator:
         self._initialization_report = composer.report()
 
         self._setup_cache: Dict[int, _SetupResult] = {}
+        self._gather_report: Optional[RoundReport] = None
         self._evaluation_report: Optional[RoundReport] = None
 
     # ------------------------------------------------------------------ #
@@ -257,16 +265,18 @@ class SkeletonApproximator:
         composer = PipelineComposer("skeleton-setup")
         tree = self._embedding.tree
         # The leader collects S_i (pipelined gather of the membership bits)
-        # and broadcasts the chosen source id.
-        skeleton = set(self._skeleton)
-        membership = {
-            node: ([node] if node in skeleton else [])
-            for node in self._network.nodes
-        }
-        _, gather_report = gather_values_to(
-            self._network, tree.root, membership, tree=tree
-        )
-        composer.add("gather-membership", gather_report)
+        # and broadcasts the chosen source id.  The gather does not depend on
+        # the source, so it is simulated once and charged to every Setup.
+        if self._gather_report is None:
+            skeleton = set(self._skeleton)
+            membership = {
+                node: ([node] if node in skeleton else [])
+                for node in self._network.nodes
+            }
+            _, self._gather_report = gather_values_to(
+                self._network, tree.root, membership, tree=tree
+            )
+        composer.add("gather-membership", self._gather_report)
         _, announce_report = broadcast_from(
             self._network, tree.root, source, tree=tree
         )

@@ -7,8 +7,12 @@ import math
 import pytest
 
 from repro.congest import Network, RoundReport
+from repro.congest.primitives import broadcast_from, gather_values_to
 from repro.graphs import dijkstra, eccentricity, random_weighted_graph
+from repro.kernels import available_backends, force_backend
 from repro.nanongkai import SkeletonApproximator, sample_skeleton_sets
+from repro.nanongkai import skeleton as skeleton_module
+from repro.nanongkai.overlay import overlay_sssp_protocol
 from repro.nanongkai.skeleton import (
     PipelineComposer,
     approximate_distance_via_skeleton,
@@ -49,6 +53,21 @@ class TestSampling:
             sample_skeleton_sets([1, 2], 3, 0)
         with pytest.raises(ValueError):
             sample_skeleton_sets([1, 2], 0, 3)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_nan_expected_size_rejected(self, backend):
+        # min(1.0, nan) is 1.0: unchecked, NaN would put every node in
+        # every set.
+        with force_backend(backend):
+            with pytest.raises(ValueError, match="expected_size must not be NaN"):
+                sample_skeleton_sets(list(range(10)), math.nan, 3)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_empty_nodes_with_patch_rejected(self, backend):
+        with force_backend(backend):
+            with pytest.raises(ValueError, match="empty node set"):
+                sample_skeleton_sets([], 2.0, 3)
+            assert sample_skeleton_sets([], 2.0, 3, ensure_nonempty=False) == [[], [], []]
 
 
 class TestCombineHelper:
@@ -123,6 +142,45 @@ class TestSkeletonApproximator:
         first = approx.setup_report()
         second = approx.setup_report()
         assert first is second
+
+    def test_setup_gathers_membership_once(self, approximator, monkeypatch):
+        """The source-independent gather runs once per approximator, and
+        every Setup still charges it."""
+        network, _ = approximator
+        calls = []
+
+        def counting_gather(*args, **kwargs):
+            calls.append(args)
+            return gather_values_to(*args, **kwargs)
+
+        monkeypatch.setattr(skeleton_module, "gather_values_to", counting_gather)
+        approx = SkeletonApproximator(
+            network, [0, 3, 8, 12, 16, 20], epsilon=0.5, hop_bound=30, k=3, seed=7
+        )
+        sources = approx.skeleton[:2]
+        reports = [approx.setup_report(source) for source in sources]
+        assert len(calls) == 1
+
+        tree = approx.embedding.tree
+        members = set(approx.skeleton)
+        membership = {
+            node: ([node] if node in members else []) for node in network.nodes
+        }
+        for source, report in zip(sources, reports):
+            composer = PipelineComposer("skeleton-setup")
+            composer.add(
+                "gather-membership",
+                gather_values_to(network, tree.root, membership, tree=tree)[1],
+            )
+            composer.add(
+                "announce-source",
+                broadcast_from(network, tree.root, source, tree=tree)[1],
+            )
+            composer.add(
+                "overlay-sssp",
+                overlay_sssp_protocol(network, approx.embedding, source, 0.5)[1],
+            )
+            assert report.to_json() == composer.report().to_json()
 
     def test_evaluation_report_is_cheap(self, approximator):
         _, approx = approximator
