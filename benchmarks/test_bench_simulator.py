@@ -278,6 +278,9 @@ def _tree_primitive_sweep():
         received, broadcast_report = broadcast_values_from(
             network, root, values, tree=tree
         )
+        # Engines may build per-node outputs on first read: read them here,
+        # inside the timed call, so every engine pays for what is compared.
+        received = dict(received)
         collected, gather_report = gather_values_to(
             network, root, gather_records, tree=tree
         )

@@ -21,7 +21,8 @@ whole schedule up front and replays only the *accounting*:
    ``max_edge ceil(bits / B)``, the strict-bandwidth first-violation error
    text, and the round-limit failure mode;
 3. a per-kind finalizer rebuilds every node's memory as the node program
-   would have left it, so outputs and contexts are engine-independent.
+   would have left it, so outputs and contexts are engine-independent; it
+   runs only when the result's outputs or contexts are first read.
 
 All derivations mirror ``repro.congest.primitives`` statement by statement;
 ``tests/congest/test_engine_differential.py`` pins the bit-identical
@@ -47,7 +48,7 @@ from repro.congest.engine.types import (
 from repro.congest.message import Message, message_size_bits
 from repro.congest.network import Network
 
-__all__ = ["tree_supports", "run_tree"]
+__all__ = ["tree_supports", "run_tree", "final_state"]
 
 #: ``materialize(t)`` -> ``[(sender, receiver, payload), ...]`` in enqueue order.
 _Materializer = Callable[[int], List[Tuple[int, int, Tuple[Any, ...]]]]
@@ -63,7 +64,8 @@ class _TreePlan:
     max_message: List[int]
     max_edge: List[int]
     materialize: _Materializer
-    memory: Dict[int, Dict[str, Any]]
+    #: Builds every node's final memory; called only when contexts are read.
+    memory: Callable[[], Dict[int, Dict[str, Any]]]
 
 
 class _Unsupported(ValueError):
@@ -229,7 +231,7 @@ def _validate_tree(network: Network, schema: TreeSchema) -> _TreeArrays:
     )
 
 
-def _empty_plan(memory: Dict[int, Dict[str, Any]]) -> _TreePlan:
+def _empty_plan(memory: Callable[[], Dict[int, Dict[str, Any]]]) -> _TreePlan:
     return _TreePlan(
         rounds=0,
         msgs=[],
@@ -438,7 +440,9 @@ def _bfs_plan(network: Network, schema: TreeSchema, word_bits: int) -> _TreePlan
         }
         for node in nodes
     }
-    return _TreePlan(rounds, msgs, bits, max_message, max_edge, materialize, memory)
+    return _TreePlan(
+        rounds, msgs, bits, max_message, max_edge, materialize, lambda: memory
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -465,7 +469,7 @@ def _broadcast_plan(network: Network, schema: TreeSchema, word_bits: int) -> _Tr
         return memory
 
     if k == 0 or height == 0:
-        return _empty_plan(final_memory())
+        return _empty_plan(final_memory)
 
     bc_bits = [
         message_size_bits(("bc", i, values[i]), tag=schema.tag, word_bits=word_bits)
@@ -513,7 +517,7 @@ def _broadcast_plan(network: Network, schema: TreeSchema, word_bits: int) -> _Tr
         return out
 
     return _TreePlan(
-        rounds, msgs, bits, max_message, max_edge, materialize, final_memory()
+        rounds, msgs, bits, max_message, max_edge, materialize, final_memory
     )
 
 
@@ -559,7 +563,7 @@ def _convergecast_plan(
 
     rounds = emit[tree.root]
     if rounds == 0:
-        return _empty_plan(memory)
+        return _empty_plan(lambda: memory)
 
     msgs = [0] * rounds
     bits = [0] * rounds
@@ -586,7 +590,9 @@ def _convergecast_plan(
             if node != tree.root and emit[node] == t
         ]
 
-    return _TreePlan(rounds, msgs, bits, max_message, max_edge, materialize, memory)
+    return _TreePlan(
+        rounds, msgs, bits, max_message, max_edge, materialize, lambda: memory
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -698,7 +704,9 @@ def _gather_plan(
             for sender, receiver, payload, _ in sends_by_t[t]
         ]
 
-    return _TreePlan(rounds, msgs, bits, max_message, max_edge, materialize, memory)
+    return _TreePlan(
+        rounds, msgs, bits, max_message, max_edge, materialize, lambda: memory
+    )
 
 
 # --------------------------------------------------------------------------- #
@@ -811,14 +819,32 @@ def run_tree(
                 ],
             )
 
-    contexts: Dict[int, NodeContext] = {}
-    for node in network.nodes:
-        ctx = NodeContext(node=node, network=network)
-        ctx.memory.update(plan.memory[node])
-        ctx._halted = True
-        contexts[node] = ctx
-    outputs = {node: algorithm.output(contexts[node]) for node in network.nodes}
-    return SimulationResult(outputs=outputs, report=report, contexts=contexts)
+    return SimulationResult(
+        None, report, build=final_state(network, algorithm, plan.memory)
+    )
+
+
+def final_state(
+    network: Network,
+    algorithm: NodeAlgorithm,
+    memory: Callable[[], Dict[int, Dict[str, Any]]],
+) -> Callable[[], Tuple[Dict[int, Any], Dict[int, NodeContext]]]:
+    """A :class:`SimulationResult` builder: halted contexts holding each
+    node's ``memory()`` entry, for the network's nodes as of now, and their
+    outputs."""
+    nodes = list(network.nodes)
+
+    def build() -> Tuple[Dict[int, Any], Dict[int, NodeContext]]:
+        final = memory()
+        contexts: Dict[int, NodeContext] = {}
+        for node in nodes:
+            ctx = NodeContext(node=node, network=network)
+            ctx.memory.update(final[node])
+            ctx._halted = True
+            contexts[node] = ctx
+        return {node: algorithm.output(contexts[node]) for node in nodes}, contexts
+
+    return build
 
 
 def _raise_first_violation(

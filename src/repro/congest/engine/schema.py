@@ -126,6 +126,11 @@ class MinPlusSchema:
         the rounded weights ``w_i``).  Must be deterministic and return
         integers ``>= 1``; the symbolic engine raises ``ValueError``
         otherwise.
+    column_groups:
+        Optional per-column label of the weight map the column shares
+        (Algorithm 3: the column's level).  Columns with one label must map
+        every weight identically; ``column_weight`` is then applied only to
+        the first column of each label.
     flatten_keys:
         When ``True``, tuple keys are splatted into the payload --
         ``(label, *key, value)`` -- matching protocols whose announcements
@@ -146,6 +151,7 @@ class MinPlusSchema:
     column_windows: Optional[Tuple[Tuple[int, int], ...]] = None
     weight_memory_key: Optional[str] = None
     column_weight: Optional[Callable[[int, int], int]] = None
+    column_groups: Optional[Tuple[Any, ...]] = None
     flatten_keys: bool = False
 
     def __post_init__(self) -> None:
@@ -155,20 +161,20 @@ class MinPlusSchema:
                 "column_windows",
                 "weight_memory_key",
                 "column_weight",
+                "column_groups",
             ):
                 if getattr(self, name) is not None:
                     raise ValueError(
                         f"MinPlusSchema.{name} is only meaningful with "
                         f"arrival_gated=True"
                     )
-        if (
-            self.column_windows is not None
-            and len(self.column_windows) != self.num_columns
-        ):
-            raise ValueError(
-                f"schema declares {len(self.column_windows)} column "
-                f"windows for {self.num_columns} columns"
-            )
+        for name in ("column_windows", "column_groups"):
+            declared = getattr(self, name)
+            if declared is not None and len(declared) != self.num_columns:
+                raise ValueError(
+                    f"schema declares {len(declared)} {name.replace('_', ' ')} "
+                    f"for {self.num_columns} columns"
+                )
 
     @property
     def num_columns(self) -> int:

@@ -47,9 +47,9 @@ Python ints, so weights of any size are exact.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.congest.algorithm import NodeAlgorithm, NodeContext
+from repro.congest.algorithm import NodeAlgorithm
 from repro.congest.engine import dense_tree
 from repro.congest.engine.base import ExecutionEngine, get_engine, register_engine
 from repro.congest.engine.schema import (
@@ -162,33 +162,30 @@ class SymbolicEngine(ExecutionEngine):
         if isinstance(schema, BroadcastReplaySchema):
             report = broadcast_replay_report(schema, network.word_bits)
             report.protocol = algorithm.name
-            contexts = _final_contexts(network, initial_memory, None, None)
-            outputs = {
-                node: algorithm.output(contexts[node]) for node in network.nodes
-            }
-            return SimulationResult(
-                outputs=outputs, report=report, contexts=contexts
+            schema = dist = None
+        else:
+            if isinstance(schema, TreeSchema):
+                schema = schema.flood
+            dist, active, last_round = _minplus_closed_form(
+                network, algorithm.name, schema, max_rounds, initial_memory
             )
-        if isinstance(schema, TreeSchema):
-            schema = schema.flood
-        dist, active, last_round = _minplus_closed_form(
-            network, algorithm.name, schema, max_rounds, initial_memory
+            report = RoundReport(
+                rounds=last_round,
+                congested_rounds=last_round
+                + sum(active.edge_charge)
+                - len(active.round),
+                total_messages=sum(active.messages),
+                total_bits=sum(active.bits),
+                max_message_bits=max(active.max_message_bits, default=0),
+                protocol=algorithm.name,
+            )
+        memory = _final_memory(network, initial_memory, schema, dist)
+        return SimulationResult(
+            None,
+            report,
+            table=dist,
+            build=dense_tree.final_state(network, algorithm, memory),
         )
-        report = RoundReport(
-            rounds=last_round,
-            congested_rounds=last_round
-            + sum(active.edge_charge)
-            - len(active.round),
-            total_messages=sum(active.messages),
-            total_bits=sum(active.bits),
-            max_message_bits=max(active.max_message_bits, default=0),
-            protocol=algorithm.name,
-        )
-        contexts = _final_contexts(network, initial_memory, schema, dist)
-        outputs = {
-            node: algorithm.output(contexts[node]) for node in network.nodes
-        }
-        return SimulationResult(outputs=outputs, report=report, contexts=contexts)
 
 
 def _minplus_inputs(
@@ -301,9 +298,10 @@ def _column_weights(
 
     CSR entry ``e`` of sender ``u`` points at receiver ``indices[e]``, whose
     override for ``u`` weighs the relaxation.  ``column_weight`` is applied
-    once per (column, distinct weight); columns that map identically share
-    one vector.  Raises ``ValueError`` when it returns anything but an
-    integer ``>= 1``.
+    once per (weight map, distinct weight): a map is a label of
+    ``column_groups``, else a column, applied through its first column; maps
+    that come out identical share one vector.  Raises ``ValueError`` when it
+    returns anything but an integer ``>= 1``.
     """
     base = csr.weights
     if overrides is not None:
@@ -320,10 +318,13 @@ def _column_weights(
     distinct = sorted(set(base))
     slot = {weight: position for position, weight in enumerate(distinct)}
     positions = [slot[weight] for weight in base]
+    labels = schema.column_groups or range(k)
     vectors: List[List[int]] = []
-    groups: List[int] = []
+    vector_of: Dict[Any, int] = {}
     index: Dict[Tuple[int, ...], int] = {}
-    for j in range(k):
+    for j, label in enumerate(labels):
+        if label in vector_of:
+            continue
         mapped = tuple(column_weight(j, weight) for weight in distinct)
         group = index.get(mapped)
         if group is None:
@@ -335,27 +336,31 @@ def _column_weights(
                     )
             group = index[mapped] = len(vectors)
             vectors.append([mapped[position] for position in positions])
-        groups.append(group)
-    return vectors, groups
+        vector_of[label] = group
+    return vectors, [vector_of[label] for label in labels]
 
 
-def _final_contexts(
+def _final_memory(
     network: Network,
     initial_memory: Optional[Dict[int, Dict[str, Any]]],
     schema: Optional[MinPlusSchema],
-    dist: Optional[List[List[Any]]],
-) -> Dict[int, NodeContext]:
-    """Rebuild the halted per-node contexts exactly as the node program would."""
-    contexts: Dict[int, NodeContext] = {}
-    for index, node in enumerate(network.nodes):
-        ctx = NodeContext(node=node, network=network)
-        if initial_memory:
-            ctx.memory.update(initial_memory.get(node, {}))
+    dist: Optional[Sequence[Sequence[Any]]],
+) -> Callable[[], Dict[int, Dict[str, Any]]]:
+    """Every node's halted memory, rebuilt on call exactly as the node
+    program would leave it; the pre-loaded memory is copied now."""
+    nodes = list(network.nodes)
+    preloaded = {
+        node: dict(initial_memory.get(node, {})) for node in nodes
+    } if initial_memory else {}
+
+    def memory() -> Dict[int, Dict[str, Any]]:
+        final = {node: dict(preloaded.get(node, {})) for node in nodes}
         if schema is not None:
-            ctx.memory.update(schema.finalize(node, dist[index]))
-        ctx._halted = True
-        contexts[node] = ctx
-    return contexts
+            for index, node in enumerate(nodes):
+                final[node].update(schema.finalize(node, dist[index]))
+        return final
+
+    return memory
 
 
 def minplus_round_trace(

@@ -8,8 +8,9 @@ import them without importing the facade.  The facade re-exports them, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List
+import functools
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.congest.algorithm import NodeContext
 
@@ -212,13 +213,50 @@ class RoundReport:
         return cls(protocol=protocol, **fields)
 
 
-@dataclass
 class SimulationResult:
-    """Outputs of all nodes plus the execution's round report."""
+    """Outputs of all nodes plus the execution's round report.
 
-    outputs: Dict[int, Any]
-    report: RoundReport
-    contexts: Dict[int, NodeContext] = field(default_factory=dict)
+    An engine passes ``outputs`` and ``contexts``, or a ``build() ->
+    (outputs, contexts)`` that runs on their first read (it must not raise
+    and must not read state the caller can still change).  ``table`` is the
+    closed-form engine's final min-plus table (one row per node, one value
+    per schema column), else ``None``; it takes no part in equality,
+    ``repr`` or serialization, which behave as for a dataclass of
+    ``outputs``, ``report`` and ``contexts``.
+    """
+
+    def __init__(
+        self,
+        outputs: Optional[Dict[int, Any]],
+        report: RoundReport,
+        contexts: Optional[Dict[int, NodeContext]] = None,
+        table: Any = None,
+        build: Optional[Callable[[], Tuple[Dict[int, Any], Dict[int, NodeContext]]]] = None,
+    ) -> None:
+        self.report = report
+        self.table = table
+        self._build = build or (lambda: (outputs, {} if contexts is None else contexts))
+
+    @functools.cached_property
+    def _state(self) -> Tuple[Dict[int, Any], Dict[int, NodeContext]]:
+        state, self._build = self._build(), None
+        return state
+
+    outputs = property(lambda self: self._state[0])
+    contexts = property(lambda self: self._state[1])
+
+    def _fields(self) -> Tuple[Dict[int, Any], RoundReport, Dict[int, NodeContext]]:
+        return self.outputs, self.report, self.contexts
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "SimulationResult(outputs={!r}, report={!r}, contexts={!r})".format(
+            *self._fields()
+        )
 
     def output_of(self, node: int) -> Any:
         """Convenience accessor for a single node's output."""

@@ -17,8 +17,10 @@ simulator so their round counts are *measured*, not assumed.
 
 from __future__ import annotations
 
+import collections.abc
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.congest.algorithm import NodeAlgorithm, NodeContext
 from repro.congest.engine.schema import MinPlusSchema, TreeSchema
@@ -327,19 +329,45 @@ class _TreeBroadcastAlgorithm(NodeAlgorithm):
         return list(ctx.memory["received"])
 
 
+class _ReadOnDemand(collections.abc.Mapping):
+    """A read-only mapping filled by ``build()`` on its first read."""
+
+    def __init__(self, build: Callable[[], Mapping[Any, Any]]) -> None:
+        self._build = build
+
+    @functools.cached_property
+    def _data(self) -> Mapping[Any, Any]:
+        return self._build()
+
+    def __getitem__(self, key: Any) -> Any:
+        return self._data[key]
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._data)
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __repr__(self) -> str:
+        return repr(self._data)
+
+
 def broadcast_from(
     network: Network,
     root: int,
     value: Any,
     tree: Optional[BfsTree] = None,
-) -> Tuple[Dict[int, Any], RoundReport]:
+) -> Tuple[Mapping[int, Any], RoundReport]:
     """Broadcast a single value from ``root`` to every node.
 
-    Returns the value as received by each node and the round report
-    (including the BFS-tree construction cost when no tree is supplied).
+    Returns the value as received by each node -- a read-only mapping built
+    on its first read -- and the round report (including the BFS-tree
+    construction cost when no tree is supplied).
     """
     received, report = broadcast_values_from(network, root, [value], tree=tree)
-    return {node: values[0] for node, values in received.items()}, report
+    return _ReadOnDemand(
+        lambda: {node: values[0] for node, values in received.items()}
+    ), report
 
 
 def broadcast_values_from(
@@ -347,12 +375,14 @@ def broadcast_values_from(
     root: int,
     values: List[Any],
     tree: Optional[BfsTree] = None,
-) -> Tuple[Dict[int, List[Any]], RoundReport]:
+) -> Tuple[Mapping[int, List[Any]], RoundReport]:
     """Pipeline ``values`` from ``root`` to all nodes in ``O(D + len(values))`` rounds.
 
-    A supplied ``tree`` must be rooted at ``root`` (mirroring
-    :func:`gather_values_to`); broadcasting from ``tree.root`` instead of the
-    requested root would silently answer a different question.
+    Returns what each node received, as a read-only mapping built on its
+    first read, and the round report.  A supplied ``tree`` must be rooted at
+    ``root`` (mirroring :func:`gather_values_to`); broadcasting from
+    ``tree.root`` instead of the requested root would silently answer a
+    different question.
     """
     reports: List[RoundReport] = []
     if tree is None:
@@ -363,7 +393,7 @@ def broadcast_values_from(
     simulator = Simulator(network)
     result = simulator.run(_TreeBroadcastAlgorithm(tree, values))
     reports.append(result.report)
-    return result.outputs, RoundReport.sequential(reports)
+    return _ReadOnDemand(lambda: result.outputs), RoundReport.sequential(reports)
 
 
 # --------------------------------------------------------------------------- #

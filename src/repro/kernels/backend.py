@@ -98,7 +98,9 @@ class KernelBackend:
     source, with ``math.inf`` (or ``numpy.inf``) marking unreachable nodes.
     The public wrappers in :mod:`repro.kernels.api` translate labels and
     normalise the output types.  :meth:`skeleton_sets` samples Theorem 1.1's
-    skeleton sets for :func:`repro.nanongkai.sample_skeleton_sets`.
+    skeleton sets for :func:`repro.nanongkai.sample_skeleton_sets`;
+    :meth:`fold_scaled_columns` and :meth:`min_plus_rows` carry Algorithm
+    3's table to Lemma 3.3's distances as matrices.
     """
 
     name: str = "abstract"
@@ -141,6 +143,8 @@ class KernelBackend:
         at most ``fire_limit`` sends one message per incident edge.  Returns
         ``n`` rows of ``len(columns)`` values (ints, ``math.inf`` when
         unreached) and the :class:`GatedRounds` of the delivered messages.
+        An override may return the rows as a sequence that converts on its
+        first read and that ``numpy.asarray`` reads as float64 unconverted.
 
         This heap implementation on exact ints is the reference; backends
         may override it when their arithmetic stays exact.
@@ -209,6 +213,48 @@ class KernelBackend:
                 field.append(value)
         rows = [list(row) for row in zip(*table)] if table else [[] for _ in range(n)]
         return rows, records
+
+    def fold_scaled_columns(
+        self,
+        rows: Sequence[Sequence[Any]],
+        targets: Sequence[int],
+        scales: Sequence[float],
+        origins: Sequence[Optional[int]],
+    ) -> Any:
+        """Algorithm 3's level fold over a :meth:`gated_minplus` table.
+
+        Entry ``[i][t]`` of the ``n x len(origins)`` result starts at ``0.0``
+        when ``origins[t] == i`` (``None``: at no node), else ``inf``, and
+        drops to every smaller ``int(rows[i][j]) * scales[j]`` of a finite
+        entry whose ``targets[j] == t``.  This loop is the reference (a list
+        of float rows); an override may return a float array of the same
+        values.
+        """
+        columns = list(zip(targets, scales))
+        matrix = []
+        for i, row in enumerate(rows):
+            best = [0.0 if origin == i else math.inf for origin in origins]
+            for value, (target, scale) in zip(row, columns):
+                if not math.isinf(value) and int(value) * scale < best[target]:
+                    best[target] = int(value) * scale
+            matrix.append(best)
+        return matrix
+
+    def min_plus_rows(
+        self, offsets: Sequence[float], matrix: Sequence[Sequence[float]]
+    ) -> List[float]:
+        """Lemma 3.3's ``min_u (offsets[u] + matrix[v][u])`` for every row
+        ``v``, as floats.  This loop is the reference; an override must
+        return the same floats for any backend's :meth:`fold_scaled_columns`
+        matrix."""
+        out = []
+        for row in matrix:
+            best = math.inf
+            for offset, value in zip(offsets, row):
+                if offset + value < best:
+                    best = offset + value
+            out.append(float(best))
+        return out
 
     def skeleton_sets(
         self,

@@ -27,7 +27,7 @@ that range, so results are bit-for-bit identical to the pure-Python backend.
 from __future__ import annotations
 
 import random
-from typing import Any, List, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,9 @@ __all__ = ["NumpyBackend"]
 _SOURCE_CHUNK = 128
 
 _BUCKET_KEY = "numpy:degree-buckets"
+
+#: Every integer below this is exact in float64.
+_EXACT_FLOAT = 2**53
 
 
 class NumpyBackend(KernelBackend):
@@ -132,6 +135,43 @@ class NumpyBackend(KernelBackend):
         return list(self._relax(csr, sources, max_hops))
 
     # ------------------------------------------------------------------ #
+    def fold_scaled_columns(
+        self,
+        rows: Sequence[Sequence[Any]],
+        targets: Sequence[int],
+        scales: Sequence[float],
+        origins: Sequence[Optional[int]],
+    ) -> Any:
+        # Entries below 2**53 are exact in float64, so each product is the
+        # reference's; fmin skips NaN the way the reference's ``<`` does.
+        values = np.asarray(rows, dtype=np.float64)
+        if values.ndim != 2 or not _exact(values):
+            return super().fold_scaled_columns(rows, targets, scales, origins)
+        best = np.full((len(values), len(origins)), np.inf)
+        for target, origin in enumerate(origins):
+            if origin is not None:
+                best[origin, target] = 0.0
+        if len(targets):
+            scaled = np.full(values.shape, np.inf)
+            finite = np.isfinite(values)
+            np.multiply(values, np.asarray(scales, np.float64), out=scaled, where=finite)
+            order = np.argsort(targets, kind="stable")
+            grouped = np.asarray(targets)[order]
+            starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+            hit = grouped[starts]
+            folded = np.fmin.reduceat(scaled[:, order], starts, axis=1)
+            best[:, hit] = np.fmin(best[:, hit], folded)
+        return best
+
+    def min_plus_rows(
+        self, offsets: Sequence[float], matrix: Sequence[Sequence[float]]
+    ) -> List[float]:
+        shift = np.asarray(offsets, dtype=np.float64)
+        values = np.asarray(matrix, dtype=np.float64)
+        if values.ndim != 2 or not (_exact(shift) and _exact(values)):
+            return super().min_plus_rows(offsets, matrix)
+        return np.fmin.reduce(values + shift, axis=1, initial=np.inf).tolist()
+
     def skeleton_sets(
         self,
         nodes: Sequence[Any],
@@ -159,6 +199,11 @@ class NumpyBackend(KernelBackend):
             sets.append(sorted(members))
         _store_state(stream, rng)
         return sets
+
+
+def _exact(values: np.ndarray) -> bool:
+    """Whether float64 holds every integer the reference could hold here."""
+    return not (np.abs(values[np.isfinite(values)]) >= _EXACT_FLOAT).any()
 
 
 def _load_state(stream: np.random.RandomState, rng: random.Random) -> None:

@@ -14,6 +14,8 @@ kernel calls on the same snapshot build it once.
 
 from __future__ import annotations
 
+import collections.abc
+import functools
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -71,14 +73,14 @@ class ScipyBackend(NumpyBackend):
         columns: Sequence[GatedColumn],
         value_cap: Optional[int],
         bandwidth: int,
-    ) -> Tuple[List[List[Any]], GatedRounds]:
+    ) -> Tuple[Sequence[List[Any]], GatedRounds]:
         """One ``csgraph`` Dijkstra per (weight vector, limit) batch of columns.
 
         Each column gets a virtual source with an edge of weight ``value + 1``
         to each of its seeds, so multi-seed columns need no special case; the
         one-step extension past the limit and the per-round histogram are
         vectorized.  Runs whose values could leave float64's exact range take
-        the exact-int reference.
+        the exact-int reference.  The rows stay float64 until read.
         """
         n = csr.num_nodes
         if not columns or not _exact_in_float64(n, weights, columns, value_cap):
@@ -150,10 +152,7 @@ class ScipyBackend(NumpyBackend):
         bits = overhead[fired_cols] + np.frexp(fired)[1] + 1
         records = _round_records(keys, bits, n, degree, bandwidth)
 
-        finite = np.isfinite(values.T)
-        table = np.where(finite, values.T, 0).astype(np.int64).astype(object)
-        table[~finite] = math.inf
-        return table.tolist(), records
+        return _ExactRows(values), records
 
     def _reverse_entries(self, csr: CSRGraph) -> np.ndarray:
         """``reverse[e]``: the CSR entry of edge ``v -> u`` for entry ``u -> v``."""
@@ -167,6 +166,31 @@ class ScipyBackend(NumpyBackend):
             reverse = order[np.searchsorted(keys[order], indices * n + sources)]
             csr.memo[_REVERSE_KEY] = reverse
         return reverse
+
+
+class _ExactRows(collections.abc.Sequence):
+    """The node rows of a float64 ``(columns, n)`` table as the reference's
+    exact ints and ``math.inf``, converted on the first read of a row;
+    ``np.asarray`` reads the floats unconverted."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        self._values = values
+
+    @functools.cached_property
+    def _rows(self) -> List[List[Any]]:
+        finite = np.isfinite(self._values.T)
+        table = np.where(finite, self._values.T, 0).astype(np.int64).astype(object)
+        table[~finite] = math.inf
+        return table.tolist()
+
+    def __array__(self, dtype: Any = None, copy: Any = None) -> np.ndarray:
+        return np.asarray(self._values.T, dtype=dtype)
+
+    def __len__(self) -> int:
+        return self._values.shape[1]
+
+    def __getitem__(self, index: Any) -> Any:
+        return self._rows[index]
 
 
 def _exact_in_float64(

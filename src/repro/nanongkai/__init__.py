@@ -43,7 +43,6 @@ from repro.nanongkai.overlay import (
 from repro.nanongkai.skeleton import (
     sample_skeleton_sets,
     SkeletonApproximator,
-    approximate_distance_via_skeleton,
 )
 
 __all__ = [
@@ -58,5 +57,4 @@ __all__ = [
     "overlay_sssp_protocol",
     "sample_skeleton_sets",
     "SkeletonApproximator",
-    "approximate_distance_via_skeleton",
 ]

@@ -21,9 +21,10 @@ Implementation notes
 
 from __future__ import annotations
 
+import collections.abc
 import math
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.congest.algorithm import NodeAlgorithm, NodeContext
 from repro.congest.engine.schema import MinPlusSchema
@@ -32,15 +33,37 @@ from repro.congest.network import Network
 from repro.congest.primitives import broadcast_values_from, build_bfs_tree
 from repro.congest.simulator import RoundReport, Simulator
 from repro.graphs.rounding import rounded_weight, rounding_levels
+from repro.kernels import get_backend
 from repro.nanongkai.bounded_hop_sssp import level_distance_bound
 
 __all__ = [
     "MultiSourceBoundedHopAlgorithm",
+    "MultiSourceDistances",
     "multi_source_bounded_hop_protocol",
     "multi_source_bounded_hop_oracle",
 ]
 
 _INF = math.inf
+
+
+class MultiSourceDistances(collections.abc.Mapping):
+    """Algorithm 3's result ``{v: {s: d̃^ℓ(s, v)}}``, read-only: ``v``'s dict
+    is built on each read from row ``v`` (in the run's node order) of the
+    ``best`` matrix, whose columns are the distinct ``sources``."""
+
+    def __init__(self, nodes: List[int], sources: List[int], best: Any) -> None:
+        self.sources = sources
+        self.best = best
+        self._row = {node: i for i, node in enumerate(nodes)}
+
+    def __getitem__(self, node: int) -> Dict[int, float]:
+        return dict(zip(self.sources, map(float, self.best[self._row[node]])))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._row)
+
+    def __len__(self) -> int:
+        return len(self._row)
 
 
 class MultiSourceBoundedHopAlgorithm(NodeAlgorithm):
@@ -65,6 +88,8 @@ class MultiSourceBoundedHopAlgorithm(NodeAlgorithm):
     ) -> None:
         if len(delays) != len(sources):
             raise ValueError("one delay per source is required")
+        if levels < 0:
+            raise ValueError(f"levels must be non-negative, got {levels}")
         self._sources = list(sources)
         self._hop_bound = hop_bound
         self._epsilon = epsilon
@@ -74,6 +99,19 @@ class MultiSourceBoundedHopAlgorithm(NodeAlgorithm):
         window = self._bound + 1
         self._window = window
         self._duration = max(self._delays) + levels * window + 2
+        # Column (instance, level) folds, scaled back to real distances,
+        # into its source's entry of the result.
+        self._keys = tuple(
+            (instance, level)
+            for instance in range(len(sources))
+            for level in range(levels)
+        )
+        self._distinct = list(dict.fromkeys(sources))
+        target = {source: t for t, source in enumerate(self._distinct)}
+        self._targets = [target[sources[instance]] for instance, _ in self._keys]
+        self._scales = [
+            epsilon * (2**level) / (2 * hop_bound) for _, level in self._keys
+        ]
 
     def message_schema(self) -> MinPlusSchema:
         # One min-plus column per (instance, level) pair, live only inside
@@ -85,17 +123,13 @@ class MultiSourceBoundedHopAlgorithm(NodeAlgorithm):
         # round whose offset reaches its distance, exactly Algorithm 2's
         # schedule.  Payloads flatten the key into ("ms", j, i, distance).
         sources = self._sources
+        distinct = self._distinct
         levels = self._levels
-        bound = self._bound
         window = self._window
         delays = self._delays
         hop_bound = self._hop_bound
         epsilon = self._epsilon
-        keys = tuple(
-            (instance, level)
-            for instance in range(len(sources))
-            for level in range(levels)
-        )
+        keys = self._keys
         windows = tuple(
             (delays[instance] + 1 + level * window, delays[instance] + (level + 1) * window)
             for instance, level in keys
@@ -112,49 +146,24 @@ class MultiSourceBoundedHopAlgorithm(NodeAlgorithm):
                 row[column] = 0
             return row
 
-        # The columns of one level share their rounded weights.
-        rounded: Dict[Tuple[int, int], int] = {}
-
-        def column_weight(column: int, weight: int) -> int:
-            key = (keys[column][1], weight)
-            value = rounded.get(key)
-            if value is None:
-                value = rounded[key] = rounded_weight(weight, hop_bound, epsilon, key[0])
-            return value
-
-        # Per column: (instance, source, scale back to real distances,
-        # whether the column is the final level).
-        columns = [
-            (
-                instance,
-                sources[instance],
-                epsilon * (2**level) / (2 * hop_bound),
-                level == levels - 1,
-            )
-            for instance, level in keys
-        ]
-
         def finalize(node: int, row: Any) -> Dict[str, Any]:
             # Rebuild the memory the node program leaves behind: the final
             # level's per-instance state, and the running best folded level
-            # by level (increasing, exactly the window order of receive()).
-            best = {
-                source: (0.0 if node == source else _INF) for source in sources
-            }
+            # by level.
             current: List[float] = [_INF] * len(sources)
             announced: List[bool] = [False] * len(sources)
-            for value, (instance, source, scale, last) in zip(row, columns):
-                finite = not math.isinf(value)
-                if last:
-                    current[instance] = int(value) if finite else _INF
-                    announced[instance] = finite
-                if not finite:
-                    continue
-                rescaled = int(value) * scale
-                if rescaled < best[source]:
-                    best[source] = rescaled
+            for instance in range(len(sources) if levels else 0):
+                value = row[instance * levels + levels - 1]
+                announced[instance] = not math.isinf(value)
+                current[instance] = int(value) if announced[instance] else _INF
+            best = get_backend("python").fold_scaled_columns(
+                [row],
+                self._targets,
+                self._scales,
+                [0 if node == source else None for source in distinct],
+            )[0]
             return {
-                "best": best,
+                "best": dict(zip(distinct, best)),
                 "current_distance": current,
                 "current_level": [levels - 1 if levels else -1] * len(sources),
                 "announced": announced,
@@ -168,11 +177,15 @@ class MultiSourceBoundedHopAlgorithm(NodeAlgorithm):
             initial=initial,
             send_initial="none",
             add_edge_weight=True,
-            value_cap=bound,
+            value_cap=self._bound,
             arrival_gated=True,
             round_budget=self._duration,
             column_windows=windows,
-            column_weight=column_weight,
+            # The columns of one level share its rounded weights.
+            column_weight=lambda column, weight: rounded_weight(
+                weight, hop_bound, epsilon, keys[column][1]
+            ),
+            column_groups=tuple(level for _, level in keys),
             finalize=finalize,
         )
 
@@ -317,7 +330,7 @@ def multi_source_bounded_hop_protocol(
     levels: Optional[int] = None,
     seed: int = 0,
     charge_delay_broadcast: bool = True,
-) -> Tuple[Dict[int, Dict[int, float]], RoundReport]:
+) -> Tuple[MultiSourceDistances, RoundReport]:
     """Run Algorithm 3: every node learns ``d̃^ℓ(s, ·)`` for every ``s ∈ sources``.
 
     Parameters
@@ -331,7 +344,8 @@ def multi_source_bounded_hop_protocol(
     epsilon:
         Accuracy parameter ``ε``.
     levels:
-        Number of rounding levels (defaults to ``O(log(nW/ε))``).
+        Number of rounding levels (defaults to ``O(log(nW/ε))``); a
+        negative count raises ``ValueError`` before anything runs.
     seed:
         Seed for the leader's random delays.
     charge_delay_broadcast:
@@ -341,7 +355,8 @@ def multi_source_bounded_hop_protocol(
     Returns
     -------
     (distances, report)
-        ``distances[v][s] = d̃^ℓ_{G,w}(s, v)`` and the measured round cost.
+        ``distances[v][s] = d̃^ℓ_{G,w}(s, v)``, as a read-only
+        :class:`MultiSourceDistances`, and the measured round cost.
     """
     if not sources:
         raise ValueError("the source set must be non-empty")
@@ -355,6 +370,9 @@ def multi_source_bounded_hop_protocol(
     num_sources = len(sources)
     delay_cap = max(1, num_sources * max(1, math.ceil(math.log2(network.num_nodes + 1))))
     delays = [rng.randint(0, delay_cap) for _ in range(num_sources)]
+    algorithm = MultiSourceBoundedHopAlgorithm(
+        sources, hop_bound, epsilon, levels, delays
+    )
 
     reports: List[RoundReport] = []
     if charge_delay_broadcast:
@@ -363,14 +381,23 @@ def multi_source_bounded_hop_protocol(
         _, delay_report = broadcast_values_from(network, leader, delays, tree=tree)
         reports.extend([tree_report, delay_report])
 
-    algorithm = MultiSourceBoundedHopAlgorithm(
-        sources, hop_bound, epsilon, levels, delays
-    )
-    duration = algorithm._duration
-    simulator = Simulator(network, max_rounds=duration + network.num_nodes + 10)
+    nodes = list(network.nodes)
+    simulator = Simulator(network, max_rounds=algorithm._duration + len(nodes) + 10)
     result = simulator.run(algorithm)
     reports.append(result.report)
 
     report = RoundReport.sequential(reports)
     report.protocol = "multi-source-bounded-hop-sssp"
-    return result.outputs, report
+    # Fold the closed-form table when the engine kept one, else read the
+    # per-node outputs.
+    sources = algorithm._distinct
+    if result.table is None:
+        best: Any = [[result.outputs[node][s] for s in sources] for node in nodes]
+    else:
+        best = get_backend().fold_scaled_columns(
+            result.table,
+            algorithm._targets,
+            algorithm._scales,
+            [nodes.index(source) for source in sources],
+        )
+    return MultiSourceDistances(nodes, sources, best), report

@@ -32,7 +32,10 @@ from repro.congest.primitives import (
 from repro.congest.simulator import RoundReport
 from repro.graphs.shortest_paths import INFINITY
 from repro.kernels import get_backend
-from repro.nanongkai.multi_source import multi_source_bounded_hop_protocol
+from repro.nanongkai.multi_source import (
+    MultiSourceDistances,
+    multi_source_bounded_hop_protocol,
+)
 from repro.nanongkai.overlay import (
     OverlayEmbedding,
     embed_overlay_network,
@@ -41,7 +44,6 @@ from repro.nanongkai.overlay import (
 
 __all__ = [
     "sample_skeleton_sets",
-    "approximate_distance_via_skeleton",
     "PipelineComposer",
     "SkeletonApproximator",
 ]
@@ -127,31 +129,6 @@ def sample_skeleton_sets(
     return get_backend().skeleton_sets(
         nodes, probability, num_sets, random.Random(seed), ensure_nonempty
     )
-
-
-def approximate_distance_via_skeleton(
-    overlay_distances: Dict[int, float],
-    dtilde_at_v: Dict[int, float],
-    skeleton: List[int],
-) -> float:
-    """Combine the two tables into ``d̃_{G,w,S}(s, v)`` (Lemma 3.3).
-
-    Parameters
-    ----------
-    overlay_distances:
-        ``d̃^{4|S|/k}_{G''_S}(s, u)`` for every ``u ∈ S`` (local to every node
-        after Algorithm 5).
-    dtilde_at_v:
-        ``d̃^ℓ(u, v)`` for every ``u ∈ S`` as stored at node ``v``.
-    skeleton:
-        The skeleton set ``S``.
-    """
-    best = INFINITY
-    for u in skeleton:
-        through = overlay_distances.get(u, INFINITY) + dtilde_at_v.get(u, INFINITY)
-        if through < best:
-            best = through
-    return best
 
 
 @dataclass
@@ -240,7 +217,7 @@ class SkeletonApproximator:
         return self._embedding
 
     @property
-    def dtilde(self) -> Dict[int, Dict[int, float]]:
+    def dtilde(self) -> MultiSourceDistances:
         """``d̃^ℓ(u, v)`` for ``u ∈ S_i`` as known at every node ``v``."""
         return self._dtilde
 
@@ -295,25 +272,23 @@ class SkeletonApproximator:
     # ------------------------------------------------------------------ #
     def approx_distance(self, source: int, target: int) -> float:
         """``d̃_{G,w,S_i}(source, target)`` of Lemma 3.3."""
-        setup = self.setup(source)
-        return approximate_distance_via_skeleton(
-            setup.overlay_distances, self._dtilde[target], self._skeleton
+        return self.approx_distances_from(source)[target]
+
+    def _distances_from(self, source: int) -> List[float]:
+        """Lemma 3.3 at every node, in node order, on Algorithm 3's matrix."""
+        overlay = self.setup(source).overlay_distances
+        return get_backend().min_plus_rows(
+            [overlay.get(u, INFINITY) for u in self._dtilde.sources],
+            self._dtilde.best,
         )
 
     def approx_distances_from(self, source: int) -> Dict[int, float]:
         """``d̃_{G,w,S_i}(source, v)`` for every node ``v``."""
-        setup = self.setup(source)
-        return {
-            node: approximate_distance_via_skeleton(
-                setup.overlay_distances, self._dtilde[node], self._skeleton
-            )
-            for node in self._network.nodes
-        }
+        return dict(zip(self._dtilde, self._distances_from(source)))
 
     def approx_eccentricity(self, source: int) -> float:
         """``ẽ_{G,w,i}(source) = max_v d̃_{G,w,S_i}(source, v)`` (Section 3.1)."""
-        distances = self.approx_distances_from(source)
-        return max(distances.values())
+        return max(self._distances_from(source))
 
     # ------------------------------------------------------------------ #
     def setup_report(self, source: Optional[int] = None) -> RoundReport:

@@ -10,12 +10,14 @@ networks.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.congest import Network, Simulator
-from repro.congest.engine import BroadcastReplaySchema, force_engine
+from repro.congest.engine import BroadcastReplaySchema, MinPlusSchema, force_engine
 from repro.congest.engine.symbolic import (
     broadcast_replay_report,
     minplus_round_trace,
@@ -193,3 +195,57 @@ def test_multi_source_matches_sparse_on_random_networks(network, data):
     assert [(r, m, b) for r, m, b, _ in trace] == _sparse_round_totals(
         network, algorithm
     )
+
+
+def test_algorithm3_maps_each_weight_once_per_level(monkeypatch):
+    """Algorithm 3 declares its columns' weight maps as data (the level), so
+    the symbolic engine applies ``column_weight`` once per (level, distinct
+    weight), not once per (column, weight); the results stay those of the
+    sparse engine."""
+    graph = WeightedGraph(
+        edges=[(0, 1, 4), (1, 2, 2), (2, 3, 6), (3, 0, 1), (1, 3, 5), (0, 4, 3)]
+    )
+    network = Network(graph)
+    calls = []
+    schema_of = MultiSourceBoundedHopAlgorithm.message_schema
+
+    def counting_schema(self):
+        schema = schema_of(self)
+
+        def column_weight(column, weight):
+            calls.append((schema.column_groups[column], weight))
+            return schema.column_weight(column, weight)
+
+        return dataclasses.replace(schema, column_weight=column_weight)
+
+    monkeypatch.setattr(MultiSourceBoundedHopAlgorithm, "message_schema", counting_schema)
+    runs = {}
+    for engine in ("sparse", "symbolic"):
+        with force_engine(engine):
+            runs[engine] = multi_source_bounded_hop_protocol(
+                network, [0, 2, 3], 3, 0.5, levels=4, seed=2
+            )
+    assert runs["symbolic"] == runs["sparse"]
+    assert sorted(calls) == sorted((level, w) for level in range(4) for w in (1, 2, 3, 4, 5, 6))
+
+
+def test_column_groups_must_cover_every_column():
+    with pytest.raises(ValueError, match="2 column groups for 1 columns"):
+        MinPlusSchema(
+            label="x",
+            tag="",
+            keys=None,
+            initial=lambda node: [0],
+            finalize=lambda node, row: {},
+            arrival_gated=True,
+            column_groups=(0, 0),
+        )
+    with pytest.raises(ValueError, match="MinPlusSchema.column_groups "):
+        MinPlusSchema(
+            label="x",
+            tag="",
+            keys=None,
+            initial=lambda node: [0],
+            finalize=lambda node, row: {},
+            column_groups=(0,),
+        )

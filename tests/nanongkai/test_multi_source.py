@@ -6,9 +6,14 @@ import math
 
 import pytest
 
+from repro.congest.engine import available_engines, force_engine
 from repro.graphs import dijkstra
 from repro.graphs.rounding import approx_bounded_hop_distances_from
-from repro.nanongkai import bounded_hop_sssp_protocol, multi_source_bounded_hop_protocol
+from repro.nanongkai import (
+    SkeletonApproximator,
+    bounded_hop_sssp_protocol,
+    multi_source_bounded_hop_protocol,
+)
 
 INF = math.inf
 
@@ -98,3 +103,36 @@ class TestRoundCost:
             charge_delay_broadcast=False,
         )
         assert with_broadcast.congested_rounds > without_broadcast.congested_rounds
+
+
+class TestLevels:
+    def test_negative_levels_rejected_on_every_engine(self, random_network):
+        messages = set()
+        for engine in available_engines():
+            with force_engine(engine):
+                with pytest.raises(ValueError, match="levels") as excinfo:
+                    multi_source_bounded_hop_protocol(
+                        random_network, [0, 4], 4, 0.5, levels=-2
+                    )
+                messages.add(str(excinfo.value))
+                with pytest.raises(ValueError, match="levels") as excinfo:
+                    SkeletonApproximator(
+                        random_network, [0, 4], epsilon=0.5, hop_bound=4, k=2, levels=-2
+                    )
+                messages.add(str(excinfo.value))
+        assert messages == {"levels must be non-negative, got -2"}
+
+    def test_zero_levels_fold_to_the_sources_alone(self, random_network):
+        """No rounding level, no column: 0.0 at each source, inf elsewhere."""
+        sources = [0, 4, 4]
+        expected = {
+            node: {source: (0.0 if node == source else INF) for source in sources}
+            for node in random_network.nodes
+        }
+        for engine in available_engines():
+            with force_engine(engine):
+                table, report = multi_source_bounded_hop_protocol(
+                    random_network, sources, 4, 0.5, levels=0, seed=2
+                )
+            assert repr(dict(table)) == repr(expected), engine
+            assert report.rounds > 0

@@ -9,14 +9,11 @@ import pytest
 from repro.congest import Network, RoundReport
 from repro.congest.primitives import broadcast_from, gather_values_to
 from repro.graphs import dijkstra, eccentricity, random_weighted_graph
-from repro.kernels import available_backends, force_backend
+from repro.kernels import available_backends, force_backend, get_backend
 from repro.nanongkai import SkeletonApproximator, sample_skeleton_sets
 from repro.nanongkai import skeleton as skeleton_module
 from repro.nanongkai.overlay import overlay_sssp_protocol
-from repro.nanongkai.skeleton import (
-    PipelineComposer,
-    approximate_distance_via_skeleton,
-)
+from repro.nanongkai.skeleton import PipelineComposer
 
 INF = math.inf
 
@@ -71,13 +68,17 @@ class TestSampling:
 
 
 class TestCombineHelper:
+    """Lemma 3.3's ``min_u (overlay[u] + local[v][u])``, on every backend."""
+
     def test_minimum_over_skeleton(self):
-        overlay = {0: 1.0, 1: 5.0}
-        local = {0: 10.0, 1: 2.0}
-        assert approximate_distance_via_skeleton(overlay, local, [0, 1]) == 7.0
+        for name in available_backends():
+            combined = get_backend(name).min_plus_rows([1.0, 5.0], [[10.0, 2.0]])
+            assert combined == [7.0], name
 
     def test_missing_entries_treated_as_inf(self):
-        assert approximate_distance_via_skeleton({}, {}, [0, 1]) == INF
+        for name in available_backends():
+            combined = get_backend(name).min_plus_rows([INF, INF], [[INF, INF]])
+            assert combined == [INF], name
 
 
 @pytest.fixture(scope="module")
