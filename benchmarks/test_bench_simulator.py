@@ -3,20 +3,19 @@
 Regenerates a table comparing, per execution engine, the end-to-end
 wall-clock and simulated rounds/sec of the weighted APSP protocol
 (``n`` concurrent Bellman-Ford floods -- the workload behind the classical
-rows of Table 1/2) at ``n ∈ {64, 128, 256}``, against the pinned ``legacy``
-seed loop.
+rows of Table 1/2) at ``n ∈ {64, 128, 256}``, against the ``sparse``
+reference interpreter.
 
 The acceptance check of the engine subsystem lives here: on the ``n = 256``
-instance the vectorized ``dense`` engine must be at least 3x faster than the
-legacy loop (it measures ~60-90x on an idle machine) and the optimized
-``sparse`` engine must not regress below the legacy loop, with *bit-identical*
-round reports and identical outputs everywhere.
+instance the vectorized ``dense`` engine must be at least 4.8x faster than
+sparse (it measures ~30-50x on a 2-core host), with *bit-identical* round
+reports and identical outputs everywhere.
 
 A second table covers the announce-schedule family: symbolic
 bounded-distance SSSP (Nanongkai's Algorithm 2, the inner loop of the
-Theorem 1.1 pipeline) must clear a >=3x floor over the legacy loop at
-``n = 256`` (~14x measured on a 2-core host: the workload is dominated by
-the ``L + 1`` fixed schedule rounds, which the closed form charges without
+Theorem 1.1 pipeline) must clear a >=5.4x floor over sparse at ``n = 256``
+(~10-12x measured on a 2-core host: the workload is dominated by the
+``L + 1`` fixed schedule rounds, which the closed form charges without
 stepping them).
 
 A third table covers the closed-form ``symbolic`` engine on the full
@@ -49,17 +48,16 @@ HEADERS = [
     "time [s]",
     "rounds",
     "rounds/sec",
-    "speedup vs legacy",
+    "speedup vs sparse",
     "identical",
 ]
 
 NODE_COUNTS = (64, 128, 256)
 
-#: Acceptance floors on the n=256 instance (speedup over the legacy loop).
-#: The dense floor is the ISSUE-2 acceptance criterion; the sparse floor is
-#: a no-regression guard with headroom for CI load (sparse measures ~1.5-2x
-#: idle).
-REQUIRED_SPEEDUP = {"dense": 3.0, "sparse": 1.0}
+#: Acceptance floor for dense on the n=256 instance (speedup over sparse):
+#: the original 3x floor over the seed loop times the seed loop's measured
+#: 1.59x (median of 5) cost over sparse.
+REQUIRED_DENSE_SPEEDUP = 4.8
 
 
 def _best_of(func, repeats):
@@ -83,23 +81,23 @@ def _sweep():
         )
         repeats = 2 if n < 256 else 1
         reference = None
-        legacy_time = None
-        for engine in ("legacy", "sparse", "dense"):
+        sparse_time = None
+        for engine in ("sparse", "dense"):
             if engine not in available_engines():
                 continue
             with force_engine(engine):
                 elapsed, (outputs, report) = _best_of(
                     lambda: distributed_weighted_apsp(network), repeats
                 )
-            if engine == "legacy":
-                legacy_time = elapsed
+            if engine == "sparse":
+                sparse_time = elapsed
                 reference = (outputs, report)
                 identical = "--"
             else:
                 matches = outputs == reference[0] and report == reference[1]
                 identical = "yes" if matches else "NO"
-                assert matches, f"engine {engine} diverged from legacy at n={n}"
-                speedups.setdefault(engine, {})[n] = legacy_time / elapsed
+                assert matches, f"engine {engine} diverged from sparse at n={n}"
+                speedups[n] = sparse_time / elapsed
             rows.append(
                 [
                     engine,
@@ -107,7 +105,7 @@ def _sweep():
                     f"{elapsed:.3f}",
                     report.rounds,
                     f"{report.rounds / elapsed:.1f}",
-                    "1.0x" if engine == "legacy" else f"{legacy_time / elapsed:.1f}x",
+                    f"{sparse_time / elapsed:.1f}x",
                     identical,
                 ]
             )
@@ -118,7 +116,7 @@ def _sweep():
                     "n": n,
                     "seconds": round(elapsed, 4),
                     "rounds": report.rounds,
-                    "speedup_vs_legacy": round(legacy_time / elapsed, 3),
+                    "speedup_vs_sparse": round(sparse_time / elapsed, 3),
                 }
             )
     return rows, speedups, records
@@ -139,22 +137,20 @@ def test_bench_simulator_engines(benchmark, record_artifact, record_json):
         {"workload": "weighted-apsp", "node_counts": list(NODE_COUNTS), "rows": records},
     )
     largest = NODE_COUNTS[-1]
-    for engine, floor in REQUIRED_SPEEDUP.items():
-        if engine not in speedups:
-            continue  # dense absent without NumPy; correctness still checked
-        measured = speedups[engine][largest]
-        assert measured >= floor, (
-            f"engine '{engine}' reached only {measured:.1f}x over the legacy "
-            f"loop at n={largest} (needs {floor}x)"
+    if speedups:  # dense absent without NumPy
+        assert speedups[largest] >= REQUIRED_DENSE_SPEEDUP, (
+            f"dense reached only {speedups[largest]:.1f}x over sparse at "
+            f"n={largest} (needs {REQUIRED_DENSE_SPEEDUP}x)"
         )
 
 
 # --------------------------------------------------------------------------- #
 # Announce-schedule family: bounded-distance SSSP (Algorithm 2) per engine.
 # --------------------------------------------------------------------------- #
-#: Acceptance floor for symbolic Algorithm 2 at n=256 (speedup over the
-#: legacy loop; ~14x measured on a 2-core host).
-BD_REQUIRED_SYMBOLIC_SPEEDUP = 3.0
+#: Acceptance floor for symbolic Algorithm 2 at n=256 (speedup over sparse;
+#: ~10-12x measured on a 2-core host): the original 3x floor over the seed
+#: loop times its measured 1.76x (median of 5) cost over sparse, rounded up.
+BD_REQUIRED_SYMBOLIC_SPEEDUP = 5.4
 
 #: n=256 with a dense-ish topology and a moderate bound keeps the run at
 #: ~100 schedule rounds, the regime the Theorem 1.1 levels actually use.
@@ -174,9 +170,8 @@ def _bounded_distance_sweep():
     rows = []
     records = []
     reference = None
-    legacy_time = None
-    symbolic_speedup = None
-    for engine in ("legacy", "sparse", "symbolic"):
+    sparse_time = None
+    for engine in ("sparse", "symbolic"):
         with force_engine(engine):
             elapsed, (outputs, report) = _best_of(
                 lambda: bounded_distance_sssp_protocol(
@@ -184,16 +179,14 @@ def _bounded_distance_sweep():
                 ),
                 repeats=3,
             )
-        if engine == "legacy":
-            legacy_time = elapsed
+        if engine == "sparse":
+            sparse_time = elapsed
             reference = (outputs, report)
             identical = "--"
         else:
             matches = outputs == reference[0] and report == reference[1]
             identical = "yes" if matches else "NO"
-            assert matches, f"engine {engine} diverged from legacy"
-            if engine == "symbolic":
-                symbolic_speedup = legacy_time / elapsed
+            assert matches, f"engine {engine} diverged from sparse"
         rows.append(
             [
                 engine,
@@ -201,7 +194,7 @@ def _bounded_distance_sweep():
                 f"{elapsed:.3f}",
                 report.rounds,
                 f"{report.rounds / elapsed:.1f}",
-                "1.0x" if engine == "legacy" else f"{legacy_time / elapsed:.1f}x",
+                f"{sparse_time / elapsed:.1f}x",
                 identical,
             ]
         )
@@ -213,10 +206,10 @@ def _bounded_distance_sweep():
                 "max_distance": BD_MAX_DISTANCE,
                 "seconds": round(elapsed, 4),
                 "rounds": report.rounds,
-                "speedup_vs_legacy": round(legacy_time / elapsed, 3),
+                "speedup_vs_sparse": round(sparse_time / elapsed, 3),
             }
         )
-    return rows, symbolic_speedup, records
+    return rows, sparse_time / elapsed, records
 
 
 def test_bench_bounded_distance_sssp_engines(benchmark, record_artifact, record_json):
@@ -234,8 +227,8 @@ def test_bench_bounded_distance_sssp_engines(benchmark, record_artifact, record_
         {"workload": "bounded-distance-sssp", "n": BD_NODE_COUNT, "rows": records},
     )
     assert symbolic_speedup >= BD_REQUIRED_SYMBOLIC_SPEEDUP, (
-        f"symbolic Algorithm 2 reached only {symbolic_speedup:.1f}x over the "
-        f"legacy loop at n={BD_NODE_COUNT} "
+        f"symbolic Algorithm 2 reached only {symbolic_speedup:.1f}x over "
+        f"sparse at n={BD_NODE_COUNT} "
         f"(needs {BD_REQUIRED_SYMBOLIC_SPEEDUP}x)"
     )
 
@@ -243,10 +236,12 @@ def test_bench_bounded_distance_sssp_engines(benchmark, record_artifact, record_
 # --------------------------------------------------------------------------- #
 # Tree-primitive family: pipelined gather + broadcast over a BFS tree.
 # --------------------------------------------------------------------------- #
-#: Acceptance floor for the dense tree-schema executors at n=256 (the
-#: ISSUE-5 criterion): the analytic schedule replay must beat interpreting
-#: the flood/echo node programs by at least 3x (measures ~15-30x idle).
-TREE_REQUIRED_DENSE_SPEEDUP = 3.0
+#: Acceptance floor for the dense tree-schema executors at n=256: the
+#: analytic schedule replay must beat sparse interpreting the flood/echo
+#: node programs by at least 5.7x (measures ~10-15x on a 2-core host), the
+#: original 3x floor over the seed loop times its measured 1.88x (median of
+#: 5) cost over sparse, rounded up.
+TREE_REQUIRED_DENSE_SPEEDUP = 5.7
 
 TREE_NODE_COUNT = 256
 TREE_BROADCAST_VALUES = 64
@@ -266,7 +261,7 @@ def _tree_primitive_sweep():
         )
     )
     root = min(network.nodes)
-    with force_engine("legacy"):
+    with force_engine("sparse"):
         tree, _ = build_bfs_tree(network, root)
     values = list(range(TREE_BROADCAST_VALUES))
     gather_records = {
@@ -291,23 +286,22 @@ def _tree_primitive_sweep():
     rows = []
     records = []
     reference = None
-    legacy_time = None
+    sparse_time = None
     dense_speedup = None
-    for engine in ("legacy", "sparse", "dense"):
+    for engine in ("sparse", "dense"):
         if engine not in available_engines():
             continue
         with force_engine(engine):
             elapsed, (outputs, report) = _best_of(workload, repeats=3)
-        if engine == "legacy":
-            legacy_time = elapsed
+        if engine == "sparse":
+            sparse_time = elapsed
             reference = (outputs, report)
             identical = "--"
         else:
             matches = outputs == reference[0] and report == reference[1]
             identical = "yes" if matches else "NO"
-            assert matches, f"engine {engine} diverged from legacy"
-            if engine == "dense":
-                dense_speedup = legacy_time / elapsed
+            assert matches, f"engine {engine} diverged from sparse"
+            dense_speedup = sparse_time / elapsed
         rows.append(
             [
                 engine,
@@ -315,7 +309,7 @@ def _tree_primitive_sweep():
                 f"{elapsed:.3f}",
                 report.rounds,
                 f"{report.rounds / elapsed:.1f}",
-                "1.0x" if engine == "legacy" else f"{legacy_time / elapsed:.1f}x",
+                f"{sparse_time / elapsed:.1f}x",
                 identical,
             ]
         )
@@ -326,7 +320,7 @@ def _tree_primitive_sweep():
                 "n": TREE_NODE_COUNT,
                 "seconds": round(elapsed, 4),
                 "rounds": report.rounds,
-                "speedup_vs_legacy": round(legacy_time / elapsed, 3),
+                "speedup_vs_sparse": round(sparse_time / elapsed, 3),
             }
         )
     return rows, dense_speedup, records
@@ -352,7 +346,7 @@ def test_bench_tree_primitives_engines(benchmark, record_artifact, record_json):
     if dense_speedup is not None:  # dense absent without NumPy
         assert dense_speedup >= TREE_REQUIRED_DENSE_SPEEDUP, (
             f"dense tree primitives reached only {dense_speedup:.1f}x over "
-            f"the legacy loop at n={TREE_NODE_COUNT} "
+            f"sparse at n={TREE_NODE_COUNT} "
             f"(needs {TREE_REQUIRED_DENSE_SPEEDUP}x)"
         )
 

@@ -14,9 +14,9 @@ This subpackage provides:
 * :class:`~repro.congest.simulator.Simulator` -- the synchronous round
   scheduler with full round / message / bandwidth accounting.  It is a thin
   facade over the pluggable execution engines in
-  :mod:`repro.congest.engine` (``sparse`` / ``dense`` / ``symbolic`` /
-  ``legacy``, selected per run or via ``REPRO_ENGINE``); every engine
-  produces bit-identical round reports.
+  :mod:`repro.congest.engine` (``sparse`` / ``dense`` / ``symbolic``,
+  selected per run or via ``REPRO_ENGINE``); every engine produces
+  bit-identical round reports.
 * Building-block protocols used throughout the paper's constructions:
   broadcast, convergecast, BFS-tree construction and leader election in
   :mod:`repro.congest.primitives`.

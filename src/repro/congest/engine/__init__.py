@@ -4,8 +4,8 @@ See :mod:`repro.congest.engine.base` for the registry contract and
 :mod:`repro.congest.engine.schema` for the message-schema hook that makes a
 protocol eligible for the schema-driven engines (the vectorized ``dense``
 engine and the closed-form ``symbolic`` engine).  Importing this package
-registers the bundled engines (``sparse``, ``legacy``, ``symbolic``, and
--- when NumPy is importable -- ``dense``).
+registers the bundled engines (``sparse``, ``symbolic``, and -- when NumPy
+is importable -- ``dense``).
 """
 
 from repro.congest.engine.types import (
@@ -30,7 +30,6 @@ from repro.congest.engine.schema import (
 
 # Engine registration happens at import time, mirroring the kernel backends.
 from repro.congest.engine import sparse as _sparse  # noqa: F401  (registers)
-from repro.congest.engine import legacy as _legacy  # noqa: F401  (registers)
 from repro.congest.engine import symbolic as _symbolic  # noqa: F401  (registers)
 
 try:  # The dense engine needs NumPy; everything else must work without it.

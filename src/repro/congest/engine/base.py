@@ -2,11 +2,11 @@
 
 Mirrors the kernel backend registry (:mod:`repro.kernels.backend`): engines
 register themselves under a name, and :class:`~repro.congest.simulator.Simulator`
-resolves one per run.  Four engines ship with the library:
+resolves one per run.  Three engines ship with the library:
 
-* ``"sparse"`` -- the default event-driven scheduler: same semantics as the
-  seed loop, but with an active-node set instead of full halted scans, pooled
-  inboxes, enqueue-time message sizing and single-pass edge-charge accounting.
+* ``"sparse"`` -- the event-driven scheduler and reference interpreter: runs
+  any node program, with an active-node set, pooled inboxes, enqueue-time
+  message sizing and single-pass edge-charge accounting.
 * ``"symbolic"`` -- the closed-form executor: derives the whole
   :class:`RoundReport` analytically for schedule-determined schemas (tree
   primitives, broadcast replays, arrival-gated min-plus runs) instead of
@@ -17,8 +17,6 @@ resolves one per run.  Four engines ship with the library:
   BFS flooding, the min-id flood) and the tree primitives; only algorithms
   that declare a structured numeric message schema
   (:meth:`NodeAlgorithm.message_schema`) are eligible.
-* ``"legacy"`` -- the seed scheduler loop, kept verbatim as the pinned
-  reference the benchmarks and differential tests compare against.
 
 Selection order (first match wins):
 
@@ -26,7 +24,7 @@ Selection order (first match wins):
 2. a :func:`force_engine` override (used by the differential tests and the
    engine benchmarks),
 3. the ``REPRO_ENGINE`` environment variable (``sparse``, ``dense``,
-   ``symbolic``, ``legacy`` or ``auto``),
+   ``symbolic`` or ``auto``),
 4. ``auto``: the first of ``symbolic``, ``dense`` and ``sparse`` that can
    execute the run.
 

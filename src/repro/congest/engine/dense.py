@@ -28,7 +28,7 @@ leader election) unwraps to its :class:`MinPlusSchema` and runs through the
 vectorized loop below.
 
 The result -- outputs, contexts and the :class:`RoundReport` -- is
-bit-identical to executing the node program on the sparse/legacy engines;
+bit-identical to executing the node program on the sparse engine;
 ``tests/congest/test_engine_differential.py`` enforces this across random,
 star/path and single-node networks.
 """
@@ -316,7 +316,7 @@ class DenseEngine(ExecutionEngine):
     ) -> List[Message]:
         """Build the round's Message objects for an observer (slow path).
 
-        Message *multiset* equals the sparse/legacy delivery; the within-round
+        Message *multiset* equals the sparse delivery; the within-round
         ordering is sender-major but may interleave keys differently.
         """
         delivered: List[Message] = []

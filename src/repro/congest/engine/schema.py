@@ -31,7 +31,7 @@ Their round structure is fixed by the tree alone -- a flood phase, per-edge
 pipelined up/down phases, and an echo-terminated stop wave -- so the
 schema-driven engines compute the whole message schedule analytically
 instead of interpreting ``receive`` per node.  Every schema is purely
-declarative -- the sparse/legacy engines ignore it, and the differential
+declarative -- the sparse engine ignores it, and the differential
 tests assert that the schema-driven execution is bit-identical to running
 the node program itself.
 """

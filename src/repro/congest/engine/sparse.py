@@ -1,7 +1,9 @@
-"""The default event-driven engine: seed semantics, optimized hot path.
+"""The event-driven engine: the reference interpreter of node programs.
 
-Semantics are identical to the legacy loop (the differential tests enforce
-bit-identical :class:`RoundReport` numbers); the wins are purely mechanical:
+It runs any :class:`NodeAlgorithm` round by round, exactly as the CONGEST
+model prescribes, and is the engine the schema-driven ``dense`` and
+``symbolic`` engines are checked against (the differential tests enforce
+bit-identical :class:`RoundReport` numbers).  Its hot path is mechanical:
 
 * an *active list* of non-halted contexts replaces the full halted scan at
   the top of every round and restricts the receive loop to live nodes;

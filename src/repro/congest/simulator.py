@@ -25,13 +25,11 @@ round loop lives in one of the pluggable execution engines under
 it: the closed-form ``symbolic`` engine (schedule-determined schemas: tree
 primitives, broadcast replays, arrival-gated min-plus runs), the vectorized
 ``dense`` engine (announce-on-improvement floods), then the event-driven
-``sparse`` engine (any node program); the pinned ``legacy`` seed loop is
-opt-in.  Every
-engine produces bit-identical :class:`RoundReport` numbers and identical
-outputs, so which engine runs is purely a performance decision --
-overridable per call (``engine=``), per process
-(:func:`repro.congest.engine.force_engine`) or per environment
-(``REPRO_ENGINE``).
+``sparse`` engine (any node program).  Every engine produces
+bit-identical :class:`RoundReport` numbers and identical outputs, so which
+engine runs is purely a performance decision -- overridable per call
+(``engine=``), per process (:func:`repro.congest.engine.force_engine`) or
+per environment (``REPRO_ENGINE``).
 """
 
 from __future__ import annotations
@@ -108,7 +106,7 @@ class Simulator:
             ownership boundary; it never affects the execution itself.
         engine:
             Optional explicit engine name (``"sparse"``, ``"dense"``,
-            ``"symbolic"``, ``"legacy"``).  Defaults to the forced /
+            ``"symbolic"``).  Defaults to the forced /
             ``REPRO_ENGINE`` / ``auto`` selection; an explicitly named
             engine that cannot execute this run raises instead of falling
             back.

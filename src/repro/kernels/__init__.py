@@ -7,10 +7,11 @@ the :mod:`repro.graphs`, :mod:`repro.core`, :mod:`repro.nanongkai` and
 :mod:`repro.analysis` layers all consume.
 
 Backends are pluggable through a small registry (:mod:`repro.kernels.backend`):
-the vectorized NumPy backend is registered when NumPy is importable, and a
-pure-Python fallback with identical semantics is always available.  Set
-``REPRO_BACKEND=python`` (or use :func:`force_backend`) to pin the fallback,
-e.g. when bisecting a suspected kernel bug.
+the SciPy and NumPy backends are registered when their imports succeed, and
+the pure-Python base class :class:`KernelBackend`, whose methods are the
+references they override, is always available as ``"python"``.  Set
+``REPRO_BACKEND=python`` (or use :func:`force_backend`) to pin it, e.g. when
+bisecting a suspected kernel bug.
 """
 
 from repro.kernels.csr import CSRGraph
@@ -23,10 +24,8 @@ from repro.kernels.backend import (
     register_backend,
 )
 
-# Register the built-in backends: the Python fallback always, NumPy and SciPy
-# when their imports succeed (the environment may legitimately lack them).
-from repro.kernels import python_backend as _python_backend  # noqa: F401
-
+# Register the accelerated backends when their imports succeed (the
+# environment may legitimately lack them); "python" registers with the base.
 try:  # pragma: no cover - exercised via the backend-matrix CI job
     from repro.kernels import numpy_backend as _numpy_backend  # noqa: F401
 except ImportError:  # pragma: no cover

@@ -88,12 +88,12 @@ def dijkstra_csr(
 def multi_source_dijkstra(
     graph: GraphLike, sources: Sequence[int], backend: Optional[str] = None
 ) -> Dict[int, Dict[int, float]]:
-    """Exact distances from every source in one batched pass.
+    """Exact distances from every source in one kernel invocation.
 
     Returns ``{source: {node: distance}}``; the per-source rows are identical
-    to ``dijkstra_csr`` run source by source, but the whole batch is computed
-    in one kernel invocation (one heap pass on the Python backend, one
-    vectorized relaxation on NumPy).
+    to ``dijkstra_csr`` run source by source, which is what the pure-Python
+    backend does; NumPy relaxes the batch vectorized and SciPy hands it to
+    ``csgraph.dijkstra``.
     """
     csr = _snapshot(graph)
     source_indices = [_source_index(csr, source) for source in sources]

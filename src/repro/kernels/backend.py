@@ -6,8 +6,9 @@ Three backends ship with the library:
   arrival-gated kernels (registered only when SciPy is importable).
 * ``"numpy"`` -- batched, vectorized relaxation kernels (registered only when
   NumPy is importable).
-* ``"python"`` -- a dependency-free fallback with the same semantics, using
-  heap-based Dijkstra and frontier relaxation over the flat CSR arrays.
+* ``"python"`` -- :class:`KernelBackend` itself: heap Dijkstra and frontier
+  relaxation over the flat CSR lists, dependency-free.  Its methods are the
+  references the other two override.
 
 Selection order (first match wins):
 
@@ -91,7 +92,8 @@ class GatedRounds(NamedTuple):
 
 
 class KernelBackend:
-    """Interface every kernel backend implements.
+    """The pure-Python backend, registered as ``"python"``, and the
+    reference every other backend overrides.
 
     The shortest-path methods work in *index space*: sources are dense
     indices into ``csr.nodes`` and results are sequences of ``n`` floats per
@@ -103,23 +105,68 @@ class KernelBackend:
     3's table to Lemma 3.3's distances as matrices.
     """
 
-    name: str = "abstract"
+    name: str = "python"
 
     def sssp(self, csr: CSRGraph, source: int) -> Sequence[float]:
         """Exact single-source distances from ``source`` (an index)."""
-        raise NotImplementedError
+        indptr, indices, weights = csr.indptr, csr.indices, csr.weights
+        heappush, heappop = heapq.heappush, heapq.heappop
+        dist: List[float] = [math.inf] * csr.num_nodes
+        dist[source] = 0
+        heap = [(0, source)]
+        while heap:
+            d, u = heappop(heap)
+            if d > dist[u]:
+                continue  # stale heap entry
+            start, end = indptr[u], indptr[u + 1]
+            for v, w in zip(indices[start:end], weights[start:end]):
+                candidate = d + w
+                if candidate < dist[v]:
+                    dist[v] = candidate
+                    heappush(heap, (candidate, v))
+        return dist
 
     def multi_source_sssp(
         self, csr: CSRGraph, sources: Sequence[int]
     ) -> List[Sequence[float]]:
         """Exact distances from each of ``sources``; one row per source."""
-        raise NotImplementedError
+        return [self.sssp(csr, source) for source in sources]
 
     def bounded_hop(
         self, csr: CSRGraph, sources: Sequence[int], max_hops: int
     ) -> List[Sequence[float]]:
-        """``max_hops``-hop-bounded distances from each source (Section 3.1)."""
-        raise NotImplementedError
+        """``max_hops``-hop-bounded distances from each source (Section 3.1).
+
+        Round ``h`` computes ``d_h(v) = min(d_{h-1}(v), min_u d_{h-1}(u) +
+        w(u, v))`` from a frontier of nodes improved in round ``h - 1``; after
+        ``max_hops`` rounds each entry is the least length over paths with at
+        most ``max_hops`` edges.
+        """
+        indptr, indices, weights = csr.indptr, csr.indices, csr.weights
+        n = csr.num_nodes
+        rows: List[Sequence[float]] = []
+        for source in sources:
+            dist: List[float] = [math.inf] * n
+            dist[source] = 0
+            frontier = [source]
+            for _ in range(max_hops):
+                if not frontier:
+                    break
+                updates = {}
+                for u in frontier:
+                    base = dist[u]
+                    for k in range(indptr[u], indptr[u + 1]):
+                        v = indices[k]
+                        candidate = base + weights[k]
+                        if candidate < updates.get(v, dist[v]):
+                            updates[v] = candidate
+                frontier = []
+                for v, value in updates.items():
+                    if value < dist[v]:
+                        dist[v] = value
+                        frontier.append(v)
+            rows.append(dist)
+        return rows
 
     def all_pairs(self, csr: CSRGraph) -> List[Sequence[float]]:
         """Exact all-pairs distance rows, in CSR index order."""
@@ -330,3 +377,6 @@ def force_backend(name: str) -> Iterator[KernelBackend]:
         yield backend
     finally:
         _FORCED = previous
+
+
+register_backend(KernelBackend())

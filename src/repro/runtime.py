@@ -40,8 +40,8 @@ class RunConfig:
     Attributes
     ----------
     engine:
-        CONGEST execution engine name (``sparse``/``dense``/``symbolic``/
-        ``legacy``) or ``None`` to leave selection alone.  The forced engine
+        CONGEST execution engine name (``sparse``/``dense``/``symbolic``)
+        or ``None`` to leave selection alone.  The forced engine
         is still subject to per-run eligibility and falls back to ``sparse``
         exactly like ``REPRO_ENGINE`` would.
     backend:

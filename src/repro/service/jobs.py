@@ -11,7 +11,7 @@ Concurrency model (the GIL caveat, stated honestly): worker *threads* are
 the right executor here because the expensive engines already release the
 work from the interpreter -- ``dense`` runs NumPy kernels (which drop the
 GIL in the C layer) and cache hits are pure lookups.  Pure-Python engine
-runs (``sparse``, ``symbolic``, ``legacy``) do serialize on the GIL; batches
+runs (``sparse``, ``symbolic``) do serialize on the GIL; batches
 of those gain concurrency only in wall-clock overlap of their NumPy phases,
 not CPU parallelism.
 

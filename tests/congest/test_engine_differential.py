@@ -1,7 +1,7 @@
 """Differential tests: every execution engine must be indistinguishable.
 
-The engines (``legacy`` seed loop, optimized ``sparse``, vectorized
-``dense``, closed-form ``symbolic``) may differ arbitrarily in how they
+The engines (the reference interpreter ``sparse``, vectorized ``dense``,
+closed-form ``symbolic``) may differ arbitrarily in how they
 execute a round, but never in what they compute: outputs must be identical
 and the ``RoundReport`` numbers (rounds, congested_rounds, total_messages,
 total_bits, max_message_bits) bit-identical, across every migrated protocol,
@@ -101,13 +101,12 @@ def _run_on_all_engines(protocol):
 
 
 def _assert_identical(results):
-    """All engines produced identical outputs and bit-identical reports."""
-    (reference_engine, (ref_out, ref_report)), *rest = results.items()
-    for engine, (out, report) in rest:
-        assert out == ref_out, f"{engine} outputs diverge from {reference_engine}"
+    """Every engine produced sparse's outputs and bit-identical report."""
+    ref_out, ref_report = results["sparse"]
+    for engine, (out, report) in results.items():
+        assert out == ref_out, f"{engine} outputs diverge from sparse"
         assert report == ref_report, (
-            f"{engine} report diverges from {reference_engine}: "
-            f"{report} != {ref_report}"
+            f"{engine} report diverges from sparse: {report} != {ref_report}"
         )
 
 
@@ -707,7 +706,7 @@ def test_isolated_node_weight_overrides_may_be_omitted():
         lambda: bounded_distance_sssp_protocol(network, source, 4, weights={})
     )
     _assert_identical(results)
-    outputs, report = results[ENGINES[0]]
+    outputs, report = results["sparse"]
     assert outputs == {source: 0}
     assert report.rounds == 5
 
@@ -740,7 +739,7 @@ def test_huge_weights_stay_exact_on_every_engine():
     source = 0
     results = _run_on_all_engines(lambda: distributed_bellman_ford(network, source))
     _assert_identical(results)
-    assert results[ENGINES[0]][0][1] == 2**53 + 1  # the exact odd distance
+    assert results["sparse"][0][1] == 2**53 + 1  # the exact odd distance
     if "dense" in ENGINES:
         from repro.congest.engine import get_engine
 

@@ -24,6 +24,8 @@ from repro.congest import (
 from repro.congest.engine import base as engine_base
 from repro.congest.engine.base import resolve_engine
 from repro.congest.engine.schema import MinPlusSchema
+from repro.congest.engine.types import RoundReport
+from repro.congest.message import message_size_bits
 from repro.congest.primitives import _BfsTreeAlgorithm, _MinIdFloodAlgorithm
 from repro.congest.sssp import _BellmanFordAlgorithm
 from repro.graphs import WeightedGraph, path_graph, random_weighted_graph
@@ -47,54 +49,83 @@ class _Quiet(NodeAlgorithm):
         ctx.halt()
 
 
+class _PinnedEngine(engine_base.ExecutionEngine):
+    """A test-local engine that runs anything on sparse: pinning it is
+    observable through :func:`resolve_engine` on any program."""
+
+    name = "pinned-test"
+
+    def run(self, network, algorithm, max_rounds, **kwargs):
+        return get_engine("sparse").run(network, algorithm, max_rounds, **kwargs)
+
+
+@pytest.fixture
+def pinned(monkeypatch):
+    monkeypatch.setitem(engine_base._REGISTRY, _PinnedEngine.name, _PinnedEngine())
+    return _PinnedEngine.name
+
+
+#: Unregistered names, including the seed loop's, which was removed.
+UNKNOWN_ENGINES = ("warp-drive", "legacy")
+
+
 class TestRegistry:
     def test_bundled_engines_registered(self):
-        assert "sparse" in ENGINES
-        assert "legacy" in ENGINES
-        assert "symbolic" in ENGINES  # registered with or without NumPy
+        # symbolic registers with or without NumPy, dense only with it.
+        assert ENGINES in (["dense", "sparse", "symbolic"], ["sparse", "symbolic"])
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown execution engine"):
-            get_engine("warp-drive")
-        with pytest.raises(ValueError, match="unknown execution engine"):
-            with force_engine("warp-drive"):
-                pass  # pragma: no cover
+        listing = f"available: {available_engines()}"
+        for name in UNKNOWN_ENGINES:
+            with pytest.raises(ValueError, match="unknown execution engine") as info:
+                get_engine(name)
+            assert listing in str(info.value)
+            with pytest.raises(ValueError, match="unknown execution engine") as info:
+                with force_engine(name):
+                    pass  # pragma: no cover
+            assert listing in str(info.value)
 
     def test_unknown_env_engine_rejected(self, network, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "warp-drive")
-        with pytest.raises(ValueError, match="unknown execution engine"):
-            resolve_engine(None, network, _Quiet())
+        for name in UNKNOWN_ENGINES:
+            monkeypatch.setenv("REPRO_ENGINE", name)
+            with pytest.raises(ValueError, match="unknown execution engine") as info:
+                resolve_engine(None, network, _Quiet())
+            assert f"available: {available_engines()}" in str(info.value)
 
-    def test_force_engine_nesting_restores_prior_engine(self, network, monkeypatch):
+    def test_force_engine_nesting_restores_prior_engine(
+        self, network, monkeypatch, pinned
+    ):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         algorithm = _Quiet()
-        with force_engine("legacy"):
+        with force_engine(pinned):
             with force_engine("sparse"):
                 assert resolve_engine(None, network, algorithm).name == "sparse"
             # Leaving the inner block restores the *outer* pin, not "auto".
-            assert resolve_engine(None, network, algorithm).name == "legacy"
+            assert resolve_engine(None, network, algorithm).name == pinned
         assert resolve_engine(None, network, algorithm).name == "sparse"
 
-    def test_force_engine_restores_even_after_errors(self, network, monkeypatch):
+    def test_force_engine_restores_even_after_errors(
+        self, network, monkeypatch, pinned
+    ):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        with force_engine("legacy"):
+        with force_engine(pinned):
             with pytest.raises(RuntimeError):
                 with force_engine("sparse"):
                     raise RuntimeError("mid-block failure")
-            assert resolve_engine(None, network, _Quiet()).name == "legacy"
+            assert resolve_engine(None, network, _Quiet()).name == pinned
         assert resolve_engine(None, network, _Quiet()).name == "sparse"
 
-    def test_force_engine_pins_and_restores(self, network, monkeypatch):
+    def test_force_engine_pins_and_restores(self, network, monkeypatch, pinned):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         algorithm = _Quiet()
-        with force_engine("legacy"):
-            assert resolve_engine(None, network, algorithm).name == "legacy"
+        with force_engine(pinned):
+            assert resolve_engine(None, network, algorithm).name == pinned
         # Override gone: auto resolution picks sparse for schema-less programs.
         assert resolve_engine(None, network, algorithm).name == "sparse"
 
-    def test_env_variable_selects_engine(self, network, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "legacy")
-        assert resolve_engine(None, network, _Quiet()).name == "legacy"
+    def test_env_variable_selects_engine(self, network, monkeypatch, pinned):
+        monkeypatch.setenv("REPRO_ENGINE", pinned)
+        assert resolve_engine(None, network, _Quiet()).name == pinned
 
     def test_env_variable_falls_back_when_ineligible(self, network, monkeypatch):
         if "dense" not in ENGINES:
@@ -220,7 +251,7 @@ class TestObserverSemantics:
                 engine,
                 halt_on_quiescence=True,
             )[0]
-        reference = streams.pop(ENGINES[0])
+        reference = streams.pop("sparse")
         for engine, stream in streams.items():
             assert stream == reference, f"{engine} observer stream diverged"
 
@@ -253,11 +284,23 @@ class _ListPayload(NodeAlgorithm):
         ctx.halt()
 
 
+def _sized_report(network, protocol, messages):
+    """The one-round report of delivering ``messages`` (``(sender, receiver,
+    tag, payload)``), each sized on its own by ``message_size_bits``."""
+    bits, edge_bits = [], {}
+    for sender, receiver, tag, payload in messages:
+        bits.append(message_size_bits(payload, tag=tag, word_bits=network.word_bits))
+        edge_bits[sender, receiver] = edge_bits.get((sender, receiver), 0) + bits[-1]
+    charge = max(-(-total // network.bandwidth_bits) for total in edge_bits.values())
+    return RoundReport(1, max(charge, 1), len(bits), sum(bits), max(bits), protocol)
+
+
 def test_sparse_sizes_unhashable_payloads_like_legacy():
     network = Network(WeightedGraph(edges=[(0, 1, 1)]))
     sparse = Simulator(network).run(_ListPayload(), engine="sparse")
-    legacy = Simulator(network).run(_ListPayload(), engine="legacy")
-    assert sparse.report == legacy.report
+    assert sparse.report == _sized_report(
+        network, "list-payload", [(0, 1, "raw", [1, 2, 3])]
+    )
     assert sparse.report.total_bits > 0
 
 
@@ -282,8 +325,11 @@ class _MixedTypePayloads(NodeAlgorithm):
 def test_sparse_never_conflates_equal_payloads_of_different_types():
     network = Network(WeightedGraph(edges=[(0, 1, 1)]))
     sparse = Simulator(network).run(_MixedTypePayloads(), engine="sparse")
-    legacy = Simulator(network).run(_MixedTypePayloads(), engine="legacy")
-    assert sparse.report == legacy.report
+    assert sparse.report == _sized_report(
+        network,
+        "mixed-type-payloads",
+        [(0, 1, "", 2), (0, 1, "", (True,)), (1, 0, "", 2.0), (1, 0, "", (1,))],
+    )
 
 
 def test_schema_overhead_respects_word_bits():
@@ -351,7 +397,7 @@ class TestQuiescenceSemantics:
                     _BellmanFordAlgorithm(sorted(network.nodes)),
                     halt_on_quiescence=True,
                 ).report
-        reference = reports.pop(ENGINES[0])
+        reference = reports.pop("sparse")
         for engine, report in reports.items():
             assert report == reference, f"{engine} diverged: {report} != {reference}"
 

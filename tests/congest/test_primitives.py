@@ -8,6 +8,7 @@ from repro.congest import (
     CongestConfig,
     Network,
     Simulator,
+    available_engines,
     broadcast_from,
     build_bfs_tree,
     convergecast_max,
@@ -155,7 +156,7 @@ class TestBroadcastPipelining:
         )
         return per_round
 
-    @pytest.mark.parametrize("engine", ["sparse", "legacy"])
+    @pytest.mark.parametrize("engine", available_engines())
     def test_at_most_one_bc_message_per_edge_per_round(self, engine):
         network = Network(random_weighted_graph(18, average_degree=3.0, seed=2))
         tree, _ = build_bfs_tree(network, 0)

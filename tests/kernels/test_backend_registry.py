@@ -20,6 +20,9 @@ pytestmark = pytest.mark.kernels
 class TestSelection:
     def test_python_backend_always_registered(self):
         assert "python" in available_backends()
+        # The pure-Python tier is the base class itself, holding every
+        # reference the accelerated backends override.
+        assert type(get_backend("python")) is KernelBackend
 
     def test_auto_prefers_fastest_available(self):
         # Explicit "auto" resolves the same way regardless of REPRO_BACKEND.

@@ -95,7 +95,7 @@ class TestCrossEngine:
     def test_default_never_serves_cross_engine(self):
         service = SimulationService(max_workers=1)
         a = service.run(sssp_spec(engine="sparse"))
-        b = service.run(sssp_spec(engine="legacy"))
+        b = service.run(sssp_spec(engine="symbolic"))
         assert a == b  # engine invariance: equal results...
         assert service.cache.stats.hits == 0  # ...but both computed
         assert service.cache.stats.misses == 2
@@ -104,7 +104,7 @@ class TestCrossEngine:
     def test_opt_in_serves_cross_engine(self):
         service = SimulationService(max_workers=1, allow_cross_engine=True)
         a = service.run(sssp_spec(engine="sparse"))
-        b = service.run(sssp_spec(engine="legacy"))
+        b = service.run(sssp_spec(engine="symbolic"))
         assert a == b
         assert service.cache.stats.hits == 1
         assert service.cache.stats.cross_engine_hits == 1
@@ -126,7 +126,7 @@ class TestCrossEngine:
                 outputs={}, report=RoundReport(1, 0, 0, 0, 0, "x"), contexts={}
             ),
         )
-        other = spec.with_engine("legacy")
+        other = spec.with_engine("symbolic")
         assert (
             cache.lookup(other, digest, allow_cross_engine=True, engine_invariant=False)
             is None
@@ -186,7 +186,7 @@ class TestLruAndDiskTier:
             cache=ResultCache(directory=tmp_path),
             allow_cross_engine=True,
         )
-        warm = second.run(spec.with_engine("legacy"))
+        warm = second.run(spec.with_engine("symbolic"))
         assert warm == fresh
         assert second.cache.stats.cross_engine_hits == 1
         second.close()

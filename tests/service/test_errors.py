@@ -35,7 +35,7 @@ class TestSimulatorEngineErrors:
             simulator.run(_BellmanFordAlgorithm([0]), engine="nope")
         message = str(excinfo.value)
         assert "nope" in message
-        assert "sparse" in message and "legacy" in message and "symbolic" in message
+        assert "sparse" in message and "symbolic" in message
 
     def test_env_engine_bogus_names_registry(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "bogus")

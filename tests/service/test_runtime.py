@@ -18,10 +18,15 @@ class TestRunConfigValidation:
         config.validate()
 
     def test_unknown_engine_names_registry(self):
-        with pytest.raises(ValueError) as excinfo:
-            RunConfig(engine="warp").validate()
-        message = str(excinfo.value)
-        assert "warp" in message and "sparse" in message and "symbolic" in message
+        from repro.congest import available_engines
+
+        # "legacy" names the removed seed loop: it must fail like any typo.
+        for name in ("warp", "legacy"):
+            with pytest.raises(ValueError) as excinfo:
+                RunConfig(engine=name).validate()
+            message = str(excinfo.value)
+            assert repr(name) in message
+            assert f"available: {available_engines()}" in message
 
     def test_unknown_backend_names_registry(self):
         with pytest.raises(ValueError) as excinfo:
@@ -32,6 +37,9 @@ class TestRunConfigValidation:
     def test_apply_validates_eagerly(self):
         with pytest.raises(ValueError, match="warp"):
             with RunConfig(engine="warp").apply():
+                raise AssertionError("the body must not run")
+        with pytest.raises(ValueError, match="unknown execution engine 'legacy'"):
+            with configure(engine="legacy"):
                 raise AssertionError("the body must not run")
 
 
@@ -55,18 +63,22 @@ class TestConfigureComposition:
     def test_restores_preexisting_env_value(self, monkeypatch):
         from repro.congest import Network
         from repro.congest.engine.base import resolve_engine
-        from repro.congest.sssp import _BellmanFordAlgorithm
         from repro.graphs import path_graph
+        from repro.nanongkai.bounded_distance_sssp import (
+            BoundedDistanceSsspAlgorithm,
+        )
 
         network = Network(path_graph(4))
-        algorithm = _BellmanFordAlgorithm([0])
-        monkeypatch.setenv("REPRO_ENGINE", "legacy")
-        with configure(engine="sparse"):
+        # A gated schema: symbolic runs it, and so would ``auto``, so only
+        # the environment's pin makes it resolve to sparse.
+        algorithm = BoundedDistanceSsspAlgorithm(0, 10)
+        monkeypatch.setenv("REPRO_ENGINE", "sparse")
+        with configure(engine="symbolic"):
             # The forced engine wins over the environment while applied ...
-            assert resolve_engine(None, network, algorithm).name == "sparse"
+            assert resolve_engine(None, network, algorithm).name == "symbolic"
         # ... and the environment selection is untouched afterwards.
-        assert os.environ["REPRO_ENGINE"] == "legacy"
-        assert resolve_engine(None, network, algorithm).name == "legacy"
+        assert os.environ["REPRO_ENGINE"] == "sparse"
+        assert resolve_engine(None, network, algorithm).name == "sparse"
 
     def test_restores_after_body_raises(self):
         from repro.congest.engine import base as engine_base

@@ -149,11 +149,15 @@ class TestRunSpecValidation:
             assert name in message
 
     def test_unknown_engine_names_registry(self):
-        with pytest.raises(ValueError) as excinfo:
-            path_spec(engine="nope").validate()
-        message = str(excinfo.value)
-        assert "nope" in message
-        assert "sparse" in message and "symbolic" in message
+        from repro.congest import available_engines
+
+        # "legacy" names the removed seed loop: it must fail like any typo.
+        for name in ("nope", "legacy"):
+            with pytest.raises(ValueError) as excinfo:
+                path_spec(engine=name).validate()
+            message = str(excinfo.value)
+            assert repr(name) in message
+            assert f"available: {available_engines()}" in message
 
     def test_unknown_backend_names_registry(self):
         with pytest.raises(ValueError) as excinfo:
