@@ -34,22 +34,32 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def git_commit() -> Optional[str]:
-    """The repository HEAD commit hash, or ``None`` outside a git checkout."""
+def _git(*args: str) -> Optional[str]:
+    """``git *args``'s stripped stdout, or ``None`` outside a git checkout."""
     try:
-        return (
-            subprocess.run(
-                ["git", "rev-parse", "HEAD"],
-                cwd=Path(__file__).parent,
-                capture_output=True,
-                text=True,
-                check=True,
-                timeout=10,
-            ).stdout.strip()
-            or None
-        )
+        return subprocess.run(
+            ["git", *args],
+            cwd=Path(__file__).parent,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=10,
+        ).stdout.strip()
     except Exception:  # pragma: no cover - git absent or not a checkout
         return None
+
+
+def git_commit() -> Optional[str]:
+    """The repository HEAD commit hash, or ``None`` outside a git checkout."""
+    return _git("rev-parse", "HEAD") or None
+
+
+def git_dirty() -> Optional[bool]:
+    """Whether the checkout differs from HEAD (tracked changes or untracked
+    files), so a record regenerated from uncommitted code says so; ``None``
+    outside a git checkout."""
+    status = _git("status", "--porcelain")
+    return None if status is None else bool(status)
 
 
 @pytest.fixture(scope="session")
@@ -79,8 +89,9 @@ def record_json(results_dir):
 
     ``payload`` should carry the workload identity, the engine configuration
     and the measured numbers; the fixture adds the machine context (CPU count,
-    Python version), the git commit, and the engine/backend environment
-    overrides every reading needs for interpretation -- a
+    Python version), the git commit and whether the checkout was dirty, and
+    the engine/backend environment overrides every reading needs for
+    interpretation -- a
     ``REPRO_ENGINE=symbolic`` run is not comparable to a stepping run, and
     the JSON must say so.
     """
@@ -94,6 +105,7 @@ def record_json(results_dir):
             },
             "provenance": {
                 "git_commit": git_commit(),
+                "git_dirty": git_dirty(),
                 "env": {
                     "REPRO_ENGINE": os.environ.get("REPRO_ENGINE"),
                     "REPRO_BACKEND": os.environ.get("REPRO_BACKEND"),

@@ -79,12 +79,14 @@ def _sweep():
         network = Network(
             random_weighted_graph(n, average_degree=4.0, max_weight=100, seed=7)
         )
-        repeats = 2 if n < 256 else 1
         reference = None
         sparse_time = None
         for engine in ("sparse", "dense"):
             if engine not in available_engines():
                 continue
+            # Sparse is timed once: only the n=256 ratio is asserted, and a
+            # second sparse run at n=64/128 only fed table rows.
+            repeats = 2 if n < 256 and engine == "dense" else 1
             with force_engine(engine):
                 elapsed, (outputs, report) = _best_of(
                     lambda: distributed_weighted_apsp(network), repeats

@@ -20,9 +20,9 @@ whole schedule up front and replays only the *accounting*:
    engine's single-pass accounting would, including the congestion charge
    ``max_edge ceil(bits / B)``, the strict-bandwidth first-violation error
    text, and the round-limit failure mode;
-3. a per-kind finalizer rebuilds every node's memory as the node program
+3. a per-kind finalizer rebuilds a node's memory as the node program
    would have left it, so outputs and contexts are engine-independent; it
-   runs only when the result's outputs or contexts are first read.
+   runs only for the nodes whose output or context is read.
 
 All derivations mirror ``repro.congest.primitives`` statement by statement;
 ``tests/congest/test_engine_differential.py`` pins the bit-identical
@@ -64,8 +64,8 @@ class _TreePlan:
     max_message: List[int]
     max_edge: List[int]
     materialize: _Materializer
-    #: Builds every node's final memory; called only when contexts are read.
-    memory: Callable[[], Dict[int, Dict[str, Any]]]
+    #: Builds one node's final memory; called only when that node is read.
+    memory: Callable[[int], Dict[str, Any]]
 
 
 class _Unsupported(ValueError):
@@ -231,7 +231,7 @@ def _validate_tree(network: Network, schema: TreeSchema) -> _TreeArrays:
     )
 
 
-def _empty_plan(memory: Callable[[], Dict[int, Dict[str, Any]]]) -> _TreePlan:
+def _empty_plan(memory: Callable[[int], Dict[str, Any]]) -> _TreePlan:
     return _TreePlan(
         rounds=0,
         msgs=[],
@@ -428,8 +428,8 @@ def _bfs_plan(network: Network, schema: TreeSchema, word_bits: int) -> _TreePlan
                 out.extend((node, c, ("stop",)) for c in children[node])
         return out
 
-    memory = {
-        node: {
+    def memory(node: int) -> Dict[str, Any]:
+        return {
             "parent": parent[node],
             "depth": depth[node],
             "children": list(children[node]),
@@ -438,11 +438,8 @@ def _bfs_plan(network: Network, schema: TreeSchema, word_bits: int) -> _TreePlan
             "sent_echo": True,
             "explored": True,
         }
-        for node in nodes
-    }
-    return _TreePlan(
-        rounds, msgs, bits, max_message, max_edge, materialize, lambda: memory
-    )
+
+    return _TreePlan(rounds, msgs, bits, max_message, max_edge, materialize, memory)
 
 
 # --------------------------------------------------------------------------- #
@@ -455,18 +452,15 @@ def _broadcast_plan(network: Network, schema: TreeSchema, word_bits: int) -> _Tr
     nodes = tree.nodes
     height = tree.height
 
-    def final_memory() -> Dict[int, Dict[str, Any]]:
-        memory = {}
-        for node in nodes:
-            entry: Dict[str, Any] = {
-                "expected": k,
-                "children": list(tree.children[node]),
-                "received": list(values),
-            }
-            if node == tree.root:
-                entry["forwarded"] = k
-            memory[node] = entry
-        return memory
+    def final_memory(node: int) -> Dict[str, Any]:
+        entry: Dict[str, Any] = {
+            "expected": k,
+            "children": list(tree.children[node]),
+            "received": list(values),
+        }
+        if node == tree.root:
+            entry["forwarded"] = k
+        return entry
 
     if k == 0 or height == 0:
         return _empty_plan(final_memory)
@@ -549,8 +543,7 @@ def _convergecast_plan(
             value = combine(value, acc[child])
         acc[node] = value
 
-    memory = {}
-    for node in nodes:
+    def memory(node: int) -> Dict[str, Any]:
         entry: Dict[str, Any] = {
             "children": list(tree.children[node]),
             "pending": set(),
@@ -559,11 +552,11 @@ def _convergecast_plan(
         }
         if node == tree.root:
             entry["result"] = acc[node]
-        memory[node] = entry
+        return entry
 
     rounds = emit[tree.root]
     if rounds == 0:
-        return _empty_plan(lambda: memory)
+        return _empty_plan(memory)
 
     msgs = [0] * rounds
     bits = [0] * rounds
@@ -590,9 +583,7 @@ def _convergecast_plan(
             if node != tree.root and emit[node] == t
         ]
 
-    return _TreePlan(
-        rounds, msgs, bits, max_message, max_edge, materialize, lambda: memory
-    )
+    return _TreePlan(rounds, msgs, bits, max_message, max_edge, materialize, memory)
 
 
 # --------------------------------------------------------------------------- #
@@ -635,7 +626,6 @@ def _gather_plan(
     collected: List[Any] = list(own_records[root_idx])
 
     sends_by_t: List[List[Tuple[int, int, Tuple[Any, ...], int]]] = []
-    active = 0
 
     def step(i: int, out: List[Tuple[int, int, Tuple[Any, ...], int]]) -> None:
         if i != root_idx and queues[i]:
@@ -653,10 +643,11 @@ def _gather_plan(
     for i in range(n):
         step(i, init_sends)
     sends_by_t.append(init_sends)
-    active = n - sum(halted)
+    # Only live nodes step, in node order: most halt in the first rounds.
+    live = [i for i in range(n) if not halted[i]]
 
     rounds = 0
-    while active and rounds <= max_rounds:
+    while live and rounds <= max_rounds:
         rounds += 1
         for sender, receiver, payload, b in sends_by_t[rounds - 1]:
             if payload[0] == "rec":
@@ -667,14 +658,11 @@ def _gather_plan(
             else:
                 pending[receiver] -= 1
         current: List[Tuple[int, int, Tuple[Any, ...], int]] = []
-        for i in range(n):
-            if halted[i]:
-                continue
+        for i in live:
             if i == root_idx:
                 queues[i].clear()  # the root only accumulates
             step(i, current)
-            if halted[i]:
-                active -= 1
+        live = [i for i in live if not halted[i]]
         sends_by_t.append(current)
 
     msgs = [0] * rounds
@@ -688,11 +676,10 @@ def _gather_plan(
                 max_message[t] = b
     max_edge = list(max_message)  # one upward message per edge per round
 
-    memory = {}
-    for i, node in enumerate(nodes):
-        memory[node] = {
+    def memory(node: int) -> Dict[str, Any]:
+        return {
             "queue": [],
-            "collected": list(collected) if node == root else list(own_records[i]),
+            "collected": list(collected if node == root else own_records[order[node]]),
             "children_pending": set(),
             "parent": tree.parent[node],
             "sent_end": node != root,
@@ -704,9 +691,7 @@ def _gather_plan(
             for sender, receiver, payload, _ in sends_by_t[t]
         ]
 
-    return _TreePlan(
-        rounds, msgs, bits, max_message, max_edge, materialize, lambda: memory
-    )
+    return _TreePlan(rounds, msgs, bits, max_message, max_edge, materialize, memory)
 
 
 # --------------------------------------------------------------------------- #
@@ -820,29 +805,26 @@ def run_tree(
             )
 
     return SimulationResult(
-        None, report, build=final_state(network, algorithm, plan.memory)
+        None,
+        report,
+        nodes=network.nodes,
+        build=final_state(network, algorithm, plan.memory),
     )
 
 
 def final_state(
     network: Network,
     algorithm: NodeAlgorithm,
-    memory: Callable[[], Dict[int, Dict[str, Any]]],
-) -> Callable[[], Tuple[Dict[int, Any], Dict[int, NodeContext]]]:
-    """A :class:`SimulationResult` builder: halted contexts holding each
-    node's ``memory()`` entry, for the network's nodes as of now, and their
-    outputs."""
-    nodes = list(network.nodes)
+    memory: Callable[[int], Dict[str, Any]],
+) -> Callable[[int], Tuple[Any, NodeContext]]:
+    """A deferred :class:`SimulationResult`'s per-node builder: the node's
+    halted context holding ``memory(node)``, and the node's output."""
 
-    def build() -> Tuple[Dict[int, Any], Dict[int, NodeContext]]:
-        final = memory()
-        contexts: Dict[int, NodeContext] = {}
-        for node in nodes:
-            ctx = NodeContext(node=node, network=network)
-            ctx.memory.update(final[node])
-            ctx._halted = True
-            contexts[node] = ctx
-        return {node: algorithm.output(contexts[node]) for node in nodes}, contexts
+    def build(node: int) -> Tuple[Any, NodeContext]:
+        ctx = NodeContext(node=node, network=network)
+        ctx.memory.update(memory(node))
+        ctx._halted = True
+        return algorithm.output(ctx), ctx
 
     return build
 

@@ -184,6 +184,7 @@ class SymbolicEngine(ExecutionEngine):
             None,
             report,
             table=dist,
+            nodes=network.nodes,
             build=dense_tree.final_state(network, algorithm, memory),
         )
 
@@ -345,19 +346,21 @@ def _final_memory(
     initial_memory: Optional[Dict[int, Dict[str, Any]]],
     schema: Optional[MinPlusSchema],
     dist: Optional[Sequence[Sequence[Any]]],
-) -> Callable[[], Dict[int, Dict[str, Any]]]:
-    """Every node's halted memory, rebuilt on call exactly as the node
-    program would leave it; the pre-loaded memory is copied now."""
+) -> Callable[[int], Dict[str, Any]]:
+    """A node's halted memory, rebuilt on call exactly as the node program
+    would leave it; the node order and pre-loaded memory are copied now."""
     nodes = list(network.nodes)
     preloaded = {
         node: dict(initial_memory.get(node, {})) for node in nodes
     } if initial_memory else {}
+    row_of: Dict[int, int] = {}
 
-    def memory() -> Dict[int, Dict[str, Any]]:
-        final = {node: dict(preloaded.get(node, {})) for node in nodes}
+    def memory(node: int) -> Dict[str, Any]:
+        final = dict(preloaded.get(node, {}))
         if schema is not None:
-            for index, node in enumerate(nodes):
-                final[node].update(schema.finalize(node, dist[index]))
+            if not row_of:
+                row_of.update((v, index) for index, v in enumerate(nodes))
+            final.update(schema.finalize(node, dist[row_of[node]]))
         return final
 
     return memory

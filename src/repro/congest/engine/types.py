@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.congest.algorithm import NodeContext
 
@@ -216,9 +216,13 @@ class RoundReport:
 class SimulationResult:
     """Outputs of all nodes plus the execution's round report.
 
-    An engine passes ``outputs`` and ``contexts``, or a ``build() ->
-    (outputs, contexts)`` that runs on their first read (it must not raise
-    and must not read state the caller can still change).  ``table`` is the
+    An engine passes ``outputs`` and ``contexts``, or a snapshot of the
+    network's ``nodes`` and a ``build(node) -> (output, context)`` that
+    makes one node's final state on demand (it must not raise and must not
+    read state the caller can still change).  :meth:`output_of` builds only
+    the node it reads; the first full read of ``outputs`` or ``contexts``
+    runs ``build`` over every node, reusing those already built, and is
+    cached.  ``table`` is the
     closed-form engine's final min-plus table (one row per node, one value
     per schema column), else ``None``; it takes no part in equality,
     ``repr`` or serialization, which behave as for a dataclass of
@@ -231,16 +235,27 @@ class SimulationResult:
         report: RoundReport,
         contexts: Optional[Dict[int, NodeContext]] = None,
         table: Any = None,
-        build: Optional[Callable[[], Tuple[Dict[int, Any], Dict[int, NodeContext]]]] = None,
+        build: Optional[Callable[[int], Tuple[Any, NodeContext]]] = None,
+        nodes: Sequence[int] = (),
     ) -> None:
         self.report = report
         self.table = table
-        self._build = build or (lambda: (outputs, {} if contexts is None else contexts))
+        self._build = build
+        self._nodes = nodes
+        self._built: Dict[int, Tuple[Any, NodeContext]] = {}
+        if build is None:
+            self._state = (outputs, {} if contexts is None else contexts)
 
     @functools.cached_property
     def _state(self) -> Tuple[Dict[int, Any], Dict[int, NodeContext]]:
-        state, self._build = self._build(), None
-        return state
+        outputs: Dict[int, Any] = {}
+        contexts: Dict[int, NodeContext] = {}
+        built, build = self._built, self._build
+        for node in self._nodes:
+            outputs[node], contexts[node] = built[node] if node in built else build(node)
+        self._build = None
+        self._built = {}
+        return outputs, contexts
 
     outputs = property(lambda self: self._state[0])
     contexts = property(lambda self: self._state[1])
@@ -259,8 +274,13 @@ class SimulationResult:
         )
 
     def output_of(self, node: int) -> Any:
-        """Convenience accessor for a single node's output."""
-        return self.outputs[node]
+        """A single node's output, building only that node's state while
+        the others are unread."""
+        if self._build is None or node not in self._nodes:
+            return self.outputs[node]
+        if node not in self._built:
+            self._built[node] = self._build(node)
+        return self._built[node][0]
 
     def unique_output(self) -> Any:
         """Return the common output when all nodes agree; raise otherwise.

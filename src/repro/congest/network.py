@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Tuple, TypeVar
 
 from repro.graphs.properties import unweighted_diameter
 from repro.graphs.weighted_graph import WeightedGraph
 
 __all__ = ["CongestConfig", "Network"]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,8 @@ class Network:
             raise ValueError("the CONGEST network topology must be connected")
         self._graph = graph
         self._config = config or CongestConfig()
-        self._unweighted_diameter_cache: float | None = None
-        self._unit_companion_cache: tuple[int, "Network"] | None = None
+        self._memo_version: Any = None
+        self._memo: Dict[Hashable, Any] = {}
 
     # ------------------------------------------------------------------ #
     @property
@@ -127,16 +129,31 @@ class Network:
         """Size of one ``O(log n)``-bit word for this network."""
         return self._config.word_bits(self.num_nodes)
 
+    def _memoized(self, key: Hashable, compute: Callable[[], _T]) -> _T:
+        """``compute()``, memoized on this network for the current topology.
+
+        One memo per instance, keyed by the graph's mutation counter: a
+        topology mutation empties it, so every entry (``D``, the unit-weight
+        companion, the BFS trees of :func:`~repro.congest.primitives.build_bfs_tree`)
+        is invalidated by the same rule.  A graph without a counter is never
+        memoized; an exception from ``compute`` is never stored.
+        """
+        version = getattr(self._graph, "_version", None)
+        if version is None:
+            return compute()
+        if version != self._memo_version:
+            self._memo_version, self._memo = version, {}
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     def unweighted_diameter(self) -> float:
-        """The topology's unweighted diameter ``D`` (cached)."""
-        if self._unweighted_diameter_cache is None:
-            if self.num_nodes == 1:
-                self._unweighted_diameter_cache = 0.0
-            else:
-                self._unweighted_diameter_cache = float(
-                    unweighted_diameter(self._graph)
-                )
-        return self._unweighted_diameter_cache
+        """The topology's unweighted diameter ``D`` (memoized per topology)."""
+        if self.num_nodes == 1:
+            return 0.0
+        return self._memoized(
+            "unweighted-diameter", lambda: float(unweighted_diameter(self._graph))
+        )
 
     def max_weight(self) -> int:
         """The maximum edge weight ``W`` (assumed globally known, as in Appendix A)."""
@@ -145,20 +162,15 @@ class Network:
     def unit_weight_companion(self) -> "Network":
         """The unit-weight twin of this network (same topology and config).
 
-        Memoized on the instance and keyed by the graph's mutation counter,
-        so repeated unweighted baselines (``distributed_unweighted_apsp``,
-        ``classical_eccentricity_protocol``) reuse one companion -- and hence
-        one cached CSR snapshot -- instead of re-freezing a fresh graph per
-        call; any topology mutation transparently invalidates the memo.
+        Memoized per topology, so repeated unweighted baselines
+        (``distributed_unweighted_apsp``, ``classical_eccentricity_protocol``)
+        reuse one companion -- and hence one cached CSR snapshot -- instead
+        of re-freezing a fresh graph per call.
         """
-        version = getattr(self._graph, "_version", None)
-        cached = self._unit_companion_cache
-        if cached is not None and version is not None and cached[0] == version:
-            return cached[1]
-        companion = Network(self._graph.with_unit_weights(), self._config)
-        if version is not None:
-            self._unit_companion_cache = (version, companion)
-        return companion
+        return self._memoized(
+            "unit-companion",
+            lambda: Network(self._graph.with_unit_weights(), self._config),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import collections.abc
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.congest.algorithm import NodeAlgorithm, NodeContext
+from repro.congest.engine import resolve_engine
 from repro.congest.engine.schema import MinPlusSchema, TreeSchema
 from repro.congest.message import Message
 from repro.congest.network import Network
@@ -210,6 +211,12 @@ def _unreachable_from(network: Network, root: int) -> List[int]:
 def build_bfs_tree(network: Network, root: int) -> Tuple[BfsTree, RoundReport]:
     """Construct a BFS tree rooted at ``root`` and return it with its round cost.
 
+    The run is memoized on ``network`` per topology (see
+    :meth:`Network._memoized`), root and the engine that resolves for it,
+    so Theorem 1.1's repeated builds on the leader simulate once while
+    forcing another engine still executes that engine.  Every call returns
+    its own copies of the tree and the report: callers mutate both.
+
     Raises
     ------
     KeyError
@@ -223,14 +230,29 @@ def build_bfs_tree(network: Network, root: int) -> Tuple[BfsTree, RoundReport]:
     """
     if root not in network.graph:
         raise KeyError(f"root {root} is not a node of the network")
+    algorithm = _BfsTreeAlgorithm(root)
+    engine = resolve_engine(None, network, algorithm).name
+    tree, report = network._memoized(
+        ("bfs-tree", root, engine), lambda: _run_bfs_tree(network, algorithm, engine)
+    )
+    children = {node: list(kids) for node, kids in tree.children.items()}
+    return (
+        BfsTree(root, dict(tree.parent), dict(tree.depth), children),
+        replace(report),
+    )
+
+
+def _run_bfs_tree(
+    network: Network, algorithm: _BfsTreeAlgorithm, engine: str
+) -> Tuple[BfsTree, RoundReport]:
+    root = algorithm._root
     unreachable = _unreachable_from(network, root)
     if unreachable:
         raise ValueError(
             f"BFS tree rooted at {root} cannot reach nodes {unreachable}: "
             "the network topology is disconnected"
         )
-    simulator = Simulator(network)
-    result = simulator.run(_BfsTreeAlgorithm(root))
+    result = Simulator(network).run(algorithm, engine=engine)
     parent = {node: out["parent"] for node, out in result.outputs.items()}
     depth = {node: out["depth"] for node, out in result.outputs.items()}
     children = {node: out["children"] for node, out in result.outputs.items()}
@@ -480,7 +502,7 @@ def convergecast_aggregate(
     simulator = Simulator(network)
     result = simulator.run(_ConvergecastAlgorithm(tree, values, combine))
     reports.append(result.report)
-    return result.outputs[tree.root], RoundReport.sequential(reports)
+    return result.output_of(tree.root), RoundReport.sequential(reports)
 
 
 def convergecast_max(
@@ -610,7 +632,7 @@ def gather_values_to(
     simulator = Simulator(network)
     result = simulator.run(_TreeGatherAlgorithm(tree, records))
     reports.append(result.report)
-    return result.outputs[root], RoundReport.sequential(reports)
+    return result.output_of(root), RoundReport.sequential(reports)
 
 
 # --------------------------------------------------------------------------- #

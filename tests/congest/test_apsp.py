@@ -124,7 +124,7 @@ class TestUnitWeightCompanion:
 
     def test_unweighted_protocols_share_the_companion(self, random_network):
         distributed_unweighted_apsp(random_network)
-        cached = random_network._unit_companion_cache
+        cached = random_network._memo.get("unit-companion")
         assert cached is not None
         classical_eccentricity_protocol(random_network, 0, weighted=False)
-        assert random_network._unit_companion_cache[1] is cached[1]
+        assert random_network._memo["unit-companion"] is cached

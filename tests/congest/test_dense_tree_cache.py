@@ -15,8 +15,10 @@ These tests pin that contract: hits return the identical object, roots key
 independently, a topology mutation invalidates every stale entry, and
 disconnected floods and invalid trees are cached as negative entries.  A
 tree lookup hits on equal maps (a second ``build_bfs_tree`` of the same
-tree) and misses on maps mutated after validation; the graph's entry goes
-away when the graph is collected.
+tree, which since the per-``Network`` tree memo is a fresh copy rather than
+a re-run) and misses on maps mutated after validation; the graph's entry
+goes away when the graph is collected.  The ``Network``-level memo itself is
+pinned in ``test_tree_topology_memo.py``.
 """
 
 from __future__ import annotations

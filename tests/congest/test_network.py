@@ -42,6 +42,16 @@ class TestNetwork:
         # Second call uses the cache and must agree.
         assert random_network.unweighted_diameter() == expected
 
+    def test_unweighted_diameter_follows_topology_mutation(self):
+        graph = WeightedGraph(edges=[(i, i + 1, 1) for i in range(5)])
+        network = Network(graph)
+        assert network.unweighted_diameter() == 5.0
+        graph.add_edge(0, 5, 1)
+        assert network.unweighted_diameter() == 3.0
+        assert Network(graph).unweighted_diameter() == 3.0
+        graph.remove_edge(0, 5)
+        assert network.unweighted_diameter() == 5.0
+
     def test_single_node_network(self):
         network = Network(WeightedGraph(nodes=[0]))
         assert network.num_nodes == 1
