@@ -13,16 +13,17 @@ reports and identical outputs everywhere.
 
 A second table covers the announce-schedule family: symbolic
 bounded-distance SSSP (Nanongkai's Algorithm 2, the inner loop of the
-Theorem 1.1 pipeline) must clear a >=5.4x floor over sparse at ``n = 256``
-(~10-12x measured on a 2-core host: the workload is dominated by the
-``L + 1`` fixed schedule rounds, which the closed form charges without
-stepping them).
+Theorem 1.1 pipeline) from 40 sources must clear a >=5.4x floor over sparse
+at ``n = 256`` (~11-13x measured on a 2-core host: the workload is
+dominated by the ``L + 1`` fixed schedule rounds, which the closed form
+charges without stepping them).
 
 A third table covers the closed-form ``symbolic`` engine on the full
 Theorem 1.1 classical pipeline (Algorithm 3 + overlay embedding + Setup +
 Evaluation) over the bounded-degree spanner family: at ``n = 1024`` the
 closed form must beat the sparse engine by >= 26x with a bit-identical
-flattened report (~50x measured on a 2-core host), and an ``n = 4096``
+flattened report (~60-100x measured on a 2-core host, each engine on its
+own fresh graph), and an ``n = 4096``
 end-to-end run must finish inside a fixed wall-clock budget on the 1-CPU
 container.
 
@@ -150,7 +151,7 @@ def test_bench_simulator_engines(benchmark, record_artifact, record_json):
 # Announce-schedule family: bounded-distance SSSP (Algorithm 2) per engine.
 # --------------------------------------------------------------------------- #
 #: Acceptance floor for symbolic Algorithm 2 at n=256 (speedup over sparse;
-#: ~10-12x measured on a 2-core host): the original 3x floor over the seed
+#: ~11-13x measured on a 2-core host): the original 3x floor over the seed
 #: loop times its measured 1.76x (median of 5) cost over sparse, rounded up.
 BD_REQUIRED_SYMBOLIC_SPEEDUP = 5.4
 
@@ -158,6 +159,10 @@ BD_REQUIRED_SYMBOLIC_SPEEDUP = 5.4
 #: ~100 schedule rounds, the regime the Theorem 1.1 levels actually use.
 BD_NODE_COUNT = 256
 BD_MAX_DISTANCE = 100
+#: One timed sample runs Algorithm 2 from this many sources in turn: one
+#: symbolic run takes ~2 ms, too little for a stable ratio, while 40 take
+#: over 50 ms.
+BD_SOURCES = 40
 
 
 def _bounded_distance_sweep():
@@ -168,25 +173,35 @@ def _bounded_distance_sweep():
             BD_NODE_COUNT, average_degree=8.0, max_weight=20, seed=7
         )
     )
-    source = min(network.nodes)
+    sources = sorted(network.nodes)[:BD_SOURCES]
+
+    def run_all():
+        return [
+            bounded_distance_sssp_protocol(network, source, BD_MAX_DISTANCE)
+            for source in sources
+        ]
+
+    # Best of 3 per engine, the engines' samples alternating so that a slow
+    # phase of the host slows both sides rather than one.
+    best = {}
+    for _ in range(3):
+        for engine in ("sparse", "symbolic"):
+            with force_engine(engine):
+                sample = _best_of(run_all, repeats=1)
+            if engine not in best or sample[0] < best[engine][0]:
+                best[engine] = sample
     rows = []
     records = []
     reference = None
     sparse_time = None
-    for engine in ("sparse", "symbolic"):
-        with force_engine(engine):
-            elapsed, (outputs, report) = _best_of(
-                lambda: bounded_distance_sssp_protocol(
-                    network, source, BD_MAX_DISTANCE
-                ),
-                repeats=3,
-            )
+    for engine, (elapsed, results) in best.items():
+        rounds = sum(report.rounds for _, report in results)
         if engine == "sparse":
             sparse_time = elapsed
-            reference = (outputs, report)
+            reference = results
             identical = "--"
         else:
-            matches = outputs == reference[0] and report == reference[1]
+            matches = results == reference
             identical = "yes" if matches else "NO"
             assert matches, f"engine {engine} diverged from sparse"
         rows.append(
@@ -194,8 +209,8 @@ def _bounded_distance_sweep():
                 engine,
                 BD_NODE_COUNT,
                 f"{elapsed:.3f}",
-                report.rounds,
-                f"{report.rounds / elapsed:.1f}",
+                rounds,
+                f"{rounds / elapsed:.1f}",
                 f"{sparse_time / elapsed:.1f}x",
                 identical,
             ]
@@ -206,8 +221,9 @@ def _bounded_distance_sweep():
                 "engine": engine,
                 "n": BD_NODE_COUNT,
                 "max_distance": BD_MAX_DISTANCE,
+                "sources": len(sources),
                 "seconds": round(elapsed, 4),
-                "rounds": report.rounds,
+                "rounds": rounds,
                 "speedup_vs_sparse": round(sparse_time / elapsed, 3),
             }
         )
@@ -221,7 +237,10 @@ def test_bench_bounded_distance_sssp_engines(benchmark, record_artifact, record_
         render_table(
             HEADERS,
             rows,
-            title="CONGEST engine wall-clock: bounded-distance SSSP (Algorithm 2)",
+            title=(
+                "CONGEST engine wall-clock: bounded-distance SSSP (Algorithm 2) "
+                f"from {BD_SOURCES} sources"
+            ),
         ),
     )
     record_json(
@@ -360,7 +379,7 @@ def test_bench_tree_primitives_engines(benchmark, record_artifact, record_json):
 # --------------------------------------------------------------------------- #
 #: Acceptance floor at n=1024: deriving the pipeline's round reports in
 #: closed form must beat stepping the schedules with the sparse engine by at
-#: least 26x (measures ~50x on a 2-core host; the sparse cost scales with
+#: least 26x (measures ~60-100x on a 2-core host; the sparse cost scales with
 #: schedule rounds, the symbolic cost with events).  26x is the earlier 5x
 #: floor over the vectorized dense engine times dense's measured 5.2x lead
 #: over sparse on this pipeline.
@@ -446,11 +465,17 @@ def _symbolic_pipeline_sweep():
         )
 
     # ---- n=1024: sparse vs symbolic, bit-identical, 26x floor ------------ #
-    pipeline = _symbolic_pipeline(SYMBOLIC_PIPELINE_N)
+    # Each side runs once, on its own freshly built graph and network, so
+    # neither reuses the other's (or an earlier run's) memoized BFS trees,
+    # tree layouts or CSR snapshot.
     with force_engine("sparse"):
-        sparse_time, sparse_report = _best_of(pipeline, repeats=1)
+        sparse_time, sparse_report = _best_of(
+            _symbolic_pipeline(SYMBOLIC_PIPELINE_N), repeats=1
+        )
     with force_engine("symbolic"):
-        symbolic_time, symbolic_report = _best_of(pipeline, repeats=2)
+        symbolic_time, symbolic_report = _best_of(
+            _symbolic_pipeline(SYMBOLIC_PIPELINE_N), repeats=1
+        )
     assert symbolic_report == sparse_report, (
         "symbolic pipeline report diverged from sparse at "
         f"n={SYMBOLIC_PIPELINE_N}"

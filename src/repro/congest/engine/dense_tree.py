@@ -72,6 +72,10 @@ class _Unsupported(ValueError):
     """The schema/topology combination cannot be reproduced analytically."""
 
 
+#: Payload types whose equal values (within one type) charge the same bits.
+_FLAT_TYPES = (int, float, str, bool, type(None))
+
+
 # --------------------------------------------------------------------------- #
 # Per-graph memo of topology-derived layouts
 # --------------------------------------------------------------------------- #
@@ -561,14 +565,19 @@ def _convergecast_plan(
     msgs = [0] * rounds
     bits = [0] * rounds
     max_message = [0] * rounds
-    agg_bits = {
-        node: message_size_bits(
-            ("agg", acc[node]), tag=schema.tag, word_bits=word_bits
-        )
-        for node in nodes
-        if node != tree.root
-    }
-    for node, b in agg_bits.items():
+    # Equal values of one flat type charge equally, so each is sized once;
+    # keyed by type too, so 1, 1.0 and True never share a size.
+    sizes: Dict[Tuple[type, Any], int] = {}
+    for node in nodes:
+        if node == tree.root:
+            continue
+        value = acc[node]
+        key = (type(value), value)
+        b = sizes.get(key) if type(value) in _FLAT_TYPES else None
+        if b is None:
+            b = sizes[key] = message_size_bits(
+                ("agg", value), tag=schema.tag, word_bits=word_bits
+            )
         t = emit[node]
         msgs[t] += 1
         bits[t] += b
@@ -606,24 +615,21 @@ def _gather_plan(
     # Lightweight queue simulation over (payload, bits) pairs: the schedule
     # depends on how the per-child streams interleave, so it is replayed --
     # but without Message objects, context dispatch or inbox pooling.
-    queues: List[deque] = []
-    pending: List[int] = []
+    queues: List[deque] = [deque() for _ in range(n)]
+    pending = [len(tree.children[node]) for node in nodes]
     halted = [False] * n
-    parent_idx = [-1] * n
-    own_records: List[List[Any]] = []
-    for i, node in enumerate(nodes):
-        recs = list(records.get(node, []))
-        own_records.append(recs)
-        queues.append(
-            deque(
-                (("rec", record), message_size_bits(("rec", record), tag=tag, word_bits=word_bits))
-                for record in recs
-            )
+    parent_idx = [-1 if node == root else order[tree.parent[node]] for node in nodes]
+    # Only the nodes that hold records need their own queue filled.
+    own_records: Dict[int, List[Any]] = {}
+    for node, recs in records.items():
+        if not recs or node not in order:
+            continue
+        own_records[node] = recs = list(recs)
+        queues[order[node]].extend(
+            (("rec", record), message_size_bits(("rec", record), tag=tag, word_bits=word_bits))
+            for record in recs
         )
-        pending.append(len(tree.children[node]))
-        if node != root:
-            parent_idx[i] = order[tree.parent[node]]
-    collected: List[Any] = list(own_records[root_idx])
+    collected: List[Any] = list(own_records.get(root, []))
 
     sends_by_t: List[List[Tuple[int, int, Tuple[Any, ...], int]]] = []
 
@@ -679,7 +685,7 @@ def _gather_plan(
     def memory(node: int) -> Dict[str, Any]:
         return {
             "queue": [],
-            "collected": list(collected if node == root else own_records[order[node]]),
+            "collected": list(collected if node == root else own_records.get(node, [])),
             "children_pending": set(),
             "parent": tree.parent[node],
             "sent_end": node != root,

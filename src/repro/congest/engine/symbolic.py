@@ -71,6 +71,9 @@ __all__ = ["SymbolicEngine", "broadcast_replay_report", "minplus_round_trace"]
 #: Per column, the ``(node index, value)`` of every initially finite entry.
 _Seeds = List[List[Tuple[int, int]]]
 
+#: ``csr.memo`` key of a snapshot's weight layout (see :func:`_column_weights`).
+_LAYOUT_KEY = "symbolic:weight-layout"
+
 
 def broadcast_replay_report(
     schema: BroadcastReplaySchema, word_bits: int
@@ -294,37 +297,45 @@ def _column_weights(
     csr: CSRGraph,
     schema: MinPlusSchema,
     overrides: Optional[Dict[int, Dict[int, int]]],
-) -> Tuple[List[List[int]], List[int]]:
-    """Directed weight vectors, and the vector index of each column.
+) -> Tuple[List[Tuple[int, ...]], Sequence[int], List[int]]:
+    """Weight palettes, each CSR entry's palette position, and each
+    column's palette.
 
     CSR entry ``e`` of sender ``u`` points at receiver ``indices[e]``, whose
-    override for ``u`` weighs the relaxation.  ``column_weight`` is applied
-    once per (weight map, distinct weight): a map is a label of
-    ``column_groups``, else a column, applied through its first column; maps
-    that come out identical share one vector.  Raises ``ValueError`` when it
-    returns anything but an integer ``>= 1``.
+    override for ``u`` weighs the relaxation.  The layout -- the sorted
+    distinct weights and each entry's position among them -- depends only
+    on the topology, so without overrides it is kept in ``csr.memo``.
+    ``column_weight`` is applied once per (weight map, distinct weight): a
+    map is a label of ``column_groups``, else a column, applied through its
+    first column; maps that come out identical share one palette.  Raises
+    ``ValueError`` when it returns anything but an integer ``>= 1``.
     """
-    base = csr.weights
-    if overrides is not None:
-        nodes, indptr, indices = csr.nodes, csr.indptr, csr.indices
-        base = [
-            overrides[nodes[receiver]][nodes[sender]]
-            for sender in range(csr.num_nodes)
-            for receiver in indices[indptr[sender] : indptr[sender + 1]]
-        ]
+    layout = None if overrides is not None else csr.memo.get(_LAYOUT_KEY)
+    if layout is None:
+        base = csr.weights
+        if overrides is not None:
+            nodes, indptr, indices = csr.nodes, csr.indptr, csr.indices
+            base = [
+                overrides[nodes[receiver]][nodes[sender]]
+                for sender in range(csr.num_nodes)
+                for receiver in indices[indptr[sender] : indptr[sender + 1]]
+            ]
+        distinct = tuple(sorted(set(base)))
+        slot = {weight: position for position, weight in enumerate(distinct)}
+        layout = distinct, [slot[weight] for weight in base]
+        if overrides is None:
+            csr.memo[_LAYOUT_KEY] = layout
+    distinct, positions = layout
     k = schema.num_columns
     column_weight = schema.column_weight
     if column_weight is None:
-        return [base], [0] * k
-    distinct = sorted(set(base))
-    slot = {weight: position for position, weight in enumerate(distinct)}
-    positions = [slot[weight] for weight in base]
+        return [distinct], positions, [0] * k
     labels = schema.column_groups or range(k)
-    vectors: List[List[int]] = []
-    vector_of: Dict[Any, int] = {}
+    palettes: List[Tuple[int, ...]] = []
+    palette_of: Dict[Any, int] = {}
     index: Dict[Tuple[int, ...], int] = {}
     for j, label in enumerate(labels):
-        if label in vector_of:
+        if label in palette_of:
             continue
         mapped = tuple(column_weight(j, weight) for weight in distinct)
         group = index.get(mapped)
@@ -335,10 +346,10 @@ def _column_weights(
                         f"column_weight for column {j} returned {weight!r}; "
                         f"arrival-gated weights must be integers >= 1"
                     )
-            group = index[mapped] = len(vectors)
-            vectors.append([mapped[position] for position in positions])
-        vector_of[label] = group
-    return vectors, [vector_of[label] for label in labels]
+            group = index[mapped] = len(palettes)
+            palettes.append(mapped)
+        palette_of[label] = group
+    return palettes, positions, [palette_of[label] for label in labels]
 
 
 def _final_memory(
@@ -421,7 +432,7 @@ def _minplus_closed_form(
         raise ValueError(f"symbolic engine cannot execute protocol '{name}'")
     seeds, overrides = inputs
     csr = CSRGraph.from_graph(network.graph)
-    vectors, groups = _column_weights(csr, schema, overrides)
+    palettes, positions, groups = _column_weights(csr, schema, overrides)
 
     budget = schema.round_budget
     halt = None if budget is None else max(budget, 1)
@@ -445,7 +456,7 @@ def _minplus_closed_form(
         )
     bandwidth = network.bandwidth_bits
     dist, active = get_backend().gated_minplus(
-        csr, vectors, columns, schema.value_cap, bandwidth
+        csr, palettes, positions, columns, schema.value_cap, bandwidth
     )
 
     if network.config.strict_bandwidth:

@@ -61,7 +61,7 @@ class GatedColumn(NamedTuple):
     charged when ``d <= fire_limit``.
     """
 
-    #: Index of the column's directed weight vector.
+    #: Index of the column's weight palette.
     group: int
     #: ``(node index, value)`` of every initially finite entry; values are
     #: non-negative ints.
@@ -175,15 +175,17 @@ class KernelBackend:
     def gated_minplus(
         self,
         csr: CSRGraph,
-        weights: Sequence[Sequence[int]],
+        palettes: Sequence[Sequence[int]],
+        positions: Sequence[int],
         columns: Sequence[GatedColumn],
         value_cap: Optional[int],
         bandwidth: int,
     ) -> Tuple[List[List[Any]], GatedRounds]:
         """Final rows and per-round message records of an arrival-gated run.
 
-        ``weights[g]`` holds one positive integer per CSR entry: entry ``e``
-        of row ``u`` relaxes ``indices[e]`` from ``u``.  Each column is a
+        Entry ``e`` of row ``u`` relaxes ``indices[e]`` from ``u`` with the
+        positive integer ``palettes[g][positions[e]]`` in weight group ``g``
+        (a palette holds a group's distinct weights).  Each column is a
         bounded Dijkstra from its seeds, expanding entries up to
         ``min(relax_limit, value_cap)`` and discarding candidates above
         ``value_cap``.  Every entry at a node with neighbors whose value is
@@ -199,6 +201,7 @@ class KernelBackend:
         n = csr.num_nodes
         indptr, indices = csr.indptr, csr.indices
         heappush, heappop = heapq.heappush, heapq.heappop
+        weights = [[palette[p] for p in positions] for palette in palettes]
         # delivery round * n + sender -> [entries, bits, largest message]
         cells: Dict[int, List[int]] = {}
         table: List[List[Any]] = []

@@ -30,7 +30,6 @@ from repro.kernels.numpy_backend import NumpyBackend
 __all__ = ["ScipyBackend"]
 
 _MATRIX_KEY = "scipy:csr-matrix"
-_REVERSE_KEY = "scipy:reverse-entries"
 
 #: Every integer below this is exact in float64.
 _EXACT_FLOAT = 2**53
@@ -69,39 +68,43 @@ class ScipyBackend(NumpyBackend):
     def gated_minplus(
         self,
         csr: CSRGraph,
-        weights: Sequence[Sequence[int]],
+        palettes: Sequence[Sequence[int]],
+        positions: Sequence[int],
         columns: Sequence[GatedColumn],
         value_cap: Optional[int],
         bandwidth: int,
     ) -> Tuple[Sequence[List[Any]], GatedRounds]:
-        """One ``csgraph`` Dijkstra per (weight vector, limit) batch of columns.
+        """One ``csgraph`` Dijkstra per (palette, limit) batch of columns.
 
         Each column gets a virtual source with an edge of weight ``value + 1``
-        to each of its seeds, so multi-seed columns need no special case; the
-        one-step extension past the limit and the per-round histogram are
-        vectorized.  Runs whose values could leave float64's exact range take
-        the exact-int reference.  The rows stay float64 until read.
+        to each of its seeds, so multi-seed columns need no special case.
+        Entries within the limit are exact, so the one-step extension past
+        it starts only from the frontier: settled entries whose heaviest
+        edge reaches past the limit, each relaxing its own CSR entries.  The
+        per-round histogram is vectorized.  Runs whose values could leave
+        float64's exact range take the exact-int reference.  The rows stay
+        float64 until read.
         """
         n = csr.num_nodes
-        if not columns or not _exact_in_float64(n, weights, columns, value_cap):
-            return super().gated_minplus(csr, weights, columns, value_cap, bandwidth)
+        if not columns or not _exact_in_float64(n, palettes, columns, value_cap):
+            return super().gated_minplus(
+                csr, palettes, positions, columns, value_cap, bandwidth
+            )
         indptr, indices, _ = csr.numpy_arrays()
         degree = np.diff(indptr)
         has_edges = degree > 0
         starts = indptr[:-1][has_edges]
-        reverse = self._reverse_entries(csr)
+        layout = np.asarray(positions, np.intp)
+        cap = math.inf if value_cap is None else value_cap
         values = np.full((len(columns), n), np.inf)
 
         batches: Dict[Tuple[int, int], List[int]] = {}
         for j, column in enumerate(columns):
-            limit = column.relax_limit
-            if value_cap is not None:
-                limit = min(limit, value_cap)
-            batches.setdefault((column.group, limit), []).append(j)
+            batches.setdefault((column.group, min(column.relax_limit, cap)), []).append(j)
         for (group, limit), batch in batches.items():
             if limit < 0:
                 continue  # nothing relaxes; the seeds are set below
-            weight = np.asarray(weights[group], dtype=np.float64)
+            weight = np.asarray(palettes[group], np.float64)[layout]
             seed_nodes = [node for j in batch for node, _ in columns[j].seeds]
             seed_values = [value for j in batch for _, value in columns[j].seeds]
             counts = np.cumsum([len(columns[j].seeds) for j in batch])
@@ -120,15 +123,20 @@ class ScipyBackend(NumpyBackend):
                 )[:, :n]
                 - 1
             )
-            if starts.size:
-                # Entries past the limit keep the best candidate from an
-                # expanded neighbor: row v's entry e points at neighbor u,
-                # and the weight of u -> v sits at the reverse entry.
-                candidates = dist[:, indices] + weight[reverse]
-                if value_cap is not None:
-                    candidates[candidates > value_cap] = np.inf
-                best = np.minimum.reduceat(candidates, starts, axis=1)
-                dist[:, has_edges] = np.minimum(dist[:, has_edges], best)
+            heaviest = np.zeros(n)
+            heaviest[has_edges] = np.maximum.reduceat(weight, starts)
+            rows, senders = np.nonzero(np.isfinite(dist) & (dist + heaviest > limit))
+            fan_out = degree[senders]
+            entry = np.arange(fan_out.sum()) + np.repeat(
+                indptr[senders] - np.cumsum(fan_out) + fan_out, fan_out
+            )
+            candidate = np.repeat(dist[rows, senders], fan_out) + weight[entry]
+            keep = candidate <= cap
+            np.minimum.at(
+                dist,
+                (np.repeat(rows, fan_out)[keep], indices[entry][keep]),
+                candidate[keep],
+            )
             values[batch] = dist
 
         seed_cols = [j for j, column in enumerate(columns) for _ in column.seeds]
@@ -153,19 +161,6 @@ class ScipyBackend(NumpyBackend):
         records = _round_records(keys, bits, n, degree, bandwidth)
 
         return _ExactRows(values), records
-
-    def _reverse_entries(self, csr: CSRGraph) -> np.ndarray:
-        """``reverse[e]``: the CSR entry of edge ``v -> u`` for entry ``u -> v``."""
-        reverse = csr.memo.get(_REVERSE_KEY)
-        if reverse is None:
-            indptr, indices, _ = csr.numpy_arrays()
-            n = csr.num_nodes
-            sources = np.repeat(np.arange(n), np.diff(indptr))
-            keys = sources * n + indices
-            order = np.argsort(keys)
-            reverse = order[np.searchsorted(keys[order], indices * n + sources)]
-            csr.memo[_REVERSE_KEY] = reverse
-        return reverse
 
 
 class _ExactRows(collections.abc.Sequence):
@@ -195,12 +190,12 @@ class _ExactRows(collections.abc.Sequence):
 
 def _exact_in_float64(
     n: int,
-    weights: Sequence[Sequence[int]],
+    palettes: Sequence[Sequence[int]],
     columns: Sequence[GatedColumn],
     value_cap: Optional[int],
 ) -> bool:
     """Whether every value and round key of the run stays below ``2**53``."""
-    heaviest = max((max(weight) for weight in weights if weight), default=0)
+    heaviest = max((max(palette) for palette in palettes if palette), default=0)
     reach = max(column.relax_limit for column in columns)
     if value_cap is not None:
         reach = min(reach, value_cap)
@@ -221,13 +216,13 @@ def _round_records(
     """Histogram fired entries (key ``round * n + sender``) into round records."""
     if not keys.size:
         return GatedRounds([], [], [], [], [], [])
-    cells, cell_of = np.unique(keys, return_inverse=True)
-    entries = np.bincount(cell_of)
-    # Per-sender bit sums stay far below 2**53, so the float sums are exact.
-    sender_bits = np.bincount(cell_of, weights=bits).astype(np.int64)
-    largest = np.zeros(cells.size, np.int64)
-    np.maximum.at(largest, cell_of, bits)
-    rounds, senders = np.divmod(cells, n)
+    order = np.argsort(keys)
+    keys, bits = keys[order], bits[order]
+    cell_starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    entries = np.diff(cell_starts, append=keys.size)
+    sender_bits = np.add.reduceat(bits, cell_starts)
+    largest = np.maximum.reduceat(bits, cell_starts)
+    rounds, senders = np.divmod(keys[cell_starts], n)
     new_round = np.diff(rounds, prepend=-1) != 0
     first = np.flatnonzero(new_round)
     round_of = np.cumsum(new_round) - 1
@@ -235,8 +230,9 @@ def _round_records(
     # round is its first violating sender in node order.
     violation = np.zeros(first.size, np.int64)
     over = np.flatnonzero(sender_bits > bandwidth)
-    over_rounds, first_over = np.unique(round_of[over], return_index=True)
-    violation[over_rounds] = sender_bits[over[first_over]]
+    over_rounds = round_of[over]
+    leads = np.diff(over_rounds, prepend=-1) != 0
+    violation[over_rounds[leads]] = sender_bits[over[leads]]
     fan_out = degree[senders]
     charge = -(-np.maximum.reduceat(sender_bits, first) // bandwidth)
     return GatedRounds(

@@ -304,11 +304,11 @@ def embed_overlay_network(
 
 
 def _overlay_rounding_levels(
-    overlay: OverlayGraph, hop_bound: int, epsilon: float
+    edges: List[Tuple[int, int, float]], num_nodes: int, epsilon: float
 ) -> int:
-    max_weight = max((w for _, _, w in overlay.edges()), default=1.0)
+    max_weight = max((w for _, _, w in edges), default=1.0)
     levels = math.ceil(
-        math.log2(max(2.0, 2 * overlay.num_nodes * max(1.0, max_weight) / epsilon))
+        math.log2(max(2.0, 2 * num_nodes * max(1.0, max_weight) / epsilon))
     )
     return max(1, levels + 1)
 
@@ -326,11 +326,16 @@ def overlay_sssp_protocol(
     ``(G''_S, w''_S)``; each overlay round is simulated in the real network by
     a global broadcast costing ``O(D + a)`` rounds where ``a`` is the number
     of overlay nodes announcing in that round (the paper's Algorithm 5,
-    steps 3-4).  The values are computed by executing the overlay protocol's
-    announcement schedule level by level; the returned report charges
-    ``depth(BFS tree) + 1 + a_r`` network rounds per overlay round, plus the
-    final ``O(D + |S|)`` pipelined broadcast that hands the results to every
-    node of the network.
+    steps 3-4).  The announcement schedule has a closed form: per level the
+    rounded weights are integers ``>= 1``, so every relaxation in overlay
+    round ``r`` yields a value ``>= r + 1`` and a node announces exactly in
+    the round equal to its final distance.  Each level is therefore one
+    Dijkstra on the overlay capped at the distance bound, and its
+    announcement counts are the histogram of the final distances over
+    ``0..bound``.  The returned report charges ``depth(BFS tree) + 1 + a_r``
+    network rounds per overlay round, plus the final ``O(D + |S|)``
+    pipelined broadcast that hands the results to every node of the
+    network.
 
     Returns
     -------
@@ -344,9 +349,14 @@ def overlay_sssp_protocol(
         raise KeyError(f"source {source} is not a skeleton node")
     if hop_bound is None:
         hop_bound = embedding.hop_bound
-    levels = _overlay_rounding_levels(overlay, hop_bound, epsilon)
+    edges = overlay.edges()
+    levels = _overlay_rounding_levels(edges, overlay.num_nodes, epsilon)
     bound = int(math.floor((1 + 2 / epsilon) * hop_bound))
     depth = embedding.tree.height
+    adjacency: Dict[int, List[Tuple[int, float]]] = {node: [] for node in skeleton}
+    for u, v, weight in edges:
+        adjacency[u].append((v, weight))
+        adjacency[v].append((u, weight))
 
     best: Dict[int, float] = {node: _INF for node in skeleton}
     best[source] = 0.0
@@ -357,46 +367,25 @@ def overlay_sssp_protocol(
 
     for level in range(levels):
         scale = epsilon * (2**level)
-        rounded: Dict[FrozenSet[int], int] = {}
-        for u, v, weight in overlay.edges():
-            rounded[frozenset((u, v))] = max(
-                1, math.ceil(2 * hop_bound * weight / scale)
-            )
-
-        # Execute the Bounded-Distance SSSP announcement schedule on the
-        # overlay: a node announces at the overlay round equal to its rounded
-        # distance; we track how many announce per overlay round.
-        distances = {node: _INF for node in skeleton}
-        distances[source] = 0
-        announced: Dict[int, bool] = {node: False for node in skeleton}
-        for overlay_round in range(bound + 1):
-            announcers = [
-                node
-                for node in skeleton
-                if not announced[node]
-                and not math.isinf(distances[node])
-                and distances[node] <= overlay_round
-            ]
-            for node in announcers:
-                announced[node] = True
-                for other in skeleton:
-                    if other == node:
-                        continue
-                    weight = rounded.get(frozenset((node, other)))
-                    if weight is None:
-                        continue
-                    candidate = distances[node] + weight
-                    if candidate <= bound and candidate < distances[other]:
-                        distances[other] = candidate
-            announcement_counts.append(len(announcers))
-
+        heap = [(0, source)] if bound >= 0 else []
+        distances = {node: d for d, node in heap}
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > distances[u]:
+                continue  # stale heap entry
+            for v, weight in adjacency[u]:
+                candidate = d + max(1, math.ceil(2 * hop_bound * weight / scale))
+                if candidate <= bound and candidate < distances.get(v, _INF):
+                    distances[v] = candidate
+                    heapq.heappush(heap, (candidate, v))
+        counts = [0] * (bound + 1)
         rescale = scale / (2 * hop_bound)
         for node, value in distances.items():
-            if math.isinf(value) or value > bound:
-                continue
+            counts[value] += 1
             rescaled = value * rescale
             if rescaled < best[node]:
                 best[node] = rescaled
+        announcement_counts.extend(counts)
 
     # Hand the |S| results to every node of the network (pipelined broadcast).
     payload = [

@@ -34,6 +34,7 @@ from repro.congest.apsp import (
 from repro.congest.primitives import (
     broadcast_values_from,
     build_bfs_tree,
+    convergecast_aggregate,
     convergecast_sum,
     elect_leader,
     gather_values_to,
@@ -212,6 +213,25 @@ def test_tree_primitives_with_prebuilt_tree_identical(name):
         lambda: broadcast_values_from(network, root, list(range(6)), tree=tree),
         lambda: gather_values_to(network, root, records, tree=tree),
         lambda: convergecast_sum(network, values, tree=tree),
+    ):
+        _assert_identical(_run_on_all_engines(protocol))
+
+
+@pytest.mark.parametrize("name", ["path", "star", "random-1"])
+def test_tree_runs_size_equal_values_of_each_type_apart(name):
+    """Convergecast values equal across types (``1 == 1.0 == True``) charge
+    different bits and must never share a size, and a gather whose records
+    sit on a few nodes keeps sparse's schedule."""
+    network = NETWORKS[name]
+    nodes = sorted(network.nodes)
+    flavors = [1, 1.0, True, (1,), (True,), "1", None, 1]
+    values = {node: flavors[i % len(flavors)] for i, node in enumerate(nodes)}
+    records = {node: [] for node in nodes}
+    records[nodes[-1]] = [(nodes[-1], 1.0), (nodes[-1], 1)]
+    records[nodes[len(nodes) // 2]] = [True]
+    for protocol in (
+        lambda: convergecast_aggregate(network, values, lambda own, child: own),
+        lambda: gather_values_to(network, nodes[0], records),
     ):
         _assert_identical(_run_on_all_engines(protocol))
 

@@ -119,8 +119,13 @@ def test_gated_tables_fold_and_combine_across_backends(producer, consumer):
         GatedColumn(group=0, seeds=((0, 0),), offset=1, relax_limit=9, fire_limit=9, overhead=7),
         GatedColumn(group=0, seeds=((4, 0),), offset=1, relax_limit=9, fire_limit=9, overhead=7),
     ]
-    table, _ = get_backend(producer).gated_minplus(csr, [csr.weights], columns, 8, 64)
-    reference_rows, _ = REFERENCE.gated_minplus(csr, [csr.weights], columns, 8, 64)
+    layout = range(csr.num_directed_edges)
+    table, _ = get_backend(producer).gated_minplus(
+        csr, [csr.weights], layout, columns, 8, 64
+    )
+    reference_rows, _ = REFERENCE.gated_minplus(
+        csr, [csr.weights], layout, columns, 8, 64
+    )
     arguments = ([0, 0, 1], [0.5, 0.25, 1.0], [0, 4])
     expected = REFERENCE.fold_scaled_columns(reference_rows, *arguments)
     matrix = get_backend(consumer).fold_scaled_columns(table, *arguments)

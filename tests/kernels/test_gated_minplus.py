@@ -3,10 +3,12 @@
 ``KernelBackend.gated_minplus`` returns each column's bounded Dijkstra
 distances and the per-round message records of the broadcasts they imply.
 The heap implementation on exact ints is the reference; the SciPy backend
-batches columns into ``csgraph`` calls and vectorizes the histogram.  Both
-must agree exactly -- same row values *and* types, same records -- including
-multi-seed columns, directed weights, limits that cut a column off before
-its cap, strict-bandwidth violations, and inputs past float64's exact range.
+batches columns into ``csgraph`` calls, extends each batch one step past its
+limit from the frontier only, and vectorizes the histogram.  Both must agree
+exactly -- same row values *and* types, same records -- including multi-seed
+columns, directed weights laid out as palettes, limits that cut a column off
+before its cap, caps that cut the extension, nodes without edges,
+strict-bandwidth violations, and inputs past float64's exact range.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from repro.kernels.backend import GatedColumn, GatedRounds
 
 pytestmark = pytest.mark.kernels
 
+INF = math.inf
+
 needs_scipy = pytest.mark.skipif(
     "scipy" not in available_backends(), reason="SciPy backend not installed"
 )
@@ -32,12 +36,17 @@ def _typed(rows):
     return [[(type(value), value) for value in row] for row in rows]
 
 
-def _both(csr, weights, columns, value_cap, bandwidth):
+def _identity(csr):
+    """The layout giving each CSR entry its own palette slot."""
+    return range(csr.num_directed_edges)
+
+
+def _both(csr, palettes, positions, columns, value_cap, bandwidth):
     reference = get_backend("python").gated_minplus(
-        csr, weights, columns, value_cap, bandwidth
+        csr, palettes, positions, columns, value_cap, bandwidth
     )
     scipy = get_backend("scipy").gated_minplus(
-        csr, weights, columns, value_cap, bandwidth
+        csr, palettes, positions, columns, value_cap, bandwidth
     )
     assert _typed(scipy[0]) == _typed(reference[0])
     assert scipy[1] == reference[1]
@@ -52,7 +61,7 @@ def test_reference_on_a_weighted_path():
         group=0, seeds=((0, 0),), offset=1, relax_limit=10, fire_limit=10, overhead=7
     )
     rows, records = get_backend("python").gated_minplus(
-        csr, [csr.weights], [column], None, 64
+        csr, [csr.weights], _identity(csr), [column], None, 64
     )
     assert rows == [[0], [2], [5]]
     assert records == GatedRounds(
@@ -73,7 +82,7 @@ def test_reference_relaxes_boundary_entries_it_never_fires():
         group=0, seeds=((0, 0),), offset=1, relax_limit=1, fire_limit=1, overhead=0
     )
     rows, records = get_backend("python").gated_minplus(
-        csr, [[1] * csr.num_directed_edges], [column], 5, 64
+        csr, [(1,)], [0] * csr.num_directed_edges, [column], 5, 64
     )
     assert rows == [[0], [1], [2], [math.inf]]
     assert records.round == [1, 2]
@@ -89,7 +98,7 @@ def test_first_violating_sender_in_node_order():
         GatedColumn(0, ((0, 0), (2, 0)), 1, 5, 5, 20),
         GatedColumn(0, ((2, 0),), 1, 5, 5, 40),
     ]
-    _, records = _both(csr, [csr.weights], columns, None, 16)
+    _, records = _both(csr, [csr.weights], _identity(csr), columns, None, 16)
     assert records.round[0] == 1
     assert records.violation_bits[0] == 21  # node 0: one 21-bit entry
     assert records.edge_charge[0] == math.ceil((21 + 41) / 16)  # node 2
@@ -101,14 +110,74 @@ def test_values_past_float64_stay_exact():
     huge = 2**53 + 1
     csr = CSRGraph.from_graph(WeightedGraph(edges=[(0, 1, huge), (1, 2, 1)]))
     column = GatedColumn(0, ((0, 0),), 1, 2**60, 2**60, 0)
-    rows, records = _both(csr, [csr.weights], [column], None, 10**6)
+    rows, records = _both(csr, [csr.weights], _identity(csr), [column], None, 10**6)
     assert rows == [[0], [huge], [huge + 1]]
     assert records.round == [1, huge + 1, huge + 2]
 
 
+@needs_scipy
+def test_cap_cuts_the_extension_of_a_multi_column_batch():
+    """Two columns share a batch (same palette, same limit).  Past the limit
+    each extends one step from its frontier: column 0's candidate 5 at node
+    2 is over the cap and dropped, column 1's candidate 4 is kept."""
+    csr = CSRGraph.from_graph(WeightedGraph(edges=[(0, 1, 2), (1, 2, 3), (2, 3, 4)]))
+    columns = [
+        GatedColumn(0, ((0, 0),), 1, 3, 3, 0),
+        GatedColumn(0, ((3, 0),), 1, 3, 3, 0),
+    ]
+    rows, _ = _both(csr, [csr.weights], _identity(csr), columns, 4, 64)
+    assert rows == [[0, INF], [2, INF], [INF, 4], [INF, 0]]
+
+
+@needs_scipy
+def test_unreached_nodes_without_a_reached_neighbor_stay_unreached():
+    """Only nodes next to the frontier can take a candidate: on a unit path
+    with limit 1, node 2 extends to 2 and nodes 3.. stay ``inf``."""
+    csr = CSRGraph.from_graph(path_graph(7))
+    columns = [GatedColumn(0, ((0, 0),), 1, 1, 1, 0), GatedColumn(0, ((6, 1),), 1, 1, 1, 0)]
+    rows, _ = _both(csr, [(1,)], [0] * csr.num_directed_edges, columns, None, 64)
+    assert [row[0] for row in rows] == [0, 1, 2, INF, INF, INF, INF]
+    assert [row[1] for row in rows] == [INF, INF, INF, INF, INF, 2, 1]
+
+
+@needs_scipy
+def test_node_without_edges():
+    """An isolated node keeps its seed value, is never reached from
+    elsewhere and never sends."""
+    graph = WeightedGraph(nodes=range(4))
+    graph.add_edge(0, 1, 2)
+    graph.add_edge(1, 2, 1)
+    csr = CSRGraph.from_graph(graph)
+    columns = [
+        GatedColumn(0, ((0, 0),), 1, 9, 9, 0),
+        GatedColumn(0, ((3, 0), (2, 1)), 1, 0, 9, 0),
+    ]
+    rows, records = _both(csr, [csr.weights], _identity(csr), columns, 8, 64)
+    assert rows == [[0, INF], [2, INF], [3, 1], [INF, 0]]
+    assert records.round == [1, 2, 3, 4]
+
+
+@needs_scipy
+def test_every_cell_over_bandwidth():
+    """Every sender of every round is over the budget: each round records
+    its first sender in node order, and the charge follows the largest."""
+    csr = CSRGraph.from_graph(WeightedGraph(edges=[(0, 1, 1), (1, 2, 1), (2, 3, 1)]))
+    columns = [
+        GatedColumn(0, ((0, 0),), 1, 9, 9, 30),
+        GatedColumn(0, ((3, 0),), 1, 9, 9, 50),
+    ]
+    _, records = _both(csr, [(1,)], [0] * csr.num_directed_edges, columns, None, 20)
+    assert records.round == [1, 2, 3, 4]
+    # Round 2: node 1 sends 32 bits (column 0) and node 2 sends 52 (column
+    # 1); round 3: node 1 sends 53 and node 2 sends 33.
+    assert records.violation_bits == [31, 32, 53, 53]
+    assert records.edge_charge == [3, 3, 3, 3]
+
+
 @st.composite
 def gated_runs(draw):
-    """A random graph, directed weight vectors and gated columns."""
+    """A random graph, directed weights laid out as palettes, and gated
+    columns."""
     n = draw(st.integers(min_value=1, max_value=8))
     graph = WeightedGraph(nodes=range(n))
     for u in range(n):
@@ -116,19 +185,25 @@ def gated_runs(draw):
             if draw(st.booleans()):
                 graph.add_edge(u, v, draw(st.integers(min_value=1, max_value=9)))
     csr = CSRGraph.from_graph(graph)
-    directed = st.lists(
-        st.integers(min_value=1, max_value=9),
-        min_size=csr.num_directed_edges,
-        max_size=csr.num_directed_edges,
+    size = draw(st.integers(min_value=1, max_value=4))
+    positions = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=size - 1),
+            min_size=csr.num_directed_edges,
+            max_size=csr.num_directed_edges,
+        )
     )
-    weights = draw(st.lists(directed, min_size=1, max_size=3))
+    palette = st.lists(
+        st.integers(min_value=1, max_value=9), min_size=size, max_size=size
+    ).map(tuple)
+    palettes = draw(st.lists(palette, min_size=1, max_size=3))
     columns = []
     for _ in range(draw(st.integers(min_value=1, max_value=5))):
         nodes = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
         relax_limit = draw(st.integers(min_value=-1, max_value=30))
         columns.append(
             GatedColumn(
-                group=draw(st.integers(0, len(weights) - 1)),
+                group=draw(st.integers(0, len(palettes) - 1)),
                 seeds=tuple(
                     (node, draw(st.integers(min_value=0, max_value=12)))
                     for node in nodes
@@ -141,7 +216,7 @@ def gated_runs(draw):
         )
     value_cap = draw(st.none() | st.integers(min_value=0, max_value=30))
     bandwidth = draw(st.integers(min_value=8, max_value=200))
-    return csr, weights, columns, value_cap, bandwidth
+    return csr, palettes, positions, columns, value_cap, bandwidth
 
 
 @needs_scipy
@@ -156,9 +231,9 @@ def test_scipy_matches_reference(run):
 @settings(max_examples=25, deadline=None)
 def test_scipy_matches_reference_above_float64_range(run):
     """Shift every weight past 2**53: both backends must run exact ints."""
-    csr, weights, columns, value_cap, bandwidth = run
-    shifted = [[weight + 2**53 for weight in vector] for vector in weights]
+    csr, palettes, positions, columns, value_cap, bandwidth = run
+    shifted = [[weight + 2**53 for weight in palette] for palette in palettes]
     columns = [
         column._replace(relax_limit=2**54, fire_limit=2**54) for column in columns
     ]
-    _both(csr, shifted, columns, None, bandwidth)
+    _both(csr, shifted, positions, columns, None, bandwidth)
