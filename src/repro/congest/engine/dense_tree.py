@@ -34,7 +34,7 @@ from __future__ import annotations
 import copy
 import math
 import weakref
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -122,6 +122,8 @@ class _TreeArrays:
     parent: Dict[int, Optional[int]]
     children: Dict[int, List[int]]
     height: int
+    #: ``layer[d]``: nodes at depth ``d + 1`` (tree edges out of depth ``d``).
+    layer: List[int]
 
 
 def _tree_arrays(network: Network, schema: TreeSchema) -> _TreeArrays:
@@ -224,6 +226,7 @@ def _validate_tree(network: Network, schema: TreeSchema) -> _TreeArrays:
             raise _Unsupported(f"children of {node} disagree with the parent map")
         children[node] = declared
     height = max(depth[node] for node in nodes)
+    sizes = Counter(depth[node] for node in nodes)
     return _TreeArrays(
         nodes=nodes,
         order=order,
@@ -232,6 +235,7 @@ def _validate_tree(network: Network, schema: TreeSchema) -> _TreeArrays:
         parent={node: parent[node] for node in nodes},
         children=children,
         height=height,
+        layer=[sizes[d] for d in range(1, height + 1)],
     )
 
 
@@ -473,18 +477,11 @@ def _broadcast_plan(network: Network, schema: TreeSchema, word_bits: int) -> _Tr
         message_size_bits(("bc", i, values[i]), tag=schema.tag, word_bits=word_bits)
         for i in range(k)
     ]
-    # layer[d] = number of tree edges out of depth-d parents (= nodes at d+1).
-    layer = [0] * height
-    for node in nodes:
-        d = tree.depth[node]
-        if d >= 1:
-            layer[d - 1] += 1
-
     rounds = height + k - 1
     msgs = [0] * rounds
     bits = [0] * rounds
     for d in range(height):
-        edges = layer[d]
+        edges = tree.layer[d]
         for i in range(k):  # value i leaves depth-d parents at t = d + i
             msgs[d + i] += edges
             bits[d + i] += edges * bc_bits[i]

@@ -47,6 +47,7 @@ Python ints, so weights of any size are exact.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.congest.algorithm import NodeAlgorithm
@@ -108,6 +109,9 @@ class SymbolicEngine(ExecutionEngine):
 
     name = "symbolic"
 
+    #: ``(_run_of(...), inputs)`` of the gated run ``supports`` last accepted.
+    _handoff: Optional[Tuple[Tuple[Any, ...], Any]] = None
+
     def supports(
         self,
         network: Network,
@@ -125,7 +129,9 @@ class SymbolicEngine(ExecutionEngine):
             schema = schema.flood
         if not isinstance(schema, MinPlusSchema):
             return False
-        return _minplus_inputs(network, schema, initial_memory) is not None
+        inputs = _minplus_inputs(network, schema, initial_memory)
+        self._handoff = inputs and (_run_of(network, algorithm, initial_memory), inputs)
+        return inputs is not None
 
     def run(
         self,
@@ -136,6 +142,7 @@ class SymbolicEngine(ExecutionEngine):
         halt_on_quiescence: bool = False,
         observer: Optional[Any] = None,
     ) -> SimulationResult:
+        handoff, self._handoff = self._handoff, None
         schema = algorithm.message_schema()
         if isinstance(schema, TreeSchema) and schema.kind != "flood":
             return dense_tree.run_tree(
@@ -169,8 +176,10 @@ class SymbolicEngine(ExecutionEngine):
         else:
             if isinstance(schema, TreeSchema):
                 schema = schema.flood
+            run = _run_of(network, algorithm, initial_memory)
+            inputs = handoff[1] if handoff and all(map(operator.is_, handoff[0], run)) else None
             dist, active, last_round = _minplus_closed_form(
-                network, algorithm.name, schema, max_rounds, initial_memory
+                network, algorithm.name, schema, max_rounds, initial_memory, inputs
             )
             report = RoundReport(
                 rounds=last_round,
@@ -190,6 +199,12 @@ class SymbolicEngine(ExecutionEngine):
             nodes=network.nodes,
             build=dense_tree.final_state(network, algorithm, memory),
         )
+
+
+def _run_of(network: Network, algorithm: NodeAlgorithm, initial_memory: Any) -> Tuple[Any, ...]:
+    """What a run's :func:`_minplus_inputs` derive from, compared by identity
+    (a topology mutation replaces the version object)."""
+    return (network, algorithm, initial_memory, network.graph._version)
 
 
 def _minplus_inputs(
@@ -415,6 +430,7 @@ def _minplus_closed_form(
     schema: Any,
     max_rounds: int,
     initial_memory: Optional[Dict[int, Dict[str, Any]]],
+    inputs: Optional[Tuple[_Seeds, Optional[Dict[int, Dict[int, int]]]]] = None,
 ) -> Tuple[List[List[Any]], GatedRounds, int]:
     """Final rows, active-round records and last round of a gated run.
 
@@ -424,9 +440,9 @@ def _minplus_closed_form(
     (``base_j < round <= close_j``) and by the halting round.  The run halts
     in round ``max(round_budget, 1)``; raises exactly where the stepping
     engines do (first strict-bandwidth violation, then the round limit).
+    ``inputs`` is the run's :func:`_minplus_inputs` when already known.
     """
-    inputs = None
-    if isinstance(schema, MinPlusSchema):
+    if inputs is None and isinstance(schema, MinPlusSchema):
         inputs = _minplus_inputs(network, schema, initial_memory)
     if inputs is None:
         raise ValueError(f"symbolic engine cannot execute protocol '{name}'")

@@ -149,8 +149,6 @@ class Network:
 
     def unweighted_diameter(self) -> float:
         """The topology's unweighted diameter ``D`` (memoized per topology)."""
-        if self.num_nodes == 1:
-            return 0.0
         return self._memoized(
             "unweighted-diameter", lambda: float(unweighted_diameter(self._graph))
         )

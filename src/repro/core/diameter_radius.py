@@ -30,7 +30,7 @@ from repro.congest.network import Network
 from repro.congest.primitives import broadcast_from, build_bfs_tree
 from repro.congest.simulator import RoundReport
 from repro.core.parameters import AlgorithmParameters, ParameterProfile
-from repro.kernels import eccentricities_csr
+from repro.kernels import extremal_eccentricity_csr
 from repro.nanongkai.skeleton import (
     PipelineComposer,
     SkeletonApproximator,
@@ -128,9 +128,7 @@ def _extremal_nodes(network: Network, maximize: bool) -> Tuple[List[int], float]
     for the query-model emulation of the outer search; see DESIGN.md.  The
     computation is sequential ground truth and is never charged rounds.
     """
-    eccentricities = eccentricities_csr(network.graph)
-    target = max(eccentricities.values()) if maximize else min(eccentricities.values())
-    nodes = [node for node, value in eccentricities.items() if value == target]
+    target, nodes = extremal_eccentricity_csr(network.graph, maximize)
     return nodes, target
 
 

@@ -56,8 +56,6 @@ def diameter(graph: WeightedGraph) -> float:
     """Return the weighted diameter ``D_{G,w} = max_u e(u)``."""
     from repro.kernels import diameter_csr
 
-    if graph.num_nodes == 0:
-        raise ValueError("diameter of an empty graph is undefined")
     return diameter_csr(graph)
 
 
@@ -65,23 +63,21 @@ def radius(graph: WeightedGraph) -> float:
     """Return the weighted radius ``R_{G,w} = min_u e(u)``."""
     from repro.kernels import radius_csr
 
-    if graph.num_nodes == 0:
-        raise ValueError("radius of an empty graph is undefined")
     return radius_csr(graph)
 
 
 def center(graph: WeightedGraph) -> List[int]:
     """Return all nodes whose eccentricity equals the radius."""
-    eccentricities = all_eccentricities(graph)
-    best = min(eccentricities.values())
-    return [node for node, value in eccentricities.items() if value == best]
+    from repro.kernels import extremal_eccentricity_csr
+
+    return extremal_eccentricity_csr(graph, maximize=False)[1]
 
 
 def periphery(graph: WeightedGraph) -> List[int]:
     """Return all nodes whose eccentricity equals the diameter."""
-    eccentricities = all_eccentricities(graph)
-    worst = max(eccentricities.values())
-    return [node for node, value in eccentricities.items() if value == worst]
+    from repro.kernels import extremal_eccentricity_csr
+
+    return extremal_eccentricity_csr(graph, maximize=True)[1]
 
 
 def unweighted_eccentricity(graph: WeightedGraph, node: int) -> float:

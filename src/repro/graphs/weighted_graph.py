@@ -19,11 +19,6 @@ __all__ = ["WeightedGraph", "Edge"]
 Edge = Tuple[int, int, int]
 
 
-def _canonical(u: int, v: int) -> Tuple[int, int]:
-    """Return the canonical (sorted) form of an undirected node pair."""
-    return (u, v) if u <= v else (v, u)
-
-
 class WeightedGraph:
     """An undirected graph with positive integer edge weights.
 
@@ -62,6 +57,8 @@ class WeightedGraph:
         self._version: int = 0
         #: Memoized ``(version, digest)`` pair backing :meth:`content_digest`.
         self._digest_cache: Optional[Tuple[int, str]] = None
+        #: Memoized ``(version, weight)`` pair backing :meth:`max_weight`.
+        self._max_weight_cache: Tuple[int, int] = (-1, 0)
         if nodes is not None:
             for node in nodes:
                 self.add_node(node)
@@ -189,8 +186,12 @@ class WeightedGraph:
         return digest
 
     def max_weight(self) -> int:
-        """Return the maximum edge weight (``0`` for an edgeless graph)."""
-        return max((w for _, _, w in self.edges()), default=0)
+        """Return the maximum edge weight (``0`` for an edgeless graph),
+        memoized on the mutation counter like :meth:`content_digest`."""
+        if self._max_weight_cache[0] != self._version:
+            weight = max((w for _, _, w in self.edges()), default=0)
+            self._max_weight_cache = (self._version, weight)
+        return self._max_weight_cache[1]
 
     def total_weight(self) -> int:
         """Return the sum of all edge weights."""

@@ -42,6 +42,7 @@ from repro.kernels.api import (
     diameter_csr,
     dijkstra_csr,
     eccentricities_csr,
+    extremal_eccentricity_csr,
     multi_source_dijkstra,
     radius_csr,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "batched_bellman_ford",
     "all_pairs_distances_csr",
     "eccentricities_csr",
+    "extremal_eccentricity_csr",
     "diameter_csr",
     "radius_csr",
 ]

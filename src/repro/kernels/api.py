@@ -28,6 +28,7 @@ __all__ = [
     "batched_bellman_ford",
     "all_pairs_distances_csr",
     "eccentricities_csr",
+    "extremal_eccentricity_csr",
     "diameter_csr",
     "radius_csr",
 ]
@@ -132,49 +133,48 @@ def all_pairs_distances_csr(
 # ---------------------------------------------------------------------- #
 # Eccentricity / diameter / radius reductions
 # ---------------------------------------------------------------------- #
-def _eccentricity_values(
-    graph: GraphLike, backend: Optional[str]
-) -> Tuple[CSRGraph, List[float]]:
-    csr = _snapshot(graph)
-    resolved = get_backend(backend)
-    # The reductions (eccentricities, diameter, radius) all need the same
-    # n-entry vector; memoise it on the snapshot -- keyed per backend so the
-    # differential tests still observe each backend's own computation.
-    memo_key = f"api:eccentricities:{resolved.name}"
-    values = csr.memo.get(memo_key)
-    if values is None:
-        rows = resolved.all_pairs(csr)
-        values = []
-        for row in rows:
-            if not len(row):
-                values.append(_INF)
-            else:
-                values.append(
-                    _as_scalar(max(row) if isinstance(row, list) else row.max())
-                )
-        csr.memo[memo_key] = values
-    return csr, values
-
-
 def eccentricities_csr(
     graph: GraphLike, backend: Optional[str] = None
 ) -> Dict[int, float]:
-    """``e(u) = max_v d(u, v)`` for every node, from one batched APSP."""
-    csr, values = _eccentricity_values(graph, backend)
+    """``e(u) = max_v d(u, v)`` for every node, from one batched APSP,
+    memoised on the snapshot per backend (so the differential tests still
+    observe each backend's own computation)."""
+    csr = _snapshot(graph)
+    resolved = get_backend(backend)
+    memo_key = f"api:eccentricities:{resolved.name}"
+    values = csr.memo.get(memo_key)
+    if values is None:
+        values = [
+            _as_scalar(max(row) if isinstance(row, list) else row.max())
+            for row in resolved.all_pairs(csr)
+        ]
+        csr.memo[memo_key] = values
     return dict(zip(csr.nodes, values))
+
+
+def extremal_eccentricity_csr(
+    graph: GraphLike, maximize: bool, backend: Optional[str] = None
+) -> Tuple[float, List[int]]:
+    """The diameter (``maximize``) or radius and every node attaining it, in
+    snapshot order; memoised like :func:`eccentricities_csr`.  Raises on an
+    empty graph."""
+    csr = _snapshot(graph)
+    if not csr.num_nodes:
+        raise ValueError("eccentricities of an empty graph are undefined")
+    resolved = get_backend(backend)
+    memo_key = f"api:extremal-eccentricity:{resolved.name}:{maximize}"
+    if memo_key not in csr.memo:
+        value, indices = resolved.extremal_eccentricity(csr, maximize)
+        csr.memo[memo_key] = (_as_scalar(value), [csr.nodes[i] for i in indices])
+    value, nodes = csr.memo[memo_key]
+    return value, list(nodes)
 
 
 def diameter_csr(graph: GraphLike, backend: Optional[str] = None) -> float:
     """Weighted diameter ``D = max_u e(u)``; raises on an empty graph."""
-    csr, values = _eccentricity_values(graph, backend)
-    if not values:
-        raise ValueError("diameter of an empty graph is undefined")
-    return max(values)
+    return extremal_eccentricity_csr(graph, True, backend)[0]
 
 
 def radius_csr(graph: GraphLike, backend: Optional[str] = None) -> float:
     """Weighted radius ``R = min_u e(u)``; raises on an empty graph."""
-    csr, values = _eccentricity_values(graph, backend)
-    if not values:
-        raise ValueError("radius of an empty graph is undefined")
-    return min(values)
+    return extremal_eccentricity_csr(graph, False, backend)[0]

@@ -172,6 +172,17 @@ class KernelBackend:
         """Exact all-pairs distance rows, in CSR index order."""
         return self.multi_source_sssp(csr, range(csr.num_nodes))
 
+    def extremal_eccentricity(
+        self, csr: CSRGraph, maximize: bool
+    ) -> Tuple[float, List[int]]:
+        """The largest (``maximize``) or smallest eccentricity of a non-empty
+        graph (``inf`` if disconnected) and the sorted indices of every node
+        attaining it.  This reduction over :meth:`all_pairs` rows is the
+        reference; an override must return the same value and indices."""
+        eccentricities = [max(row) for row in self.all_pairs(csr)]
+        value = max(eccentricities) if maximize else min(eccentricities)
+        return value, [i for i, e in enumerate(eccentricities) if e == value]
+
     def gated_minplus(
         self,
         csr: CSRGraph,

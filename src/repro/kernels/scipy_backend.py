@@ -40,6 +40,8 @@ class ScipyBackend(NumpyBackend):
 
     name = "scipy"
 
+    prune_batch = 4  # a Dijkstra costs per source: narrow batches waste fewest
+
     def _matrix(self, csr: CSRGraph) -> csr_matrix:
         matrix = csr.memo.get(_MATRIX_KEY)
         if matrix is None:

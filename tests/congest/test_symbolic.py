@@ -5,20 +5,31 @@ this file covers what cross-checking final reports cannot: the
 :class:`BroadcastReplaySchema` contract, the Lemma A.4 replay closed form,
 and -- via Hypothesis -- the *per-round* trajectory of the min-plus closed
 form against totals collected from a sparse-engine observer on random
-networks.
+networks.  It also pins the hand-off of ``supports``' closed-form inputs to
+the ``run`` that follows: one derivation per run, never another run's.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.congest import Network, Simulator
-from repro.congest.engine import BroadcastReplaySchema, MinPlusSchema, force_engine
+from repro.congest.engine import (
+    BroadcastReplaySchema,
+    MinPlusSchema,
+    force_engine,
+    get_engine,
+)
+from repro.congest.engine import symbolic as symbolic_module
 from repro.congest.engine.symbolic import (
+    SymbolicEngine,
     broadcast_replay_report,
     minplus_round_trace,
 )
@@ -249,3 +260,135 @@ def test_column_groups_must_cover_every_column():
             finalize=lambda node, row: {},
             column_groups=(0,),
         )
+
+
+# --------------------------------------------------------------------------- #
+# supports() hands its inputs to the run that follows it
+# --------------------------------------------------------------------------- #
+def _override_run(network):
+    algorithm = BoundedDistanceSsspAlgorithm(0, 12, weight_key="override_weights")
+    memory = {
+        node: {"override_weights": {v: w + 1 for v, w in network.incident_weights(node).items()}}
+        for node in network.nodes
+    }
+    return algorithm, memory
+
+
+def _counting_inputs(monkeypatch):
+    calls = []
+    inputs_of = symbolic_module._minplus_inputs
+
+    def counting(network, schema, initial_memory):
+        calls.append(network)
+        return inputs_of(network, schema, initial_memory)
+
+    monkeypatch.setattr(symbolic_module, "_minplus_inputs", counting)
+    return calls
+
+
+def _network():
+    return Network(
+        WeightedGraph(edges=[(0, 1, 4), (1, 2, 2), (2, 3, 6), (3, 0, 1), (1, 3, 5)])
+    )
+
+
+def test_a_gated_run_builds_its_inputs_once(monkeypatch):
+    network = _network()
+    algorithm, memory = _override_run(network)
+    expected = Simulator(network).run(algorithm, initial_memory=memory, engine="sparse")
+    calls = _counting_inputs(monkeypatch)
+    result = Simulator(network).run(algorithm, initial_memory=memory, engine="symbolic")
+    assert len(calls) == 1
+    assert result.report == expected.report
+    assert result.outputs == expected.outputs
+
+
+def test_the_handoff_serves_only_the_same_run_on_the_same_topology(monkeypatch):
+    """A run on another algorithm, other memory or a mutated graph derives
+    its own inputs, so it runs (or fails) exactly as without a handoff."""
+    network = _network()
+    algorithm, memory = _override_run(network)
+    symbolic = get_engine("symbolic")
+    calls = _counting_inputs(monkeypatch)
+
+    assert symbolic.supports(network, algorithm, memory)
+    other, _ = _override_run(network)
+    symbolic.run(network, other, 50, initial_memory=memory)
+    assert len(calls) == 2
+
+    assert symbolic.supports(network, algorithm, memory)
+    with pytest.raises(ValueError, match="symbolic engine cannot execute"):
+        symbolic.run(network, algorithm, 50, initial_memory={})
+    assert len(calls) == 4
+
+    assert symbolic.supports(network, algorithm, memory)
+    network.graph.add_edge(0, 2, 3)  # memory now misses the new edge
+    assert not symbolic.supports(network, algorithm, memory)
+    with pytest.raises(ValueError, match="symbolic engine cannot execute"):
+        symbolic.run(network, algorithm, 50, initial_memory=memory)
+
+
+def test_a_declined_run_leaves_no_handoff(monkeypatch):
+    network = _network()
+    algorithm, memory = _override_run(network)
+    symbolic = get_engine("symbolic")
+    assert symbolic.supports(network, algorithm, memory)
+    symbolic.run(network, algorithm, 50, initial_memory=memory)  # consumes it
+    calls = _counting_inputs(monkeypatch)
+    bad = {node: dict(entry, extra=1) for node, entry in memory.items()}
+    assert not symbolic.supports(network, algorithm, bad)
+    with pytest.raises(ValueError, match="symbolic engine cannot execute"):
+        symbolic.run(network, algorithm, 50, initial_memory=bad)
+    assert len(calls) == 2
+
+
+def test_concurrent_runs_each_get_their_own_inputs(monkeypatch):
+    """The handoff lives on the shared engine instance: threads interleaving
+    ``supports`` and ``run`` on different networks and override weights
+    must each get their own sparse-identical result.  ``supports`` yields
+    the interpreter before returning, so another thread's ``supports``
+    lands between most ``supports`` / ``run`` pairs."""
+    runs = []
+    for offset in range(4):
+        network = _network()
+        algorithm = BoundedDistanceSsspAlgorithm(0, 12, weight_key="override_weights")
+        memory = {
+            node: {
+                "override_weights": {
+                    v: w + offset for v, w in network.incident_weights(node).items()
+                }
+            }
+            for node in network.nodes
+        }
+        expected = Simulator(network).run(algorithm, initial_memory=memory, engine="sparse")
+        runs.append((network, algorithm, memory, expected))
+    supports = SymbolicEngine.supports
+
+    def yielding_supports(self, *args, **kwargs):
+        accepted = supports(self, *args, **kwargs)
+        time.sleep(0.0005)
+        return accepted
+
+    monkeypatch.setattr(SymbolicEngine, "supports", yielding_supports)
+    barrier = threading.Barrier(len(runs))
+    errors = []
+
+    def worker(network, algorithm, memory, expected):
+        barrier.wait(timeout=60)
+        for _ in range(25):
+            got = Simulator(network).run(algorithm, initial_memory=memory, engine="symbolic")
+            if got.report != expected.report or got.outputs != expected.outputs:
+                errors.append(memory)
+
+    threads = [threading.Thread(target=worker, args=run) for run in runs]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors

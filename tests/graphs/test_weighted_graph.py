@@ -116,6 +116,27 @@ class TestQueries:
     def test_max_weight_empty(self):
         assert WeightedGraph(nodes=[0]).max_weight() == 0
 
+    def test_max_weight_memo_follows_mutations(self, monkeypatch):
+        graph = WeightedGraph(edges=[(0, 1, 3), (1, 2, 7)])
+        assert graph.max_weight() == 7
+        scans = []
+        edges = WeightedGraph.edges
+
+        def counting_edges(self):
+            scans.append(1)
+            return edges(self)
+
+        monkeypatch.setattr(WeightedGraph, "edges", counting_edges)
+        assert graph.max_weight() == 7
+        assert not scans  # memoized: no edge scan
+        graph.add_edge(2, 3, 9)
+        assert graph.max_weight() == 9
+        graph.add_edge(2, 3, 4)  # reweight an existing edge
+        assert graph.max_weight() == 7
+        graph.remove_edge(1, 2)
+        assert graph.max_weight() == 4
+        assert len(scans) == 3
+
     def test_total_weight(self, triangle_graph):
         assert triangle_graph.total_weight() == 17
 
