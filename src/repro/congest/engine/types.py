@@ -9,8 +9,9 @@ import them without importing the facade.  The facade re-exports them, so
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.congest.algorithm import NodeContext
 
@@ -20,6 +21,7 @@ __all__ = [
     "RoundLimitExceeded",
     "encode_result_value",
     "decode_result_value",
+    "RESULT_CODEC_VERSION",
 ]
 
 
@@ -33,68 +35,128 @@ __all__ = [
 # ambiguous cases in small tagged objects so that
 # ``decode(json.loads(json.dumps(encode(v)))) == v`` holds *bit-identically*
 # -- the contract the service-layer result cache relies on.
+#
+# The format is columnar: a dict encodes as two flat lists,
+# ``{"__repro__": "dict", "k": [keys], "v": [values]}``, and a list, tuple
+# or set as one.  A column whose items are all atoms (int, str, bool, None
+# and finite floats, exact types only) is copied as is on both sides, so an
+# APSP table costs a few C-level passes rather than one Python call per
+# entry.  Finite floats are bare JSON numbers (``json`` writes their
+# shortest repr, so they round-trip exactly, ``-0.0`` included); only
+# ``inf``/``nan`` keep the ``float`` tag.  The service cache folds
+# ``RESULT_CODEC_VERSION`` into every key, so entries written in an older
+# format miss rather than being misread.
 # --------------------------------------------------------------------------- #
 
 _TAG = "__repro__"
 
+#: Bumped whenever the encoded form of a value changes.
+RESULT_CODEC_VERSION = 2
+
+_ATOMS = frozenset({int, str, bool, float, type(None)})
+_SEQUENCES = {"tuple": tuple, "set": set, "frozenset": frozenset}
+
+
+class _Unencodable(TypeError):
+    """An unserializable leaf; ``segments`` collects its path on unwinding."""
+
+    def __init__(self, value: Any) -> None:
+        self.value, self.segments = value, []
+
+
+def _atoms(column: List[Any]) -> bool:
+    """True when every item of ``column`` encodes (and decodes) as itself."""
+    types = set(map(type, column))
+    if float not in types:
+        return types <= _ATOMS
+    if not types <= _ATOMS:
+        return False
+    floats = column if len(types) == 1 else [x for x in column if type(x) is float]
+    return all(map(math.isfinite, floats))
+
+
+def _encode_column(items: Iterable[Any], segment: Callable[[int], str]) -> List[Any]:
+    """Encode ``items`` into a new list; ``segment(i)`` names item ``i``'s
+    path step, read only when that item cannot be encoded."""
+    column = list(items)
+    if _atoms(column):
+        return column
+    encoded: List[Any] = []
+    try:
+        for item in column:
+            encoded.append(_encode(item))
+    except _Unencodable as exc:
+        exc.segments.append(segment(len(encoded)))
+        raise
+    return encoded
+
+
+def _encode(value: Any) -> Any:
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float(value)
+        return {_TAG: "float", "v": repr(float(value))}
+    if isinstance(value, list):
+        return _encode_column(value, "[{}]".format)
+    if isinstance(value, tuple):
+        return {_TAG: "tuple", "v": _encode_column(value, "[{}]".format)}
+    if isinstance(value, dict):
+        keys = list(value)
+        return {
+            _TAG: "dict",
+            "k": _encode_column(keys, lambda i: ".key"),
+            "v": _encode_column(value.values(), lambda i: f"[{keys[i]!r}]"),
+        }
+    if isinstance(value, (set, frozenset)):
+        tag = "frozenset" if isinstance(value, frozenset) else "set"
+        column = _encode_column(value, lambda i: "")
+        column.sort(key=repr)
+        return {_TAG: tag, "v": column}
+    raise _Unencodable(value)
+
 
 def encode_result_value(value: Any, path: str = "$") -> Any:
     """Encode ``value`` into JSON-safe structures (see module comment)."""
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        # repr round-trips every finite float exactly; float("inf") /
-        # float("-inf") / float("nan") cover the non-finite reprs.
-        return {_TAG: "float", "v": repr(value)}
-    if isinstance(value, tuple):
-        return {_TAG: "tuple", "v": [encode_result_value(x, f"{path}[{i}]") for i, x in enumerate(value)]}
-    if isinstance(value, list):
-        return [encode_result_value(x, f"{path}[{i}]") for i, x in enumerate(value)]
-    if isinstance(value, dict):
-        return {
-            _TAG: "dict",
-            "v": [
-                [encode_result_value(k, f"{path}.key"), encode_result_value(v, f"{path}[{k!r}]")]
-                for k, v in value.items()
-            ],
-        }
-    if isinstance(value, frozenset):
-        return {_TAG: "frozenset", "v": sorted((encode_result_value(x, path) for x in value), key=repr)}
-    if isinstance(value, set):
-        return {_TAG: "set", "v": sorted((encode_result_value(x, path) for x in value), key=repr)}
-    raise TypeError(
-        f"cannot serialize {type(value).__name__} at {path}: simulation "
-        f"results must be built from None/bool/int/float/str/tuple/list/"
-        f"dict/set values to round-trip through the result cache"
-    )
+    try:
+        return _encode(value)
+    except _Unencodable as exc:
+        where = path + "".join(reversed(exc.segments))
+        raise TypeError(
+            f"cannot serialize {type(exc.value).__name__} at {where}: simulation "
+            f"results must be built from None/bool/int/float/str/tuple/list/"
+            f"dict/set values to round-trip through the result cache"
+        ) from None
+
+
+def _decode_column(column: Any) -> Iterable[Any]:
+    """The decoded items of ``column``: the list itself when it holds only
+    atoms, else a lazy item-by-item decode."""
+    if type(column) is not list:
+        raise ValueError(f"a serialized column must be a list, got {type(column).__name__}")
+    if set(map(type, column)) <= _ATOMS:
+        return column
+    return map(decode_result_value, column)
 
 
 def decode_result_value(payload: Any) -> Any:
     """Inverse of :func:`encode_result_value`."""
-    if payload is None or isinstance(payload, (bool, int, str)):
-        return payload
-    if isinstance(payload, float):  # pragma: no cover - floats arrive tagged
-        return payload
-    if isinstance(payload, list):
-        return [decode_result_value(x) for x in payload]
+    if type(payload) is list:
+        return list(_decode_column(payload))
     if isinstance(payload, dict):
         tag = payload.get(_TAG)
+        if tag == "dict":
+            return dict(
+                zip(_decode_column(payload.get("k")), _decode_column(payload.get("v")), strict=True)
+            )
         if tag == "float":
             return float(payload["v"])
-        if tag == "tuple":
-            return tuple(decode_result_value(x) for x in payload["v"])
-        if tag == "dict":
-            return {
-                decode_result_value(k): decode_result_value(v)
-                for k, v in payload["v"]
-            }
-        if tag == "set":
-            return {decode_result_value(x) for x in payload["v"]}
-        if tag == "frozenset":
-            return frozenset(decode_result_value(x) for x in payload["v"])
-        raise ValueError(f"unknown serialization tag {tag!r}")
+        if tag not in _SEQUENCES:
+            raise ValueError(f"unknown serialization tag {tag!r}")
+        return _SEQUENCES[tag](_decode_column(payload.get("v")))
+    if payload is None or isinstance(payload, (bool, int, float, str)):
+        return payload
     raise ValueError(f"cannot decode serialized payload of type {type(payload).__name__}")
 
 

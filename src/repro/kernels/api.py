@@ -45,7 +45,10 @@ def _snapshot(graph: GraphLike) -> CSRGraph:
 
 
 def _as_scalar(value: float) -> float:
-    """Normalise one backend distance to ``int`` or the ``INFINITY`` object."""
+    """Normalise one backend distance to ``int`` or the ``INFINITY`` object;
+    an ``int`` (the exact reference's) passes through unrounded."""
+    if isinstance(value, int):
+        return value
     value = float(value)
     if math.isinf(value):
         return _INF

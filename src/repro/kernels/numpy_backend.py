@@ -43,6 +43,7 @@ __all__ = ["NumpyBackend"]
 _SOURCE_CHUNK = 128
 
 _BUCKET_KEY = "numpy:degree-buckets"
+_EXACT_KEY = "numpy:float64-exact"
 
 #: Every integer below this is exact in float64.
 _EXACT_FLOAT = 2**53
@@ -123,20 +124,35 @@ class NumpyBackend(KernelBackend):
             )
         return out
 
+    @staticmethod
+    def _float64_exact(csr: CSRGraph) -> bool:
+        """Whether every shortest-path length (at most ``(n - 1) * W``) is
+        exact in float64; memoized per snapshot.  When not, the distance
+        kernels return the exact-int reference's rows."""
+        exact = csr.memo.get(_EXACT_KEY)
+        if exact is None:
+            bound = (csr.num_nodes - 1) * max(csr.weights, default=0)
+            exact = csr.memo[_EXACT_KEY] = bound < _EXACT_FLOAT
+        return exact
+
     # ------------------------------------------------------------------ #
     def sssp(self, csr: CSRGraph, source: int) -> np.ndarray:
-        # Positive weights: relaxation to fixpoint (at most n - 1 rounds)
-        # equals Dijkstra exactly.
-        return self._relax(csr, [source], max(csr.num_nodes - 1, 0))[0]
+        return self.multi_source_sssp(csr, [source])[0]
 
     def multi_source_sssp(
         self, csr: CSRGraph, sources: Sequence[int]
     ) -> List[np.ndarray]:
+        if not self._float64_exact(csr):
+            return get_backend("python").multi_source_sssp(csr, sources)
+        # Positive weights: relaxation to fixpoint (at most n - 1 rounds)
+        # equals Dijkstra exactly.
         return list(self._relax(csr, sources, max(csr.num_nodes - 1, 0)))
 
     def bounded_hop(
         self, csr: CSRGraph, sources: Sequence[int], max_hops: int
     ) -> List[np.ndarray]:
+        if not self._float64_exact(csr):
+            return get_backend("python").bounded_hop(csr, sources, max_hops)
         return list(self._relax(csr, sources, max_hops))
 
     def extremal_eccentricity(

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from repro.kernels.backend import GatedColumn, GatedRounds, register_backend
+from repro.kernels.backend import GatedColumn, GatedRounds, get_backend, register_backend
 from repro.kernels.csr import CSRGraph
 from repro.kernels.numpy_backend import NumpyBackend
 
@@ -57,6 +57,8 @@ class ScipyBackend(NumpyBackend):
         source_list = list(sources)
         if not source_list:
             return []
+        if not self._float64_exact(csr):
+            return get_backend("python").multi_source_sssp(csr, source_list)
         # The CSR snapshot stores both directions of every undirected edge,
         # so the directed interpretation is already symmetric.
         distances = _csgraph_dijkstra(

@@ -37,7 +37,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-from repro.congest.engine.types import SimulationResult
+from repro.congest.engine.types import RESULT_CODEC_VERSION, SimulationResult
 from repro.service.spec import RunSpec
 
 __all__ = ["CacheStats", "ResultCache", "cache_key", "semantic_key"]
@@ -54,6 +54,8 @@ def _key_material(spec: RunSpec, graph_digest: str, semantic: bool) -> str:
     # generator spec and the inline edge list it expands to are the same
     # cache entry.
     payload["graph"] = {"content_digest": graph_digest}
+    # Entries written in another result format must miss, not be misread.
+    payload["codec"] = RESULT_CODEC_VERSION
     if semantic:
         for field in _EXECUTION_FIELDS:
             payload.pop(field, None)
@@ -83,8 +85,8 @@ class CacheStats:
     """Hit/miss/store counters for one :class:`ResultCache`.
 
     ``corrupt`` counts disk entries read back as something other than a
-    cache document (not JSON, or JSON without the document fields); each
-    such read is served as a miss.
+    cache document (not JSON, JSON without the document fields, or a
+    ``result`` that does not decode); each such read is served as a miss.
     """
 
     def __init__(self) -> None:
@@ -151,37 +153,40 @@ class ResultCache:
         returned result is freshly deserialized on every hit, so callers can
         never mutate the cached copy.
         """
-        exact = cache_key(spec, graph_digest)
-        document = self._load(exact)
-        if document is not None:
+        result = self._load(cache_key(spec, graph_digest))
+        if result is not None:
             with self._lock:
                 self.stats.hits += 1
-            return SimulationResult.from_json(document["result"]), False
+            return result, False
         if allow_cross_engine and engine_invariant:
             semantic = semantic_key(spec, graph_digest)
             with self._lock:
                 donor = self._semantic_index.get(semantic)
-            document = self._load(donor) if donor is not None else None
-            if document is None and self._directory is not None:
-                document = self._load_disk_semantic(semantic)
-            if document is not None:
+            result = self._load(donor) if donor is not None else None
+            if result is None and self._directory is not None:
+                result = self._load_disk_semantic(semantic)
+            if result is not None:
                 with self._lock:
                     self.stats.hits += 1
                     self.stats.cross_engine_hits += 1
-                return SimulationResult.from_json(document["result"]), True
+                return result, True
         with self._lock:
             self.stats.misses += 1
         return None
 
     def store(
         self, spec: RunSpec, graph_digest: str, result: SimulationResult
-    ) -> str:
-        """Serialize and store ``result`` under the spec's exact key."""
+    ) -> Dict[str, Any]:
+        """Serialize ``result`` once and store it under the spec's exact key.
+
+        Returns the serialized result (:meth:`SimulationResult.to_json`
+        form) that every later hit decodes.  It is the cache's own copy:
+        decode it, do not mutate it.
+        """
         exact = cache_key(spec, graph_digest)
-        semantic = semantic_key(spec, graph_digest)
         document = {
             "key": exact,
-            "semantic_key": semantic,
+            "semantic_key": semantic_key(spec, graph_digest),
             "protocol": spec.protocol,
             "engine": spec.engine,
             "backend": spec.backend,
@@ -190,15 +195,9 @@ class ResultCache:
             "result": result.to_json(),
         }
         with self._lock:
-            self._entries[exact] = document
-            self._entries.move_to_end(exact)
-            self._semantic_index[semantic] = exact
+            self._insert_locked(exact, document)
+            self._semantic_index[document["semantic_key"]] = exact
             self.stats.stores += 1
-            while len(self._entries) > self._max_entries:
-                evicted_key, evicted = self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                if self._semantic_index.get(evicted["semantic_key"]) == evicted_key:
-                    del self._semantic_index[evicted["semantic_key"]]
         if self._directory is not None:
             # Concurrent writers of one key each get their own temp file in
             # the cache directory, so the final rename is atomic and no
@@ -208,46 +207,66 @@ class ResultCache:
             )
             try:
                 with os.fdopen(fd, "w") as handle:
-                    handle.write(json.dumps(document, sort_keys=True, indent=2) + "\n")
+                    # Compact separators keep json on its C encoder (an
+                    # indent switches it to the pure-Python one).
+                    handle.write(
+                        json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+                    )
                 os.replace(tmp, self._directory / f"{exact}.json")
             except BaseException:
                 with contextlib.suppress(OSError):
                     os.unlink(tmp)
                 raise
-        return exact
+        return document["result"]
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _load(self, key: Optional[str]) -> Optional[Dict[str, Any]]:
-        if key is None:
+    def _insert_locked(self, key: str, document: Dict[str, Any]) -> None:
+        """Make ``document`` the most recent entry and evict past the bound."""
+        self._entries[key] = document
+        self._entries.move_to_end(key)
+        while len(self._entries) > self._max_entries:
+            evicted_key, evicted = self._entries.popitem(last=False)
+            self.stats.evictions += 1
+            if self._semantic_index.get(evicted["semantic_key"]) == evicted_key:
+                del self._semantic_index[evicted["semantic_key"]]
+
+    def _decode(self, document: Dict[str, Any]) -> Optional[SimulationResult]:
+        """The document's result, freshly decoded, or ``None`` when it does
+        not decode, which counts it as corrupt.  Disk documents are decoded
+        before they enter the LRU, so a corrupt one never does."""
+        try:
+            return SimulationResult.from_json(document["result"])
+        except (KeyError, TypeError, ValueError):
+            with self._lock:
+                self.stats.corrupt += 1
             return None
+
+    def _load(self, key: str) -> Optional[SimulationResult]:
+        """The result stored under ``key``, from memory or else from disk."""
         with self._lock:
             document = self._entries.get(key)
             if document is not None:
                 self._entries.move_to_end(key)
-                return document
+        if document is not None:
+            return self._decode(document)
         if self._directory is None:
             return None
         path = self._directory / f"{key}.json"
         if not path.is_file():
             return None
         document = self._read_disk(path)
-        if document is None:
+        result = self._decode(document) if document is not None else None
+        if result is None:
             return None
         with self._lock:
             self.stats.disk_hits += 1
-            self._entries[key] = document
-            self._entries.move_to_end(key)
+            self._insert_locked(key, document)
             self._semantic_index.setdefault(document["semantic_key"], key)
-            while len(self._entries) > self._max_entries:
-                evicted_key, evicted = self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                if self._semantic_index.get(evicted["semantic_key"]) == evicted_key:
-                    del self._semantic_index[evicted["semantic_key"]]
-        return document
+        return result
 
-    def _load_disk_semantic(self, semantic: str) -> Optional[Dict[str, Any]]:
+    def _load_disk_semantic(self, semantic: str) -> Optional[SimulationResult]:
         """Scan the disk tier for any entry with the given semantic key.
 
         Disk entries written by *other processes* are not in this process's
@@ -255,15 +274,16 @@ class ResultCache:
         working without a sidecar index file (cache directories are small --
         results are expensive, that is the point of caching them).
         """
-        if self._directory is None:
-            return None
         for path in sorted(self._directory.glob("*.json")):
             document = self._read_disk(path)
-            if document is not None and document["semantic_key"] == semantic:
+            if document is None or document["semantic_key"] != semantic:
+                continue
+            result = self._decode(document)
+            if result is not None:
                 with self._lock:
                     self.stats.disk_hits += 1
                     self._semantic_index.setdefault(semantic, document["key"])
-                return document
+                return result
         return None
 
     def _read_disk(self, path: Path) -> Optional[Dict[str, Any]]:

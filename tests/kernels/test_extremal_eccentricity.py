@@ -23,7 +23,11 @@ from repro.core.diameter_radius import _extremal_nodes
 from repro.graphs import WeightedGraph, complete_graph, cycle_graph, path_graph
 from repro.kernels import (
     CSRGraph,
+    all_pairs_distances_csr,
     available_backends,
+    batched_bellman_ford,
+    diameter_csr,
+    dijkstra_csr,
     eccentricities_csr,
     extremal_eccentricity_csr,
     get_backend,
@@ -135,6 +139,20 @@ def test_weights_past_the_float64_range_take_the_reference(maximize):
     for backend in available_backends():
         value, indices = get_backend(backend).extremal_eccentricity(csr, maximize)
         assert (type(value), value, indices) == (int, *expected), backend
+
+
+def test_label_space_wrappers_stay_exact_past_the_float64_range():
+    """The same path through the wrappers: every backend returns the exact
+    ints, the NumPy and SciPy distance kernels by taking the reference."""
+    exact = 2**53 + 3
+    assert exact == 9007199254740995
+    graph = WeightedGraph(edges=[(0, 1, 2**52 + 1), (1, 2, 2**52 + 2)])
+    for backend in available_backends():
+        assert diameter_csr(graph, backend=backend) == exact, backend
+        assert all_pairs_distances_csr(graph, backend=backend)[0][2] == exact, backend
+        assert dijkstra_csr(graph, 2, backend=backend)[0] == exact, backend
+        assert batched_bellman_ford(graph, [0], 2, backend=backend)[0][2] == exact, backend
+        assert eccentricities_csr(graph, backend=backend)[2] == exact, backend
 
 
 def test_weights_just_inside_the_float64_range_stay_exact():

@@ -25,6 +25,14 @@ def sssp_spec(**overrides) -> RunSpec:
     return RunSpec(**fields)
 
 
+def _document(outputs) -> str:
+    """A disk document with every field, whose ``result`` holds ``outputs``."""
+    report = {"rounds": 1, "protocol": "x"}
+    return json.dumps(
+        {"key": "x", "semantic_key": "y", "result": {"outputs": outputs, "report": report}}
+    )
+
+
 class TestKeys:
     def test_exact_key_depends_on_engine(self):
         digest = "ab" * 32
@@ -53,6 +61,14 @@ class TestKeys:
         assert cache_key(sssp_spec(), digest) != cache_key(
             sssp_spec(bandwidth_words=4), digest
         )
+
+    def test_key_depends_on_the_codec_version(self, monkeypatch):
+        # An entry written in an older result format must miss.
+        digest = "ab" * 32
+        before = (cache_key(sssp_spec(), digest), semantic_key(sssp_spec(), digest))
+        monkeypatch.setattr("repro.service.cache.RESULT_CODEC_VERSION", 1)
+        after = (cache_key(sssp_spec(), digest), semantic_key(sssp_spec(), digest))
+        assert before[0] != after[0] and before[1] != after[1]
 
     def test_graph_mutation_changes_the_key(self):
         # The full chain: mutate a graph -> content_digest changes -> the
@@ -193,8 +209,24 @@ class TestLruAndDiskTier:
 
     @pytest.mark.parametrize(
         "payload",
-        ["{not json", "[]", "{}", '{"key": "x"}'],
-        ids=["not-json", "list", "empty-object", "key-only"],
+        [
+            "{not json",
+            "[]",
+            "{}",
+            '{"key": "x"}',
+            _document({"__repro__": "bogus", "v": []}),
+            _document({"__repro__": "dict", "k": [0, 1], "v": [0]}),
+            _document([0, 1]),
+        ],
+        ids=[
+            "not-json",
+            "list",
+            "empty-object",
+            "key-only",
+            "unknown-tag",
+            "column-lengths-differ",
+            "outputs-not-a-dict",
+        ],
     )
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path, payload):
         spec = sssp_spec()

@@ -160,3 +160,19 @@ class TestContextFreeResults:
         warm = service.run(spec)
         assert cold == warm
         assert cold.contexts == {} and warm.contexts == {}
+
+    def test_a_miss_encodes_its_result_once(self, service, monkeypatch):
+        from repro.congest.engine import types
+
+        calls = []
+        encode = types.encode_result_value
+
+        def counting_encode(value, path="$"):
+            calls.append(path)
+            return encode(value, path)
+
+        monkeypatch.setattr(types, "encode_result_value", counting_encode)
+        cold = service.run(leader_spec())
+        assert calls == ["$.outputs"]
+        assert service.run(leader_spec()) == cold
+        assert calls == ["$.outputs"]

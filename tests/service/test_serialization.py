@@ -6,6 +6,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.congest.engine.types import (
     RoundReport,
@@ -84,6 +85,86 @@ class TestValueCodec:
     def test_unserializable_names_path(self):
         with pytest.raises(TypeError, match=r"\$\.outputs\[1\]"):
             encode_result_value([1, object()], path="$.outputs")
+
+
+def assert_identical(back, value):
+    """``back`` equals ``value`` with the same type at every level, the same
+    dict key order and the same float bits (``nan`` matches ``nan``)."""
+    assert type(back) is type(value), (back, value)
+    if isinstance(value, float):
+        assert math.isnan(back) if math.isnan(value) else back.hex() == value.hex()
+    elif isinstance(value, (list, tuple)):
+        assert len(back) == len(value)
+        for got, want in zip(back, value):
+            assert_identical(got, want)
+    elif isinstance(value, dict):
+        assert len(back) == len(value)
+        for (got_key, got), (want_key, want) in zip(back.items(), value.items()):
+            assert_identical(got_key, want_key)
+            assert_identical(got, want)
+    else:
+        assert back == value
+
+
+_ints = st.integers(min_value=-(2**80), max_value=2**80)
+_keys = st.one_of(_ints, st.text(max_size=4), st.tuples(_ints, st.text(max_size=2)))
+_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), _ints, st.floats(), st.text(max_size=6)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_keys, children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class TestColumnarCodec:
+    @settings(max_examples=300, deadline=None)
+    @given(_values)
+    def test_generated_values_roundtrip_through_json_text(self, value):
+        back = roundtrip(value)
+        assert_identical(back, value)
+        assert repr(back) == repr(value)
+
+    def test_dict_encodes_as_key_and_value_columns(self):
+        assert encode_result_value({1: 2.5, 3: -0.0}) == {
+            "__repro__": "dict",
+            "k": [1, 3],
+            "v": [2.5, -0.0],
+        }
+        assert encode_result_value(float("inf")) == {"__repro__": "float", "v": "inf"}
+
+    def test_empty_dict(self):
+        assert encode_result_value({}) == {"__repro__": "dict", "k": [], "v": []}
+        assert_identical(roundtrip({}), {})
+
+    def test_atoms_then_a_container_in_one_column(self):
+        value = {0: 1, 1: "a", 2: None, 3: 2.5, 4: float("-inf"), 5: [1, (2, {6: 7})]}
+        assert_identical(roundtrip(value), value)
+
+    def test_true_and_one_in_one_column(self):
+        for value in ([True, 1, False, 0], {1: True, 2: 1}, (1, True)):
+            assert_identical(roundtrip(value), value)
+
+    def test_mismatched_key_and_value_columns_raise(self):
+        with pytest.raises(ValueError):
+            decode_result_value({"__repro__": "dict", "k": [1, 2], "v": [1]})
+        with pytest.raises(ValueError):
+            decode_result_value({"__repro__": "dict", "k": [1], "v": [[1], [2]]})
+
+    def test_decoding_twice_shares_no_containers(self):
+        payload = encode_result_value({0: [1, 2], 1: {2: 3}})
+        first = decode_result_value(payload)
+        first[0].append(9)
+        first[1][5] = 6
+        assert decode_result_value(payload) == {0: [1, 2], 1: {2: 3}}
+
+    def test_unserializable_key_and_nested_value_name_their_path(self):
+        with pytest.raises(TypeError, match=r"at \$\[1\]\[\(2, 3\)\]\[0\]:"):
+            encode_result_value({1: {(2, 3): [object()]}})
+        with pytest.raises(TypeError, match=r"at \$\[1\]\.key:"):
+            encode_result_value({1: {object(): 1}})
 
 
 class TestRoundReportJson:
