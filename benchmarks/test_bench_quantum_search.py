@@ -19,7 +19,7 @@ import random
 from conftest import run_once
 
 from repro.analysis import fit_power_law, render_table
-from repro.quantum import get_backend, quantum_maximum
+from repro.quantum import quantum_maximum
 from repro.quantum_congest import grover_invocation_count
 
 SEARCH_HEADERS = [
@@ -97,7 +97,6 @@ def test_quantum_search_scaling(benchmark, record_artifact, record_json):
                 "domains": [row[0] for row in search_rows],
                 "trials_per_domain": 6,
                 "repetitions": 1,
-                "quantum_backend": get_backend().name,
             },
             "results": {
                 "mean_oracle_queries": {

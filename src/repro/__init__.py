@@ -9,7 +9,7 @@ The library is organised in layers (see DESIGN.md):
   the performance substrate under every sequential oracle.
 * :mod:`repro.congest` -- the classical CONGEST model: synchronous simulator,
   round accounting, classical distance protocols.
-* :mod:`repro.quantum` -- state-vector quantum simulator, Grover search and
+* :mod:`repro.quantum` -- Grover search on the exact two-class state and
   Durr-Hoyer minimum/maximum finding.
 * :mod:`repro.quantum_congest` -- the quantum CONGEST cost model and the
   distributed quantum optimization framework (Lemma 3.1).

@@ -12,7 +12,7 @@ REP101    float-identity-comparison      ``x is math.inf`` is only true for the
 REP102    unguarded-numpy-import         The no-NumPy tier: only the explicit
                                          backend modules may import numpy/scipy
                                          unconditionally at module top level.
-REP103    env-config-read                ``REPRO_*`` knobs are read by the three
+REP103    env-config-read                ``REPRO_*`` knobs are read by the two
                                          registries and ``repro.runtime`` only;
                                          everything else goes through
                                          ``repro.configure``.
@@ -133,7 +133,6 @@ class UnguardedNumpyImport(Rule):
     ALLOWED_MODULES = {
         "repro.kernels.numpy_backend",
         "repro.kernels.scipy_backend",
-        "repro.quantum.numpy_backend",
         "repro.congest.engine.dense",
     }
     BLOCKED_ROOTS = {"numpy", "scipy"}
@@ -166,7 +165,7 @@ class EnvConfigRead(Rule):
     code = "REP103"
     name = "env-config-read"
     summary = (
-        "`REPRO_*` environment read outside repro.runtime and the three "
+        "`REPRO_*` environment read outside repro.runtime and the two "
         "registry modules: accept the knob as an argument or go through "
         "repro.configure"
     )
@@ -177,7 +176,6 @@ class EnvConfigRead(Rule):
         "repro.runtime",
         "repro.congest.engine.base",
         "repro.kernels.backend",
-        "repro.quantum.backend",
     }
 
     def visit(self, node: ast.AST) -> Iterator[Finding]:

@@ -29,15 +29,15 @@ state is therefore exactly two numbers, ``(a_marked, a_unmarked)`` (padding
 states stay 0), and one Grover iteration costs O(1) instead of O(2^q).
 :func:`_amplify_and_measure` steps that pair and measures it with the same
 single inverse-CDF draw a statevector would use, bisecting over the prefix
-counts of the marked set.  No statevector backend is involved, so every
-backend gets the same outcomes by construction.
+counts of the marked set.
 
-The ``*_reference`` twins run the same control flow on a full statevector
-(:mod:`repro.quantum.backend`: ``uniform_state``, ``phase_flip``,
-``diffusion``, ``sample_index``); the differential tests and benchmarks
-compare the two.  The marking predicate is evaluated once per domain element
-per search; ``oracle_queries`` counts phase-oracle *applications* (the
-quantum query complexity) plus one classical check per BBHT round.
+The ``*_reference`` twins run the same control flow on a full ``2**q``
+statevector of plain ``complex`` amplitudes (:func:`_reference_amplifier`:
+phase flip, diffusion, then one inverse-CDF draw over every basis state);
+the differential tests and benchmarks compare the two.  The marking
+predicate is evaluated once per domain element per search;
+``oracle_queries`` counts phase-oracle *applications* (the quantum query
+complexity) plus one classical check per BBHT round.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
-from repro.quantum.backend import get_backend
 from repro.quantum.rng import QuantumRng, RandomSource, as_quantum_rng
 
 __all__ = [
@@ -182,13 +181,14 @@ def _amplify_and_measure(
     return outcome, num_marked * p_marked
 
 
-def _statevector_amplifier(backend: Optional[str]) -> Amplifier:
-    """The reference amplifier: the same round on a full backend statevector.
+def _reference_amplifier() -> Amplifier:
+    """The reference amplifier: the same round on a full ``2**q`` statevector.
 
+    Amplitudes are a ``list`` of ``complex``; each iteration flips the phase
+    of the marked entries and reflects the first ``size`` about their mean.
     The mask of the last marked list is kept, so a BBHT search (many rounds
     on one list) builds it once.
     """
-    engine = get_backend(backend)
     cached = [None, None]  # [marked list, its mask]
 
     def amplify(
@@ -199,14 +199,33 @@ def _statevector_amplifier(backend: Optional[str]) -> Amplifier:
             flags = [False] * dim
             for index in marked:
                 flags[index] = True
-            cached[:] = [marked, engine.as_mask(flags, dim)]
+            cached[:] = [marked, flags]
         mask = cached[1]
-        state = engine.uniform_state(dim, size)
+        amplitude = complex(1 / math.sqrt(size))
+        state = [amplitude] * size + [0j] * (dim - size)
         for _ in range(iterations):
-            engine.phase_flip(state, mask)
-            engine.diffusion(state, size)
-        success_probability = float(engine.masked_probability(state, mask))
-        return engine.sample_index(engine.probabilities(state), rng), success_probability
+            for index, flag in enumerate(mask):
+                if flag:
+                    state[index] = -state[index]
+            twice = 2 * (sum(state[:size], start=0j) / size)
+            for index in range(size):
+                state[index] = twice - state[index]
+            for index in range(size, dim):
+                state[index] = -state[index]
+        probabilities = [value.real * value.real + value.imag * value.imag for value in state]
+        success_probability = float(
+            sum(probability for probability, flag in zip(probabilities, mask) if flag)
+        )
+        total = 0.0
+        for probability in probabilities:
+            total += probability
+        draw = rng.random() * total
+        accumulated = 0.0
+        for index, probability in enumerate(probabilities):
+            accumulated += probability
+            if draw < accumulated:
+                return index, success_probability
+        return dim - 1, success_probability
 
     return amplify
 
@@ -333,12 +352,9 @@ def grover_search_reference(
     oracle: Callable[[int], bool],
     num_marked: Optional[int] = None,
     rng: Optional[RandomSource] = None,
-    backend: Optional[str] = None,
 ) -> GroverResult:
-    """:func:`grover_search` on a full statevector of the selected backend."""
-    return _grover_search(
-        domain_size, oracle, num_marked, rng, _statevector_amplifier(backend)
-    )
+    """:func:`grover_search` on a full statevector."""
+    return _grover_search(domain_size, oracle, num_marked, rng, _reference_amplifier())
 
 
 def grover_search_unknown(
@@ -373,9 +389,8 @@ def grover_search_unknown_reference(
     rng: Optional[RandomSource] = None,
     growth: float = _BBHT_GROWTH,
     max_rounds: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> GroverResult:
-    """:func:`grover_search_unknown` on a full statevector of the selected backend."""
+    """:func:`grover_search_unknown` on a full statevector."""
     if domain_size < 1:
         raise ValueError("domain_size must be positive")
     marked = _marked_indices(domain_size, oracle)
@@ -383,7 +398,7 @@ def grover_search_unknown_reference(
         domain_size,
         marked,
         as_quantum_rng(rng),
-        _statevector_amplifier(backend),
+        _reference_amplifier(),
         growth,
         max_rounds,
     )

@@ -25,8 +25,8 @@ of entries strictly better than the threshold, compared exactly in Python
 (no float cast, so tables beyond ``2**53`` are marked correctly); since the
 threshold only improves, each new marked set is filtered from the previous
 one.  :func:`quantum_extremum_reference` runs the same control flow on a full
-statevector and is what the differential tests and benchmarks compare
-against.
+``2**q``-amplitude statevector and is what the differential tests and
+benchmarks compare against.
 
 Every evaluation of ``f`` is counted; the distributed layer multiplies these
 query counts by the measured round cost of one distributed evaluation, which
@@ -45,7 +45,7 @@ from repro.quantum.grover import (
     Amplifier,
     _amplify_and_measure,
     _bbht_search,
-    _statevector_amplifier,
+    _reference_amplifier,
 )
 from repro.quantum.rng import QuantumRng, RandomSource, as_quantum_rng
 
@@ -226,14 +226,13 @@ def quantum_extremum_reference(
     rng: Optional[RandomSource] = None,
     repetitions: int = 3,
     query_budget: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> QuantumExtremumResult:
     """:func:`quantum_maximum` / :func:`quantum_minimum` on a full statevector.
 
     Same runs, draws and budgets, but every threshold search steps a
-    ``2**q``-amplitude state of the selected backend.  Slow by design: it is
-    the oracle the two-class path is tested and benchmarked against.
+    ``2**q``-amplitude state.  Slow by design: it is the oracle the
+    two-class path is tested and benchmarked against.
     """
     return _quantum_extremum(
-        values, rng, repetitions, query_budget, maximize, _statevector_amplifier(backend)
+        values, rng, repetitions, query_budget, maximize, _reference_amplifier()
     )

@@ -1,21 +1,21 @@
-"""Backend-agnostic randomness for the quantum subsystem.
+"""Seedable measurement randomness for the quantum subsystem.
 
-The quantum backends (:mod:`repro.quantum.backend`) must produce *identical
-measured outcomes* for the same seed regardless of whether NumPy is installed,
-so measurement randomness cannot come from ``numpy.random`` -- the pure-Python
-tier would have no way to replay the stream.  :class:`QuantumRng` is the thin
-shim every quantum entry point routes through:
+Every quantum search must produce *identical measured outcomes* for the same
+seed whether or not NumPy is installed, and the two-class searches must
+consume the same draws as their full-statevector references, so measurement
+randomness cannot come from ``numpy.random``.  :class:`QuantumRng` is the
+thin shim every quantum entry point routes through:
 
 * seeded with an ``int`` (or ``None``), it draws from :class:`random.Random`
-  -- dependency-free and byte-identical on every backend;
+  -- dependency-free and byte-identical everywhere;
 * handed an existing :class:`random.Random` or a NumPy ``Generator`` it wraps
   the caller's source, so legacy call sites passing
   ``numpy.random.default_rng(seed)`` keep working unchanged.
 
 Only two scalar draws exist (``random`` and ``randrange``); every
 probability-weighted choice is done by inverse-CDF over a single ``random()``
-draw inside the backends, which keeps the stream consumption -- and therefore
-the measured outcomes -- identical across backends.
+draw, which keeps the stream consumption -- and therefore the measured
+outcomes -- identical between a search and its reference.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ RandomSource = Union[None, int, random.Random, "QuantumRng", object]
 
 
 class QuantumRng:
-    """A seedable scalar-draw randomness source shared by all backends."""
+    """A seedable scalar-draw randomness source shared by every search."""
 
     __slots__ = ("_random", "_randrange")
 
@@ -66,9 +66,9 @@ class QuantumRng:
         """An independent child stream, seeded by one draw from this stream.
 
         Forking advances this stream by exactly one draw; afterwards the child
-        and the parent never influence each other.  :meth:`StateVector.copy`
-        uses this so measuring a copy cannot silently advance the original's
-        stream.
+        and the parent never influence each other.  The Dürr-Høyer
+        repetitions each run on a fork, so one run's draws cannot shift
+        another's.
         """
         return QuantumRng(int(self._random() * 2**53) ^ 0x9E3779B9)
 

@@ -5,8 +5,9 @@ to) extremal, charging rounds according to Lemma 3.1.  Two execution modes
 are provided (see DESIGN.md, "Quantum search is real where feasible,
 cost-modelled where not"):
 
-* ``SearchMode.STATEVECTOR`` -- run genuine Dürr-Høyer min/max finding on a
-  state-vector simulator over the (fully evaluated) value table; the number
+* ``SearchMode.STATEVECTOR`` -- run genuine Dürr-Høyer min/max finding
+  (:mod:`repro.quantum`, on the exact two-class amplitude state) over the
+  (fully evaluated) value table; the number
   of Setup+Evaluation invocations charged is the *measured* oracle-query
   count.  Used for domains up to ~1024 elements and in the unit tests, where
   it demonstrates that the quantum primitive really behaves as Lemma 3.1

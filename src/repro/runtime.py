@@ -2,9 +2,9 @@
 
 The library has two independent selection mechanisms: the CONGEST engine
 registry (``REPRO_ENGINE`` / :func:`repro.congest.engine.force_engine`) and
-the kernel *and* quantum backend registries (both on ``REPRO_BACKEND`` with
-their own ``force_backend`` context managers).  Composing them by hand means
-three nested context managers with three restore paths.
+the kernel backend registry (``REPRO_BACKEND`` /
+:func:`repro.kernels.force_backend`).  Composing them by hand means two
+nested context managers with two restore paths.
 
 :class:`RunConfig` + :func:`configure` collapse that into one call with one
 restore path::
@@ -45,9 +45,7 @@ class RunConfig:
         is still subject to per-run eligibility and falls back to ``sparse``
         exactly like ``REPRO_ENGINE`` would.
     backend:
-        Kernel *and* quantum backend name (``scipy``/``numpy``/``python``)
-        or ``None``.  The quantum registry resolves ``scipy`` to its
-        ``numpy`` tier, mirroring the shared ``REPRO_BACKEND`` semantics.
+        Kernel backend name (``scipy``/``numpy``/``python``) or ``None``.
     """
 
     engine: Optional[str] = None
@@ -60,11 +58,9 @@ class RunConfig:
 
             get_engine(self.engine)
         if self.backend is not None:
-            from repro.kernels.backend import get_backend as kernel_backend
-            from repro.quantum.backend import get_backend as quantum_backend
+            from repro.kernels.backend import get_backend
 
-            kernel_backend(self.backend)
-            quantum_backend(self.backend)
+            get_backend(self.backend)
         return self
 
     @contextlib.contextmanager
@@ -77,11 +73,9 @@ class RunConfig:
 
                 stack.enter_context(force_engine(self.engine))
             if self.backend is not None:
-                from repro.kernels.backend import force_backend as force_kernel
-                from repro.quantum.backend import force_backend as force_quantum
+                from repro.kernels.backend import force_backend
 
-                stack.enter_context(force_kernel(self.backend))
-                stack.enter_context(force_quantum(self.backend))
+                stack.enter_context(force_backend(self.backend))
             yield self
 
 
@@ -89,8 +83,7 @@ def configure(engine: Optional[str] = None, backend: Optional[str] = None):
     """Context manager applying a :class:`RunConfig` in one call.
 
     ``with configure(engine="dense", backend="numpy"): ...`` is the single
-    entry point replacing nested ``force_engine`` / ``force_backend``
-    (kernels and quantum) calls.  The old entry points all keep working;
-    this composes them.
+    entry point replacing nested ``force_engine`` / ``force_backend`` calls.
+    The old entry points all keep working; this composes them.
     """
     return RunConfig(engine=engine, backend=backend).apply()

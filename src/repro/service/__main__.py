@@ -134,7 +134,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.congest.engine.base import available_engines
     from repro.kernels.backend import available_backends as kernel_backends
-    from repro.quantum.backend import available_backends as quantum_backends
 
     document: Dict[str, Any] = {
         "protocols": {
@@ -142,7 +141,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         },
         "engines": available_engines(),
         "kernel_backends": kernel_backends(),
-        "quantum_backends": quantum_backends(),
         "generators": available_generators(),
     }
     if args.cache_dir is not None:

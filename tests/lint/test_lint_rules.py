@@ -169,6 +169,15 @@ class TestUnguardedNumpyImport:
             select=["REP102"],
         ) == []
 
+    def test_allowlist_names_only_the_numpy_tier_modules(self):
+        from repro.lint.rules import UnguardedNumpyImport
+
+        assert UnguardedNumpyImport.ALLOWED_MODULES == {
+            "repro.kernels.numpy_backend",
+            "repro.kernels.scipy_backend",
+            "repro.congest.engine.dense",
+        }
+
     def test_rule_is_src_only(self, codes):
         assert codes(
             "import numpy as np\n",
@@ -255,6 +264,15 @@ class TestEnvConfigRead:
             rel="src/repro/runtime.py",
             select=["REP103"],
         ) == []
+
+    def test_allowlist_is_runtime_and_the_two_registries(self):
+        from repro.lint.rules import EnvConfigRead
+
+        assert EnvConfigRead.ALLOWED_MODULES == {
+            "repro.runtime",
+            "repro.congest.engine.base",
+            "repro.kernels.backend",
+        }
 
     def test_rule_is_src_only(self, codes):
         assert codes(

@@ -8,9 +8,8 @@ import random
 import pytest
 
 from repro.quantum import (
-    available_backends,
     expected_minmax_queries,
-    force_backend,
+    quantum_extremum_reference,
     quantum_maximum,
     quantum_minimum,
 )
@@ -69,8 +68,8 @@ class TestQuantumMaximum:
 
 class TestBatchedRepetitions:
     """The log(1/δ) repetitions run one after another, each on its own
-    forked stream; adding repetitions only adds independent runs, and every
-    backend selection gives the same observables."""
+    forked stream; adding repetitions only adds independent runs, and the
+    full-statevector reference gives the same observables."""
 
     def test_batched_equals_sum_of_single_runs_queries(self):
         values = random_values(11, 60)
@@ -83,20 +82,14 @@ class TestBatchedRepetitions:
         assert batched.oracle_queries > single.oracle_queries
 
     @pytest.mark.parametrize("repetitions", [1, 2, 5])
-    def test_backends_agree_for_any_batch_width(self, repetitions):
+    def test_reference_agrees_for_any_batch_width(self, repetitions):
         values = random_values(13, 48)
-        results = []
-        for name in available_backends():
-            with force_backend(name):
-                results.append(
-                    quantum_maximum(values, rng=7, repetitions=repetitions)
-                )
-        first = results[0]
-        for other in results[1:]:
-            assert other.index == first.index
-            assert other.value == first.value
-            assert other.oracle_queries == first.oracle_queries
-            assert other.threshold_updates == first.threshold_updates
+        first = quantum_maximum(values, rng=7, repetitions=repetitions)
+        other = quantum_extremum_reference(values, True, rng=7, repetitions=repetitions)
+        assert other.index == first.index
+        assert other.value == first.value
+        assert other.oracle_queries == first.oracle_queries
+        assert other.threshold_updates == first.threshold_updates
 
 
 class TestQueryScaling:

@@ -3,10 +3,11 @@
 Every search in :mod:`repro.quantum.grover` and :mod:`repro.quantum.minmax`
 steps the exact pair ``(a_marked, a_unmarked)`` instead of a ``2**q``
 amplitude vector.  Each one has a ``*_reference`` twin running the same
-control flow on a backend statevector; these tests hold the two to identical
-outcomes, query counts and schedules on every registered backend, and pin
-exact (float-free) marking of tables beyond ``2**53``.  The reference shares
-the runs' control flow, so golden values recorded from the earlier
+control flow on a full statevector; these tests hold the two to identical
+outcomes, query counts and schedules, hold both amplifiers to the closed-form
+``sin^2((2k+1) theta)`` law at every iteration count, and pin exact
+(float-free) marking of tables beyond ``2**53``.  The reference shares the
+runs' control flow, so golden values recorded from the earlier
 full-statevector implementation pin that flow itself.
 """
 
@@ -19,7 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.quantum import (
-    available_backends,
+    amplitude_amplification_success_probability,
+    grover_iterations,
     grover_search,
     grover_search_reference,
     grover_search_unknown,
@@ -28,9 +30,11 @@ from repro.quantum import (
     quantum_maximum,
     quantum_minimum,
 )
+from repro.quantum.grover import _amplify_and_measure, _reference_amplifier
+from repro.quantum.rng import QuantumRng
 
-BACKENDS = available_backends()
 PROBABILITY_TOL = 1e-12
+CLOSED_FORM_TOL = 1e-9
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 
@@ -67,7 +71,6 @@ def assert_same_grover(fast, reference):
     assert abs(fast.success_probability - reference.success_probability) <= PROBABILITY_TOL
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(
     values=value_tables(),
     seed=seeds,
@@ -78,9 +81,7 @@ def assert_same_grover(fast, reference):
 @example(values=[4] * 37, seed=1, repetitions=5, query_budget=None)
 @example(values=list(range(100)), seed=2, repetitions=3, query_budget=15)
 @settings(max_examples=60, deadline=None)
-def test_durr_hoyer_matches_statevector_reference(
-    backend, values, seed, repetitions, query_budget
-):
+def test_durr_hoyer_matches_statevector_reference(values, seed, repetitions, query_budget):
     for maximize, search in ((True, quantum_maximum), (False, quantum_minimum)):
         fast = search(values, rng=seed, repetitions=repetitions, query_budget=query_budget)
         reference = quantum_extremum_reference(
@@ -89,40 +90,71 @@ def test_durr_hoyer_matches_statevector_reference(
             rng=seed,
             repetitions=repetitions,
             query_budget=query_budget,
-            backend=backend,
         )
         assert_same_extremum(fast, reference)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(domain=marked_domains(), seed=seeds, use_hint=st.booleans())
 @example(domain=(1, {0}), seed=0, use_hint=False)
 @example(domain=(1, set()), seed=0, use_hint=False)
 @example(domain=(37, {3, 36}), seed=5, use_hint=True)
 @settings(max_examples=60, deadline=None)
-def test_grover_search_matches_statevector_reference(backend, domain, seed, use_hint):
+def test_grover_search_matches_statevector_reference(domain, seed, use_hint):
     size, marked = domain
     num_marked = len(marked) if use_hint else None
     fast = grover_search(size, marked.__contains__, num_marked=num_marked, rng=seed)
     reference = grover_search_reference(
-        size, marked.__contains__, num_marked=num_marked, rng=seed, backend=backend
+        size, marked.__contains__, num_marked=num_marked, rng=seed
     )
     assert_same_grover(fast, reference)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(domain=marked_domains(), seed=seeds)
 @example(domain=(1, {0}), seed=0)
 @example(domain=(1, set()), seed=3)
 @example(domain=(100, set()), seed=4)
 @settings(max_examples=60, deadline=None)
-def test_bbht_matches_statevector_reference(backend, domain, seed):
+def test_bbht_matches_statevector_reference(domain, seed):
     size, marked = domain
     fast = grover_search_unknown(size, marked.__contains__, rng=seed)
-    reference = grover_search_unknown_reference(
-        size, marked.__contains__, rng=seed, backend=backend
-    )
+    reference = grover_search_unknown_reference(size, marked.__contains__, rng=seed)
     assert_same_grover(fast, reference)
+
+
+@st.composite
+def amplification_rounds(draw):
+    size = draw(
+        st.sampled_from([2**q for q in range(8)]) | st.integers(min_value=1, max_value=200)
+    )
+    marked = draw(st.sets(st.integers(min_value=0, max_value=size - 1), min_size=1))
+    return size, sorted(marked)
+
+
+@given(domain=amplification_rounds(), seed=seeds)
+@example(domain=(1, [0]), seed=0)
+@example(domain=(128, [5]), seed=1)
+@example(domain=(200, [0, 199]), seed=2)
+@example(domain=(3, [0, 1, 2]), seed=3)
+@settings(max_examples=60, deadline=None)
+def test_amplifiers_follow_the_closed_form_at_every_iteration_count(domain, seed):
+    """Both amplifiers give ``sin^2((2k+1) theta)`` for every ``k`` up to twice
+    the optimum (past it the state rotates away again), and measure the same
+    outcome from the same stream."""
+    size, marked = domain
+    reference = _reference_amplifier()
+    for iterations in range(2 * grover_iterations(size, len(marked)) + 1):
+        predicted = amplitude_amplification_success_probability(
+            size, len(marked), iterations
+        )
+        fast_outcome, fast_probability = _amplify_and_measure(
+            size, marked, iterations, QuantumRng(seed + iterations)
+        )
+        reference_outcome, reference_probability = reference(
+            size, marked, iterations, QuantumRng(seed + iterations)
+        )
+        assert abs(fast_probability - predicted) <= CLOSED_FORM_TOL
+        assert abs(reference_probability - predicted) <= CLOSED_FORM_TOL
+        assert fast_outcome == reference_outcome
 
 
 def _table(seed, size, bound):
@@ -198,12 +230,9 @@ class TestBeyondFloatPrecision:
         for seed in range(10):
             assert quantum_minimum(table, rng=seed, repetitions=1).value == 2**53
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_reference_marks_exactly(self, backend):
+    def test_reference_marks_exactly(self):
         for seed in range(3):
-            reference = quantum_extremum_reference(
-                self.BIG, True, rng=seed, repetitions=1, backend=backend
-            )
+            reference = quantum_extremum_reference(self.BIG, True, rng=seed, repetitions=1)
             assert_same_extremum(
                 quantum_maximum(self.BIG, rng=seed, repetitions=1), reference
             )

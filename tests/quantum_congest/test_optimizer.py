@@ -31,7 +31,7 @@ def _optimizer(mode=SearchMode.AUTO, delta=0.1, seed=0, costs=None):
     )
 
 
-class TestStateVectorMode:
+class TestStatevectorMode:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_maximize_finds_max(self, seed):
         optimizer = _optimizer(mode=SearchMode.STATEVECTOR, seed=seed)

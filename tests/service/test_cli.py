@@ -104,6 +104,7 @@ class TestStats:
         assert "sparse" in document["engines"]
         assert "python" in document["kernel_backends"]
         assert "path" in document["generators"]
+        assert set(document) == {"protocols", "engines", "kernel_backends", "generators"}
 
     def test_stats_with_cache_dir(self, capsys, tmp_path):
         code, document = run_cli(

@@ -52,13 +52,6 @@ class TestBackendErrors:
             get_backend("nope")
         assert "nope" in str(excinfo.value) and "python" in str(excinfo.value)
 
-    def test_quantum_backend_names_registry(self):
-        from repro.quantum.backend import get_backend
-
-        with pytest.raises(ValueError) as excinfo:
-            get_backend("nope")
-        assert "nope" in str(excinfo.value)
-
 
 class TestServiceValidationErrors:
     def test_submit_rejects_unknown_engine_synchronously(self):

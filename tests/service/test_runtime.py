@@ -52,13 +52,11 @@ class TestConfigureComposition:
             assert engine_base._FORCED == "symbolic"
         assert engine_base._FORCED is None
 
-    def test_backend_knob_forces_both_registries(self):
-        from repro.kernels.backend import get_backend as kernel_backend
-        from repro.quantum.backend import get_backend as quantum_backend
+    def test_backend_knob_forces_the_kernel_registry(self):
+        from repro.kernels.backend import get_backend
 
         with configure(backend="python"):
-            assert kernel_backend().name == "python"
-            assert quantum_backend().name == "python"
+            assert get_backend().name == "python"
 
     def test_restores_preexisting_env_value(self, monkeypatch):
         from repro.congest import Network
