@@ -55,6 +55,13 @@ def marked_domains(draw):
     return size, marked
 
 
+DIRECTIONS = pytest.mark.parametrize(
+    "maximize, search",
+    [(True, quantum_maximum), (False, quantum_minimum)],
+    ids=["maximum", "minimum"],
+)
+
+
 def assert_same_extremum(fast, reference):
     assert fast.index == reference.index
     assert fast.value == reference.value
@@ -81,25 +88,28 @@ def assert_same_grover(fast, reference):
 @example(values=[4] * 37, seed=1, repetitions=5, query_budget=None)
 @example(values=list(range(100)), seed=2, repetitions=3, query_budget=15)
 @settings(max_examples=60, deadline=None)
-def test_durr_hoyer_matches_statevector_reference(values, seed, repetitions, query_budget):
-    for maximize, search in ((True, quantum_maximum), (False, quantum_minimum)):
-        fast = search(values, rng=seed, repetitions=repetitions, query_budget=query_budget)
-        reference = quantum_extremum_reference(
-            values,
-            maximize,
-            rng=seed,
-            repetitions=repetitions,
-            query_budget=query_budget,
-        )
-        assert_same_extremum(fast, reference)
+@DIRECTIONS
+def test_durr_hoyer_matches_statevector_reference(
+    maximize, search, values, seed, repetitions, query_budget
+):
+    fast = search(values, rng=seed, repetitions=repetitions, query_budget=query_budget)
+    reference = quantum_extremum_reference(
+        values,
+        maximize,
+        rng=seed,
+        repetitions=repetitions,
+        query_budget=query_budget,
+    )
+    assert_same_extremum(fast, reference)
 
 
-@given(domain=marked_domains(), seed=seeds, use_hint=st.booleans())
-@example(domain=(1, {0}), seed=0, use_hint=False)
-@example(domain=(1, set()), seed=0, use_hint=False)
-@example(domain=(37, {3, 36}), seed=5, use_hint=True)
+@given(domain=marked_domains(), seed=seeds)
+@example(domain=(1, {0}), seed=0)
+@example(domain=(1, set()), seed=0)
+@example(domain=(37, {3, 36}), seed=5)
 @settings(max_examples=60, deadline=None)
-def test_grover_search_matches_statevector_reference(domain, seed, use_hint):
+@pytest.mark.parametrize("use_hint", [True, False], ids=["hinted", "counted"])
+def test_grover_search_matches_statevector_reference(use_hint, domain, seed):
     size, marked = domain
     num_marked = len(marked) if use_hint else None
     fast = grover_search(size, marked.__contains__, num_marked=num_marked, rng=seed)
@@ -114,10 +124,13 @@ def test_grover_search_matches_statevector_reference(domain, seed, use_hint):
 @example(domain=(1, set()), seed=3)
 @example(domain=(100, set()), seed=4)
 @settings(max_examples=60, deadline=None)
-def test_bbht_matches_statevector_reference(domain, seed):
+@pytest.mark.parametrize("max_rounds", [None, 3], ids=["default_rounds", "three_rounds"])
+def test_bbht_matches_statevector_reference(max_rounds, domain, seed):
     size, marked = domain
-    fast = grover_search_unknown(size, marked.__contains__, rng=seed)
-    reference = grover_search_unknown_reference(size, marked.__contains__, rng=seed)
+    fast = grover_search_unknown(size, marked.__contains__, rng=seed, max_rounds=max_rounds)
+    reference = grover_search_unknown_reference(
+        size, marked.__contains__, rng=seed, max_rounds=max_rounds
+    )
     assert_same_grover(fast, reference)
 
 
@@ -212,6 +225,7 @@ class TestBeyondFloatPrecision:
 
     BIG = [2**53] * 1023 + [2**53 + 1]
     SMALL = [0] * 1023 + [1]
+    BIG_MINIMUM = [2**53 + 1] * 1023 + [2**53]
 
     def test_two_class_search_finds_the_maximum(self):
         for seed in range(40):
@@ -226,14 +240,13 @@ class TestBeyondFloatPrecision:
             assert big.value == 2**53 + 1
 
     def test_minimum_beyond_float_precision(self):
-        table = [2**53 + 1] * 1023 + [2**53]
         for seed in range(10):
-            assert quantum_minimum(table, rng=seed, repetitions=1).value == 2**53
+            assert quantum_minimum(self.BIG_MINIMUM, rng=seed, repetitions=1).value == 2**53
 
-    def test_reference_marks_exactly(self):
+    @DIRECTIONS
+    def test_reference_marks_exactly(self, maximize, search):
+        table = self.BIG if maximize else self.BIG_MINIMUM
         for seed in range(3):
-            reference = quantum_extremum_reference(self.BIG, True, rng=seed, repetitions=1)
-            assert_same_extremum(
-                quantum_maximum(self.BIG, rng=seed, repetitions=1), reference
-            )
-            assert reference.value == 2**53 + 1
+            reference = quantum_extremum_reference(table, maximize, rng=seed, repetitions=1)
+            assert_same_extremum(search(table, rng=seed, repetitions=1), reference)
+            assert reference.value == (2**53 + 1 if maximize else 2**53)
