@@ -1,6 +1,6 @@
 """Ablation -- the Eq. (1) parameter choices of the Theorem 1.1 algorithm.
 
-DESIGN.md calls out three design choices inherited from the paper:
+The algorithm inherits three design choices from the paper:
 
 * the skeleton-set size ``r = n^{2/5} D^{-1/5}`` (and with it the hop bound
   ``ℓ = n log n / r``),

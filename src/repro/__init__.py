@@ -1,7 +1,8 @@
 """repro -- reproduction of Wu & Yao, "Quantum Complexity of Weighted Diameter
 and Radius in CONGEST Networks" (PODC 2022).
 
-The library is organised in layers (see DESIGN.md):
+The library is organised in layers (README.md describes the kernel, quantum,
+engine, service and lint layers in detail):
 
 * :mod:`repro.graphs` -- weighted-graph substrate and sequential ground truth.
 * :mod:`repro.kernels` -- CSR snapshots of the graph plus batched

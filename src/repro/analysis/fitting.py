@@ -8,7 +8,8 @@ in log space:
 * :func:`fit_power_law` fits ``y ≈ c · x^a`` and reports ``a``, ``c`` and the
   coefficient of determination.
 * :func:`fit_two_parameter_power_law` fits ``y ≈ c · n^a · D^b``, which the
-  Theorem 1.1 scaling experiment (E7 in DESIGN.md) uses.
+  Theorem 1.1 scaling experiment (``benchmarks/test_bench_theorem11_scaling.py``)
+  uses.
 """
 
 from __future__ import annotations

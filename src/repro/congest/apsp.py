@@ -10,8 +10,9 @@ These populate the *classical* rows of Table 1:
   congestion-adjusted rounds land in the same near-linear regime).
 * :func:`distributed_weighted_apsp` -- every node learns its exact weighted
   distance to every other node via concurrent Bellman-Ford relaxations (the
-  role played by Bernstein-Nanongkai's ``Õ(n)`` algorithm in the paper; see
-  DESIGN.md for the substitution note).
+  role played by Bernstein-Nanongkai's ``Õ(n)`` algorithm in the paper; the
+  comparison uses only its exact outputs and its near-linear-or-worse round
+  count, not that algorithm's round bound).
 * :func:`classical_diameter_protocol` / :func:`classical_radius_protocol` --
   APSP, then local eccentricities, then a max/min convergecast and a broadcast
   so that *every node* outputs the answer (the paper's success criterion).

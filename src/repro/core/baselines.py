@@ -13,7 +13,7 @@ These populate the classical columns of Table 1 for the weighted problem:
   from below.  This is the classical cheap baseline corresponding to the
   ``Õ(sqrt(n) D^{1/4} + D)`` row of Table 1 (Chechik-Mukhtar); our SSSP is
   the textbook Bellman-Ford, so only the approximation factor -- not the
-  round count -- matches that row (see DESIGN.md).
+  round count -- matches that row.
 * :func:`sssp_upper_bound_radius` -- the same single-source run gives
   ``R ≤ e``, an upper bound on the radius (and a 2-approximation since
   ``e ≤ 2R``).

@@ -16,8 +16,10 @@ The algorithm follows Section 3 of the paper exactly:
 
 The returned value ``f(i)`` satisfies ``D ≤ f(i) ≤ (1+ε)² D`` (resp.
 ``R ≤ f(i) ≤ (1+ε)² R``) with high probability, and the charged round count
-follows Lemma 3.1 with every ``T`` measured on the CONGEST simulator (see
-DESIGN.md for the cost-model substitution this relies on).
+follows Lemma 3.1 with every ``T`` measured on the CONGEST simulator: the
+quantum procedures are charged the measured cost of their classical
+counterparts, which the reversible-simulation argument the paper cites
+preserves up to constants.
 """
 
 from __future__ import annotations
@@ -125,8 +127,9 @@ def _extremal_nodes(network: Network, maximize: bool) -> Tuple[List[int], float]
     """Nodes of maximum (diameter) or minimum (radius) eccentricity, and that value.
 
     Used only to identify the *structurally good* skeleton sets of Lemma 3.4
-    for the query-model emulation of the outer search; see DESIGN.md.  The
-    computation is sequential ground truth and is never charged rounds.
+    for the query-model emulation of the outer search (which returns a good
+    index with probability ``1 - δ``).  The computation is sequential ground
+    truth and is never charged rounds.
     """
     target, nodes = extremal_eccentricity_csr(network.graph, maximize)
     return nodes, target

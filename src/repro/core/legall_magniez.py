@@ -12,10 +12,10 @@ weighted graphs with ``D = Θ(log n)``), these formulas exhibit the separation
 between weighted and unweighted diameter/radius in the quantum CONGEST model.
 Re-implementing the full Le Gall-Magniez machinery is outside the paper's own
 scope (it is cited, not reproved), so these rows of Table 1 are represented
-by explicit cost formulas -- the same way the paper itself uses them; see
-DESIGN.md ("Substitutions").  A small polylog factor makes the formulas
-comparable with the *measured* congestion-adjusted rounds of the simulated
-protocols, which also carry their own log factors.
+by explicit cost formulas -- the same way the paper itself uses them.  A
+small polylog factor makes the formulas comparable with the *measured*
+congestion-adjusted rounds of the simulated protocols, which also carry
+their own log factors.
 """
 
 from __future__ import annotations

@@ -382,6 +382,44 @@ def _ring_cells(
     return cells
 
 
+# Angular slack (radians) added to each side of a cone before bounding how
+# far the unit square reaches within it: far above the few-ulp error of the
+# float sector computation in yao_spanner_graph, far below any cone's width.
+_CONE_SLACK = 1e-9
+
+
+def _cone_reach(ux: float, uy: float, start: float, width: float) -> float:
+    """An upper bound on the distance from ``(ux, uy)`` to any point of the
+    unit square in the directions ``[start, start + width]`` (radians, with
+    ``width < pi``).
+
+    The wedge meets the square in a convex polygon, so the farthest point is
+    a vertex: where a bounding ray leaves the square, or a corner inside the
+    wedge.  Corners are admitted with extra slack and the result is rounded
+    up, so float error can only loosen the bound.
+    """
+    reach = 0.0
+    for angle in (start, start + width):
+        dx, dy = math.cos(angle), math.sin(angle)
+        exit_distance = math.inf
+        if dx > 0:
+            exit_distance = (1.0 - ux) / dx
+        elif dx < 0:
+            exit_distance = -ux / dx
+        if dy > 0:
+            exit_distance = min(exit_distance, (1.0 - uy) / dy)
+        elif dy < 0:
+            exit_distance = min(exit_distance, -uy / dy)
+        reach = max(reach, exit_distance)
+    two_pi = 2.0 * math.pi
+    for corner_x, corner_y in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+        dx, dy = corner_x - ux, corner_y - uy
+        offset = (math.atan2(dy, dx) - start + _CONE_SLACK) % two_pi
+        if offset <= width + 2 * _CONE_SLACK:
+            reach = max(reach, math.hypot(dx, dy))
+    return reach * (1.0 + 1e-9) + 1e-12
+
+
 def yao_spanner_graph(
     num_nodes: int,
     num_cones: int = 6,
@@ -397,8 +435,13 @@ def yao_spanner_graph(
     bounded-degree end of the topology zoo -- maximum degree independent of
     ``n``, diameter ``Theta(sqrt(n))`` -- and the workload on which the
     closed-form symbolic engine is benchmarked, so construction must stay
-    cheap at ``n = 4096``: neighbour search walks an expected ``O(1)`` ring
-    of ``sqrt(n) x sqrt(n)`` grid buckets per node.
+    cheap at ``n = 4096``.  Neighbour search walks rings of a
+    ``sqrt(n) x sqrt(n)`` bucket grid outward from each node and stops once
+    every cone is settled: it holds a candidate nearer than the ring, or it
+    is empty and the unit square ends within it nearer than the ring.  An
+    interior node settles after an expected ``O(1)`` rings; a node whose
+    cone points along the square's edge scans as far as the square reaches
+    in that cone, up to the grid edge farthest from it.
 
     Parameters
     ----------
@@ -436,19 +479,32 @@ def yao_spanner_graph(
         buckets.setdefault(cell_of(x, y), []).append(index)
 
     two_pi = 2.0 * math.pi
+    cone_width = two_pi / num_cones
     for u in range(num_nodes):
         ux, uy = positions[u]
         cx, cy = cell_of(ux, uy)
         best: "list[Optional[Tuple[float, int]]]" = [None] * num_cones
-        ring = 0
-        while ring <= 2 * side:
+        reach: "list[Optional[float]]" = [None] * num_cones
+
+        def bound(k: int) -> float:
+            """How far cone ``k`` needs scanning: to its best candidate or,
+            while it is empty, as far as the square reaches within it."""
+            if best[k] is not None:
+                return best[k][0]
+            if reach[k] is None:
+                reach[k] = _cone_reach(
+                    ux, uy, k * cone_width - _CONE_SLACK, cone_width + 2 * _CONE_SLACK
+                )
+            return reach[k]
+
+        # Rings past the grid edge farthest from u's cell hold no cells.
+        for ring in range(max(cx, cy, side - 1 - cx, side - 1 - cy) + 1):
             # A cell at Chebyshev ring distance r is at least (r-1)/side
-            # away, so once every cone holds a closer candidate the scan
-            # is exact and can stop.
+            # away, so once every cone's bound is nearer than that the scan
+            # is exact and can stop (never before ring 2: bounds are >= 0).
             floor_distance = (ring - 1) / side
-            if (
-                all(entry is not None for entry in best)
-                and floor_distance > max(entry[0] for entry in best)
+            if floor_distance > 0 and all(
+                floor_distance > bound(k) for k in range(num_cones)
             ):
                 break
             for cell in _ring_cells(cx, cy, ring, side):
@@ -462,7 +518,6 @@ def yao_spanner_graph(
                     sector = min(sector, num_cones - 1)
                     if best[sector] is None or (distance, v) < best[sector]:
                         best[sector] = (distance, v)
-            ring += 1
         for entry in best:
             if entry is None:
                 continue

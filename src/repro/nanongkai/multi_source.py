@@ -16,7 +16,8 @@ Implementation notes
   spend ``⌈log n⌉`` sub-rounds per round; our simulator instead *charges* any
   residual per-edge contention through the congestion-adjusted round count,
   which is the same accounting applied to every other protocol in the
-  library (see DESIGN.md).
+  library (each round costs the largest ``ceil(message_bits / B)`` over its
+  directed edges; see :mod:`repro.congest.simulator`).
 """
 
 from __future__ import annotations

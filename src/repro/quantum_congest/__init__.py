@@ -22,9 +22,9 @@ This subpackage implements that statement as an executable cost model:
 * :class:`~repro.quantum_congest.optimizer.DistributedQuantumOptimizer`
   carries out the search: on small domains it runs genuine state-vector
   Dürr-Høyer (so its success probability and query count are *measured*);
-  on larger domains it uses the query-model emulation described in DESIGN.md
-  (the returned element is a good one with probability ``1 - δ``, and the
-  charged rounds follow Lemma 3.1 with the measured ``T0``/``T``).
+  on larger domains it uses a query-model emulation (the returned element
+  is a good one with probability ``1 - δ``, and the charged rounds follow
+  Lemma 3.1 with the measured ``T0``/``T``).
 """
 
 from repro.quantum_congest.model import (

@@ -2,8 +2,8 @@
 
 The optimizer searches a finite domain for an element whose value is (close
 to) extremal, charging rounds according to Lemma 3.1.  Two execution modes
-are provided (see DESIGN.md, "Quantum search is real where feasible,
-cost-modelled where not"):
+are provided: the quantum search is run for real where the domain is small
+enough and cost-modelled where it is not.
 
 * ``SearchMode.STATEVECTOR`` -- run genuine Dürr-Høyer min/max finding
   (:mod:`repro.quantum`, on the exact two-class amplitude state) over the
@@ -168,9 +168,9 @@ class DistributedQuantumOptimizer:
         domain:
             The finite search domain ``X``.
         evaluate:
-            The reference evaluator for ``f`` (see DESIGN.md: outcomes are
-            decided with the cheap sequential evaluator; the *round cost* of a
-            distributed evaluation enters through ``costs``).
+            The reference evaluator for ``f``: outcomes are decided with
+            this cheap sequential evaluator, and the *round cost* of a
+            distributed evaluation enters through ``costs``.
         rho:
             Amplitude mass of the good elements.  ``None`` means "only the
             maximum itself is promised", i.e. ``rho = 1/|X|`` -- the setting

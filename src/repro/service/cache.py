@@ -18,7 +18,9 @@ protocols that declare ``engine_invariant`` and only when the caller opts in
 (``allow_cross_engine=True``), because a future protocol could break the
 contract deliberately (e.g. a randomized engine-dependent workload).
 Cross-engine lookups go through a secondary index keyed on the spec minus
-its execution knobs.
+its execution knobs.  On disk each entry's file is named by both keys,
+``<exact>.<semantic>.json``, so a cross-engine lookup finds its donors by
+file name and never reads an unrelated result.
 
 Entries store the *serialized* result (:meth:`SimulationResult.to_json`),
 never live objects, so cache hits cannot leak mutable state between
@@ -112,8 +114,9 @@ class ResultCache:
         disk tier they remain loadable from disk).
     directory:
         Optional directory for the persistent tier; entries are written as
-        ``<key>.json`` documents carrying the serialized result plus enough
-        metadata (protocol, engine, graph digest) to audit the cache by hand.
+        ``<exact key>.<semantic key>.json`` documents carrying the
+        serialized result plus enough metadata (protocol, engine, graph
+        digest) to audit the cache by hand.
     """
 
     def __init__(
@@ -153,16 +156,16 @@ class ResultCache:
         returned result is freshly deserialized on every hit, so callers can
         never mutate the cached copy.
         """
-        result = self._load(cache_key(spec, graph_digest))
+        semantic = semantic_key(spec, graph_digest)
+        result = self._load(cache_key(spec, graph_digest), semantic)
         if result is not None:
             with self._lock:
                 self.stats.hits += 1
             return result, False
         if allow_cross_engine and engine_invariant:
-            semantic = semantic_key(spec, graph_digest)
             with self._lock:
                 donor = self._semantic_index.get(semantic)
-            result = self._load(donor) if donor is not None else None
+            result = self._load(donor, semantic) if donor is not None else None
             if result is None and self._directory is not None:
                 result = self._load_disk_semantic(semantic)
             if result is not None:
@@ -184,9 +187,10 @@ class ResultCache:
         decode it, do not mutate it.
         """
         exact = cache_key(spec, graph_digest)
+        semantic = semantic_key(spec, graph_digest)
         document = {
             "key": exact,
-            "semantic_key": semantic_key(spec, graph_digest),
+            "semantic_key": semantic,
             "protocol": spec.protocol,
             "engine": spec.engine,
             "backend": spec.backend,
@@ -196,7 +200,7 @@ class ResultCache:
         }
         with self._lock:
             self._insert_locked(exact, document)
-            self._semantic_index[document["semantic_key"]] = exact
+            self._semantic_index[semantic] = exact
             self.stats.stores += 1
         if self._directory is not None:
             # Concurrent writers of one key each get their own temp file in
@@ -212,7 +216,7 @@ class ResultCache:
                     handle.write(
                         json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
                     )
-                os.replace(tmp, self._directory / f"{exact}.json")
+                os.replace(tmp, self._disk_path(exact, semantic))
             except BaseException:
                 with contextlib.suppress(OSError):
                     os.unlink(tmp)
@@ -243,8 +247,13 @@ class ResultCache:
                 self.stats.corrupt += 1
             return None
 
-    def _load(self, key: str) -> Optional[SimulationResult]:
-        """The result stored under ``key``, from memory or else from disk."""
+    def _disk_path(self, key: str, semantic: str) -> Path:
+        """Where the disk tier keeps the entry with these exact and semantic keys."""
+        return self._directory / f"{key}.{semantic}.json"
+
+    def _load(self, key: str, semantic: str) -> Optional[SimulationResult]:
+        """The result stored under ``key`` (whose semantic key is
+        ``semantic``), from memory or else from disk."""
         with self._lock:
             document = self._entries.get(key)
             if document is not None:
@@ -253,7 +262,7 @@ class ResultCache:
             return self._decode(document)
         if self._directory is None:
             return None
-        path = self._directory / f"{key}.json"
+        path = self._disk_path(key, semantic)
         if not path.is_file():
             return None
         document = self._read_disk(path)
@@ -267,14 +276,13 @@ class ResultCache:
         return result
 
     def _load_disk_semantic(self, semantic: str) -> Optional[SimulationResult]:
-        """Scan the disk tier for any entry with the given semantic key.
+        """Any disk entry with the given semantic key.
 
         Disk entries written by *other processes* are not in this process's
-        semantic index; a linear scan keeps cross-process cross-engine hits
-        working without a sidecar index file (cache directories are small --
-        results are expensive, that is the point of caching them).
+        semantic index; their file names carry the semantic key, so a glob
+        finds them and only their documents are read.
         """
-        for path in sorted(self._directory.glob("*.json")):
+        for path in sorted(self._directory.glob(f"*.{semantic}.json")):
             document = self._read_disk(path)
             if document is None or document["semantic_key"] != semantic:
                 continue

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +208,34 @@ class TestLruAndDiskTier:
         assert second.cache.stats.cross_engine_hits == 1
         second.close()
 
+    def test_cross_engine_disk_lookup_reads_only_donors(self, tmp_path, monkeypatch):
+        # The semantic key is in each file name, so a cross-engine lookup
+        # opens only the documents that can serve it.
+        writer = SimulationService(max_workers=1, cache=ResultCache(directory=tmp_path))
+        for source in range(4):
+            writer.run(sssp_spec(engine="sparse", params={"source": source}))
+        writer.close()
+        reads = []
+        read_text = Path.read_text
+
+        def counting_read_text(path, *args, **kwargs):
+            reads.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        digest = sssp_spec().graph.build().content_digest()
+        cache = ResultCache(directory=tmp_path)
+        missing = sssp_spec(engine="symbolic", params={"source": 5})
+        assert cache.lookup(missing, digest, allow_cross_engine=True) is None
+        assert reads == []
+        donor = sssp_spec(engine="symbolic", params={"source": 2})
+        assert cache.lookup(donor, digest, allow_cross_engine=True) is not None
+        assert reads == [
+            f"{cache_key(donor.with_engine('sparse'), digest)}."
+            f"{semantic_key(donor, digest)}.json"
+        ]
+        assert cache.stats.cross_engine_hits == 1
+
     @pytest.mark.parametrize(
         "payload",
         [
@@ -293,7 +322,8 @@ class TestLruAndDiskTier:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         key = cache_key(spec, digest)
-        assert sorted(path.name for path in tmp_path.iterdir()) == [f"{key}.json"]
+        semantic = semantic_key(spec, digest)
+        assert sorted(path.name for path in tmp_path.iterdir()) == [f"{key}.{semantic}.json"]
         fresh = ResultCache(directory=tmp_path)
         assert fresh.lookup(spec, digest) is not None
 
