@@ -38,6 +38,7 @@ the node program itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Sequence, Tuple
@@ -94,7 +95,7 @@ class MinPlusSchema:
         first round whose offset reaches its value.  The offset is the round
         number, or -- when :attr:`column_windows` is set -- the round number
         minus the column's window start.  Mirrors the node programs'
-        ``announced`` flag.  The four fields below belong to this rule:
+        ``announced`` flag.  The five fields below belong to this rule:
         setting any of them without ``arrival_gated=True`` is rejected at
         construction.
     value_cap:
@@ -119,18 +120,19 @@ class MinPlusSchema:
         pre-loaded memory is exactly this shape (positive integer weights
         covering every incident edge); anything else stays on the sparse
         engine.
-    column_weight:
-        Optional per-column weight transform ``column_weight(column, w) ->
-        w'`` applied to the (possibly overridden) edge weight before
-        relaxing that column (Algorithm 3 relaxes level ``i`` columns under
-        the rounded weights ``w_i``).  Must be deterministic and return
-        integers ``>= 1``; the symbolic engine raises ``ValueError``
-        otherwise.
+    column_rounding:
+        Optional ``(hop_bound, epsilon)`` of the Lemma 3.2 rounding
+        (:func:`repro.graphs.rounding.rounded_weight`): column ``j`` relaxes
+        under ``w_i = max(1, ceil(2 * hop_bound * w / (epsilon * 2**i)))``
+        of the (possibly overridden) edge weight ``w``, where ``i`` is its
+        level in :attr:`column_groups` (Algorithm 3 relaxes level ``i``
+        columns under the rounded weights ``w_i``).  Rounded weights are
+        integers ``>= 1`` by construction.  Set together with
+        ``column_groups``.
     column_groups:
-        Optional per-column label of the weight map the column shares
-        (Algorithm 3: the column's level).  Columns with one label must map
-        every weight identically; ``column_weight`` is then applied only to
-        the first column of each label.
+        Per-column rounding level ``i`` (a non-negative int) under
+        :attr:`column_rounding`, which it must accompany.  The symbolic
+        engine rounds each (level, distinct weight) once per topology.
     flatten_keys:
         When ``True``, tuple keys are splatted into the payload --
         ``(label, *key, value)`` -- matching protocols whose announcements
@@ -150,8 +152,8 @@ class MinPlusSchema:
     value_cap: Optional[int] = None
     column_windows: Optional[Tuple[Tuple[int, int], ...]] = None
     weight_memory_key: Optional[str] = None
-    column_weight: Optional[Callable[[int, int], int]] = None
-    column_groups: Optional[Tuple[Any, ...]] = None
+    column_rounding: Optional[Tuple[int, float]] = None
+    column_groups: Optional[Tuple[int, ...]] = None
     flatten_keys: bool = False
 
     def __post_init__(self) -> None:
@@ -160,7 +162,7 @@ class MinPlusSchema:
                 "value_cap",
                 "column_windows",
                 "weight_memory_key",
-                "column_weight",
+                "column_rounding",
                 "column_groups",
             ):
                 if getattr(self, name) is not None:
@@ -175,6 +177,20 @@ class MinPlusSchema:
                     f"schema declares {len(declared)} {name.replace('_', ' ')} "
                     f"for {self.num_columns} columns"
                 )
+        if (self.column_rounding is None) != (self.column_groups is None):
+            raise ValueError(
+                "MinPlusSchema.column_rounding and column_groups come together"
+            )
+        if self.column_rounding is not None:
+            hop_bound, epsilon = self.column_rounding
+            levels = self.column_groups
+            if hop_bound < 1 or not epsilon > 0 or not all(
+                type(level) is int and level >= 0 for level in levels
+            ):
+                raise ValueError(
+                    f"column_rounding {self.column_rounding!r} needs hop_bound "
+                    f">= 1, epsilon > 0 and int levels >= 0, got levels {levels!r}"
+                )
 
     @property
     def num_columns(self) -> int:
@@ -188,15 +204,17 @@ class MinPlusSchema:
         :func:`repro.congest.message.message_size_bits` and subtracting the
         probe value's own charge, so :func:`encode_value` stays the single
         source of truth -- label/tuple/tag charging rules can change there
-        without desynchronizing the dense engine's analytic accounting.
+        without desynchronizing the engines' analytic accounting.
         ``word_bits`` must be the network's word size: key labels are
         charged through ``encode_value`` too, and non-integer keys (allowed
-        for custom schemas) are word-sized.
+        for custom schemas) are word-sized.  A probe payload of exact ints
+        and strs is sized once per (payload, tag, word size); other payloads
+        are sized every time (``1 == True == 1.0`` charge differently).
         """
-        probe = 0
-        return message_size_bits(
-            self.payload_for(key_index, probe), tag=self.tag, word_bits=word_bits
-        ) - encode_value(probe, word_bits)
+        probe = self.payload_for(key_index, 0)
+        exact = all(type(item) is int or type(item) is str for item in probe)
+        sizer = _overhead_bits if exact else _overhead_bits.__wrapped__
+        return sizer(probe, self.tag, word_bits)
 
     def payload_for(self, key_index: int, value: float) -> Tuple[Any, ...]:
         """The exact payload tuple the node program would have sent."""
@@ -207,6 +225,14 @@ class MinPlusSchema:
         if self.flatten_keys and isinstance(key, tuple):
             return (self.label, *key, encoded)
         return (self.label, key, encoded)
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _overhead_bits(probe: Tuple[Any, ...], tag: str, word_bits: int) -> int:
+    """See :meth:`MinPlusSchema.payload_overhead_bits`."""
+    return message_size_bits(probe, tag=tag, word_bits=word_bits) - encode_value(
+        probe[-1], word_bits
+    )
 
 
 @dataclass(frozen=True)

@@ -64,6 +64,7 @@ from repro.congest.engine.types import (
     SimulationResult,
 )
 from repro.congest.network import Network
+from repro.graphs.rounding import rounded_weight
 from repro.kernels.backend import GatedColumn, GatedRounds, get_backend
 from repro.kernels.csr import CSRGraph
 
@@ -319,13 +320,14 @@ def _column_weights(
     CSR entry ``e`` of sender ``u`` points at receiver ``indices[e]``, whose
     override for ``u`` weighs the relaxation.  The layout -- the sorted
     distinct weights and each entry's position among them -- depends only
-    on the topology, so without overrides it is kept in ``csr.memo``.
-    ``column_weight`` is applied once per (weight map, distinct weight): a
-    map is a label of ``column_groups``, else a column, applied through its
-    first column; maps that come out identical share one palette.  Raises
-    ``ValueError`` when it returns anything but an integer ``>= 1``.
+    on the topology, and so does each rounding level's palette (the
+    distinct weights rounded under ``schema.column_rounding``); without
+    overrides both are kept in ``csr.memo``, the palettes keyed by
+    (hop bound, epsilon, level).  Levels whose palettes come out identical
+    share one.
     """
-    layout = None if overrides is not None else csr.memo.get(_LAYOUT_KEY)
+    memo = csr.memo if overrides is None else {}
+    layout = memo.get(_LAYOUT_KEY)
     if layout is None:
         base = csr.weights
         if overrides is not None:
@@ -337,34 +339,22 @@ def _column_weights(
             ]
         distinct = tuple(sorted(set(base)))
         slot = {weight: position for position, weight in enumerate(distinct)}
-        layout = distinct, [slot[weight] for weight in base]
-        if overrides is None:
-            csr.memo[_LAYOUT_KEY] = layout
+        layout = memo[_LAYOUT_KEY] = distinct, [slot[weight] for weight in base]
     distinct, positions = layout
-    k = schema.num_columns
-    column_weight = schema.column_weight
-    if column_weight is None:
-        return [distinct], positions, [0] * k
-    labels = schema.column_groups or range(k)
-    palettes: List[Tuple[int, ...]] = []
-    palette_of: Dict[Any, int] = {}
+    if schema.column_rounding is None:
+        return [distinct], positions, [0] * schema.num_columns
+    hop_bound, epsilon = schema.column_rounding
     index: Dict[Tuple[int, ...], int] = {}
-    for j, label in enumerate(labels):
-        if label in palette_of:
-            continue
-        mapped = tuple(column_weight(j, weight) for weight in distinct)
-        group = index.get(mapped)
-        if group is None:
-            for weight in mapped:
-                if isinstance(weight, bool) or not isinstance(weight, int) or weight < 1:
-                    raise ValueError(
-                        f"column_weight for column {j} returned {weight!r}; "
-                        f"arrival-gated weights must be integers >= 1"
-                    )
-            group = index[mapped] = len(palettes)
-            palettes.append(mapped)
-        palette_of[label] = group
-    return palettes, positions, [palette_of[label] for label in labels]
+    group_of: Dict[int, int] = {}
+    for level in dict.fromkeys(schema.column_groups):
+        key = f"symbolic:palette:{hop_bound!r}:{epsilon!r}:{level}"
+        palette = memo.get(key)
+        if palette is None:
+            palette = memo[key] = tuple(
+                rounded_weight(weight, hop_bound, epsilon, level) for weight in distinct
+            )
+        group_of[level] = index.setdefault(palette, len(index))
+    return list(index), positions, [group_of[level] for level in schema.column_groups]
 
 
 def _final_memory(

@@ -134,7 +134,8 @@ class Network:
 
         One memo per instance, keyed by the graph's mutation counter: a
         topology mutation empties it, so every entry (``D``, the unit-weight
-        companion, the BFS trees of :func:`~repro.congest.primitives.build_bfs_tree`)
+        companion, the BFS trees of :func:`~repro.congest.primitives.build_bfs_tree`
+        and their :func:`~repro.congest.primitives.zero_convergecast_report`)
         is invalidated by the same rule.  A graph without a counter is never
         memoized; an exception from ``compute`` is never stored.
         """

@@ -38,6 +38,7 @@ __all__ = [
     "convergecast_min",
     "convergecast_sum",
     "convergecast_aggregate",
+    "zero_convergecast_report",
     "gather_values_to",
     "elect_leader",
 ]
@@ -535,6 +536,24 @@ def convergecast_sum(
     return convergecast_aggregate(
         network, values, lambda a, b: a + b, tree=tree, root=root
     )
+
+
+def zero_convergecast_report(network: Network, tree: BfsTree) -> RoundReport:
+    """The round cost of a convergecast of one ``0`` per node over ``tree``
+    (every ``combine`` of zeros sends zeros).
+
+    ``tree`` must be the tree :func:`build_bfs_tree` returns for its root
+    on ``network``.  The run is then memoized like that tree: on ``network``
+    per topology, root and the engine that resolves for it.  Every call
+    returns its own copy of the report.
+    """
+    algorithm = _ConvergecastAlgorithm(tree, dict.fromkeys(network.nodes, 0), max)
+    engine = resolve_engine(None, network, algorithm).name
+    report = network._memoized(
+        ("zero-convergecast", tree.root, engine),
+        lambda: Simulator(network).run(algorithm, engine=engine).report,
+    )
+    return replace(report)
 
 
 # --------------------------------------------------------------------------- #

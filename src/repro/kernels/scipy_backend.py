@@ -9,7 +9,8 @@ for the arrival-gated min-plus kernel.  The hop-*bounded* kernel has no
 NumPy).
 
 The sparse matrix mirror of a snapshot is cached in ``csr.memo`` so repeated
-kernel calls on the same snapshot build it once.
+kernel calls on the same snapshot build it once; the gated kernel reuses its
+index arrays, already in SciPy's own index dtype.
 """
 
 from __future__ import annotations
@@ -80,88 +81,107 @@ class ScipyBackend(NumpyBackend):
     ) -> Tuple[Sequence[List[Any]], GatedRounds]:
         """One ``csgraph`` Dijkstra per (palette, limit) batch of columns.
 
-        Each column gets a virtual source with an edge of weight ``value + 1``
-        to each of its seeds, so multi-seed columns need no special case.
-        Entries within the limit are exact, so the one-step extension past
-        it starts only from the frontier: settled entries whose heaviest
-        edge reaches past the limit, each relaxing its own CSR entries.  The
-        per-round histogram is vectorized.  Runs whose values could leave
-        float64's exact range take the exact-int reference.  The rows stay
-        float64 until read.
+        Every palette is laid out over the CSR entries once per call.  A
+        batch whose columns each have one seed of value 0 (all of Algorithm
+        3's) runs from those seeds directly; any other batch gives each
+        column a virtual source with an edge of weight ``value + 1`` to each
+        of its seeds.  Entries within the limit are exact, so the one-step
+        extension past it -- one pass over every column -- starts only from
+        the frontier: settled entries whose heaviest edge reaches past their
+        column's limit, each relaxing its own CSR entries.  The per-round
+        histogram is vectorized.  Runs whose values could leave float64's
+        exact range take the exact-int reference.  The rows stay float64
+        until read.
         """
         n = csr.num_nodes
         if not columns or not _exact_in_float64(n, palettes, columns, value_cap):
             return super().gated_minplus(
                 csr, palettes, positions, columns, value_cap, bandwidth
             )
-        indptr, indices, _ = csr.numpy_arrays()
-        degree = np.diff(indptr)
-        has_edges = degree > 0
-        starts = indptr[:-1][has_edges]
-        layout = np.asarray(positions, np.intp)
         cap = math.inf if value_cap is None else value_cap
+        groups, seeds, offsets, relax_limits, fire_limits, overheads = zip(*columns)
+        limits = [min(limit, cap) for limit in relax_limits]
+        structure = self._matrix(csr)
+        indptr, indices = structure.indptr, structure.indices
+        degree = np.diff(indptr).astype(np.int64)
+        has_edges = degree > 0
+        layout = np.asarray(positions, np.intp)
+        table = np.empty((len(palettes), layout.size))
+        for group, palette in enumerate(palettes):
+            table[group] = np.asarray(palette, np.float64)[layout]
         values = np.full((len(columns), n), np.inf)
 
         batches: Dict[Tuple[int, int], List[int]] = {}
-        for j, column in enumerate(columns):
-            batches.setdefault((column.group, min(column.relax_limit, cap)), []).append(j)
+        for j, key in enumerate(zip(groups, limits)):
+            batches.setdefault(key, []).append(j)
+        # One matrix on the snapshot's index arrays; each batch swaps in its
+        # palette's weights.
+        matrix = csr_matrix((table[0], indices, indptr), shape=(n, n))
         for (group, limit), batch in batches.items():
             if limit < 0:
                 continue  # nothing relaxes; the seeds are set below
-            weight = np.asarray(palettes[group], np.float64)[layout]
-            seed_nodes = [node for j in batch for node, _ in columns[j].seeds]
-            seed_values = [value for j in batch for _, value in columns[j].seeds]
-            counts = np.cumsum([len(columns[j].seeds) for j in batch])
+            batch_seeds = [seeds[j] for j in batch]
+            if all(len(seed) == 1 and seed[0][1] == 0 for seed in batch_seeds):
+                matrix.data = table[group]
+                values[batch] = _csgraph_dijkstra(
+                    matrix,
+                    directed=True,
+                    indices=[seed[0][0] for seed in batch_seeds],
+                    limit=limit,
+                )
+                continue
+            seed_nodes = [node for seed in batch_seeds for node, _ in seed]
+            seed_values = [value for seed in batch_seeds for _, value in seed]
+            counts = np.cumsum([len(seed) for seed in batch_seeds])
             size = n + len(batch)
-            matrix = csr_matrix(
+            virtual = csr_matrix(
                 (
-                    np.concatenate([weight, np.asarray(seed_values, np.float64) + 1]),
-                    np.concatenate([indices, np.asarray(seed_nodes, np.int64)]),
+                    np.concatenate([table[group], np.add(seed_values, 1.0)]),
+                    np.concatenate([indices, seed_nodes]),
                     np.concatenate([indptr, len(indices) + counts]),
                 ),
                 shape=(size, size),
             )
-            dist = (
+            values[batch] = (
                 _csgraph_dijkstra(
-                    matrix, directed=True, indices=np.arange(n, size), limit=limit + 1
+                    virtual, directed=True, indices=np.arange(n, size), limit=limit + 1
                 )[:, :n]
                 - 1
             )
-            heaviest = np.zeros(n)
-            heaviest[has_edges] = np.maximum.reduceat(weight, starts)
-            rows, senders = np.nonzero(np.isfinite(dist) & (dist + heaviest > limit))
-            fan_out = degree[senders]
-            entry = np.arange(fan_out.sum()) + np.repeat(
-                indptr[senders] - np.cumsum(fan_out) + fan_out, fan_out
-            )
-            candidate = np.repeat(dist[rows, senders], fan_out) + weight[entry]
-            keep = candidate <= cap
-            np.minimum.at(
-                dist,
-                (np.repeat(rows, fan_out)[keep], indices[entry][keep]),
-                candidate[keep],
-            )
-            values[batch] = dist
 
-        seed_cols = [j for j, column in enumerate(columns) for _ in column.seeds]
-        seed_nodes = [node for column in columns for node, _ in column.seeds]
-        seed_values = np.asarray(
-            [value for column in columns for _, value in column.seeds], np.float64
+        groups = np.asarray(groups, np.intp)
+        heaviest = np.zeros((len(palettes), n))
+        heaviest[:, has_edges] = np.maximum.reduceat(
+            table, indptr[:-1][has_edges], axis=1
         )
+        rows, senders = np.nonzero(
+            np.isfinite(values) & (values + heaviest[groups] > np.asarray(limits)[:, None])
+        )
+        fan_out = degree[senders]
+        entry = np.arange(fan_out.sum()) + np.repeat(
+            indptr[senders] - np.cumsum(fan_out) + fan_out, fan_out
+        )
+        rows = np.repeat(rows, fan_out)
+        candidate = values[rows, senders.repeat(fan_out)] + table[groups[rows], entry]
+        keep = candidate <= cap
+        np.minimum.at(values, (rows[keep], indices[entry][keep]), candidate[keep])
+
+        seed_cols = [j for j, seed in enumerate(seeds) for _ in seed]
+        seed_nodes = [node for seed in seeds for node, _ in seed]
+        seed_values = [value for seed in seeds for _, value in seed]
         values[seed_cols, seed_nodes] = np.minimum(
             values[seed_cols, seed_nodes], seed_values
         )
 
-        fire_limit = np.asarray([column.fire_limit for column in columns])
         fired_cols, fired_nodes = np.nonzero(
-            (values <= fire_limit[:, None]) & has_edges
+            (values <= np.asarray(fire_limits)[:, None]) & has_edges
         )
         fired = values[fired_cols, fired_nodes]
-        offset = np.asarray([column.offset for column in columns], np.int64)
-        overhead = np.asarray([column.overhead for column in columns], np.int64)
-        keys = (offset[fired_cols] + fired.astype(np.int64)) * n + fired_nodes
+        keys = (
+            np.asarray(offsets, np.int64)[fired_cols] + fired.astype(np.int64)
+        ) * n + fired_nodes
         # bit_length(d) is frexp's exponent for integral d >= 0 (0 for d = 0).
-        bits = overhead[fired_cols] + np.frexp(fired)[1] + 1
+        bits = np.asarray(overheads, np.int64)[fired_cols] + np.frexp(fired)[1] + 1
         records = _round_records(keys, bits, n, degree, bandwidth)
 
         return _ExactRows(values), records
@@ -217,15 +237,29 @@ def _exact_in_float64(
 def _round_records(
     keys: np.ndarray, bits: np.ndarray, n: int, degree: np.ndarray, bandwidth: int
 ) -> GatedRounds:
-    """Histogram fired entries (key ``round * n + sender``) into round records."""
+    """Histogram fired entries (key ``round * n + sender``) into round records.
+
+    The entries are sorted as one packed int64, ``key << B | bits`` with
+    ``B`` the bit count of the largest ``bits``; keys too large to pack are
+    argsorted instead.  A cell is one (round, sender); cells only sum and
+    take maxima, so the order of the entries within one does not matter.
+    """
     if not keys.size:
         return GatedRounds([], [], [], [], [], [])
-    order = np.argsort(keys)
-    keys, bits = keys[order], bits[order]
+    shift = int(bits.max()).bit_length()
+    if int(keys.max()) < 1 << (63 - shift):
+        packed = np.sort(keys << shift | bits)
+        keys, bits = packed >> shift, packed & ((1 << shift) - 1)
+    else:
+        order = np.argsort(keys)
+        keys, bits = keys[order], bits[order]
     cell_starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    entries = np.diff(cell_starts, append=keys.size)
-    sender_bits = np.add.reduceat(bits, cell_starts)
-    largest = np.maximum.reduceat(bits, cell_starts)
+    if cell_starts.size == keys.size:
+        entries, sender_bits, largest = 1, bits, bits
+    else:
+        entries = np.diff(cell_starts, append=keys.size)
+        sender_bits = np.add.reduceat(bits, cell_starts)
+        largest = np.maximum.reduceat(bits, cell_starts)
     rounds, senders = np.divmod(keys[cell_starts], n)
     new_round = np.diff(rounds, prepend=-1) != 0
     first = np.flatnonzero(new_round)

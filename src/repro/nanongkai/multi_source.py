@@ -182,10 +182,8 @@ class MultiSourceBoundedHopAlgorithm(NodeAlgorithm):
             arrival_gated=True,
             round_budget=self._duration,
             column_windows=windows,
-            # The columns of one level share its rounded weights.
-            column_weight=lambda column, weight: rounded_weight(
-                weight, hop_bound, epsilon, keys[column][1]
-            ),
+            # Level i columns relax under the Lemma 3.2 rounded weights w_i.
+            column_rounding=(hop_bound, epsilon),
             column_groups=tuple(level for _, level in keys),
             finalize=finalize,
         )

@@ -26,8 +26,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.congest.network import Network
 from repro.congest.primitives import (
     broadcast_from,
-    convergecast_max,
     gather_values_to,
+    zero_convergecast_report,
 )
 from repro.congest.simulator import RoundReport
 from repro.graphs.shortest_paths import INFINITY
@@ -203,7 +203,6 @@ class SkeletonApproximator:
 
         self._setup_cache: Dict[int, _SetupResult] = {}
         self._gather_report: Optional[RoundReport] = None
-        self._evaluation_report: Optional[RoundReport] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -306,14 +305,11 @@ class SkeletonApproximator:
         """Measured round cost of one Evaluation invocation (``T2 = O(D)``).
 
         Evaluation is a purely local combination (each node already holds both
-        tables) followed by a max-convergecast to the leader; the convergecast
-        is measured on the simulator once and cached.
+        tables) followed by a max-convergecast to the leader over its BFS
+        tree.  The convergecast's cost depends on the tree alone, so it is
+        measured on the simulator once per topology, root and engine
+        (:func:`~repro.congest.primitives.zero_convergecast_report`).
         """
-        if self._evaluation_report is None:
-            values = {node: 0 for node in self._network.nodes}
-            _, report = convergecast_max(
-                self._network, values, tree=self._embedding.tree
-            )
-            report.protocol = "skeleton-evaluation"
-            self._evaluation_report = report
-        return self._evaluation_report
+        report = zero_convergecast_report(self._network, self._embedding.tree)
+        report.protocol = "skeleton-evaluation"
+        return report

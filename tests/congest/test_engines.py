@@ -9,8 +9,6 @@ charges the same final round on every engine.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.congest import (
@@ -353,6 +351,33 @@ def test_schema_overhead_respects_word_bits():
         assert schema.payload_overhead_bits(0, word_bits) == expected
 
 
+def test_schema_overhead_memo_never_conflates_equal_keys_of_different_types():
+    """Overheads are sized once per distinct (label, tag, key, flattening,
+    word size); keys that compare equal but charge differently (``1``,
+    ``True``, ``1.0``, and tuples of them) each keep their own charge."""
+    from repro.congest import MinPlusSchema
+    from repro.congest.message import encode_value, message_size_bits
+
+    keys = (1, True, 1.0, (1, 2), (True, 2), (1.0, 2), 1, (1, 2))
+    for flatten_keys in (False, True):
+        schema = MinPlusSchema(
+            label="d",
+            tag="t",
+            keys=keys,
+            initial=lambda node: [0] * len(keys),
+            finalize=lambda node, row: {},
+            flatten_keys=flatten_keys,
+        )
+        for word_bits in (8, 32, 8):
+            for j, key in enumerate(keys):
+                payload = schema.payload_for(j, 0)
+                expected = message_size_bits(
+                    payload, tag="t", word_bits=word_bits
+                ) - encode_value(0, word_bits)
+                assert schema.payload_overhead_bits(j, word_bits) == expected
+    assert len({schema.payload_overhead_bits(j, 32) for j in range(3)}) == 3
+
+
 @pytest.mark.skipif("dense" not in ENGINES, reason="dense engine needs NumPy")
 def test_dense_bit_lengths_exact_at_power_boundaries():
     """The vectorized bit_length must match int.bit_length exactly -- float
@@ -501,14 +526,15 @@ class TestAnnounceScheduleSchemas:
             )
 
     @pytest.mark.parametrize(
-        "field", ["value_cap", "column_windows", "weight_memory_key", "column_weight"]
+        "field", ["value_cap", "column_windows", "weight_memory_key", "column_rounding"]
     )
     def test_gated_fields_require_arrival_gating(self, field):
-        value = {
-            "value_cap": 10,
-            "column_windows": ((1, 2),),
-            "weight_memory_key": "override_weights",
-            "column_weight": lambda column, weight: weight,
+        fields = {
+            "value_cap": {"value_cap": 10},
+            "column_windows": {"column_windows": ((1, 2),)},
+            "weight_memory_key": {"weight_memory_key": "override_weights"},
+            # The rounding comes with each column's level.
+            "column_rounding": {"column_rounding": (3, 0.5), "column_groups": (0,)},
         }[field]
         with pytest.raises(ValueError, match=f"MinPlusSchema.{field} "):
             MinPlusSchema(
@@ -517,7 +543,7 @@ class TestAnnounceScheduleSchemas:
                 keys=None,
                 initial=lambda node: [0],
                 finalize=lambda node, row: {},
-                **{field: value},
+                **fields,
             )
         gated = MinPlusSchema(
             label="x",
@@ -526,9 +552,10 @@ class TestAnnounceScheduleSchemas:
             initial=lambda node: [0],
             finalize=lambda node, row: {},
             arrival_gated=True,
-            **{field: value},
+            **fields,
         )
-        assert getattr(gated, field) == value
+        for name, value in fields.items():
+            assert getattr(gated, name) == value
 
     def test_schedule_that_never_fires_hits_the_round_limit_on_every_engine(self):
         """An entry whose window opens after the round limit never fires;
@@ -737,16 +764,41 @@ class TestGatedShapes:
             messages[engine] = str(excinfo.value)
         assert messages["symbolic"] == messages["sparse"]
 
-    def test_non_positive_column_weight_raises(self, network):
-        class _ZeroWeights(_GatedFlood):
-            def message_schema(self):
-                return dataclasses.replace(
-                    super().message_schema(), column_weight=lambda column, weight: 0
-                )
-
-        with pytest.raises(ValueError, match="column_weight for column 0 returned 0"):
-            Simulator(network).run(
-                _ZeroWeights({min(network.nodes): 0}), engine="symbolic"
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"column_rounding": (3, 0.5)}, "come together"),
+            ({"column_groups": (0,)}, "come together"),
+            ({"column_rounding": (0, 0.5), "column_groups": (0,)}, r"\(0, 0.5\) needs"),
+            ({"column_rounding": (3, 0.0), "column_groups": (0,)}, r"\(3, 0.0\) needs"),
+            ({"column_rounding": (3, 0.5), "column_groups": (-1,)}, r"levels \(-1,\)"),
+            ({"column_rounding": (3, 0.5), "column_groups": ("a",)}, r"levels \('a',\)"),
+            ({"column_rounding": (3, 0.5), "column_groups": (True,)}, r"levels \(True,\)"),
+        ],
+        ids=[
+            "rounding-without-levels",
+            "levels-without-rounding",
+            "zero-hop-bound",
+            "zero-epsilon",
+            "negative-level",
+            "label-level",
+            "bool-level",
+        ],
+    )
+    def test_malformed_column_rounding_raises(self, fields, message):
+        """Rounded weights are integers >= 1 by construction, so what can
+        go wrong is the declaration: rounding without each column's level
+        (or levels without rounding), parameters the Lemma 3.2 rounding
+        rejects, or a level that is no non-negative int."""
+        with pytest.raises(ValueError, match=message):
+            MinPlusSchema(
+                label="x",
+                tag="",
+                keys=None,
+                initial=lambda node: [0],
+                finalize=lambda node, row: {},
+                arrival_gated=True,
+                **fields,
             )
 
     @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ the ``run`` that follows: one derivation per run, never another run's.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 import threading
 import time
@@ -208,36 +207,72 @@ def test_multi_source_matches_sparse_on_random_networks(network, data):
     )
 
 
-def test_algorithm3_maps_each_weight_once_per_level(monkeypatch):
-    """Algorithm 3 declares its columns' weight maps as data (the level), so
-    the symbolic engine applies ``column_weight`` once per (level, distinct
-    weight), not once per (column, weight); the results stay those of the
-    sparse engine."""
-    graph = WeightedGraph(
-        edges=[(0, 1, 4), (1, 2, 2), (2, 3, 6), (3, 0, 1), (1, 3, 5), (0, 4, 3)]
-    )
-    network = Network(graph)
+def _count_roundings(monkeypatch):
+    """Record the symbolic engine's ``(level, weight)`` roundings."""
     calls = []
-    schema_of = MultiSourceBoundedHopAlgorithm.message_schema
+    rounded_weight = symbolic_module.rounded_weight
 
-    def counting_schema(self):
-        schema = schema_of(self)
+    def counting(weight, hop_bound, epsilon, level):
+        calls.append((level, weight))
+        return rounded_weight(weight, hop_bound, epsilon, level)
 
-        def column_weight(column, weight):
-            calls.append((schema.column_groups[column], weight))
-            return schema.column_weight(column, weight)
+    monkeypatch.setattr(symbolic_module, "rounded_weight", counting)
+    return calls
 
-        return dataclasses.replace(schema, column_weight=column_weight)
 
-    monkeypatch.setattr(MultiSourceBoundedHopAlgorithm, "message_schema", counting_schema)
+def _algorithm3_runs(network):
     runs = {}
     for engine in ("sparse", "symbolic"):
         with force_engine(engine):
             runs[engine] = multi_source_bounded_hop_protocol(
                 network, [0, 2, 3], 3, 0.5, levels=4, seed=2
             )
+    return runs
+
+
+def test_algorithm3_maps_each_weight_once_per_level(monkeypatch):
+    """Algorithm 3 declares its columns' weight maps as data (the Lemma 3.2
+    rounding and each column's level), so the symbolic engine rounds once
+    per (level, distinct weight), not once per (column, weight), and a
+    second run on the same topology rounds nothing; the results stay those
+    of the sparse engine."""
+    graph = WeightedGraph(
+        edges=[(0, 1, 4), (1, 2, 2), (2, 3, 6), (3, 0, 1), (1, 3, 5), (0, 4, 3)]
+    )
+    network = Network(graph)
+    calls = _count_roundings(monkeypatch)
+    runs = _algorithm3_runs(network)
     assert runs["symbolic"] == runs["sparse"]
     assert sorted(calls) == sorted((level, w) for level in range(4) for w in (1, 2, 3, 4, 5, 6))
+    calls.clear()
+    assert _algorithm3_runs(network) == runs
+    assert calls == []
+
+
+def test_algorithm3_declares_its_levels_as_column_groups():
+    algorithm = MultiSourceBoundedHopAlgorithm([0, 5], 3, 0.5, 4, [0, 2])
+    schema = algorithm.message_schema()
+    assert schema.column_rounding == (3, 0.5)
+    assert schema.column_groups == tuple(level for _, level in schema.keys)
+    assert sorted(set(schema.column_groups)) == [0, 1, 2, 3]
+
+
+def test_reweight_invalidates_the_memoized_palettes(monkeypatch):
+    """A weight change replaces the topology's snapshot, so the palettes are
+    rounded afresh from the new distinct weights and the results follow
+    the sparse engine on the new weights."""
+    graph = WeightedGraph(
+        edges=[(0, 1, 4), (1, 2, 2), (2, 3, 6), (3, 0, 1), (1, 3, 5), (0, 4, 3)]
+    )
+    network = Network(graph)
+    calls = _count_roundings(monkeypatch)
+    before = _algorithm3_runs(network)
+    calls.clear()
+    graph.add_edge(2, 3, 7)  # overwrites the weight 6
+    after = _algorithm3_runs(network)
+    assert after["symbolic"] == after["sparse"]
+    assert after["symbolic"] != before["symbolic"]
+    assert sorted(calls) == sorted((level, w) for level in range(4) for w in (1, 2, 3, 4, 5, 7))
 
 
 def test_column_groups_must_cover_every_column():

@@ -31,8 +31,10 @@ from repro.congest.engine import dense_tree
 from repro.congest.primitives import (
     _ConvergecastAlgorithm,
     _TreeGatherAlgorithm,
+    convergecast_max,
     convergecast_sum,
     gather_values_to,
+    zero_convergecast_report,
 )
 from repro.graphs import WeightedGraph, random_weighted_graph
 
@@ -217,3 +219,22 @@ def test_tree_root_read_then_full_read_equals_sparse(kind, contexts_built):
     assert deferred.to_json() == eager.to_json()
     with pytest.raises(KeyError):
         deferred.output_of(-1)
+
+
+@pytest.mark.parametrize("engine", available_engines())
+def test_zero_convergecast_memo_equals_a_fresh_simulation(engine, runs):
+    """The memoized all-zero convergecast report equals the one a fresh
+    convergecast simulates, on every engine; a hit runs nothing and hands
+    out a copy the caller may relabel."""
+    network = Network(random_weighted_graph(num_nodes=14, max_weight=6, seed=8))
+    with force_engine(engine):
+        tree, _ = build_bfs_tree(network, 2)
+        report = zero_convergecast_report(network, tree)
+        runs.clear()
+        again = zero_convergecast_report(network, tree)
+        assert sum(runs.values()) == 0
+        _, fresh = convergecast_max(network, dict.fromkeys(network.nodes, 0), tree=tree)
+    assert report == again == fresh
+    assert again is not report
+    again.protocol = "relabelled"
+    assert zero_convergecast_report(network, tree) == fresh

@@ -3,12 +3,15 @@
 ``KernelBackend.gated_minplus`` returns each column's bounded Dijkstra
 distances and the per-round message records of the broadcasts they imply.
 The heap implementation on exact ints is the reference; the SciPy backend
-batches columns into ``csgraph`` calls, extends each batch one step past its
-limit from the frontier only, and vectorizes the histogram.  Both must agree
-exactly -- same row values *and* types, same records -- including multi-seed
-columns, directed weights laid out as palettes, limits that cut a column off
-before its cap, caps that cut the extension, nodes without edges,
-strict-bandwidth violations, and inputs past float64's exact range.
+batches columns into ``csgraph`` calls (straight from the seeds when every
+column of a batch has one zero seed, through virtual sources otherwise),
+extends every column one step past its limit from the frontier only, and
+histograms the rounds off one packed sort.  Both must agree exactly -- same
+row values *and* types, same records -- including multi-seed columns, one
+node seeding several columns of a batch, directed weights laid out as
+palettes, limits that cut a column off before its cap, caps that cut the
+extension, nodes without edges, strict-bandwidth violations, messages too
+large to pack, and inputs past float64's exact range.
 """
 
 from __future__ import annotations
@@ -174,6 +177,79 @@ def test_every_cell_over_bandwidth():
     assert records.edge_charge == [3, 3, 3, 3]
 
 
+@needs_scipy
+def test_zero_seeded_batch_with_one_node_seeding_two_columns():
+    """Every column of the batch has one seed of value 0, so the batch runs
+    from its seeds directly; node 1 seeds two of its columns."""
+    csr = CSRGraph.from_graph(WeightedGraph(edges=[(0, 1, 2), (1, 2, 3), (2, 3, 1)]))
+    columns = [
+        GatedColumn(0, ((1, 0),), 1, 4, 4, 5),
+        GatedColumn(0, ((1, 0),), 3, 4, 4, 9),
+        GatedColumn(0, ((3, 0),), 1, 4, 4, 0),
+    ]
+    rows, records = _both(csr, [csr.weights], _identity(csr), columns, None, 64)
+    assert rows == [[2, 2, 6], [0, 0, 4], [3, 3, 1], [4, 4, 0]]
+    assert records.round[:3] == [1, 2, 3]
+
+
+@needs_scipy
+def test_mixed_batches_of_zero_seeds_and_other_seeds():
+    """One palette's batch is all zero seeds, the other's has a multi-seed
+    and a nonzero-seed column; both must match the reference."""
+    csr = CSRGraph.from_graph(path_graph(5))
+    positions = [0] * csr.num_directed_edges
+    columns = [
+        GatedColumn(0, ((0, 0),), 1, 6, 6, 0),
+        GatedColumn(0, ((4, 0),), 1, 6, 6, 0),
+        GatedColumn(1, ((0, 0), (4, 0)), 1, 6, 6, 0),
+        GatedColumn(1, ((2, 3),), 1, 6, 6, 0),
+    ]
+    rows, _ = _both(csr, [(1,), (2,)], positions, columns, None, 64)
+    assert [row[0] for row in rows] == [0, 1, 2, 3, 4]
+    assert [row[2] for row in rows] == [0, 2, 4, 2, 0]
+    assert [row[3] for row in rows] == [7, 5, 3, 5, 7]
+
+
+@needs_scipy
+def test_huge_overheads_take_the_argsort_fallback():
+    """Packing ``key << B | bits`` needs ``key < 2**(63 - B)`` with ``B`` the
+    bit count of the largest message; overheads near ``2**40`` and rounds
+    past ``2**23`` break that, so the histogram argsorts instead."""
+    csr = CSRGraph.from_graph(path_graph(4))
+    overhead = 2**40
+    offset = 2**23
+    columns = [
+        GatedColumn(0, ((0, 0),), offset, 5, 5, overhead),
+        GatedColumn(0, ((3, 0), (1, 0)), offset, 5, 5, overhead + 7),
+    ]
+    largest_key = (offset + 3) * csr.num_nodes
+    assert largest_key >= 2 ** (63 - (overhead + 7 + 3).bit_length())
+    _, records = _both(csr, [(1,)], [0] * csr.num_directed_edges, columns, None, 2**41)
+    assert records.round == [offset, offset + 1, offset + 2, offset + 3]
+    assert records.max_message_bits[0] == overhead + 7 + 1
+
+
+@needs_scipy
+def test_two_calls_on_one_snapshot_agree():
+    """The index arrays are memoized on the snapshot; a second call with
+    the same inputs returns the same rows and records."""
+    graph = WeightedGraph(edges=[(0, 1, 3), (1, 2, 1), (2, 0, 5), (2, 3, 2)])
+    csr = CSRGraph.from_graph(graph)
+    distinct = sorted(set(csr.weights))
+    positions = [distinct.index(weight) for weight in csr.weights]
+    palettes = [tuple(distinct), tuple(2 * weight for weight in distinct)]
+    columns = [
+        GatedColumn(0, ((0, 0),), 1, 9, 9, 3),
+        GatedColumn(1, ((3, 0),), 2, 9, 9, 3),
+    ]
+    scipy = get_backend("scipy")
+    first = scipy.gated_minplus(csr, palettes, positions, columns, 12, 16)
+    second = scipy.gated_minplus(csr, palettes, positions, columns, 12, 16)
+    assert _typed(second[0]) == _typed(first[0])
+    assert second[1] == first[1]
+    _both(csr, palettes, positions, columns, 12, 16)
+
+
 @st.composite
 def gated_runs(draw):
     """A random graph, directed weights laid out as palettes, and gated
@@ -237,3 +313,18 @@ def test_scipy_matches_reference_above_float64_range(run):
         column._replace(relax_limit=2**54, fire_limit=2**54) for column in columns
     ]
     _both(csr, shifted, positions, columns, None, bandwidth)
+
+
+@needs_scipy
+@given(gated_runs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_scipy_matches_reference_on_zero_seeded_columns(run, data):
+    """Single zero-valued seeds everywhere (Algorithm 3's shape): every
+    batch runs from its seeds directly, and nodes may seed several columns."""
+    csr, palettes, positions, columns, value_cap, bandwidth = run
+    n = csr.num_nodes
+    columns = [
+        column._replace(seeds=((data.draw(st.integers(0, n - 1)), 0),))
+        for column in columns
+    ]
+    _both(csr, palettes, positions, columns, value_cap, bandwidth)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.congest import Network, RoundReport
+from repro.congest import Network, RoundReport, available_engines, get_engine
 from repro.congest.primitives import broadcast_from, gather_values_to
 from repro.graphs import dijkstra, eccentricity, random_weighted_graph
 from repro.kernels import available_backends, force_backend, get_backend
@@ -188,6 +188,31 @@ class TestSkeletonApproximator:
         evaluation = approx.evaluation_report()
         assert evaluation.congested_rounds > 0
         assert evaluation.congested_rounds < approx.initialization_report.congested_rounds
+
+    def test_second_op_simulates_no_evaluation_convergecast(self, monkeypatch):
+        """Evaluation's convergecast is memoized on the network: a second
+        approximator (the next op) on the same topology runs none, and its
+        report equals the first one's."""
+        network = Network(random_weighted_graph(num_nodes=16, max_weight=9, seed=5))
+        runs = []
+        for name in available_engines():
+            engine = get_engine(name)
+
+            def counting(net, algorithm, *args, _run=engine.run, **kwargs):
+                runs.append(algorithm.name)
+                return _run(net, algorithm, *args, **kwargs)
+
+            monkeypatch.setattr(engine, "run", counting)
+        reports = []
+        for seed in (1, 2):
+            approx = SkeletonApproximator(
+                network, [0, 5, 9], epsilon=0.5, hop_bound=20, k=2, seed=seed
+            )
+            runs.clear()
+            reports.append(approx.evaluation_report())
+            assert runs.count("convergecast") == (1 if seed == 1 else 0)
+        assert reports[0] == reports[1] and reports[0] is not reports[1]
+        assert reports[1].protocol == "skeleton-evaluation"
 
     def test_cost_ordering_matches_lemma_3_5(self, approximator):
         """T0 (Algorithms 3+4) dominates a single Setup, which dominates Evaluation."""
