@@ -97,9 +97,12 @@ class ExecutionEngine:
         max_rounds: int,
         initial_memory: Optional[Dict[int, Dict[str, Any]]] = None,
         halt_on_quiescence: bool = False,
-        observer: Optional[Any] = None,
     ) -> SimulationResult:
-        """Execute ``algorithm`` on ``network`` until every node halts."""
+        """Execute ``algorithm`` on ``network`` until every node halts.
+
+        Engines return reports, not message streams: a run with an observer
+        goes to the ``sparse`` interpreter, whose ``run`` alone takes one.
+        """
         raise NotImplementedError
 
 

@@ -3,7 +3,8 @@
 Eligible protocols declare an announce-on-improvement :class:`MinPlusSchema`
 (:meth:`NodeAlgorithm.message_schema`): Bellman-Ford SSSP/APSP, BFS flooding
 and the min-id flood.  For those the engine never creates a single
-:class:`Message` object (unless an observer needs them).  Per round it
+:class:`Message` object: it reports, and a run with an observer executes on
+the ``sparse`` interpreter instead (see :meth:`Simulator.run`).  Per round it
 
 1. charges the in-flight broadcasts analytically -- each sender's per-edge
    bit load is the sum of its improved entries' exact
@@ -35,7 +36,7 @@ star/path and single-node networks.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -48,7 +49,6 @@ from repro.congest.engine.types import (
     RoundReport,
     SimulationResult,
 )
-from repro.congest.message import Message
 from repro.congest.network import Network
 from repro.kernels.csr import CSRGraph
 
@@ -119,7 +119,6 @@ class DenseEngine(ExecutionEngine):
         max_rounds: int,
         initial_memory: Optional[Dict[int, Dict[str, Any]]] = None,
         halt_on_quiescence: bool = False,
-        observer: Optional[Any] = None,
     ) -> SimulationResult:
         # Validate against the schema object actually executed (supports()
         # already ran in resolve_engine, but on its own schema fetch); the
@@ -134,7 +133,6 @@ class DenseEngine(ExecutionEngine):
                     max_rounds=max_rounds,
                     initial_memory=initial_memory,
                     halt_on_quiescence=halt_on_quiescence,
-                    observer=observer,
                 )
             schema = schema.flood  # min-plus semantics, executed below
         if (
@@ -240,9 +238,6 @@ class DenseEngine(ExecutionEngine):
             report.rounds += 1
             report.congested_rounds += max_edge_charge
 
-            if observer is not None:
-                observer(round_number, self._materialize(schema, nodes, csr, dist, sent))
-
             # --- Deliver and relax: masked gather + minimum.reduceat ------- #
             if any_sent:
                 masked = np.where(sent, dist, np.inf)
@@ -270,29 +265,17 @@ class DenseEngine(ExecutionEngine):
                     # Nothing in flight and nothing will ever be: the nodes
                     # idle (one charged round each) until the budget round
                     # halts them.
-                    while round_number < budget:
-                        round_number += 1
-                        if round_number > max_rounds:
-                            raise RoundLimitExceeded(
-                                f"protocol '{algorithm.name}' exceeded "
-                                f"{max_rounds} rounds"
-                            )
-                        report.rounds += 1
-                        report.congested_rounds += 1
-                        if observer is not None:
-                            observer(round_number, [])
+                    if budget > max_rounds:
+                        raise RoundLimitExceeded(
+                            f"protocol '{algorithm.name}' exceeded "
+                            f"{max_rounds} rounds"
+                        )
+                    report.rounds += budget - round_number
+                    report.congested_rounds += budget - round_number
                     halted = True
                 else:
                     # No budget and no quiescence halting: the protocol can
-                    # never terminate.  Replay the idle rounds for a
-                    # round-counting observer, then fail like the other
-                    # engines do.
-                    if observer is not None:
-                        while round_number < max_rounds:
-                            round_number += 1
-                            report.rounds += 1
-                            report.congested_rounds += 1
-                            observer(round_number, [])
+                    # never terminate; fail like the other engines do.
                     raise RoundLimitExceeded(
                         f"protocol '{algorithm.name}' exceeded {max_rounds} rounds"
                     )
@@ -305,39 +288,6 @@ class DenseEngine(ExecutionEngine):
             contexts[node] = ctx
         outputs = {node: algorithm.output(contexts[node]) for node in nodes}
         return SimulationResult(outputs=outputs, report=report, contexts=contexts)
-
-    @staticmethod
-    def _materialize(
-        schema: MinPlusSchema,
-        nodes: List[int],
-        csr: CSRGraph,
-        dist: np.ndarray,
-        sent: np.ndarray,
-    ) -> List[Message]:
-        """Build the round's Message objects for an observer (slow path).
-
-        Message *multiset* equals the sparse delivery; the within-round
-        ordering is sender-major but may interleave keys differently.
-        """
-        delivered: List[Message] = []
-        indptr, indices = csr.indptr, csr.indices
-        for i in np.nonzero(sent.any(axis=1))[0]:
-            sender = nodes[i]
-            neighbor_labels = [
-                nodes[indices[e]] for e in range(indptr[i], indptr[i + 1])
-            ]
-            for j in np.nonzero(sent[i])[0]:
-                payload = schema.payload_for(int(j), float(dist[i, j]))
-                for receiver in neighbor_labels:
-                    delivered.append(
-                        Message(
-                            sender=sender,
-                            receiver=receiver,
-                            payload=payload,
-                            tag=schema.tag,
-                        )
-                    )
-        return delivered
 
 
 register_engine(DenseEngine())

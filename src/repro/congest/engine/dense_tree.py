@@ -11,15 +11,15 @@ whole schedule up front and replays only the *accounting*:
 1. a per-kind planner computes, for every send time ``t`` (``t = 0`` is
    ``initialize``; messages sent at ``t`` are delivered in round ``t + 1``),
    the aggregate message count, bit sum, largest single message and largest
-   per-edge bit load of that round -- plus a lazy ``materialize(t)`` that
-   reconstructs the exact message list in the sparse engine's enqueue order
-   (sender in node order, program send order within a sender), used only
-   for observers and strict-bandwidth violations;
+   per-edge bit load of that round -- aggregates only, never a message;
 2. a shared accounting loop turns those aggregates into the
    :class:`~repro.congest.engine.types.RoundReport` exactly as the sparse
    engine's single-pass accounting would, including the congestion charge
-   ``max_edge ceil(bits / B)``, the strict-bandwidth first-violation error
-   text, and the round-limit failure mode;
+   ``max_edge ceil(bits / B)`` and the round-limit failure mode.  A round
+   over the bandwidth under ``strict_bandwidth`` hands the run to the
+   ``sparse`` interpreter, which sizes the actual messages and so raises
+   the same first-violating-edge error (an error path only); observed runs
+   never reach this module (see :meth:`Simulator.run`);
 3. a per-kind finalizer rebuilds a node's memory as the node program
    would have left it, so outputs and contexts are engine-independent; it
    runs only for the nodes whose output or context is read.
@@ -39,31 +39,28 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.congest.algorithm import NodeAlgorithm, NodeContext
+from repro.congest.engine.base import get_engine
 from repro.congest.engine.schema import TreeSchema
 from repro.congest.engine.types import (
     RoundLimitExceeded,
     RoundReport,
     SimulationResult,
 )
-from repro.congest.message import Message, message_size_bits
+from repro.congest.message import message_size_bits
 from repro.congest.network import Network
 
 __all__ = ["tree_supports", "run_tree", "final_state"]
 
-#: ``materialize(t)`` -> ``[(sender, receiver, payload), ...]`` in enqueue order.
-_Materializer = Callable[[int], List[Tuple[int, int, Tuple[Any, ...]]]]
-
 
 @dataclass
 class _TreePlan:
-    """One run's precomputed schedule: aggregates per send time plus hooks."""
+    """One run's precomputed schedule: aggregates per send time."""
 
     rounds: int
     msgs: List[int]
     bits: List[int]
     max_message: List[int]
     max_edge: List[int]
-    materialize: _Materializer
     #: Builds one node's final memory; called only when that node is read.
     memory: Callable[[int], Dict[str, Any]]
 
@@ -240,15 +237,7 @@ def _validate_tree(network: Network, schema: TreeSchema) -> _TreeArrays:
 
 
 def _empty_plan(memory: Callable[[int], Dict[str, Any]]) -> _TreePlan:
-    return _TreePlan(
-        rounds=0,
-        msgs=[],
-        bits=[],
-        max_message=[],
-        max_edge=[],
-        materialize=lambda t: [],
-        memory=memory,
-    )
+    return _TreePlan(0, [], [], [], [], memory)
 
 
 # --------------------------------------------------------------------------- #
@@ -311,8 +300,7 @@ def _bfs_plan(network: Network, schema: TreeSchema, word_bits: int) -> _TreePlan
     root = schema.root
     tag = schema.tag
     nodes = list(network.nodes)
-    order = {node: i for i, node in enumerate(nodes)}
-    if root not in order:
+    if root not in nodes:
         raise _Unsupported(f"root {root} is not a node of the network")
     depth, parent = _bfs_layers(network, root)
     height = max(depth.values())
@@ -400,42 +388,6 @@ def _bfs_plan(network: Network, schema: TreeSchema, word_bits: int) -> _TreePlan
             if combo > max_edge[d]:
                 max_edge[d] = combo
 
-    def materialize(t: int) -> List[Tuple[int, int, Tuple[Any, ...]]]:
-        out: List[Tuple[int, int, Tuple[Any, ...]]] = []
-        for node in nodes:
-            d = depth[node]
-            neighbors = network.neighbors(node)
-            if node == root:
-                if t == 0:
-                    out.extend((node, nb, ("explore", 0)) for nb in neighbors)
-                if t == stop_start:
-                    out.extend((node, c, ("stop",)) for c in children[node])
-                continue
-            if t == d:
-                p = parent[node]
-                out.append((node, p, ("adopt",)))
-                rejected = sorted(
-                    (u for u in neighbors if depth[u] == d - 1 and u != p),
-                    key=order.__getitem__,
-                )
-                out.extend((node, u, ("reject",)) for u in rejected)
-                out.extend(
-                    (node, nb, ("explore", d))
-                    for nb in neighbors
-                    if depth[nb] != d - 1
-                )
-            if t == d + 1 and same[node]:
-                peers = sorted(
-                    (u for u in neighbors if depth[u] == d),
-                    key=order.__getitem__,
-                )
-                out.extend((node, u, ("reject",)) for u in peers)
-            if t == echo[node]:
-                out.append((node, parent[node], ("done",)))
-            if t == stop_start + d:
-                out.extend((node, c, ("stop",)) for c in children[node])
-        return out
-
     def memory(node: int) -> Dict[str, Any]:
         return {
             "parent": parent[node],
@@ -447,7 +399,7 @@ def _bfs_plan(network: Network, schema: TreeSchema, word_bits: int) -> _TreePlan
             "explored": True,
         }
 
-    return _TreePlan(rounds, msgs, bits, max_message, max_edge, materialize, memory)
+    return _TreePlan(rounds, msgs, bits, max_message, max_edge, memory)
 
 
 # --------------------------------------------------------------------------- #
@@ -457,7 +409,6 @@ def _broadcast_plan(network: Network, schema: TreeSchema, word_bits: int) -> _Tr
     tree = _tree_arrays(network, schema)
     values = list(schema.values)
     k = len(values)
-    nodes = tree.nodes
     height = tree.height
 
     def final_memory(node: int) -> Dict[str, Any]:
@@ -498,22 +449,7 @@ def _broadcast_plan(network: Network, schema: TreeSchema, word_bits: int) -> _Tr
             window.popleft()
         max_message[t] = bc_bits[window[0]]
     max_edge = list(max_message)
-
-    def materialize(t: int) -> List[Tuple[int, int, Tuple[Any, ...]]]:
-        out: List[Tuple[int, int, Tuple[Any, ...]]] = []
-        for node in nodes:
-            kids = tree.children[node]
-            if not kids:
-                continue
-            i = t - tree.depth[node]
-            if 0 <= i < k:
-                payload = ("bc", i, values[i])
-                out.extend((node, child, payload) for child in kids)
-        return out
-
-    return _TreePlan(
-        rounds, msgs, bits, max_message, max_edge, materialize, final_memory
-    )
+    return _TreePlan(rounds, msgs, bits, max_message, max_edge, final_memory)
 
 
 # --------------------------------------------------------------------------- #
@@ -581,15 +517,7 @@ def _convergecast_plan(
         if b > max_message[t]:
             max_message[t] = b
     max_edge = list(max_message)  # one upward message per edge per round
-
-    def materialize(t: int) -> List[Tuple[int, int, Tuple[Any, ...]]]:
-        return [
-            (node, tree.parent[node], ("agg", acc[node]))
-            for node in nodes
-            if node != tree.root and emit[node] == t
-        ]
-
-    return _TreePlan(rounds, msgs, bits, max_message, max_edge, materialize, memory)
+    return _TreePlan(rounds, msgs, bits, max_message, max_edge, memory)
 
 
 # --------------------------------------------------------------------------- #
@@ -628,21 +556,22 @@ def _gather_plan(
         )
     collected: List[Any] = list(own_records.get(root, []))
 
-    sends_by_t: List[List[Tuple[int, int, Tuple[Any, ...], int]]] = []
+    # Per send time, each send's (receiver index, payload, bits) in node order.
+    sends_by_t: List[List[Tuple[int, Tuple[Any, ...], int]]] = []
 
-    def step(i: int, out: List[Tuple[int, int, Tuple[Any, ...], int]]) -> None:
+    def step(i: int, out: List[Tuple[int, Tuple[Any, ...], int]]) -> None:
         if i != root_idx and queues[i]:
             payload, b = queues[i].popleft()
-            out.append((i, parent_idx[i], payload, b))
+            out.append((parent_idx[i], payload, b))
             return
         if pending[i] == 0 and not queues[i]:
             if i == root_idx:
                 halted[i] = True
             else:
-                out.append((i, parent_idx[i], end_payload, end_bits))
+                out.append((parent_idx[i], end_payload, end_bits))
                 halted[i] = True
 
-    init_sends: List[Tuple[int, int, Tuple[Any, ...], int]] = []
+    init_sends: List[Tuple[int, Tuple[Any, ...], int]] = []
     for i in range(n):
         step(i, init_sends)
     sends_by_t.append(init_sends)
@@ -652,7 +581,7 @@ def _gather_plan(
     rounds = 0
     while live and rounds <= max_rounds:
         rounds += 1
-        for sender, receiver, payload, b in sends_by_t[rounds - 1]:
+        for receiver, payload, b in sends_by_t[rounds - 1]:
             if payload[0] == "rec":
                 if receiver == root_idx:
                     collected.append(payload[1])
@@ -660,7 +589,7 @@ def _gather_plan(
                     queues[receiver].append((payload, b))
             else:
                 pending[receiver] -= 1
-        current: List[Tuple[int, int, Tuple[Any, ...], int]] = []
+        current: List[Tuple[int, Tuple[Any, ...], int]] = []
         for i in live:
             if i == root_idx:
                 queues[i].clear()  # the root only accumulates
@@ -672,7 +601,7 @@ def _gather_plan(
     bits = [0] * rounds
     max_message = [0] * rounds
     for t in range(rounds):
-        for _, _, _, b in sends_by_t[t]:
+        for _, _, b in sends_by_t[t]:
             msgs[t] += 1
             bits[t] += b
             if b > max_message[t]:
@@ -688,13 +617,7 @@ def _gather_plan(
             "sent_end": node != root,
         }
 
-    def materialize(t: int) -> List[Tuple[int, int, Tuple[Any, ...]]]:
-        return [
-            (nodes[sender], nodes[receiver], payload)
-            for sender, receiver, payload, _ in sends_by_t[t]
-        ]
-
-    return _TreePlan(rounds, msgs, bits, max_message, max_edge, materialize, memory)
+    return _TreePlan(rounds, msgs, bits, max_message, max_edge, memory)
 
 
 # --------------------------------------------------------------------------- #
@@ -749,7 +672,6 @@ def run_tree(
     max_rounds: int,
     initial_memory: Optional[Dict[int, Dict[str, Any]]] = None,
     halt_on_quiescence: bool = False,
-    observer: Optional[Any] = None,
 ) -> SimulationResult:
     """Execute a tree-schema run; accounting is bit-identical to sparse."""
     name = algorithm.name
@@ -776,7 +698,6 @@ def run_tree(
 
     bandwidth = network.bandwidth_bits
     strict = network.config.strict_bandwidth
-    tag = schema.tag
     report = RoundReport(protocol=name)
     for r in range(1, rounds + 1):
         if r > max_rounds:
@@ -792,20 +713,14 @@ def run_tree(
                 report.max_message_bits = plan.max_message[t]
             if plan.max_edge[t] > bandwidth:
                 if strict:
-                    _raise_first_violation(
-                        name, plan.materialize(t), tag, network.word_bits, bandwidth
+                    # The interpreter sizes the round's actual messages and
+                    # raises on the first over-budget edge -- the same error.
+                    return get_engine("sparse").run(
+                        network, algorithm, max_rounds, halt_on_quiescence=halt_on_quiescence
                     )
                 max_edge_charge = math.ceil(plan.max_edge[t] / bandwidth)
         report.rounds += 1
         report.congested_rounds += max_edge_charge
-        if observer is not None:
-            observer(
-                r,
-                [
-                    Message(sender=s, receiver=v, payload=payload, tag=tag)
-                    for s, v, payload in plan.materialize(t)
-                ],
-            )
 
     return SimulationResult(
         None,
@@ -831,27 +746,3 @@ def final_state(
 
     return build
 
-
-def _raise_first_violation(
-    name: str,
-    messages: List[Tuple[int, int, Tuple[Any, ...]]],
-    tag: str,
-    word_bits: int,
-    bandwidth: int,
-) -> None:
-    """Replicate the sparse engine's per-round edge scan exactly: sum the
-    per-edge bits in enqueue order, then raise on the first over-budget edge
-    in first-insertion order -- same edge, same error text."""
-    edge_bits: Dict[Tuple[int, int], int] = {}
-    for sender, receiver, payload in messages:
-        key = (sender, receiver)
-        edge_bits[key] = edge_bits.get(key, 0) + message_size_bits(
-            payload, tag=tag, word_bits=word_bits
-        )
-    for bits in edge_bits.values():
-        if bits > bandwidth:
-            raise ValueError(
-                f"protocol '{name}' exceeded the bandwidth: {bits} bits on "
-                f"one edge in one round (B={bandwidth})"
-            )
-    raise AssertionError("aggregate accounting flagged a violation none exists for")

@@ -369,7 +369,7 @@ class BroadcastReplaySchema:
             raise ValueError(
                 f"words_per_message must be at least 1, got {self.words_per_message}"
             )
-        if any(count < 0 for count in self.announcements):
+        if self.announcements and min(self.announcements) < 0:
             raise ValueError("announcement counts must be non-negative")
 
     @property

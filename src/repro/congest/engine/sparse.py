@@ -3,7 +3,10 @@
 It runs any :class:`NodeAlgorithm` round by round, exactly as the CONGEST
 model prescribes, and is the engine the schema-driven ``dense`` and
 ``symbolic`` engines are checked against (the differential tests enforce
-bit-identical :class:`RoundReport` numbers).  Its hot path is mechanical:
+bit-identical :class:`RoundReport` numbers).  It is also the only engine
+that streams messages: the others derive reports, so
+:meth:`~repro.congest.simulator.Simulator.run` executes every run with an
+observer here.  Its hot path is mechanical:
 
 * an *active list* of non-halted contexts replaces the full halted scan at
   the top of every round and restricts the receive loop to live nodes;

@@ -32,10 +32,11 @@ shape a schema's ``weight_memory_key`` declares (Algorithm 1's rounded
 weights); any other pre-loaded state is declined, as are gated runs that
 flood values unchanged (``add_edge_weight=False``), initial entries that
 broadcast before round ``base + value``, and ``send_initial="all"``.
-Attaching an ``observer`` to a min-plus or broadcast-replay run hands the
-run to ``sparse`` -- closed forms have no message stream to report -- and
-so does ``halt_on_quiescence`` on a min-plus run; tree runs keep
-``dense_tree``'s native exact materialization.
+A ``halt_on_quiescence`` min-plus run is handed to ``sparse``: the halt ends
+the run in the first round with nothing in flight, even with a gate still
+to fire.  Like every engine but ``sparse``, this one reports and never
+streams messages; :meth:`Simulator.run` hands every run with an observer
+to ``sparse``, so this engine's ``run`` never receives one.
 
 The contract is the library invariant: outputs, contexts and every
 :class:`RoundReport` field are bit-identical to the sparse engine, enforced
@@ -93,11 +94,10 @@ def broadcast_replay_report(
     """
     record_bits = word_bits * schema.words_per_message
     total = schema.total_announcements
+    rounds = len(schema.announcements)
     return RoundReport(
-        rounds=len(schema.announcements),
-        congested_rounds=sum(
-            schema.depth + 1 + count for count in schema.announcements
-        ),
+        rounds=rounds,
+        congested_rounds=rounds * (schema.depth + 1) + total,
         total_messages=total * schema.fanout,
         total_bits=total * schema.fanout * record_bits,
         max_message_bits=record_bits,
@@ -141,7 +141,6 @@ class SymbolicEngine(ExecutionEngine):
         max_rounds: int,
         initial_memory: Optional[Dict[int, Dict[str, Any]]] = None,
         halt_on_quiescence: bool = False,
-        observer: Optional[Any] = None,
     ) -> SimulationResult:
         handoff, self._handoff = self._handoff, None
         schema = algorithm.message_schema()
@@ -153,14 +152,10 @@ class SymbolicEngine(ExecutionEngine):
                 max_rounds=max_rounds,
                 initial_memory=initial_memory,
                 halt_on_quiescence=halt_on_quiescence,
-                observer=observer,
             )
-        if observer is not None or (
-            halt_on_quiescence and not isinstance(schema, BroadcastReplaySchema)
-        ):
-            # Closed forms never materialize a message stream, and a
-            # quiescence halt ends the run in the first round with nothing in
-            # flight, even with a gate still to fire; hand these runs to the
+        if halt_on_quiescence and not isinstance(schema, BroadcastReplaySchema):
+            # A quiescence halt ends the run in the first round with nothing
+            # in flight, even with a gate still to fire; hand the run to the
             # engine that interprets the node program.
             return get_engine("sparse").run(
                 network,
@@ -168,7 +163,6 @@ class SymbolicEngine(ExecutionEngine):
                 max_rounds,
                 initial_memory=initial_memory,
                 halt_on_quiescence=halt_on_quiescence,
-                observer=observer,
             )
         if isinstance(schema, BroadcastReplaySchema):
             report = broadcast_replay_report(schema, network.word_bits)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.congest.algorithm import NodeAlgorithm
-from repro.congest.engine import resolve_engine
+from repro.congest.engine import get_engine, resolve_engine
 from repro.congest.engine.types import (
     RoundLimitExceeded,
     RoundReport,
@@ -104,6 +104,11 @@ class Simulator:
             that round.  Used by the Server-model reduction (Lemma 4.1) to
             count the communication that crosses the Alice/Bob/server
             ownership boundary; it never affects the execution itself.
+            Only the ``sparse`` interpreter produces a message stream (the
+            other engines derive reports, not messages), so an observed run
+            executes there whatever engine is selected; the selection still
+            runs first, so an explicitly named engine that cannot execute
+            the run raises as usual.
         engine:
             Optional explicit engine name (``"sparse"``, ``"dense"``,
             ``"symbolic"``).  Defaults to the forced /
@@ -119,11 +124,19 @@ class Simulator:
         selected = resolve_engine(
             engine, self._network, algorithm, initial_memory=initial_memory
         )
+        if observer is not None:
+            return get_engine("sparse").run(
+                self._network,
+                algorithm,
+                max_rounds=self._max_rounds,
+                initial_memory=initial_memory,
+                halt_on_quiescence=halt_on_quiescence,
+                observer=observer,
+            )
         return selected.run(
             self._network,
             algorithm,
             max_rounds=self._max_rounds,
             initial_memory=initial_memory,
             halt_on_quiescence=halt_on_quiescence,
-            observer=observer,
         )

@@ -54,9 +54,10 @@ __all__ = [
 
 
 def _search_rng(seed):
-    """Measurement randomness: NumPy's ``default_rng`` when available (the
-    historical stream, so seeded results are unchanged), else a seeded
-    ``random.Random`` so the Theorem 1.1 entry point runs on the no-NumPy
+    """Measurement randomness of the Theorem 1.1 search and of the naive
+    baseline (:mod:`repro.core.naive`): NumPy's ``default_rng`` when
+    available (the historical stream, so seeded results are unchanged), else
+    a seeded ``random.Random`` so both entry points run on the no-NumPy
     tier."""
     try:
         import numpy as np

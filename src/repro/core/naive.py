@@ -21,28 +21,17 @@ the skeleton-based algorithm of Theorem 1.1.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from repro.congest.apsp import classical_eccentricity_protocol
 from repro.congest.network import Network
 from repro.congest.primitives import broadcast_from, build_bfs_tree
+from repro.core.diameter_radius import _search_rng
 from repro.kernels import eccentricities_csr
 from repro.quantum_congest.model import ProcedureCosts, QuantumCongestCharge
 from repro.quantum_congest.optimizer import DistributedQuantumOptimizer, SearchMode
 
 __all__ = ["NaiveSearchResult", "naive_quantum_diameter", "naive_quantum_radius"]
-
-
-def _search_rng(seed):
-    """NumPy's ``default_rng`` when available (the historical stream, so
-    seeded results are unchanged), else a seeded ``random.Random`` so the
-    baseline runs on the no-NumPy tier."""
-    try:
-        import numpy as np
-    except ImportError:
-        return random.Random(seed)
-    return np.random.default_rng(seed)
 
 
 @dataclass

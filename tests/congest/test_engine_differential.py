@@ -330,11 +330,20 @@ def test_tree_round_limit_parity():
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("kind", ["bfs", "broadcast", "convergecast", "gather"])
-def test_tree_observer_streams_identical(engine, kind):
-    """Observers of a tree-schema run see the same per-round message
-    multisets the sparse engine delivers -- the dense engine materializes
-    every round of the analytic schedule exactly."""
+@pytest.mark.parametrize(
+    "kind",
+    ["bfs", "broadcast", "convergecast", "gather", "algorithm2", "bellman-ford"],
+)
+def test_tree_observer_streams_identical(engine, kind, monkeypatch):
+    """Only the sparse interpreter streams messages: an observed run -- a
+    tree primitive, the gated Algorithm 2 or an ungated Bellman-Ford flood
+    -- executes on ``sparse`` whatever engine is named.  It makes exactly one
+    ``SparseEngine.run`` call and no other engine's ``run`` or tree planner
+    runs; the stream, report and outputs equal a plain sparse run's.  An
+    engine that cannot execute the run still rejects the explicit request."""
+    from collections import Counter
+
+    from repro.congest.engine import dense_tree, get_engine
     from repro.congest.primitives import (
         _BfsTreeAlgorithm,
         _ConvergecastAlgorithm,
@@ -357,7 +366,10 @@ def test_tree_observer_streams_identical(engine, kind):
         "gather": lambda: _TreeGatherAlgorithm(
             tree, {node: [node] for node in network.nodes}
         ),
+        "algorithm2": lambda: BoundedDistanceSsspAlgorithm(root, 20),
+        "bellman-ford": lambda: _BellmanFordAlgorithm([root]),
     }
+    quiescence = kind == "bellman-ford"
 
     def record(target_engine):
         rounds = []
@@ -366,18 +378,46 @@ def test_tree_observer_streams_identical(engine, kind):
             rounds.append(
                 (
                     round_number,
-                    sorted(
-                        (m.sender, m.receiver, m.payload, m.tag) for m in delivered
-                    ),
+                    [(m.sender, m.receiver, m.payload, m.tag) for m in delivered],
                 )
             )
 
-        Simulator(network).run(
-            algorithms[kind](), observer=observer, engine=target_engine
+        result = Simulator(network).run(
+            algorithms[kind](),
+            halt_on_quiescence=quiescence,
+            observer=observer,
+            engine=target_engine,
         )
-        return rounds
+        return rounds, result.report, result.outputs
 
-    assert record(engine) == record("sparse")
+    reference = record("sparse")
+
+    calls = Counter()
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for name in ENGINES:
+        cls = type(get_engine(name))
+        monkeypatch.setattr(cls, "run", counted(name, cls.run))
+    monkeypatch.setattr(dense_tree, "run_tree", counted("run_tree", dense_tree.run_tree))
+
+    if not get_engine(engine).supports(network, algorithms[kind]()):
+        assert (engine, kind) in {("dense", "algorithm2"), ("symbolic", "bellman-ford")}
+        with pytest.raises(ValueError, match="cannot execute"):
+            record(engine)
+        assert not calls
+        return
+    observed = record(engine)
+    assert calls == Counter({"sparse": 1})
+    rounds, report, outputs = observed
+    assert rounds == reference[0]
+    assert report == reference[1]
+    assert outputs == reference[2]
 
 
 @pytest.mark.skipif("dense" not in ENGINES, reason="dense engine needs NumPy")
@@ -835,8 +875,8 @@ def test_forced_dense_falls_back_for_schema_less_algorithm():
 # --------------------------------------------------------------------------- #
 # Symbolic engine: the closed-form executor must be bit-identical to the
 # stepping engines on every schedule-determined schema (it already crosses
-# the whole zoo via ENGINES above); the tests here pin its eligibility rules,
-# its native strict-bandwidth first-violation and its observer fallback.
+# the whole zoo via ENGINES above); the tests here pin its eligibility rules
+# and its native strict-bandwidth first-violation.
 # --------------------------------------------------------------------------- #
 def test_announce_schedule_runs_are_symbolic_eligible():
     """The Theorem 1.1 protocols must actually *run* symbolic, not fall back."""
@@ -909,36 +949,3 @@ def test_symbolic_strict_bandwidth_first_violation_parity():
         messages[engine] = str(excinfo.value)
     assert messages["symbolic"] == messages["sparse"]
     assert "exceeded the bandwidth" in messages["sparse"]
-
-
-def test_symbolic_observer_fallback_parity():
-    """Observed runs cannot stay closed-form (there are no per-round message
-    lists to stream), so the symbolic engine delegates them; stream and
-    report must equal the sparse engine's."""
-
-    def record(engine):
-        rounds = []
-
-        def observer(round_number, delivered):
-            rounds.append(
-                (
-                    round_number,
-                    sorted(
-                        (m.sender, m.receiver, m.payload, m.tag) for m in delivered
-                    ),
-                )
-            )
-
-        network = NETWORKS["spanner"]
-        result = Simulator(network).run(
-            BoundedDistanceSsspAlgorithm(min(network.nodes), 20),
-            observer=observer,
-            engine=engine,
-        )
-        return rounds, result.report, result.outputs
-
-    symbolic_rounds, symbolic_report, symbolic_outputs = record("symbolic")
-    sparse_rounds, sparse_report, sparse_outputs = record("sparse")
-    assert symbolic_rounds == sparse_rounds
-    assert symbolic_report == sparse_report
-    assert symbolic_outputs == sparse_outputs

@@ -87,6 +87,14 @@ class TestBroadcastReplaySchema:
         assert report.total_messages == 0
         assert report.total_bits == 0
 
+    def test_counts_are_checked_as_a_whole(self):
+        """An empty replay constructs; one negative count anywhere in the
+        tuple raises the schema's own error."""
+        schema = BroadcastReplaySchema(label="x", announcements=(), fanout=3, depth=5)
+        assert broadcast_replay_report(schema, 8).rounds == 0
+        with pytest.raises(ValueError, match="announcement counts must be non-negative"):
+            BroadcastReplaySchema(label="x", announcements=(4, 0, -2, 1), fanout=1, depth=0)
+
 
 def test_trace_rejects_ungated_schemas():
     from repro.congest.sssp import _BellmanFordAlgorithm
