@@ -13,9 +13,11 @@ Two workloads, each asserting that every hit equals the cold result:
   small, so a hit is a digest-memo hit plus a tiny decode: both tiers must
   be at least **20x** faster than cold (they measure hundreds of x).
 * ``weighted-apsp`` on the ``n = 256`` spanner, whose result is an
-  ``n x n`` distance table: a hit costs one decode of 65,536 entries, so
-  this row measures the result codec.  Its warm hit (median of
-  ``APSP_HIT_REPEATS``) must clear ``APSP_SPEEDUP_FLOOR``.
+  ``n x n`` distance table.  The cache decodes it once; a memory hit
+  costs a structural copy of 65,536 entries and a disk hit one JSON parse
+  and decode plus that copy.  Its warm hit (median of
+  ``APSP_HIT_REPEATS``) must clear ``APSP_SPEEDUP_FLOOR``; the disk tier
+  has no floor.
 
 The machine-readable twin is ``BENCH_service_cache.json``.
 """
@@ -36,11 +38,11 @@ WARM_SPEEDUP_FLOOR = 20.0
 
 APSP_N = 256
 #: Floor for the weighted-APSP row, whose n x n distance table makes a hit
-#: cost one result decode: about half the warm ratio measured with the
-#: columnar codec (see CHANGES.md).
+#: cost one structural copy of the decoded result: about half the warm
+#: ratio measured with the columnar codec (see CHANGES.md).
 APSP_SPEEDUP_FLOOR = 15.0
 #: Hits timed per tier on the APSP row (median), since a single
-#: millisecond-scale decode is at the mercy of one garbage collection.
+#: millisecond-scale hit is at the mercy of one garbage collection.
 APSP_HIT_REPEATS = 3
 
 HEADERS = ["workload", "request", "time [s]", "cache", "rounds", "speedup vs cold"]

@@ -4,18 +4,21 @@ Eligible protocols declare an announce-on-improvement :class:`MinPlusSchema`
 (:meth:`NodeAlgorithm.message_schema`): Bellman-Ford SSSP/APSP, BFS flooding
 and the min-id flood.  For those the engine never creates a single
 :class:`Message` object: it reports, and a run with an observer executes on
-the ``sparse`` interpreter instead (see :meth:`Simulator.run`).  Per round it
+the ``sparse`` interpreter instead (see :meth:`Simulator.run`).  The state is
+one ``n x k`` float64 table; the round's traffic is the *frontier*, the
+sorted flat indices of the entries announced at the end of the previous
+round.  Per round it
 
-1. charges the in-flight broadcasts analytically -- each sender's per-edge
-   bit load is the sum of its improved entries' exact
-   :func:`~repro.congest.message.encode_value` sizes, computed with a
-   vectorized (and exact) ``int.bit_length``;
-2. relaxes all deliveries at once with a masked gather over the network's
-   CSR adjacency (the PR 1 kernel snapshot) and a ``minimum.reduceat`` per
-   receiver -- the scatter/reduce formulation of the synchronous min-plus
-   round;
-3. re-broadcasts the strictly improved entries (the node programs'
-   "announce on improvement" rule).
+1. charges the frontier analytically -- each sender's per-edge bit load is
+   the exact int64 sum of its entries' :func:`~repro.congest.message.encode_value`
+   sizes (an integer's ``bit_length`` is its float64 exponent);
+2. relaxes each announcement over its sender's row of the cached CSR
+   adjacency, expanded with ``repeat`` and a ragged ``arange``, and applies
+   the improving candidates with ``minimum.at``: the synchronous min-plus
+   round at the cost of its messages, not of the whole table;
+3. announces the strictly improved entries next (the node programs'
+   "announce on improvement" rule), read off a mark array so the frontier
+   stays sorted.
 
 ``arrival_gated`` schemas (Algorithms 1-3) and runs with pre-loaded node
 memory are not eligible: the symbolic engine executes the former in closed
@@ -57,22 +60,6 @@ __all__ = ["DenseEngine"]
 #: Largest magnitude float64 carries exactly; values at or beyond this would
 #: make the vectorized relaxation diverge from the exact-int engines.
 _EXACT_FLOAT_LIMIT = 2**53
-
-
-def _bit_lengths(values: np.ndarray) -> np.ndarray:
-    """Exact ``int.bit_length`` of a non-negative int64 array.
-
-    ``floor(log2(v)) + 1`` can be off by one where float rounding crosses a
-    power of two, so the estimate is corrected with exact integer shifts.
-    """
-    v = values
-    with np.errstate(divide="ignore"):
-        est = np.where(
-            v > 0, np.floor(np.log2(np.maximum(v, 1))).astype(np.int64) + 1, 0
-        )
-    est = np.where((v >> np.minimum(est, 62)) > 0, est + 1, est)
-    est = np.where((est > 1) & ((v >> np.maximum(est - 1, 0)) == 0), est - 1, est)
-    return est
 
 
 class DenseEngine(ExecutionEngine):
@@ -154,7 +141,6 @@ class DenseEngine(ExecutionEngine):
         csr = CSRGraph.from_graph(network.graph)
         indptr, indices, weights = csr.numpy_arrays()
         degrees = np.diff(indptr)
-        has_neighbors = (degrees > 0)[:, None]
 
         # Per-column constant part of one message's charged size: label,
         # optional key label(s), tuple overhead and tag.
@@ -162,7 +148,7 @@ class DenseEngine(ExecutionEngine):
         overhead = np.array(
             [schema.payload_overhead_bits(j, word_bits) for j in range(k)],
             dtype=np.int64,
-        ).reshape(1, k)
+        )
 
         dist = np.empty((n, k), dtype=np.float64)
         for i, node in enumerate(nodes):
@@ -172,16 +158,22 @@ class DenseEngine(ExecutionEngine):
                     f"schema initial() returned {len(row)} values, expected {k}"
                 )
             dist[i] = row
+        flat = dist.reshape(-1)  # a view: entry (i, j) sits at i * k + j
 
+        # ``frontier``: the sorted flat indices of the entries broadcast this
+        # round (announced at the end of the previous one).
         if schema.send_initial == "all":
-            sent = np.ones((n, k), dtype=bool)
+            frontier = np.arange(n * k)
         elif schema.send_initial == "finite":
-            sent = np.isfinite(dist)
+            frontier = np.flatnonzero(np.isfinite(flat))
         elif schema.send_initial == "none":
-            sent = np.zeros((n, k), dtype=bool)
+            frontier = np.empty(0, dtype=np.int64)
         else:
             raise ValueError(f"unknown send_initial mode {schema.send_initial!r}")
-        sent &= has_neighbors  # broadcasting over zero neighbors sends nothing
+        # Broadcasting over zero neighbors sends nothing.  Later frontiers
+        # only hold entries improved by a delivery, whose node has a neighbor.
+        frontier = frontier[degrees[frontier // k] > 0]
+        marks = np.zeros(n * k, dtype=bool)
 
         report = RoundReport(protocol=algorithm.name)
         round_number = 0
@@ -194,12 +186,11 @@ class DenseEngine(ExecutionEngine):
                     f"protocol '{algorithm.name}' exceeded {max_rounds} rounds"
                 )
 
-            any_sent = bool(sent.any())
-
             # --- Accounting (analytic: one broadcast = degree copies) ------ #
             max_edge_charge = 1
-            if any_sent:
-                values = np.where(sent, dist, 0.0)
+            improved = frontier  # empty when nothing is in flight
+            if frontier.size:
+                values = flat[frontier]
                 if (
                     not np.isfinite(values).all()
                     or np.abs(values).max() >= _EXACT_FLOAT_LIMIT
@@ -210,19 +201,22 @@ class DenseEngine(ExecutionEngine):
                         f"integers of magnitude below 2**53 "
                         f"(protocol '{algorithm.name}')"
                     )
-                ivalues = values.astype(np.int64)
+                senders, columns = np.divmod(frontier, k)
                 # encode_value charges an integer bit_length(|v|) + 1 (sign
-                # bit), minimum 1 -- negative ids (min-id flood) included.
-                magnitudes = np.abs(ivalues)
-                vbits = np.where(magnitudes > 0, _bit_lengths(magnitudes) + 1, 1)
-                msg_bits = np.where(sent, overhead + vbits, 0)
-                per_sender_bits = msg_bits.sum(axis=1)
-                per_sender_msgs = sent.sum(axis=1)
-                report.total_messages += int((per_sender_msgs * degrees).sum())
-                report.total_bits += int((per_sender_bits * degrees).sum())
+                # bit), negative ids (min-id flood) included; the payloads
+                # are exact float64 ints, whose frexp exponent is their
+                # bit_length (0 for 0).
+                msg_bits = overhead[columns] + np.frexp(np.abs(values))[1] + 1
+                copies = degrees[senders]
+                report.total_messages += int(copies.sum())
+                report.total_bits += int((msg_bits * copies).sum())
                 report.max_message_bits = max(
                     report.max_message_bits, int(msg_bits.max())
                 )
+                # Each sender's per-edge load, in node order (the frontier
+                # is sorted, so every sender's entries are contiguous).
+                starts = np.flatnonzero(np.diff(senders, prepend=-1))
+                per_sender_bits = np.add.reduceat(msg_bits, starts)
                 over = per_sender_bits > bandwidth
                 if over.any():
                     if strict:
@@ -235,30 +229,32 @@ class DenseEngine(ExecutionEngine):
                     max_edge_charge = int(
                         np.ceil(per_sender_bits[over] / bandwidth).max()
                     )
+
+                # --- Deliver and relax: each announcement over its row --- #
+                ends = np.cumsum(copies)
+                edges = np.arange(ends[-1]) + np.repeat(
+                    indptr[senders] - (ends - copies), copies
+                )
+                targets = indices[edges] * k + np.repeat(columns, copies)
+                candidates = np.repeat(values, copies)
+                if schema.add_edge_weight:
+                    candidates += weights[edges]
+                better = candidates < flat[targets]
+                improved = targets[better]
+                np.minimum.at(flat, improved, candidates[better])
             report.rounds += 1
             report.congested_rounds += max_edge_charge
-
-            # --- Deliver and relax: masked gather + minimum.reduceat ------- #
-            if any_sent:
-                masked = np.where(sent, dist, np.inf)
-                contributions = masked[indices]
-                if schema.add_edge_weight:
-                    contributions = contributions + weights[:, None]
-                candidates = np.minimum.reduceat(contributions, indptr[:-1], axis=0)
-                new_dist = np.minimum(dist, candidates)
-                improved = new_dist < dist
-                dist = new_dist
-            else:
-                improved = np.zeros((n, k), dtype=bool)
 
             # --- Halt / schedule, mirroring the node program's receive ----- #
             if budget is not None and round_number >= budget:
                 halted = True
-                sent = np.zeros((n, k), dtype=bool)
+                frontier = improved[:0]
             else:
-                sent = improved & has_neighbors
+                marks[improved] = True
+                frontier = np.flatnonzero(marks)
+                marks[frontier] = False
 
-            if not halted and not sent.any():
+            if not halted and not frontier.size:
                 if halt_on_quiescence:
                     halted = True
                 elif budget is not None:
@@ -281,9 +277,9 @@ class DenseEngine(ExecutionEngine):
                     )
 
         contexts: Dict[int, NodeContext] = {}
-        for i, node in enumerate(nodes):
+        for node, row in zip(nodes, dist.tolist()):
             ctx = NodeContext(node=node, network=network)
-            ctx.memory.update(schema.finalize(node, dist[i]))
+            ctx.memory.update(schema.finalize(node, row))
             ctx._halted = True
             contexts[node] = ctx
         outputs = {node: algorithm.output(contexts[node]) for node in nodes}

@@ -21,6 +21,7 @@ __all__ = [
     "RoundLimitExceeded",
     "encode_result_value",
     "decode_result_value",
+    "copy_result_value",
     "RESULT_CODEC_VERSION",
 ]
 
@@ -158,6 +159,26 @@ def decode_result_value(payload: Any) -> Any:
     if payload is None or isinstance(payload, (bool, int, float, str)):
         return payload
     raise ValueError(f"cannot decode serialized payload of type {type(payload).__name__}")
+
+
+def copy_result_value(value: Any) -> Any:
+    """A structural copy of a decoded value: every dict, list and set is
+    new, while atoms, all-atom tuples and frozensets (immutable throughout)
+    are shared.  An all-atom column is copied in one C-level pass."""
+    kind = type(value)
+    if kind is dict:
+        if set(map(type, value.values())) <= _ATOMS:
+            return dict(value)
+        return {key: copy_result_value(item) for key, item in value.items()}
+    if kind is list:
+        if set(map(type, value)) <= _ATOMS:
+            return list(value)
+        return list(map(copy_result_value, value))
+    if kind is set:
+        return set(value)
+    if kind is tuple and not set(map(type, value)) <= _ATOMS:
+        return tuple(map(copy_result_value, value))
+    return value
 
 
 def _values_equal(a: Any, b: Any) -> bool:

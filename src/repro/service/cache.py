@@ -22,14 +22,16 @@ its execution knobs.  On disk each entry's file is named by both keys,
 ``<exact>.<semantic>.json``, so a cross-engine lookup finds its donors by
 file name and never reads an unrelated result.
 
-Entries store the *serialized* result (:meth:`SimulationResult.to_json`),
-never live objects, so cache hits cannot leak mutable state between
-requests and the disk format equals the wire format.
+An entry is serialized once (:meth:`SimulationResult.to_json`, the disk and
+wire format) and decoded once, at store or disk load; the LRU keeps only the
+decoded result, and every hit returns a structural copy of it, so a caller
+that mutates its result cannot change what the next request is served.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -39,7 +41,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-from repro.congest.engine.types import RESULT_CODEC_VERSION, SimulationResult
+from repro.congest.engine.types import RESULT_CODEC_VERSION, SimulationResult, copy_result_value
 from repro.service.spec import RunSpec
 
 __all__ = ["CacheStats", "ResultCache", "cache_key", "semantic_key"]
@@ -76,6 +78,13 @@ def semantic_key(spec: RunSpec, graph_digest: str) -> str:
     return hashlib.sha256(
         _key_material(spec, graph_digest, semantic=True).encode()
     ).hexdigest()
+
+
+def _copy(result: SimulationResult) -> SimulationResult:
+    """A context-free copy of ``result`` sharing no mutable container."""
+    return SimulationResult(
+        outputs=copy_result_value(result.outputs), report=dataclasses.replace(result.report)
+    )
 
 
 #: Fields every stored cache document carries; a disk entry missing any of
@@ -132,8 +141,8 @@ class ResultCache:
         self._directory = Path(directory) if directory is not None else None
         if self._directory is not None:
             self._directory.mkdir(parents=True, exist_ok=True)
-        #: exact key -> serialized result document (insertion order = LRU).
-        self._entries: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        #: exact key -> (semantic key, decoded result); insertion order = LRU.
+        self._entries: "OrderedDict[str, Tuple[str, SimulationResult]]" = OrderedDict()
         #: semantic key -> exact key of one stored entry (for cross-engine).
         self._semantic_index: Dict[str, str] = {}
         self._lock = threading.Lock()
@@ -153,8 +162,8 @@ class ResultCache:
 
         ``allow_cross_engine`` additionally consults the semantic index --
         only honoured when the protocol is ``engine_invariant``.  The
-        returned result is freshly deserialized on every hit, so callers can
-        never mutate the cached copy.
+        returned result is a structural copy of the entry's decoded result,
+        so callers can never mutate the cached one.
         """
         semantic = semantic_key(spec, graph_digest)
         result = self._load(cache_key(spec, graph_digest), semantic)
@@ -179,12 +188,12 @@ class ResultCache:
 
     def store(
         self, spec: RunSpec, graph_digest: str, result: SimulationResult
-    ) -> Dict[str, Any]:
-        """Serialize ``result`` once and store it under the spec's exact key.
+    ) -> SimulationResult:
+        """Serialize ``result`` once, decode it once and store the decoded
+        result under the spec's exact key (and on disk, serialized).
 
-        Returns the serialized result (:meth:`SimulationResult.to_json`
-        form) that every later hit decodes.  It is the cache's own copy:
-        decode it, do not mutate it.
+        Returns a structural copy of the decoded result: context-free and
+        equal to what every later hit returns.
         """
         exact = cache_key(spec, graph_digest)
         semantic = semantic_key(spec, graph_digest)
@@ -198,8 +207,9 @@ class ResultCache:
             "spec": spec.to_json(),
             "result": result.to_json(),
         }
+        decoded = SimulationResult.from_json(document["result"])
         with self._lock:
-            self._insert_locked(exact, document)
+            self._insert_locked(exact, semantic, decoded)
             self._semantic_index[semantic] = exact
             self.stats.stores += 1
         if self._directory is not None:
@@ -221,24 +231,24 @@ class ResultCache:
                 with contextlib.suppress(OSError):
                     os.unlink(tmp)
                 raise
-        return document["result"]
+        return _copy(decoded)
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _insert_locked(self, key: str, document: Dict[str, Any]) -> None:
-        """Make ``document`` the most recent entry and evict past the bound."""
-        self._entries[key] = document
+    def _insert_locked(self, key: str, semantic: str, result: SimulationResult) -> None:
+        """Make ``result`` the most recent entry and evict past the bound."""
+        self._entries[key] = (semantic, result)
         self._entries.move_to_end(key)
         while len(self._entries) > self._max_entries:
-            evicted_key, evicted = self._entries.popitem(last=False)
+            evicted_key, (evicted_semantic, _) = self._entries.popitem(last=False)
             self.stats.evictions += 1
-            if self._semantic_index.get(evicted["semantic_key"]) == evicted_key:
-                del self._semantic_index[evicted["semantic_key"]]
+            if self._semantic_index.get(evicted_semantic) == evicted_key:
+                del self._semantic_index[evicted_semantic]
 
     def _decode(self, document: Dict[str, Any]) -> Optional[SimulationResult]:
-        """The document's result, freshly decoded, or ``None`` when it does
-        not decode, which counts it as corrupt.  Disk documents are decoded
+        """The disk document's result, decoded, or ``None`` when it does not
+        decode, which counts it as corrupt.  Disk documents are decoded
         before they enter the LRU, so a corrupt one never does."""
         try:
             return SimulationResult.from_json(document["result"])
@@ -255,11 +265,11 @@ class ResultCache:
         """The result stored under ``key`` (whose semantic key is
         ``semantic``), from memory or else from disk."""
         with self._lock:
-            document = self._entries.get(key)
-            if document is not None:
+            entry = self._entries.get(key)
+            if entry is not None:
                 self._entries.move_to_end(key)
-        if document is not None:
-            return self._decode(document)
+        if entry is not None:
+            return _copy(entry[1])
         if self._directory is None:
             return None
         path = self._disk_path(key, semantic)
@@ -271,9 +281,9 @@ class ResultCache:
             return None
         with self._lock:
             self.stats.disk_hits += 1
-            self._insert_locked(key, document)
+            self._insert_locked(key, document["semantic_key"], result)
             self._semantic_index.setdefault(document["semantic_key"], key)
-        return result
+        return _copy(result)
 
     def _load_disk_semantic(self, semantic: str) -> Optional[SimulationResult]:
         """Any disk entry with the given semantic key.

@@ -341,9 +341,9 @@ class SimulationService:
                 result = self._run_spec(protocol, network, spec)
             run_seconds = time.perf_counter() - run_started
             self._run_latency.observe(run_seconds, engine=spec.engine or "auto")
-            # Serve the job from the document it stored: the caller receives
-            # a context-free result identical in shape to a warm hit.
-            job.result = SimulationResult.from_json(self._cache.store(spec, digest, result))
+            # Serve the job from what it stored: the caller receives a
+            # context-free copy identical in shape to a warm hit.
+            job.result = self._cache.store(spec, digest, result)
             self._finish(job, JobState.COMPLETED)
         except BaseException as exc:  # noqa: BLE001 - stored and re-raised in result()
             job.error = exc

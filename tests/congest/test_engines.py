@@ -201,7 +201,7 @@ class TestObserverSemantics:
     """Observers see rounds numbered from 1 with exactly the delivered messages."""
 
     @staticmethod
-    def _record(network, algorithm, engine, **kwargs):
+    def _record(network, algorithm, engine="sparse", **kwargs):
         rounds = []
 
         def observer(round_number, delivered):
@@ -221,14 +221,10 @@ class TestObserverSemantics:
             result = Simulator(network).run(algorithm, observer=observer, **kwargs)
         return rounds, result
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_round_numbering_and_delivery(self, network, engine):
+    def test_round_numbering_and_delivery(self, network):
         source = min(network.nodes)
         rounds, result = self._record(
-            network,
-            _BellmanFordAlgorithm([source]),
-            engine,
-            halt_on_quiescence=True,
+            network, _BellmanFordAlgorithm([source]), halt_on_quiescence=True
         )
         numbers = [number for number, _ in rounds]
         assert numbers == list(range(1, result.report.rounds + 1))
@@ -253,15 +249,12 @@ class TestObserverSemantics:
         for engine, stream in streams.items():
             assert stream == reference, f"{engine} observer stream diverged"
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_idle_rounds_observed_with_empty_delivery(self, engine):
+    def test_idle_rounds_observed_with_empty_delivery(self):
         # Budget far beyond convergence: the trailing rounds are idle but
         # still numbered and observed, with nothing delivered.
         network = Network(path_graph(4))
         budget = 9
-        rounds, result = self._record(
-            network, _MinIdFloodAlgorithm(budget), engine
-        )
+        rounds, result = self._record(network, _MinIdFloodAlgorithm(budget))
         assert result.report.rounds == budget
         numbers = [number for number, _ in rounds]
         assert numbers == list(range(1, budget + 1))
@@ -380,17 +373,25 @@ def test_schema_overhead_memo_never_conflates_equal_keys_of_different_types():
 
 @pytest.mark.skipif("dense" not in ENGINES, reason="dense engine needs NumPy")
 def test_dense_bit_lengths_exact_at_power_boundaries():
-    """The vectorized bit_length must match int.bit_length exactly -- float
-    log2 is only an estimate near powers of two, where the accounting would
-    otherwise drift off the other engines by a bit."""
-    np = pytest.importorskip("numpy")
-    from repro.congest.engine.dense import _bit_lengths
-
-    values = [0, 1, 2, 3]
-    for k in range(1, 60):
-        values.extend([2**k - 1, 2**k, 2**k + 1])
-    arr = np.array(values, dtype=np.int64)
-    assert _bit_lengths(arr).tolist() == [v.bit_length() for v in values]
+    """Dense sizes an announced value by its float64 exponent; at
+    ``2**k - 1``, ``2**k`` and ``2**k + 1`` (k <= 52, either sign) the
+    charge must match the interpreter's exact ``int.bit_length``, or the
+    reports drift apart by a bit."""
+    ids = [0, 1, -1]
+    for k in range(1, 53):
+        for value in (2**k - 1, 2**k, 2**k + 1):
+            ids.extend([value, -value])
+    ids = list(dict.fromkeys(ids))
+    # Every id is announced in round 1; the minimum then floods the path.
+    network = Network(WeightedGraph(edges=[(a, b, 1) for a, b in zip(ids, ids[1:])]))
+    algorithm = _MinIdFloodAlgorithm(4)
+    assert get_engine("dense").supports(network, algorithm)
+    results = {
+        engine: Simulator(network).run(algorithm, engine=engine)
+        for engine in ("dense", "sparse")
+    }
+    assert results["dense"].outputs == results["sparse"].outputs
+    assert results["dense"].report.to_json() == results["sparse"].report.to_json()
 
 
 class TestQuiescenceSemantics:

@@ -8,7 +8,6 @@ from repro.congest import (
     CongestConfig,
     Network,
     Simulator,
-    available_engines,
     broadcast_from,
     build_bfs_tree,
     convergecast_max,
@@ -140,7 +139,7 @@ class TestBroadcastPipelining:
     """The tentpole bugfix: one value per tree edge per round."""
 
     @staticmethod
-    def _per_edge_per_round(network, tree, values, engine):
+    def _per_edge_per_round(network, tree, values):
         per_round: list = []
 
         def observer(round_number, delivered):
@@ -152,17 +151,14 @@ class TestBroadcastPipelining:
             per_round.append(counts)
 
         Simulator(network).run(
-            _TreeBroadcastAlgorithm(tree, values), observer=observer, engine=engine
+            _TreeBroadcastAlgorithm(tree, values), observer=observer
         )
         return per_round
 
-    @pytest.mark.parametrize("engine", available_engines())
-    def test_at_most_one_bc_message_per_edge_per_round(self, engine):
+    def test_at_most_one_bc_message_per_edge_per_round(self):
         network = Network(random_weighted_graph(18, average_degree=3.0, seed=2))
         tree, _ = build_bfs_tree(network, 0)
-        per_round = self._per_edge_per_round(
-            network, tree, list(range(12)), engine
-        )
+        per_round = self._per_edge_per_round(network, tree, list(range(12)))
         assert per_round, "the broadcast delivered no rounds"
         for counts in per_round:
             assert counts and max(counts.values()) == 1
