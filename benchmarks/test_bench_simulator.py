@@ -8,7 +8,7 @@ reference interpreter.
 
 The acceptance check of the engine subsystem lives here: on the ``n = 256``
 instance the vectorized ``dense`` engine must be at least 4.8x faster than
-sparse (it measures ~70-110x on a 2-core host), with *bit-identical* round
+sparse (it measures ~70-120x on a 2-core host), with *bit-identical* round
 reports and identical outputs everywhere.
 
 A second table covers the announce-schedule family: symbolic
