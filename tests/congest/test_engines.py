@@ -201,7 +201,7 @@ class TestObserverSemantics:
     """Observers see rounds numbered from 1 with exactly the delivered messages."""
 
     @staticmethod
-    def _record(network, algorithm, engine="sparse", **kwargs):
+    def _record(network, algorithm, engine, **kwargs):
         rounds = []
 
         def observer(round_number, delivered):
@@ -221,10 +221,14 @@ class TestObserverSemantics:
             result = Simulator(network).run(algorithm, observer=observer, **kwargs)
         return rounds, result
 
-    def test_round_numbering_and_delivery(self, network):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_round_numbering_and_delivery(self, network, engine):
         source = min(network.nodes)
         rounds, result = self._record(
-            network, _BellmanFordAlgorithm([source]), halt_on_quiescence=True
+            network,
+            _BellmanFordAlgorithm([source]),
+            engine,
+            halt_on_quiescence=True,
         )
         numbers = [number for number, _ in rounds]
         assert numbers == list(range(1, result.report.rounds + 1))
@@ -249,12 +253,15 @@ class TestObserverSemantics:
         for engine, stream in streams.items():
             assert stream == reference, f"{engine} observer stream diverged"
 
-    def test_idle_rounds_observed_with_empty_delivery(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_idle_rounds_observed_with_empty_delivery(self, engine):
         # Budget far beyond convergence: the trailing rounds are idle but
         # still numbered and observed, with nothing delivered.
         network = Network(path_graph(4))
         budget = 9
-        rounds, result = self._record(network, _MinIdFloodAlgorithm(budget))
+        rounds, result = self._record(
+            network, _MinIdFloodAlgorithm(budget), engine
+        )
         assert result.report.rounds == budget
         numbers = [number for number, _ in rounds]
         assert numbers == list(range(1, budget + 1))
