@@ -54,6 +54,7 @@ from repro.congest.engine.types import (
 )
 from repro.congest.network import Network
 from repro.kernels.csr import CSRGraph
+from repro.kernels.numpy_backend import exact_int_rows
 
 __all__ = ["DenseEngine"]
 
@@ -277,7 +278,7 @@ class DenseEngine(ExecutionEngine):
                     )
 
         contexts: Dict[int, NodeContext] = {}
-        for node, row in zip(nodes, dist.tolist()):
+        for node, row in zip(nodes, exact_int_rows(dist)):
             ctx = NodeContext(node=node, network=network)
             ctx.memory.update(schema.finalize(node, row))
             ctx._halted = True

@@ -87,7 +87,8 @@ class MinPlusSchema:
         ``finalize(node, row) -> memory`` rebuilding the per-node memory dict
         exactly as the node program would have left it, so
         :meth:`NodeAlgorithm.output` and ``SimulationResult.contexts`` are
-        engine-independent.
+        engine-independent.  ``row`` holds the node's final values as
+        exact ints, with ``math.inf`` for unreached entries.
     arrival_gated:
         Replaces the default announce-on-improvement rule with Algorithm 2's
         time-of-arrival rule: each finite entry broadcasts at most once over
@@ -144,7 +145,7 @@ class MinPlusSchema:
     tag: str
     keys: Optional[Tuple[Any, ...]]
     initial: Callable[[int], Sequence[float]]
-    finalize: Callable[[int, Sequence[float]], Dict[str, Any]]
+    finalize: Callable[[int, Sequence[Any]], Dict[str, Any]]
     send_initial: str = "finite"
     add_edge_weight: bool = True
     round_budget: Optional[int] = None

@@ -73,12 +73,7 @@ class _BellmanFordAlgorithm(NodeAlgorithm):
             send_initial="finite",
             add_edge_weight=True,
             round_budget=self._max_hops,
-            finalize=lambda node, row: {
-                "distances": {
-                    key: (_INF if value == _INF else int(value))
-                    for key, value in zip(keys, row)
-                }
-            },
+            finalize=lambda node, row: {"distances": dict(zip(keys, row))},
         )
 
     def initialize(self, ctx: NodeContext) -> None:

@@ -29,8 +29,10 @@ from __future__ import annotations
 import contextlib
 import heapq
 import math
+import operator
 import os
 import random
+from itertools import compress, repeat
 from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.kernels.csr import CSRGraph
@@ -39,6 +41,7 @@ __all__ = [
     "GatedColumn",
     "GatedRounds",
     "KernelBackend",
+    "ThresholdMarks",
     "register_backend",
     "available_backends",
     "get_backend",
@@ -91,6 +94,35 @@ class GatedRounds(NamedTuple):
     violation_bits: List[int]
 
 
+class ThresholdMarks:
+    """The marked sets of one Dürr-Høyer search over ``values`` (see
+    :meth:`KernelBackend.threshold_marks`), as sorted index lists.
+
+    :meth:`start` marks every index whose value is strictly better than the
+    threshold (``>`` when maximizing, ``<`` otherwise); :meth:`narrow` keeps
+    those of the last answer still strictly better than a new threshold.
+    This class compares the original items in Python, so any ordered values
+    are marked exactly; it is the reference.
+    """
+
+    def __init__(self, values: Sequence[Any], maximize: bool) -> None:
+        self._values = values
+        self._better = operator.gt if maximize else operator.lt
+        self._marked: List[int] = []
+
+    def start(self, threshold: Any) -> List[int]:
+        values, better = self._values, self._better
+        self._marked = list(compress(range(len(values)), map(better, values, repeat(threshold))))
+        return self._marked
+
+    def narrow(self, threshold: Any) -> List[int]:
+        still_better = map(
+            self._better, map(self._values.__getitem__, self._marked), repeat(threshold)
+        )
+        self._marked = list(compress(self._marked, still_better))
+        return self._marked
+
+
 class KernelBackend:
     """The pure-Python backend, registered as ``"python"``, and the
     reference every other backend overrides.
@@ -102,7 +134,8 @@ class KernelBackend:
     normalise the output types.  :meth:`skeleton_sets` samples Theorem 1.1's
     skeleton sets for :func:`repro.nanongkai.sample_skeleton_sets`;
     :meth:`fold_scaled_columns` and :meth:`min_plus_rows` carry Algorithm
-    3's table to Lemma 3.3's distances as matrices.
+    3's table to Lemma 3.3's distances as matrices; :meth:`threshold_marks`
+    marks the threshold searches of :mod:`repro.quantum.minmax`.
     """
 
     name: str = "python"
@@ -344,6 +377,16 @@ class KernelBackend:
                 members = [nodes[rng.randrange(len(nodes))]]
             sets.append(sorted(members))
         return sets
+
+    def threshold_marks(self, values: Sequence[Any], maximize: bool) -> ThresholdMarks:
+        """The :class:`ThresholdMarks` of one extremum search over ``values``.
+
+        The base class returns the reference; an override must return the
+        same index lists for every :meth:`~ThresholdMarks.start` and
+        :meth:`~ThresholdMarks.narrow` call, and may keep its own copy of
+        ``values``, which the caller must not mutate during the search.
+        """
+        return ThresholdMarks(values, maximize)
 
 
 def register_backend(backend: KernelBackend) -> None:

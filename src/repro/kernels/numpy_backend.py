@@ -33,7 +33,12 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.backend import KernelBackend, get_backend, register_backend
+from repro.kernels.backend import (
+    KernelBackend,
+    ThresholdMarks,
+    get_backend,
+    register_backend,
+)
 from repro.kernels.csr import CSRGraph
 
 __all__ = ["NumpyBackend"]
@@ -253,6 +258,52 @@ class NumpyBackend(KernelBackend):
             sets.append(sorted(members))
         _store_state(stream, rng)
         return sets
+
+    def threshold_marks(self, values: Sequence[Any], maximize: bool) -> ThresholdMarks:
+        # Only a table NumPy holds exactly compares like the reference: all
+        # items exactly ``int`` within int64, or all exactly ``float``.
+        kinds = set(map(type, values))
+        try:
+            if kinds == {int}:
+                return _ArrayMarks(np.array(values, dtype=np.int64), maximize)
+            if kinds == {float}:
+                return _ArrayMarks(np.array(values, dtype=np.float64), maximize)
+        except OverflowError:  # an int at or beyond 2**63
+            pass
+        return super().threshold_marks(values, maximize)
+
+
+class _ArrayMarks(ThresholdMarks):
+    """:class:`ThresholdMarks` on an exact int64 or float64 copy of the
+    table; the current answer is kept as an index array.  The answers are
+    handed out as lists: the search bisects them, and indexing an array
+    from Python costs a NumPy scalar per read."""
+
+    def __init__(self, table: np.ndarray, maximize: bool) -> None:
+        self._table = table
+        self._better = np.greater if maximize else np.less
+        self._indices = np.empty(0, dtype=np.intp)
+
+    def start(self, threshold: Any) -> List[int]:
+        self._indices = np.flatnonzero(self._better(self._table, threshold))
+        return self._indices.tolist()
+
+    def narrow(self, threshold: Any) -> List[int]:
+        indices = self._indices
+        self._indices = indices[self._better(self._table[indices], threshold)]
+        return self._indices.tolist()
+
+
+def exact_int_rows(values: np.ndarray) -> List[List[Any]]:
+    """The rows of an integral float64 table as exact ints, with
+    ``math.inf`` for each entry that is not finite (the callers' tables
+    hold no ``-inf`` or NaN)."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return values.astype(np.int64).tolist()
+    table = np.where(finite, values, 0).astype(np.int64).astype(object)
+    table[~finite] = math.inf
+    return table.tolist()
 
 
 def _exact(values: np.ndarray) -> bool:

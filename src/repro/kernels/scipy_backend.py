@@ -26,7 +26,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.kernels.backend import GatedColumn, GatedRounds, get_backend, register_backend
 from repro.kernels.csr import CSRGraph
-from repro.kernels.numpy_backend import NumpyBackend
+from repro.kernels.numpy_backend import NumpyBackend, exact_int_rows
 
 __all__ = ["ScipyBackend"]
 
@@ -197,10 +197,7 @@ class _ExactRows(collections.abc.Sequence):
 
     @functools.cached_property
     def _rows(self) -> List[List[Any]]:
-        finite = np.isfinite(self._values.T)
-        table = np.where(finite, self._values.T, 0).astype(np.int64).astype(object)
-        table[~finite] = math.inf
-        return table.tolist()
+        return exact_int_rows(self._values.T)
 
     def __array__(self, dtype: Any = None, copy: Any = None) -> np.ndarray:
         return np.asarray(self._values.T, dtype=dtype)

@@ -28,8 +28,11 @@ every marked amplitude, and the same ones to every unmarked amplitude.  The
 state is therefore exactly two numbers, ``(a_marked, a_unmarked)`` (padding
 states stay 0), and one Grover iteration costs O(1) instead of O(2^q).
 :func:`_amplify_and_measure` steps that pair and measures it with the same
-single inverse-CDF draw a statevector would use, bisecting over the prefix
-counts of the marked set.
+single inverse-CDF draw a statevector would use: it bisects over the prefix
+counts of the marked set for the unmarked gap holding the outcome, and
+within that gap, where the cumulative mass grows by ``p_unmarked`` per
+index, estimates the index by one division and steps to the exact first
+index whose mass exceeds the draw -- the same index a bisection finds.
 
 The ``*_reference`` twins run the same control flow on a full ``2**q``
 statevector of plain ``complex`` amplitudes (:func:`_reference_amplifier`:
@@ -171,11 +174,19 @@ def _amplify_and_measure(
     )
     low = marked[gap - 1] + 1 if gap else 0
     high = marked[gap] if gap < num_marked else size
-    outcome = low + bisect_right(
-        range(low, high),
-        draw,
-        key=lambda index: p_marked * gap + p_unmarked * (index + 1 - gap),
-    )
+    # In the gap the mass base + p_unmarked * (i + 1 - gap) never decreases
+    # as i grows (float rounding is monotone): divide for an estimate, clamp
+    # it to [low, high] (the quotient may be huge or infinite), then step to
+    # the first index whose mass exceeds the draw -- the bisection's answer.
+    base = p_marked * gap
+    if p_unmarked == 0:
+        outcome = low if base > draw else high
+    else:
+        outcome = int(min(max((draw - base) / p_unmarked + gap, low), high))
+        while outcome > low and base + p_unmarked * (outcome - gap) > draw:
+            outcome -= 1
+        while outcome < high and base + p_unmarked * (outcome + 1 - gap) <= draw:
+            outcome += 1
     if outcome == size:
         outcome = 2 ** _num_qubits_for(size) - 1
     return outcome, num_marked * p_marked

@@ -21,10 +21,16 @@ The ``log(1/δ)`` repetitions are independent runs, executed one after
 another, each on its own forked RNG stream.  Each threshold search is the
 BBHT schedule of :mod:`repro.quantum.grover` on the exact two-class amplitude
 state, so a Grover iteration costs O(1).  The marked set is the sorted list
-of entries strictly better than the threshold, compared exactly in Python
-(no float cast, so tables beyond ``2**53`` are marked correctly); since the
-threshold only improves, each new marked set is filtered from the previous
-one.  :func:`quantum_extremum_reference` runs the same control flow on a full
+of entries strictly better than the threshold; since the threshold only
+improves, each new marked set is filtered from the previous one.  The
+marking comes from the kernel backend selected at call time
+(:meth:`repro.kernels.backend.KernelBackend.threshold_marks`, so importing
+this package never loads NumPy): the NumPy and SciPy backends compare an
+array copy of the table when it holds it exactly -- every item exactly an
+``int`` within int64, or every item exactly a ``float`` -- and every other
+table, like the pure-Python backend, is compared item by item in Python, so
+tables beyond ``2**63``, of ``bool`` or of mixed types are marked exactly
+too.  :func:`quantum_extremum_reference` runs the same control flow on a full
 ``2**q``-amplitude statevector and is what the differential tests and
 benchmarks compare against.
 
@@ -38,8 +44,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress, repeat
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.quantum.grover import (
     Amplifier,
@@ -48,6 +53,9 @@ from repro.quantum.grover import (
     _reference_amplifier,
 )
 from repro.quantum.rng import QuantumRng, RandomSource, as_quantum_rng
+
+if TYPE_CHECKING:  # the kernels load only when a search runs
+    from repro.kernels.backend import ThresholdMarks
 
 __all__ = [
     "QuantumExtremumResult",
@@ -74,8 +82,9 @@ class QuantumExtremumResult:
     threshold_updates:
         How many times the running threshold improved.
     is_exact:
-        Whether the reported element is a true optimum (filled in by the
-        caller/tests when the ground truth is known; ``None`` otherwise).
+        Whether the reported value equals the table's true optimum (every
+        search fills it in from the whole table; ``None`` only on a result
+        built by hand).
     """
 
     index: int
@@ -114,7 +123,11 @@ class _Run:
 
 
 def _extremum_run(
-    values: Sequence, rng: QuantumRng, better: Callable, outer_budget: int, amplify: Amplifier
+    values: Sequence,
+    marks: ThresholdMarks,
+    rng: QuantumRng,
+    outer_budget: int,
+    amplify: Amplifier,
 ) -> _Run:
     """One Dürr-Høyer repetition: BBHT threshold searches until a budget runs out.
 
@@ -124,7 +137,7 @@ def _extremum_run(
     size = len(values)
     index = rng.randrange(size)
     threshold = values[index]
-    marked = list(compress(range(size), map(better, values, repeat(threshold))))
+    marked = marks.start(threshold)
     queries = 1  # evaluating the initial threshold
     updates = 0
     while True:
@@ -137,8 +150,7 @@ def _extremum_run(
         if queries >= outer_budget:
             break
         # The threshold only improves, so the new marked set is a subset.
-        better_values = map(better, map(values.__getitem__, marked), repeat(threshold))
-        marked = list(compress(marked, better_values))
+        marked = marks.narrow(threshold)
     return _Run(index, threshold, queries, updates)
 
 
@@ -153,12 +165,16 @@ def _quantum_extremum(
     size = len(values)
     if size == 0:
         raise ValueError("cannot search an empty domain")
+    # Resolved per call, so importing this package never loads the kernels.
+    from repro.kernels.backend import get_backend
+
+    marks = get_backend().threshold_marks(values, maximize)
     better = operator.gt if maximize else operator.lt
     outer_budget = (
         math.ceil(9 * math.sqrt(size)) + 20 if query_budget is None else query_budget
     )
     runs = [
-        _extremum_run(values, child, better, outer_budget, amplify)
+        _extremum_run(values, marks, child, outer_budget, amplify)
         for child in as_quantum_rng(rng).spawn(max(1, repetitions))
     ]
     best = runs[0]
