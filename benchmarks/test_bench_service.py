@@ -4,7 +4,10 @@ Regenerates a table timing requests issued through
 :class:`repro.service.SimulationService`: a *cold* request that has to run
 the simulator, a *warm* request answered from the in-memory LRU, and a
 *disk-tier* request from a brand-new service (empty LRU) pointed at the
-same cache directory, which promotes the entry from disk.
+same cache directory, which promotes the entry from disk.  Every row is the
+median of ``HIT_REPEATS`` requests, and the cold requests (each on a fresh
+cache) alternate with the warm hits, so a slow phase of the host slows
+both sides of the ratio.
 
 Two workloads, each asserting that every hit equals the cold result:
 
@@ -41,7 +44,7 @@ APSP_N = 256
 #: cost one structural copy of the decoded result: about half the warm
 #: ratio measured with the columnar codec (see CHANGES.md).
 APSP_SPEEDUP_FLOOR = 15.0
-#: Hits timed per tier and workload (median), since a single
+#: Requests timed per tier and workload (median), since a single
 #: millisecond-scale hit is at the mercy of one garbage collection.
 HIT_REPEATS = 5
 
@@ -74,15 +77,25 @@ def _timed(func):
     return time.perf_counter() - started, result
 
 
-def _cold_warm_disk(spec: RunSpec, cache_dir, repeats: int):
-    """Time one cold request, then ``repeats`` warm in-memory hits and
-    ``repeats`` disk-tier hits (each from a fresh service whose LRU is
-    empty; the digest memo stays warm, which isolates the disk tier).
-    Returns the cold time, the median hit times and the cold result."""
+def _cold_warm_disk(spec: RunSpec, root, repeats: int):
+    """Time ``repeats`` cold requests, each on a service with a fresh cache
+    directory under ``root``, alternating with ``repeats`` warm in-memory
+    hits on one service whose cache an untimed first request filled; then
+    ``repeats`` disk-tier hits, each from a fresh service whose LRU is empty
+    (the digest memo stays warm, which isolates the disk tier).  Returns the
+    median cold and hit times and the cold result."""
+    cache_dir = root / "shared"
     service = SimulationService(max_workers=1, cache=ResultCache(directory=cache_dir))
-    cold_time, cold = _timed(lambda: service.run(spec))
-    warm_times = []
-    for _ in range(repeats):
+    cold = service.run(spec)
+    cold_times, warm_times = [], []
+    for repeat in range(repeats):
+        fresh = SimulationService(
+            max_workers=1, cache=ResultCache(directory=root / f"cold-{repeat}")
+        )
+        cold_time, rerun = _timed(lambda: fresh.run(spec))
+        assert rerun == cold, "a cold run on a fresh cache must equal the first"
+        fresh.close()
+        cold_times.append(cold_time)
         warm_time, warm = _timed(lambda: service.run(spec))
         assert warm == cold, "warm cache hit must equal the fresh run"
         warm_times.append(warm_time)
@@ -97,7 +110,12 @@ def _cold_warm_disk(spec: RunSpec, cache_dir, repeats: int):
         assert revived.cache.stats.disk_hits == 1
         revived.close()
         disk_times.append(disk_time)
-    return cold_time, statistics.median(warm_times), statistics.median(disk_times), cold
+    return (
+        statistics.median(cold_times),
+        statistics.median(warm_times),
+        statistics.median(disk_times),
+        cold,
+    )
 
 
 def _rows(workload: str, cold_time, warm_time, disk_time, rounds):

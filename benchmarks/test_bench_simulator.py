@@ -140,7 +140,7 @@ def test_bench_simulator_engines(benchmark, record_artifact, record_json):
         {"workload": "weighted-apsp", "node_counts": list(NODE_COUNTS), "rows": records},
     )
     largest = NODE_COUNTS[-1]
-    if speedups:  # dense absent without NumPy
+    if speedups:  # dense absent without NumPy and SciPy
         assert speedups[largest] >= REQUIRED_DENSE_SPEEDUP, (
             f"dense reached only {speedups[largest]:.1f}x over sparse at "
             f"n={largest} (needs {REQUIRED_DENSE_SPEEDUP}x)"
@@ -364,7 +364,7 @@ def test_bench_tree_primitives_engines(benchmark, record_artifact, record_json):
         "simulator_tree_primitives",
         {"workload": "tree-primitives", "n": TREE_NODE_COUNT, "rows": records},
     )
-    if dense_speedup is not None:  # dense absent without NumPy
+    if dense_speedup is not None:  # dense absent without NumPy and SciPy
         assert dense_speedup >= TREE_REQUIRED_DENSE_SPEEDUP, (
             f"dense tree primitives reached only {dense_speedup:.1f}x over "
             f"sparse at n={TREE_NODE_COUNT} "

@@ -5,7 +5,7 @@ See :mod:`repro.congest.engine.base` for the registry contract and
 protocol eligible for the schema-driven engines (the vectorized ``dense``
 engine and the closed-form ``symbolic`` engine).  Importing this package
 registers the bundled engines (``sparse``, ``symbolic``, and -- when NumPy
-is importable -- ``dense``).
+and SciPy are importable -- ``dense``).
 """
 
 from repro.congest.engine.types import (
@@ -32,7 +32,7 @@ from repro.congest.engine.schema import (
 from repro.congest.engine import sparse as _sparse  # noqa: F401  (registers)
 from repro.congest.engine import symbolic as _symbolic  # noqa: F401  (registers)
 
-try:  # The dense engine needs NumPy; everything else must work without it.
+try:  # The dense engine needs NumPy and SciPy; the rest must work without them.
     from repro.congest.engine import dense as _dense  # noqa: F401  (registers)
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     pass

@@ -54,7 +54,7 @@ from repro.congest.engine.types import (
 )
 from repro.congest.network import Network
 from repro.kernels.csr import CSRGraph
-from repro.kernels.numpy_backend import exact_int_rows
+from repro.kernels.scipy_backend import exact_int_rows
 
 __all__ = ["DenseEngine"]
 

@@ -7,9 +7,9 @@ the :mod:`repro.graphs`, :mod:`repro.core`, :mod:`repro.nanongkai` and
 :mod:`repro.analysis` layers all consume.
 
 Backends are pluggable through a small registry (:mod:`repro.kernels.backend`):
-the SciPy and NumPy backends are registered when their imports succeed, and
-the pure-Python base class :class:`KernelBackend`, whose methods are the
-references they override, is always available as ``"python"``.  Set
+the SciPy backend is registered when its imports succeed, and the pure-Python
+base class :class:`KernelBackend`, whose methods are the references it
+overrides, is always available as ``"python"``.  Set
 ``REPRO_BACKEND=python`` (or use :func:`force_backend`) to pin it, e.g. when
 bisecting a suspected kernel bug.
 """
@@ -24,17 +24,13 @@ from repro.kernels.backend import (
     register_backend,
 )
 
-# Register the accelerated backends when their imports succeed (the
-# environment may legitimately lack them); "python" registers with the base.
+# Register the accelerated backend when its imports succeed (the
+# environment may legitimately lack NumPy and SciPy); "python" registers
+# with the base.
 try:  # pragma: no cover - exercised via the backend-matrix CI job
-    from repro.kernels import numpy_backend as _numpy_backend  # noqa: F401
+    from repro.kernels import scipy_backend as _scipy_backend  # noqa: F401
 except ImportError:  # pragma: no cover
     pass
-else:
-    try:  # pragma: no cover - SciPy implies NumPy, not vice versa
-        from repro.kernels import scipy_backend as _scipy_backend  # noqa: F401
-    except ImportError:  # pragma: no cover
-        pass
 
 from repro.kernels.api import (
     all_pairs_distances_csr,

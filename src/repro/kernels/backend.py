@@ -1,22 +1,22 @@
 """Backend registry for the CSR kernels.
 
-Three backends ship with the library:
+Two backends ship with the library:
 
 * ``"scipy"`` -- SciPy's compiled ``csgraph`` Dijkstra for the exact and the
-  arrival-gated kernels (registered only when SciPy is importable).
-* ``"numpy"`` -- batched, vectorized relaxation kernels (registered only when
-  NumPy is importable).
+  arrival-gated kernels, NumPy array passes for the reductions, folds,
+  sampling and marking (registered only when SciPy is importable).
 * ``"python"`` -- :class:`KernelBackend` itself: heap Dijkstra and frontier
   relaxation over the flat CSR lists, dependency-free.  Its methods are the
-  references the other two override.
+  references the SciPy backend overrides; the hop-bounded kernel runs here
+  on every backend.
 
 Selection order (first match wins):
 
 1. an explicit ``backend=`` argument on the kernel call,
 2. a :func:`force_backend` override (used by the differential tests),
-3. the ``REPRO_BACKEND`` environment variable (``scipy``, ``numpy``,
-   ``python`` or ``auto``),
-4. ``auto``: SciPy when available, then NumPy, otherwise pure Python.
+3. the ``REPRO_BACKEND`` environment variable (``scipy``, ``python`` or
+   ``auto``),
+4. ``auto``: SciPy when available, otherwise pure Python.
 
 Every backend is *exact* on the integer-weighted graphs the paper uses
 (float64 arithmetic on integer sums below ``2**53``; larger inputs take the
@@ -405,10 +405,7 @@ def _resolve_name(name: Optional[str]) -> str:
     if name is None:
         name = os.environ.get(BACKEND_ENV_VAR, "auto").strip().lower() or "auto"
     if name == "auto":
-        for preferred in ("scipy", "numpy"):
-            if preferred in _REGISTRY:
-                return preferred
-        return "python"
+        return "scipy" if "scipy" in _REGISTRY else "python"
     return name
 
 

@@ -43,8 +43,9 @@ class CSRGraph:
     index:
         Mapping from original label to dense index.
     indptr / indices / weights:
-        The CSR arrays (plain Python lists; the NumPy backend mirrors them
-        into ``ndarray`` form lazily via :meth:`numpy_arrays`).
+        The CSR arrays (plain Python lists; the SciPy backend and the dense
+        engine mirror them into ``ndarray`` form lazily via
+        :meth:`numpy_arrays`).
     """
 
     __slots__ = ("nodes", "index", "indptr", "indices", "weights", "memo", "_np")
@@ -139,8 +140,8 @@ class CSRGraph:
     def numpy_arrays(self):
         """Return ``(indptr, indices, weights)`` as cached NumPy arrays.
 
-        Only the NumPy backend calls this; the import is deliberately local so
-        the module stays importable without NumPy.
+        Only the SciPy backend and the dense engine call this; the import is
+        deliberately local so the module stays importable without NumPy.
         """
         if self._np is None:
             import numpy as np

@@ -1,12 +1,17 @@
-"""SciPy ``csgraph`` kernel backend (registered only when SciPy is importable).
+"""SciPy kernel backend, the accelerated tier (registered only when SciPy is
+importable).
 
-Exactly the kind of drop-in the backend registry exists for: SciPy's compiled
-Fibonacci-heap Dijkstra (``scipy.sparse.csgraph.dijkstra``) is an order of
-magnitude faster again than the vectorized relaxation, so when SciPy is
-present it becomes the ``auto`` choice for the exact-distance kernels and
-for the arrival-gated min-plus kernel.  The hop-*bounded* kernel has no
-``csgraph`` equivalent and is inherited from the NumPy backend (SciPy implies
-NumPy).
+SciPy's compiled Fibonacci-heap Dijkstra (``scipy.sparse.csgraph.dijkstra``)
+runs the exact-distance kernels and the arrival-gated min-plus kernel; the
+extremal eccentricity prunes with those rows.  Lemma 3.3's column fold and
+min-plus rows, skeleton sampling and Dürr–Høyer threshold marking run as
+NumPy array passes.  The hop-*bounded* kernel has no ``csgraph`` equivalent
+and runs the base-class reference.
+
+Exactness: all inputs are positive integers, and every finite value is an
+integer sum below ``2**53``, where ``min``/``+`` on float64 are exact, so
+results are bit-for-bit identical to the pure-Python backend; inputs that
+could leave that range take the exact-int reference.
 
 The sparse matrix mirror of a snapshot is cached in ``csr.memo`` so repeated
 kernel calls on the same snapshot build it once; the gated kernel reuses its
@@ -17,27 +22,36 @@ from __future__ import annotations
 
 import collections.abc
 import functools
+import itertools
 import math
+import random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from repro.kernels.backend import GatedColumn, GatedRounds, get_backend, register_backend
+from repro.kernels.backend import (
+    GatedColumn,
+    GatedRounds,
+    KernelBackend,
+    ThresholdMarks,
+    get_backend,
+    register_backend,
+)
 from repro.kernels.csr import CSRGraph
-from repro.kernels.numpy_backend import NumpyBackend, exact_int_rows
 
 __all__ = ["ScipyBackend"]
 
 _MATRIX_KEY = "scipy:csr-matrix"
+_EXACT_KEY = "scipy:float64-exact"
 
 #: Every integer below this is exact in float64.
 _EXACT_FLOAT = 2**53
 
 
-class ScipyBackend(NumpyBackend):
-    """Compiled Dijkstra for the exact kernels, NumPy relaxation for the rest."""
+class ScipyBackend(KernelBackend):
+    """Compiled Dijkstra for the distance kernels, NumPy arrays for the rest."""
 
     name = "scipy"
 
@@ -51,6 +65,17 @@ class ScipyBackend(NumpyBackend):
             matrix = csr_matrix((weights, indices, indptr), shape=(n, n))
             csr.memo[_MATRIX_KEY] = matrix
         return matrix
+
+    @staticmethod
+    def _float64_exact(csr: CSRGraph) -> bool:
+        """Whether every shortest-path length (at most ``(n - 1) * W``) is
+        exact in float64; memoized per snapshot.  When not, the distance
+        kernels return the exact-int reference's rows."""
+        exact = csr.memo.get(_EXACT_KEY)
+        if exact is None:
+            bound = (csr.num_nodes - 1) * max(csr.weights, default=0)
+            exact = csr.memo[_EXACT_KEY] = bound < _EXACT_FLOAT
+        return exact
 
     def multi_source_sssp(
         self, csr: CSRGraph, sources: Sequence[int]
@@ -69,6 +94,39 @@ class ScipyBackend(NumpyBackend):
 
     def sssp(self, csr: CSRGraph, source: int) -> np.ndarray:
         return self.multi_source_sssp(csr, [source])[0]
+
+    def extremal_eccentricity(
+        self, csr: CSRGraph, maximize: bool
+    ) -> Tuple[float, List[int]]:
+        # Bound pruning (Takes & Kosters, CIKM 2011): each exact row from v
+        # bounds every e(w) by max(d, e(v) - d) <= e(w) <= e(v) + d; a node
+        # whose bound excludes the best eccentricity found can neither attain
+        # nor tie it.  Value and nodes come from exact rows; bounds stay < 2nW.
+        n = csr.num_nodes
+        if 2 * n * max(csr.weights, default=0) >= _EXACT_FLOAT:
+            return get_backend("python").extremal_eccentricity(csr, maximize)
+        lower, upper = np.zeros(n), np.full(n, np.inf)
+        eccentricity, candidate = np.full(n, np.nan), np.ones(n, dtype=bool)
+        batch = [int(np.argmax(np.diff(csr.numpy_arrays()[0])))]
+        for turn in itertools.count():
+            rows = np.asarray(self.multi_source_sssp(csr, batch))
+            if turn == 0 and np.isinf(rows).any():
+                return math.inf, list(range(n))
+            ecc = rows.max(axis=1)[:, None]
+            eccentricity[batch] = ecc[:, 0]
+            candidate[batch] = False
+            np.maximum(lower, np.maximum(rows, ecc - rows).max(axis=0), out=lower)
+            np.minimum(upper, (ecc + rows).min(axis=0), out=upper)
+            best = np.nanmax(eccentricity) if maximize else np.nanmin(eccentricity)
+            candidate &= (upper >= best) if maximize else (lower <= best)
+            left = np.flatnonzero(candidate)
+            if not len(left):
+                return best, np.flatnonzero(eccentricity == best).tolist()
+            # Alternate between the likeliest extremal candidates and the
+            # likeliest opposite ones, whose rows tighten the other bound.
+            toward = (turn % 2 == 0) == maximize
+            order = np.argsort(-upper[left] if toward else lower[left], kind="stable")
+            batch = left[order[: self.prune_batch]].tolist()
 
     def gated_minplus(
         self,
@@ -185,6 +243,137 @@ class ScipyBackend(NumpyBackend):
         records = _round_records(keys, bits, n, degree, bandwidth)
 
         return _ExactRows(values), records
+
+    def fold_scaled_columns(
+        self,
+        rows: Sequence[Sequence[Any]],
+        targets: Sequence[int],
+        scales: Sequence[float],
+        origins: Sequence[Optional[int]],
+    ) -> Any:
+        # Entries below 2**53 are exact in float64, so each product is the
+        # reference's; fmin skips NaN the way the reference's ``<`` does.
+        values = np.asarray(rows, dtype=np.float64)
+        if values.ndim != 2 or not _exact(values):
+            return super().fold_scaled_columns(rows, targets, scales, origins)
+        best = np.full((len(values), len(origins)), np.inf)
+        for target, origin in enumerate(origins):
+            if origin is not None:
+                best[origin, target] = 0.0
+        if len(targets):
+            scaled = np.full(values.shape, np.inf)
+            finite = np.isfinite(values)
+            np.multiply(values, np.asarray(scales, np.float64), out=scaled, where=finite)
+            order = np.argsort(targets, kind="stable")
+            grouped = np.asarray(targets)[order]
+            starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+            hit = grouped[starts]
+            folded = np.fmin.reduceat(scaled[:, order], starts, axis=1)
+            best[:, hit] = np.fmin(best[:, hit], folded)
+        return best
+
+    def min_plus_rows(
+        self, offsets: Sequence[float], matrix: Sequence[Sequence[float]]
+    ) -> List[float]:
+        shift = np.asarray(offsets, dtype=np.float64)
+        values = np.asarray(matrix, dtype=np.float64)
+        if values.ndim != 2 or not (_exact(shift) and _exact(values)):
+            return super().min_plus_rows(offsets, matrix)
+        return np.fmin.reduce(values + shift, axis=1, initial=np.inf).tolist()
+
+    def skeleton_sets(
+        self,
+        nodes: Sequence[Any],
+        probability: float,
+        num_sets: int,
+        rng: random.Random,
+        ensure_nonempty: bool,
+    ) -> List[List[Any]]:
+        # ``rng``'s Mersenne Twister state runs on in a legacy RandomState:
+        # its ``random_sample`` and CPython's ``random()`` both return
+        # genrand_res53 doubles (two 32-bit words each), so one vector of
+        # ``n`` draws is exactly the reference's ``n`` calls.  The state goes
+        # back to ``rng`` around the rare ``randrange`` patch and at the end.
+        n = len(nodes)
+        stream = np.random.RandomState(0)
+        _load_state(stream, rng)
+        sets: List[List[Any]] = []
+        for _ in range(num_sets):
+            hits = np.flatnonzero(stream.random_sample(n) < probability)
+            members = [nodes[index] for index in hits.tolist()]
+            if not members and ensure_nonempty:
+                _store_state(stream, rng)
+                members = [nodes[rng.randrange(n)]]
+                _load_state(stream, rng)
+            sets.append(sorted(members))
+        _store_state(stream, rng)
+        return sets
+
+    def threshold_marks(self, values: Sequence[Any], maximize: bool) -> ThresholdMarks:
+        # Only a table NumPy holds exactly compares like the reference: all
+        # items exactly ``int`` within int64, or all exactly ``float``.
+        kinds = set(map(type, values))
+        try:
+            if kinds == {int}:
+                return _ArrayMarks(np.array(values, dtype=np.int64), maximize)
+            if kinds == {float}:
+                return _ArrayMarks(np.array(values, dtype=np.float64), maximize)
+        except OverflowError:  # an int at or beyond 2**63
+            pass
+        return super().threshold_marks(values, maximize)
+
+
+class _ArrayMarks(ThresholdMarks):
+    """:class:`ThresholdMarks` on an exact int64 or float64 copy of the
+    table; the current answer is kept as an index array.  The answers are
+    handed out as lists: the search bisects them, and indexing an array
+    from Python costs a NumPy scalar per read."""
+
+    def __init__(self, table: np.ndarray, maximize: bool) -> None:
+        self._table = table
+        self._better = np.greater if maximize else np.less
+        self._indices = np.empty(0, dtype=np.intp)
+
+    def start(self, threshold: Any) -> List[int]:
+        self._indices = np.flatnonzero(self._better(self._table, threshold))
+        return self._indices.tolist()
+
+    def narrow(self, threshold: Any) -> List[int]:
+        indices = self._indices
+        self._indices = indices[self._better(self._table[indices], threshold)]
+        return self._indices.tolist()
+
+
+def exact_int_rows(values: np.ndarray) -> List[List[Any]]:
+    """The rows of an integral float64 table as exact ints, with
+    ``math.inf`` for each entry that is not finite (the callers' tables
+    hold no ``-inf`` or NaN)."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return values.astype(np.int64).tolist()
+    table = np.where(finite, values, 0).astype(np.int64).astype(object)
+    table[~finite] = math.inf
+    return table.tolist()
+
+
+def _exact(values: np.ndarray) -> bool:
+    """Whether float64 holds every integer the reference could hold here."""
+    return not (np.abs(values[np.isfinite(values)]) >= _EXACT_FLOAT).any()
+
+
+def _load_state(stream: np.random.RandomState, rng: random.Random) -> None:
+    """Continue ``rng``'s MT19937 stream in ``stream``."""
+    internal = rng.getstate()[1]
+    stream.set_state(
+        ("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1])
+    )
+
+
+def _store_state(stream: np.random.RandomState, rng: random.Random) -> None:
+    """Hand ``stream``'s MT19937 position back to ``rng``."""
+    version, _, gauss_next = rng.getstate()
+    _, key, position = stream.get_state()[:3]
+    rng.setstate((version, tuple(key.tolist()) + (position,), gauss_next))
 
 
 class _ExactRows(collections.abc.Sequence):

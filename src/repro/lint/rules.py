@@ -131,7 +131,6 @@ class UnguardedNumpyImport(Rule):
     #: Modules whose entire point is the NumPy/SciPy tier; they are only ever
     #: imported behind registry guards, so their own imports may be bare.
     ALLOWED_MODULES = {
-        "repro.kernels.numpy_backend",
         "repro.kernels.scipy_backend",
         "repro.congest.engine.dense",
     }
@@ -305,7 +304,7 @@ class UnregisteredSubclass(Rule):
     node_types = (ast.ClassDef, ast.Call, ast.Assign)
 
     #: Base-name -> required registration function.  Suffix matching keeps
-    #: subclass-of-subclass chains (ScipyBackend(NumpyBackend)) covered
+    #: subclass-of-subclass chains (a ``GpuBackend(ScipyBackend)``) covered
     #: without enumerating every concrete class.
     EXACT_BASES = {
         "ExecutionEngine": "register_engine",

@@ -45,7 +45,7 @@ class RunConfig:
         is still subject to per-run eligibility and falls back to ``sparse``
         exactly like ``REPRO_ENGINE`` would.
     backend:
-        Kernel backend name (``scipy``/``numpy``/``python``) or ``None``.
+        Kernel backend name (``scipy``/``python``) or ``None``.
     """
 
     engine: Optional[str] = None
@@ -82,7 +82,7 @@ class RunConfig:
 def configure(engine: Optional[str] = None, backend: Optional[str] = None):
     """Context manager applying a :class:`RunConfig` in one call.
 
-    ``with configure(engine="dense", backend="numpy"): ...`` is the single
+    ``with configure(engine="dense", backend="scipy"): ...`` is the single
     entry point replacing nested ``force_engine`` / ``force_backend`` calls.
     The old entry points all keep working; this composes them.
     """

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.kernels import (
     force_backend,
     get_backend,
 )
+from repro.runtime import configure
 
 pytestmark = pytest.mark.kernels
 
@@ -29,8 +31,6 @@ class TestSelection:
         auto = get_backend("auto")
         if "scipy" in available_backends():
             assert auto.name == "scipy"
-        elif "numpy" in available_backends():
-            assert auto.name == "numpy"
         else:
             assert auto.name == "python"
 
@@ -52,6 +52,18 @@ class TestSelection:
         with pytest.raises(ValueError):
             get_backend()
 
+    def test_removed_numpy_tier_fails_loudly(self, monkeypatch):
+        # A name that no longer registers must fail loudly on every entry
+        # point, never resolve to another tier.
+        registered = re.escape(str(available_backends()))
+        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+        with pytest.raises(ValueError, match=registered):
+            get_backend()
+        with pytest.raises(ValueError, match=registered):
+            force_backend("numpy").__enter__()
+        with pytest.raises(ValueError, match=registered):
+            configure(backend="numpy").__enter__()
+
     def test_force_backend_scopes_and_restores(self):
         default = get_backend().name
         with force_backend("python") as backend:
@@ -60,19 +72,19 @@ class TestSelection:
         assert get_backend().name == default
 
     def test_force_backend_beats_env(self, monkeypatch):
-        if "numpy" not in available_backends():
+        if "scipy" not in available_backends():
             pytest.skip("needs a second backend")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "scipy")
         with force_backend("python"):
             assert get_backend().name == "python"
 
     def test_explicit_argument_beats_force(self, triangle_graph):
-        if "numpy" not in available_backends():
+        if "scipy" not in available_backends():
             pytest.skip("needs a second backend")
         with force_backend("python"):
-            assert get_backend("numpy").name == "numpy"
+            assert get_backend("scipy").name == "scipy"
             # Kernel calls accept the explicit override too.
-            distances = dijkstra_csr(triangle_graph, 0, backend="numpy")
+            distances = dijkstra_csr(triangle_graph, 0, backend="scipy")
             assert distances == {0: 0, 1: 3, 2: 7}
 
 

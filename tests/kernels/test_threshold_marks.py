@@ -4,9 +4,9 @@
 ``start(t)`` marks the indices strictly better than ``t`` and ``narrow(t')``
 keeps those of the last answer still strictly better than ``t'``, both as
 sorted index lists.  The base class compares the original items in Python
-and is the reference.  The NumPy and SciPy backends compare an array copy
-when it is exact (all items exactly ``int`` within int64, or all exactly
-``float``) and fall back to the reference otherwise.  Every registered
+and is the reference.  The SciPy backend compares an array copy when it is
+exact (all items exactly ``int`` within int64, or all exactly ``float``)
+and falls back to the reference otherwise.  Every registered
 backend must give the reference's lists, as lists of ``int``, along whole
 ``start``/``narrow`` chains: on ints at and past ``2**53`` and ``2**63``,
 ``bool``s, floats with ``±inf`` and NaN, mixed int/float, strings, ties,
@@ -110,9 +110,10 @@ def test_answers_stay_put_and_chains_restart(backend):
 
 def test_numpy_takes_the_array_path_only_on_exact_tables():
     np = pytest.importorskip("numpy")
-    from repro.kernels.numpy_backend import NumpyBackend, _ArrayMarks
+    pytest.importorskip("scipy")
+    from repro.kernels.scipy_backend import ScipyBackend, _ArrayMarks
 
-    backend = NumpyBackend()
+    backend = ScipyBackend()
     array_path = [
         [3, -1, 2**63 - 1, -(2**63)],
         (2**53 + 1, 2**53),

@@ -165,7 +165,7 @@ class TestUnguardedNumpyImport:
     def test_backend_allowlist_module_is_exempt(self, codes):
         assert codes(
             "import numpy as np\n",
-            rel="src/repro/kernels/numpy_backend.py",
+            rel="src/repro/kernels/scipy_backend.py",
             select=["REP102"],
         ) == []
 
@@ -173,7 +173,6 @@ class TestUnguardedNumpyImport:
         from repro.lint.rules import UnguardedNumpyImport
 
         assert UnguardedNumpyImport.ALLOWED_MODULES == {
-            "repro.kernels.numpy_backend",
             "repro.kernels.scipy_backend",
             "repro.congest.engine.dense",
         }
@@ -412,13 +411,13 @@ class TestUnregisteredSubclass:
         ) == []
 
     def test_suffix_match_covers_subclass_chains(self, codes):
-        # ScipyBackend(NumpyBackend): the base is itself a subclass, matched
+        # GpuBackend(ScipyBackend): the base is itself a subclass, matched
         # by the *Backend suffix rather than the exact registry base name.
         assert codes(
             """
-            from repro.kernels.numpy_backend import NumpyBackend
+            from repro.kernels.scipy_backend import ScipyBackend
 
-            class ScipyBackend(NumpyBackend):
+            class GpuBackend(ScipyBackend):
                 pass
             """,
             select=["REP105"],

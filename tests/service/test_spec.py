@@ -84,7 +84,7 @@ class TestRunSpecSerialization:
     def test_roundtrip_exact(self):
         spec = path_spec(
             engine="dense",
-            backend="numpy",
+            backend="python",
             max_rounds=99,
             halt_on_quiescence=True,
             bandwidth_words=3,
