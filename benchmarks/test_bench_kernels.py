@@ -21,7 +21,7 @@ implementation, with identical output tables; at ``n = 1024`` the pruned
 diameter and radius together must be at least 2x faster than the all-pairs
 reduction, with identical values and node sets; and the SciPy gated kernel
 must clear ``REQUIRED_GATED_SPEEDUP`` over the reference with identical rows
-and round records.
+and message totals.
 """
 
 from __future__ import annotations
@@ -215,10 +215,10 @@ def _gated_sweep(inputs):
         samples = []
         for _ in range(GATED_REPEATS):
             start = time.perf_counter()
-            rows, records = backend.gated_minplus(*inputs)
+            rows, totals = backend.gated_minplus(*inputs)
             samples.append(time.perf_counter() - start)
         times[name] = samples
-        outputs[name] = ([list(row) for row in rows], records)
+        outputs[name] = ([list(row) for row in rows], totals)
     return times, outputs
 
 

@@ -90,6 +90,10 @@ class ExecutionEngine:
         """Whether this engine can execute the given run faithfully."""
         return True
 
+    def release(self) -> None:
+        """Drop what :meth:`supports` kept for a run that then executes on
+        another engine (an observed run goes to ``sparse``)."""
+
     def run(
         self,
         network: Network,

@@ -19,8 +19,10 @@ strict-bandwidth violation) from the schedule the schema determines:
   window-bounded Dijkstra distance ``d`` and broadcasts exactly once, in
   round ``base + d``.  The kernel backend's
   :meth:`~repro.kernels.backend.KernelBackend.gated_minplus` computes the
-  distances and a per-round histogram of the broadcasts; the report adds the
-  idle rounds up to the round budget.  Announce-on-improvement floods
+  distances and the broadcasts' totals -- messages, bits, the largest
+  message, the congestion charge past one round per active round and the
+  first over-budget cell; the report adds the idle rounds up to the round
+  budget.  Announce-on-improvement floods
   (plain Bellman-Ford) re-broadcast on a data-dependent schedule with no
   useful closed form; those runs are not supported and fall back per the
   registry rules.
@@ -66,10 +68,10 @@ from repro.congest.engine.types import (
 )
 from repro.congest.network import Network
 from repro.graphs.rounding import rounded_weight
-from repro.kernels.backend import GatedColumn, GatedRounds, get_backend
+from repro.kernels.backend import GatedColumn, GatedTotals, get_backend
 from repro.kernels.csr import CSRGraph
 
-__all__ = ["SymbolicEngine", "broadcast_replay_report", "minplus_round_trace"]
+__all__ = ["SymbolicEngine", "broadcast_replay_report"]
 
 #: Per column, the ``(node index, value)`` of every initially finite entry.
 _Seeds = List[List[Tuple[int, int]]]
@@ -134,6 +136,9 @@ class SymbolicEngine(ExecutionEngine):
         self._handoff = inputs and (_run_of(network, algorithm, initial_memory), inputs)
         return inputs is not None
 
+    def release(self) -> None:
+        self._handoff = None
+
     def run(
         self,
         network: Network,
@@ -173,17 +178,15 @@ class SymbolicEngine(ExecutionEngine):
                 schema = schema.flood
             run = _run_of(network, algorithm, initial_memory)
             inputs = handoff[1] if handoff and all(map(operator.is_, handoff[0], run)) else None
-            dist, active, last_round = _minplus_closed_form(
+            dist, totals, last_round = _minplus_closed_form(
                 network, algorithm.name, schema, max_rounds, initial_memory, inputs
             )
             report = RoundReport(
                 rounds=last_round,
-                congested_rounds=last_round
-                + sum(active.edge_charge)
-                - len(active.round),
-                total_messages=sum(active.messages),
-                total_bits=sum(active.bits),
-                max_message_bits=max(active.max_message_bits, default=0),
+                congested_rounds=last_round + totals.extra_charge,
+                total_messages=totals.messages,
+                total_bits=totals.bits,
+                max_message_bits=totals.max_message_bits,
                 protocol=algorithm.name,
             )
         memory = _final_memory(network, initial_memory, schema, dist)
@@ -376,54 +379,22 @@ def _final_memory(
     return memory
 
 
-def minplus_round_trace(
-    network: Network,
-    algorithm: NodeAlgorithm,
-    max_rounds: int,
-    initial_memory: Optional[Dict[int, Dict[str, Any]]] = None,
-) -> List[Tuple[int, int, int, int]]:
-    """Per-round ``(round, messages, bits, edge_charge)`` trace of a run.
-
-    Expands the closed form's active-round records back into one entry per
-    simulated round, idle rounds included -- the differential tests compare
-    this against per-round totals collected from a sparse-engine observer,
-    pinning not just the final report but the whole round-by-round
-    trajectory.
-    """
-    schema = algorithm.message_schema()
-    if isinstance(schema, TreeSchema) and schema.kind == "flood":
-        schema = schema.flood
-    _, active, last_round = _minplus_closed_form(
-        network, algorithm.name, schema, max_rounds, initial_memory
-    )
-    by_round = {
-        round_number: (messages, bits, charge)
-        for round_number, messages, bits, charge in zip(
-            active.round, active.messages, active.bits, active.edge_charge
-        )
-    }
-    return [
-        (round_number, *by_round.get(round_number, (0, 0, 1)))
-        for round_number in range(1, last_round + 1)
-    ]
-
-
-def _minplus_closed_form(
+def _gated_arguments(
     network: Network,
     name: str,
     schema: Any,
     max_rounds: int,
     initial_memory: Optional[Dict[int, Dict[str, Any]]],
     inputs: Optional[Tuple[_Seeds, Optional[Dict[int, Dict[int, int]]]]] = None,
-) -> Tuple[List[List[Any]], GatedRounds, int]:
-    """Final rows, active-round records and last round of a gated run.
+) -> Tuple[Tuple[Any, ...], int, Optional[int]]:
+    """The :meth:`~repro.kernels.backend.KernelBackend.gated_minplus`
+    arguments of a gated run, its last round and its halting round.
 
     Entry ``d`` of column ``j`` broadcasts in round ``base_j + d`` while that
     round is at most the window close and before the halting round; its
     messages relax neighbors when they arrive inside the window
     (``base_j < round <= close_j``) and by the halting round.  The run halts
-    in round ``max(round_budget, 1)``; raises exactly where the stepping
-    engines do (first strict-bandwidth violation, then the round limit).
+    in round ``max(round_budget, 1)`` (``None`` without a budget).
     ``inputs`` is the run's :func:`_minplus_inputs` when already known.
     """
     if inputs is None and isinstance(schema, MinPlusSchema):
@@ -454,21 +425,33 @@ def _minplus_closed_form(
                 overhead=schema.payload_overhead_bits(j, network.word_bits),
             )
         )
-    bandwidth = network.bandwidth_bits
-    dist, active = get_backend().gated_minplus(
-        csr, palettes, positions, columns, schema.value_cap, bandwidth
-    )
+    arguments = (csr, palettes, positions, columns, schema.value_cap, network.bandwidth_bits)
+    return arguments, last_round, halt
 
-    if network.config.strict_bandwidth:
-        for bits in active.violation_bits:
-            if bits:
-                raise ValueError(
-                    f"protocol '{name}' exceeded the bandwidth: {bits} bits on "
-                    f"one edge in one round (B={bandwidth})"
-                )
+
+def _minplus_closed_form(
+    network: Network,
+    name: str,
+    schema: Any,
+    max_rounds: int,
+    initial_memory: Optional[Dict[int, Dict[str, Any]]],
+    inputs: Optional[Tuple[_Seeds, Optional[Dict[int, Dict[int, int]]]]] = None,
+) -> Tuple[Sequence[Sequence[Any]], GatedTotals, int]:
+    """Final rows, message totals and last round of a gated run (see
+    :func:`_gated_arguments`); raises exactly where the stepping engines do
+    (first strict-bandwidth violation, then the round limit)."""
+    arguments, last_round, halt = _gated_arguments(
+        network, name, schema, max_rounds, initial_memory, inputs
+    )
+    dist, totals = get_backend().gated_minplus(*arguments)
+    if network.config.strict_bandwidth and totals.first_violation:
+        raise ValueError(
+            f"protocol '{name}' exceeded the bandwidth: {totals.first_violation} "
+            f"bits on one edge in one round (B={network.bandwidth_bits})"
+        )
     if last_round != halt:
         raise RoundLimitExceeded(f"protocol '{name}' exceeded {max_rounds} rounds")
-    return dist, active, last_round
+    return dist, totals, last_round
 
 
 register_engine(SymbolicEngine())

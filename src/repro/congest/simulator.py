@@ -125,6 +125,7 @@ class Simulator:
             engine, self._network, algorithm, initial_memory=initial_memory
         )
         if observer is not None:
+            selected.release()
             return get_engine("sparse").run(
                 self._network,
                 algorithm,

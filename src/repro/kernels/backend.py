@@ -39,7 +39,7 @@ from repro.kernels.csr import CSRGraph
 
 __all__ = [
     "GatedColumn",
-    "GatedRounds",
+    "GatedTotals",
     "KernelBackend",
     "ThresholdMarks",
     "register_backend",
@@ -76,22 +76,24 @@ class GatedColumn(NamedTuple):
     overhead: int
 
 
-class GatedRounds(NamedTuple):
-    """Per-active-round records of a gated run, stored column-wise.
+class GatedTotals(NamedTuple):
+    """What a gated run's :class:`~repro.congest.engine.types.RoundReport`
+    reads of its delivered messages (see :meth:`KernelBackend.gated_minplus`).
 
-    Entry ``t`` of every list belongs to delivery round ``round[t]``
-    (ascending); rounds without a delivery are absent.
+    A *cell* is one (delivery round, sender): every entry the sender
+    broadcasts that round, sent as one message per incident edge.
     """
 
-    round: List[int]
-    messages: List[int]
-    bits: List[int]
-    max_message_bits: List[int]
-    #: Congestion-adjusted cost of the round: ``ceil(max sender bits / B)``,
-    #: at least 1.
-    edge_charge: List[int]
-    #: Bits of the first sender (in node order) over the bandwidth, else 0.
-    violation_bits: List[int]
+    #: Delivery rounds with at least one message.
+    active_rounds: int
+    #: Sum over active rounds of ``ceil(max cell bits / B) - 1``: the
+    #: congestion charge beyond one network round each.
+    extra_charge: int
+    messages: int
+    bits: int
+    max_message_bits: int
+    #: Bits of the first cell over the bandwidth in (round, node) order, or 0.
+    first_violation: int
 
 
 class ThresholdMarks:
@@ -100,15 +102,21 @@ class ThresholdMarks:
 
     :meth:`start` marks every index whose value is strictly better than the
     threshold (``>`` when maximizing, ``<`` otherwise); :meth:`narrow` keeps
-    those of the last answer still strictly better than a new threshold.
-    This class compares the original items in Python, so any ordered values
-    are marked exactly; it is the reference.
+    those of the last answer still strictly better than a new threshold;
+    :meth:`optimum` is the table's best value.  This class compares the
+    original items in Python, so any ordered values are marked exactly; it
+    is the reference.
     """
 
     def __init__(self, values: Sequence[Any], maximize: bool) -> None:
         self._values = values
         self._better = operator.gt if maximize else operator.lt
+        self._pick = max if maximize else min
         self._marked: List[int] = []
+
+    def optimum(self) -> Any:
+        """``max(values)`` when maximizing, else ``min(values)``."""
+        return self._pick(self._values)
 
     def start(self, threshold: Any) -> List[int]:
         values, better = self._values, self._better
@@ -224,8 +232,8 @@ class KernelBackend:
         columns: Sequence[GatedColumn],
         value_cap: Optional[int],
         bandwidth: int,
-    ) -> Tuple[List[List[Any]], GatedRounds]:
-        """Final rows and per-round message records of an arrival-gated run.
+    ) -> Tuple[List[List[Any]], GatedTotals]:
+        """Final rows and message totals of an arrival-gated run.
 
         Entry ``e`` of row ``u`` relaxes ``indices[e]`` from ``u`` with the
         positive integer ``palettes[g][positions[e]]`` in weight group ``g``
@@ -235,7 +243,7 @@ class KernelBackend:
         ``value_cap``.  Every entry at a node with neighbors whose value is
         at most ``fire_limit`` sends one message per incident edge.  Returns
         ``n`` rows of ``len(columns)`` values (ints, ``math.inf`` when
-        unreached) and the :class:`GatedRounds` of the delivered messages.
+        unreached) and the :class:`GatedTotals` of the delivered messages.
         An override may return the rows as a sequence that converts on its
         first read and that ``numpy.asarray`` reads as float64 unconverted.
 
@@ -246,8 +254,9 @@ class KernelBackend:
         indptr, indices = csr.indptr, csr.indices
         heappush, heappop = heapq.heappush, heapq.heappop
         weights = [[palette[p] for p in positions] for palette in palettes]
-        # delivery round * n + sender -> [entries, bits, largest message]
-        cells: Dict[int, List[int]] = {}
+        # (delivery round, sender) -> bits the sender sends per edge that round
+        cells: Dict[Tuple[int, int], int] = {}
+        messages = total_bits = largest = 0
         table: List[List[Any]] = []
         for column in columns:
             weight = weights[column.group]
@@ -275,38 +284,30 @@ class KernelBackend:
                         dist[v] = candidate
                         heappush(heap, (candidate, v))
             for node, d in enumerate(dist):
-                if d <= column.fire_limit and indptr[node + 1] > indptr[node]:
+                degree = indptr[node + 1] - indptr[node]
+                if d <= column.fire_limit and degree:
                     bits = column.overhead + d.bit_length() + 1
-                    key = (column.offset + d) * n + node
-                    cell = cells.get(key)
-                    if cell is None:
-                        cells[key] = [1, bits, bits]
-                    else:
-                        cell[0] += 1
-                        cell[1] += bits
-                        cell[2] = max(cell[2], bits)
+                    messages += degree
+                    total_bits += bits * degree
+                    largest = max(largest, bits)
+                    key = (column.offset + d, node)
+                    cells[key] = cells.get(key, 0) + bits
             table.append(dist)
 
-        per_round: Dict[int, List[int]] = {}
-        for key in sorted(cells):
-            delivery, sender = divmod(key, n)
-            entries, sender_bits, largest = cells[key]
-            degree = indptr[sender + 1] - indptr[sender]
-            record = per_round.get(delivery)
-            if record is None:
-                record = per_round[delivery] = [0, 0, 0, 1, 0]
-            record[0] += entries * degree
-            record[1] += sender_bits * degree
-            record[2] = max(record[2], largest)
-            record[3] = max(record[3], -(-sender_bits // bandwidth))
-            if sender_bits > bandwidth and not record[4]:
-                record[4] = sender_bits
-        records = GatedRounds(list(per_round), [], [], [], [], [])
-        for record in per_round.values():
-            for field, value in zip(records[1:], record):
-                field.append(value)
+        peaks: Dict[int, int] = {}
+        for (delivery, _), bits in cells.items():
+            peaks[delivery] = max(peaks.get(delivery, 0), bits)
+        over = [key for key, bits in cells.items() if bits > bandwidth]
+        totals = GatedTotals(
+            active_rounds=len(peaks),
+            extra_charge=sum(-(-peak // bandwidth) - 1 for peak in peaks.values()),
+            messages=messages,
+            bits=total_bits,
+            max_message_bits=largest,
+            first_violation=cells[min(over)] if over else 0,
+        )
         rows = [list(row) for row in zip(*table)] if table else [[] for _ in range(n)]
-        return rows, records
+        return rows, totals
 
     def fold_scaled_columns(
         self,

@@ -33,7 +33,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.kernels.backend import (
     GatedColumn,
-    GatedRounds,
+    GatedTotals,
     KernelBackend,
     ThresholdMarks,
     get_backend,
@@ -136,7 +136,7 @@ class ScipyBackend(KernelBackend):
         columns: Sequence[GatedColumn],
         value_cap: Optional[int],
         bandwidth: int,
-    ) -> Tuple[Sequence[List[Any]], GatedRounds]:
+    ) -> Tuple[Sequence[List[Any]], GatedTotals]:
         """One ``csgraph`` Dijkstra per (palette, limit) batch of columns.
 
         Every palette is laid out over the CSR entries once per call.  A
@@ -146,10 +146,11 @@ class ScipyBackend(KernelBackend):
         of its seeds.  Entries within the limit are exact, so the one-step
         extension past it -- one pass over every column -- starts only from
         the frontier: settled entries whose heaviest edge reaches past their
-        column's limit, each relaxing its own CSR entries.  The per-round
-        histogram is vectorized.  Runs whose values could leave float64's
-        exact range take the exact-int reference.  The rows stay float64
-        until read.
+        column's limit, each relaxing its own CSR entries.  The fired
+        entries are taken off the table once and reduced to the report's
+        totals by :func:`_gated_totals`.  Runs whose values could leave
+        float64's exact range take the exact-int reference.  The rows stay
+        float64 until read.
         """
         n = csr.num_nodes
         if not columns or not _exact_in_float64(n, palettes, columns, value_cap):
@@ -231,18 +232,14 @@ class ScipyBackend(KernelBackend):
             values[seed_cols, seed_nodes], seed_values
         )
 
-        fired_cols, fired_nodes = np.nonzero(
-            (values <= np.asarray(fire_limits)[:, None]) & has_edges
-        )
-        fired = values[fired_cols, fired_nodes]
-        keys = (
-            np.asarray(offsets, np.int64)[fired_cols] + fired.astype(np.int64)
-        ) * n + fired_nodes
+        fire = (values <= np.asarray(fire_limits)[:, None]) & has_edges
+        per_column = np.count_nonzero(fire, axis=1)
+        fired = values[fire]
+        rounds = np.repeat(np.asarray(offsets, np.int64), per_column) + fired.astype(np.int64)
         # bit_length(d) is frexp's exponent for integral d >= 0 (0 for d = 0).
-        bits = np.asarray(overheads, np.int64)[fired_cols] + np.frexp(fired)[1] + 1
-        records = _round_records(keys, bits, n, degree, bandwidth)
-
-        return _ExactRows(values), records
+        bits = np.repeat(np.asarray(overheads, np.int64), per_column) + np.frexp(fired)[1] + 1
+        senders = np.broadcast_to(np.arange(n), values.shape)[fire]
+        return _ExactRows(values), _gated_totals(rounds, senders, bits, degree, bandwidth)
 
     def fold_scaled_columns(
         self,
@@ -332,7 +329,15 @@ class _ArrayMarks(ThresholdMarks):
     def __init__(self, table: np.ndarray, maximize: bool) -> None:
         self._table = table
         self._better = np.greater if maximize else np.less
+        self._reduce = np.max if maximize else np.min
+        self._pick = max if maximize else min
         self._indices = np.empty(0, dtype=np.intp)
+
+    def optimum(self) -> Any:
+        best = self._reduce(self._table)
+        # A NaN anywhere makes the reduction NaN, while Python's max/min
+        # keeps the first item unless a later one compares better.
+        return self._pick(self._table.tolist()) if best != best else best
 
     def start(self, threshold: Any) -> List[int]:
         self._indices = np.flatnonzero(self._better(self._table, threshold))
@@ -404,7 +409,8 @@ def _exact_in_float64(
     columns: Sequence[GatedColumn],
     value_cap: Optional[int],
 ) -> bool:
-    """Whether every value and round key of the run stays below ``2**53``."""
+    """Whether every value of the run stays below ``2**53``, and with it
+    every (round, sender) key of :func:`_gated_totals` below ``2**54``."""
     heaviest = max((max(palette) for palette in palettes if palette), default=0)
     reach = max(column.relax_limit for column in columns)
     if value_cap is not None:
@@ -420,52 +426,54 @@ def _exact_in_float64(
     )
 
 
-def _round_records(
-    keys: np.ndarray, bits: np.ndarray, n: int, degree: np.ndarray, bandwidth: int
-) -> GatedRounds:
-    """Histogram fired entries (key ``round * n + sender``) into round records.
+def _gated_totals(
+    rounds: np.ndarray, senders: np.ndarray, bits: np.ndarray, degree: np.ndarray, bandwidth: int
+) -> GatedTotals:
+    """The :class:`GatedTotals` of the fired entries, given as each entry's
+    delivery round, sender and message bits.
 
-    The entries are sorted as one packed int64, ``key << B | bits`` with
-    ``B`` the bit count of the largest ``bits``; keys too large to pack are
-    argsorted instead.  A cell is one (round, sender); cells only sum and
-    take maxima, so the order of the entries within one does not matter.
+    Messages, bits and the largest message need no grouping.  The cells --
+    one per (round, sender) -- come from one sort of the packed int64
+    ``(round << S | sender) << B | bits``, with ``2**S >= n`` and ``B`` the
+    bit count of the largest message; keys too large to pack are argsorted
+    instead.  Within a cell the order does not matter: its entries only
+    sum.  The round peaks are one ``maximum.reduceat`` over round starts.
     """
-    if not keys.size:
-        return GatedRounds([], [], [], [], [], [])
-    shift = int(bits.max()).bit_length()
-    if int(keys.max()) < 1 << (63 - shift):
-        packed = np.sort(keys << shift | bits)
-        keys, bits = packed >> shift, packed & ((1 << shift) - 1)
-    else:
-        order = np.argsort(keys)
-        keys, bits = keys[order], bits[order]
-    cell_starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    if cell_starts.size == keys.size:
-        entries, sender_bits, largest = 1, bits, bits
-    else:
-        entries = np.diff(cell_starts, append=keys.size)
-        sender_bits = np.add.reduceat(bits, cell_starts)
-        largest = np.maximum.reduceat(bits, cell_starts)
-    rounds, senders = np.divmod(keys[cell_starts], n)
-    new_round = np.diff(rounds, prepend=-1) != 0
-    first = np.flatnonzero(new_round)
-    round_of = np.cumsum(new_round) - 1
-    # Cells are sorted by (round, sender), so the first over-budget cell of a
-    # round is its first violating sender in node order.
-    violation = np.zeros(first.size, np.int64)
-    over = np.flatnonzero(sender_bits > bandwidth)
-    over_rounds = round_of[over]
-    leads = np.diff(over_rounds, prepend=-1) != 0
-    violation[over_rounds[leads]] = sender_bits[over[leads]]
+    if not bits.size:
+        return GatedTotals(0, 0, 0, 0, 0, 0)
     fan_out = degree[senders]
-    charge = -(-np.maximum.reduceat(sender_bits, first) // bandwidth)
-    return GatedRounds(
-        rounds[first].tolist(),
-        np.add.reduceat(entries * fan_out, first).tolist(),
-        np.add.reduceat(sender_bits * fan_out, first).tolist(),
-        np.maximum.reduceat(largest, first).tolist(),
-        np.maximum(charge, 1).tolist(),
-        violation.tolist(),
+    largest = int(bits.max())
+    messages, total_bits = int(fan_out.sum()), int(np.dot(bits, fan_out))
+    sender_shift = (len(degree) - 1).bit_length()
+    cells = rounds << sender_shift | senders
+    bit_shift = largest.bit_length()
+    if int(cells.max()) < 1 << (63 - bit_shift):
+        packed = np.sort(cells << bit_shift | bits)
+        cells, bits = packed >> bit_shift, packed & ((1 << bit_shift) - 1)
+    else:
+        order = np.argsort(cells)
+        cells, bits = cells[order], bits[order]
+    # Few cells hold several entries: each later entry adds its bits to the
+    # first of its cell and drops to 0, which no peak or check can pick.
+    later = np.flatnonzero(cells[1:] == cells[:-1]) + 1
+    if later.size:
+        new_cell = np.diff(later, prepend=-2) != 1
+        first = (later[new_cell] - 1)[np.cumsum(new_cell) - 1]
+        np.add.at(bits, first, bits[later])
+        bits[later] = 0
+    rounds = cells >> sender_shift
+    round_starts = np.flatnonzero(np.concatenate(([True], rounds[1:] != rounds[:-1])))
+    peaks = np.maximum.reduceat(bits, round_starts)
+    # Cells are sorted by (round, sender): the first over budget is the
+    # first violation in (round, node) order.
+    over = np.flatnonzero(bits > bandwidth)
+    return GatedTotals(
+        active_rounds=round_starts.size,
+        extra_charge=int((-(-peaks // bandwidth)).sum()) - round_starts.size,
+        messages=messages,
+        bits=total_bits,
+        max_message_bits=largest,
+        first_violation=int(bits[over[0]]) if over.size else 0,
     )
 
 

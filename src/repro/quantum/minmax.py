@@ -181,7 +181,7 @@ def _quantum_extremum(
     for run in runs[1:]:
         if better(run.value, best.value):
             best = run
-    true_optimum = max(values) if maximize else min(values)
+    true_optimum = marks.optimum()
     return QuantumExtremumResult(
         index=best.index,
         value=best.value,

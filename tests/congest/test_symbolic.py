@@ -27,11 +27,7 @@ from repro.congest.engine import (
     get_engine,
 )
 from repro.congest.engine import symbolic as symbolic_module
-from repro.congest.engine.symbolic import (
-    SymbolicEngine,
-    broadcast_replay_report,
-    minplus_round_trace,
-)
+from repro.congest.engine.symbolic import SymbolicEngine, broadcast_replay_report
 from repro.congest.message import message_size_bits
 from repro.graphs import WeightedGraph
 from repro.nanongkai.bounded_distance_sssp import BoundedDistanceSsspAlgorithm
@@ -39,6 +35,8 @@ from repro.nanongkai.multi_source import (
     MultiSourceBoundedHopAlgorithm,
     multi_source_bounded_hop_protocol,
 )
+
+from gated_trace import minplus_round_trace
 
 
 class TestBroadcastReplaySchema:
@@ -369,6 +367,22 @@ def test_the_handoff_serves_only_the_same_run_on_the_same_topology(monkeypatch):
     assert not symbolic.supports(network, algorithm, memory)
     with pytest.raises(ValueError, match="symbolic engine cannot execute"):
         symbolic.run(network, algorithm, 50, initial_memory=memory)
+
+
+def test_an_observed_run_leaves_no_handoff():
+    """An observed run resolves to symbolic and then executes on sparse;
+    the inputs ``supports`` derived for it must not stay on the engine."""
+    network = _network()
+    algorithm = BoundedDistanceSsspAlgorithm(0, 12)
+    expected = Simulator(network).run(algorithm, engine="sparse")
+    rounds = []
+    result = Simulator(network).run(
+        algorithm, observer=lambda number, delivered: rounds.append(number)
+    )
+    assert get_engine("symbolic")._handoff is None
+    assert result.report == expected.report
+    assert result.outputs == expected.outputs
+    assert rounds == list(range(1, expected.report.rounds + 1))
 
 
 def test_a_declined_run_leaves_no_handoff(monkeypatch):

@@ -1,17 +1,20 @@
 """The arrival-gated min-plus kernel: exact-int reference vs the SciPy backend.
 
 ``KernelBackend.gated_minplus`` returns each column's bounded Dijkstra
-distances and the per-round message records of the broadcasts they imply.
-The heap implementation on exact ints is the reference; the SciPy backend
-batches columns into ``csgraph`` calls (straight from the seeds when every
-column of a batch has one zero seed, through virtual sources otherwise),
-extends every column one step past its limit from the frontier only, and
-histograms the rounds off one packed sort.  Both must agree exactly -- same
-row values *and* types, same records -- including multi-seed columns, one
-node seeding several columns of a batch, directed weights laid out as
-palettes, limits that cut a column off before its cap, caps that cut the
-extension, nodes without edges, strict-bandwidth violations, messages too
-large to pack, and inputs past float64's exact range.
+distances and the message totals of the broadcasts they imply.  The heap
+implementation on exact ints is the reference; the SciPy backend batches
+columns into ``csgraph`` calls (straight from the seeds when every column of
+a batch has one zero seed, through virtual sources otherwise), extends every
+column one step past its limit from the frontier only, and reduces the
+fired entries to totals off one packed sort.  Both must agree exactly --
+same row values *and* types, same totals -- and the totals must be the sums
+of the per-round records that ``gated_trace.round_records`` rebuilds from
+the rows, including multi-seed columns, one node seeding several columns of
+a batch, cells holding several entries, runs where nothing fires, directed
+weights laid out as palettes, limits that cut a column off before its cap,
+caps that cut the extension, nodes without edges, strict-bandwidth
+violations, messages too large to pack, and inputs past float64's exact
+range.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graphs import WeightedGraph, path_graph
 from repro.kernels import CSRGraph, available_backends, get_backend
-from repro.kernels.backend import GatedColumn, GatedRounds
+from repro.kernels.backend import GatedColumn, GatedTotals
+
+from gated_trace import RoundRecords, round_records, totals_of
 
 pytestmark = pytest.mark.kernels
 
@@ -45,15 +50,19 @@ def _identity(csr):
 
 
 def _both(csr, palettes, positions, columns, value_cap, bandwidth):
-    reference = get_backend("python").gated_minplus(
+    """Both backends' rows and totals agree, and the totals are the sums of
+    the rows' per-round records; returns the rows, the records and the
+    totals."""
+    rows, totals = get_backend("python").gated_minplus(
         csr, palettes, positions, columns, value_cap, bandwidth
     )
     scipy = get_backend("scipy").gated_minplus(
         csr, palettes, positions, columns, value_cap, bandwidth
     )
-    assert _typed(scipy[0]) == _typed(reference[0])
-    assert scipy[1] == reference[1]
-    return reference
+    assert _typed(scipy[0]) == _typed(rows)
+    records = round_records(csr, rows, columns, bandwidth)
+    assert scipy[1] == totals == totals_of(records)
+    return rows, records, totals
 
 
 def test_reference_on_a_weighted_path():
@@ -63,17 +72,26 @@ def test_reference_on_a_weighted_path():
     column = GatedColumn(
         group=0, seeds=((0, 0),), offset=1, relax_limit=10, fire_limit=10, overhead=7
     )
-    rows, records = get_backend("python").gated_minplus(
+    rows, totals = get_backend("python").gated_minplus(
         csr, [csr.weights], _identity(csr), [column], None, 64
     )
     assert rows == [[0], [2], [5]]
-    assert records == GatedRounds(
+    records = round_records(csr, rows, [column], 64)
+    assert records == RoundRecords(
         round=[1, 3, 6],
         messages=[1, 2, 1],
         bits=[8, 2 * 10, 11],
         max_message_bits=[8, 10, 11],
         edge_charge=[1, 1, 1],
         violation_bits=[0, 0, 0],
+    )
+    assert totals == totals_of(records) == GatedTotals(
+        active_rounds=3,
+        extra_charge=0,
+        messages=4,
+        bits=39,
+        max_message_bits=11,
+        first_violation=0,
     )
 
 
@@ -84,11 +102,12 @@ def test_reference_relaxes_boundary_entries_it_never_fires():
     column = GatedColumn(
         group=0, seeds=((0, 0),), offset=1, relax_limit=1, fire_limit=1, overhead=0
     )
-    rows, records = get_backend("python").gated_minplus(
+    rows, totals = get_backend("python").gated_minplus(
         csr, [(1,)], [0] * csr.num_directed_edges, [column], 5, 64
     )
     assert rows == [[0], [1], [2], [math.inf]]
-    assert records.round == [1, 2]
+    assert round_records(csr, rows, [column], 64).round == [1, 2]
+    assert (totals.active_rounds, totals.messages) == (2, 3)
 
 
 @needs_scipy
@@ -101,10 +120,11 @@ def test_first_violating_sender_in_node_order():
         GatedColumn(0, ((0, 0), (2, 0)), 1, 5, 5, 20),
         GatedColumn(0, ((2, 0),), 1, 5, 5, 40),
     ]
-    _, records = _both(csr, [csr.weights], _identity(csr), columns, None, 16)
+    _, records, totals = _both(csr, [csr.weights], _identity(csr), columns, None, 16)
     assert records.round[0] == 1
     assert records.violation_bits[0] == 21  # node 0: one 21-bit entry
     assert records.edge_charge[0] == math.ceil((21 + 41) / 16)  # node 2
+    assert totals.first_violation == 21
 
 
 @needs_scipy
@@ -113,7 +133,7 @@ def test_values_past_float64_stay_exact():
     huge = 2**53 + 1
     csr = CSRGraph.from_graph(WeightedGraph(edges=[(0, 1, huge), (1, 2, 1)]))
     column = GatedColumn(0, ((0, 0),), 1, 2**60, 2**60, 0)
-    rows, records = _both(csr, [csr.weights], _identity(csr), [column], None, 10**6)
+    rows, records, _ = _both(csr, [csr.weights], _identity(csr), [column], None, 10**6)
     assert rows == [[0], [huge], [huge + 1]]
     assert records.round == [1, huge + 1, huge + 2]
 
@@ -128,7 +148,7 @@ def test_cap_cuts_the_extension_of_a_multi_column_batch():
         GatedColumn(0, ((0, 0),), 1, 3, 3, 0),
         GatedColumn(0, ((3, 0),), 1, 3, 3, 0),
     ]
-    rows, _ = _both(csr, [csr.weights], _identity(csr), columns, 4, 64)
+    rows, _, _ = _both(csr, [csr.weights], _identity(csr), columns, 4, 64)
     assert rows == [[0, INF], [2, INF], [INF, 4], [INF, 0]]
 
 
@@ -138,7 +158,7 @@ def test_unreached_nodes_without_a_reached_neighbor_stay_unreached():
     with limit 1, node 2 extends to 2 and nodes 3.. stay ``inf``."""
     csr = CSRGraph.from_graph(path_graph(7))
     columns = [GatedColumn(0, ((0, 0),), 1, 1, 1, 0), GatedColumn(0, ((6, 1),), 1, 1, 1, 0)]
-    rows, _ = _both(csr, [(1,)], [0] * csr.num_directed_edges, columns, None, 64)
+    rows, _, _ = _both(csr, [(1,)], [0] * csr.num_directed_edges, columns, None, 64)
     assert [row[0] for row in rows] == [0, 1, 2, INF, INF, INF, INF]
     assert [row[1] for row in rows] == [INF, INF, INF, INF, INF, 2, 1]
 
@@ -155,7 +175,7 @@ def test_node_without_edges():
         GatedColumn(0, ((0, 0),), 1, 9, 9, 0),
         GatedColumn(0, ((3, 0), (2, 1)), 1, 0, 9, 0),
     ]
-    rows, records = _both(csr, [csr.weights], _identity(csr), columns, 8, 64)
+    rows, records, _ = _both(csr, [csr.weights], _identity(csr), columns, 8, 64)
     assert rows == [[0, INF], [2, INF], [3, 1], [INF, 0]]
     assert records.round == [1, 2, 3, 4]
 
@@ -169,12 +189,55 @@ def test_every_cell_over_bandwidth():
         GatedColumn(0, ((0, 0),), 1, 9, 9, 30),
         GatedColumn(0, ((3, 0),), 1, 9, 9, 50),
     ]
-    _, records = _both(csr, [(1,)], [0] * csr.num_directed_edges, columns, None, 20)
+    _, records, totals = _both(csr, [(1,)], [0] * csr.num_directed_edges, columns, None, 20)
     assert records.round == [1, 2, 3, 4]
     # Round 2: node 1 sends 32 bits (column 0) and node 2 sends 52 (column
     # 1); round 3: node 1 sends 53 and node 2 sends 33.
     assert records.violation_bits == [31, 32, 53, 53]
     assert records.edge_charge == [3, 3, 3, 3]
+    assert (totals.first_violation, totals.extra_charge) == (31, 8)
+
+
+@needs_scipy
+def test_cells_holding_several_entries():
+    """Two columns with the same seed and offset: every (round, sender)
+    cell holds two entries, whose bits add up before the bandwidth check
+    and the round's charge."""
+    csr = CSRGraph.from_graph(path_graph(3))  # unit weights: 0-1-2
+    columns = [
+        GatedColumn(0, ((0, 0),), 1, 5, 5, 10),
+        GatedColumn(0, ((0, 0),), 1, 5, 5, 20),
+    ]
+    _, records, totals = _both(csr, [(1,)], [0] * csr.num_directed_edges, columns, None, 33)
+    # Cells: 11 + 21 bits, 12 + 22 and 13 + 23.
+    assert records == RoundRecords(
+        round=[1, 2, 3],
+        messages=[2, 4, 2],
+        bits=[32, 2 * 34, 36],
+        max_message_bits=[21, 22, 23],
+        edge_charge=[1, 2, 2],
+        violation_bits=[0, 34, 36],
+    )
+    assert totals == GatedTotals(
+        active_rounds=3,
+        extra_charge=2,
+        messages=8,
+        bits=136,
+        max_message_bits=23,
+        first_violation=34,
+    )
+
+
+@needs_scipy
+def test_a_run_where_nothing_fires():
+    """A fire limit below every value and a column without seeds: the rows
+    are still computed, and nothing is sent."""
+    csr = CSRGraph.from_graph(path_graph(3))
+    columns = [GatedColumn(0, ((0, 2),), 1, 5, 1, 0), GatedColumn(0, (), 1, 5, 5, 0)]
+    rows, records, totals = _both(csr, [(1,)], [0] * csr.num_directed_edges, columns, None, 8)
+    assert rows == [[2, INF], [3, INF], [4, INF]]
+    assert records == RoundRecords([], [], [], [], [], [])
+    assert totals == GatedTotals(0, 0, 0, 0, 0, 0)
 
 
 @needs_scipy
@@ -187,7 +250,7 @@ def test_zero_seeded_batch_with_one_node_seeding_two_columns():
         GatedColumn(0, ((1, 0),), 3, 4, 4, 9),
         GatedColumn(0, ((3, 0),), 1, 4, 4, 0),
     ]
-    rows, records = _both(csr, [csr.weights], _identity(csr), columns, None, 64)
+    rows, records, _ = _both(csr, [csr.weights], _identity(csr), columns, None, 64)
     assert rows == [[2, 2, 6], [0, 0, 4], [3, 3, 1], [4, 4, 0]]
     assert records.round[:3] == [1, 2, 3]
 
@@ -204,7 +267,7 @@ def test_mixed_batches_of_zero_seeds_and_other_seeds():
         GatedColumn(1, ((0, 0), (4, 0)), 1, 6, 6, 0),
         GatedColumn(1, ((2, 3),), 1, 6, 6, 0),
     ]
-    rows, _ = _both(csr, [(1,), (2,)], positions, columns, None, 64)
+    rows, _, _ = _both(csr, [(1,), (2,)], positions, columns, None, 64)
     assert [row[0] for row in rows] == [0, 1, 2, 3, 4]
     assert [row[2] for row in rows] == [0, 2, 4, 2, 0]
     assert [row[3] for row in rows] == [7, 5, 3, 5, 7]
@@ -212,9 +275,10 @@ def test_mixed_batches_of_zero_seeds_and_other_seeds():
 
 @needs_scipy
 def test_huge_overheads_take_the_argsort_fallback():
-    """Packing ``key << B | bits`` needs ``key < 2**(63 - B)`` with ``B`` the
-    bit count of the largest message; overheads near ``2**40`` and rounds
-    past ``2**23`` break that, so the histogram argsorts instead."""
+    """Packing ``(round << S | sender) << B | bits`` needs the cell key below
+    ``2**(63 - B)``, with ``2**S >= n`` and ``B`` the bit count of the
+    largest message; overheads near ``2**40`` and rounds past ``2**23``
+    break that, so the totals argsort the cell keys instead."""
     csr = CSRGraph.from_graph(path_graph(4))
     overhead = 2**40
     offset = 2**23
@@ -222,11 +286,13 @@ def test_huge_overheads_take_the_argsort_fallback():
         GatedColumn(0, ((0, 0),), offset, 5, 5, overhead),
         GatedColumn(0, ((3, 0), (1, 0)), offset, 5, 5, overhead + 7),
     ]
-    largest_key = (offset + 3) * csr.num_nodes
+    largest_key = (offset + 3) << (csr.num_nodes - 1).bit_length() | 3
     assert largest_key >= 2 ** (63 - (overhead + 7 + 3).bit_length())
-    _, records = _both(csr, [(1,)], [0] * csr.num_directed_edges, columns, None, 2**41)
+    _, records, totals = _both(csr, [(1,)], [0] * csr.num_directed_edges, columns, None, 2**41)
     assert records.round == [offset, offset + 1, offset + 2, offset + 3]
     assert records.max_message_bits[0] == overhead + 7 + 1
+    # Column 1's value-1 entries at nodes 0 and 2 are the largest messages.
+    assert (totals.messages, totals.max_message_bits) == (12, overhead + 7 + 2)
 
 
 @needs_scipy

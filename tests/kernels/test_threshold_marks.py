@@ -10,7 +10,11 @@ and falls back to the reference otherwise.  Every registered
 backend must give the reference's lists, as lists of ``int``, along whole
 ``start``/``narrow`` chains: on ints at and past ``2**53`` and ``2**63``,
 ``bool``s, floats with ``±inf`` and NaN, mixed int/float, strings, ties,
-single items, and tuple and ``range`` tables.
+single items, and tuple and ``range`` tables.  ``optimum()`` must equal
+exactly the items Python's ``max``/``min`` of the table equals, so the
+search's ``is_exact`` flag is the same on every backend -- with a NaN
+first, in the middle or last too, where the Python result depends on the
+order.
 """
 
 from __future__ import annotations
@@ -83,6 +87,46 @@ def _check_chain(values, maximize, thresholds):
 @example(([math.nan, 1.0, -math.inf, math.inf, -0.0], False, [math.inf, 0.0]))
 def test_every_backend_marks_like_the_reference(chain):
     _check_chain(*chain)
+
+
+def _check_optimum(values, maximize):
+    """Every item equals each backend's optimum exactly when it equals
+    Python's ``max``/``min`` of the table (the ``is_exact`` test)."""
+    expected = max(values) if maximize else min(values)
+    for name in available_backends():
+        optimum = get_backend(name).threshold_marks(values, maximize).optimum()
+        for item in values:
+            assert bool(item == optimum) == bool(item == expected), (name, item)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chains())
+def test_every_backend_finds_the_reference_optimum(chain):
+    values, maximize, _ = chain
+    _check_optimum(values, maximize)
+
+
+@pytest.mark.parametrize("maximize", [True, False])
+@pytest.mark.parametrize(
+    "values",
+    [
+        [math.nan, 1.0, -2.0, 3.0],
+        [1.0, -2.0, math.nan, 3.0],
+        [1.0, -2.0, 3.0, math.nan],
+        (math.nan,),
+        [math.nan, math.nan, 0.5],
+    ],
+    ids=["first", "middle", "last", "only", "leading-run"],
+)
+def test_nan_keeps_the_python_optimum(values, maximize):
+    """Python's max/min keeps a leading NaN (nothing compares better) and
+    skips a later one; NumPy's reductions would return NaN for all."""
+    _check_optimum(values, maximize)
+    optimum = get_backend().threshold_marks(values, maximize).optimum()
+    if math.isnan(values[0]):
+        assert math.isnan(optimum)
+    else:
+        assert optimum == (3.0 if maximize else -2.0)
 
 
 @pytest.mark.parametrize("maximize", [True, False])
