@@ -17,9 +17,10 @@ Two workloads, each asserting that every hit equals the cold result:
   (median of ``HIT_REPEATS`` hits each) must be at least **20x** faster
   than cold (they measure hundreds of x).
 * ``weighted-apsp`` on the ``n = 256`` spanner, whose result is an
-  ``n x n`` distance table.  The cache decodes it once; a memory hit
-  costs a structural copy of 65,536 entries and a disk hit one JSON parse
-  and decode plus that copy.  Its warm hit (median of ``HIT_REPEATS``)
+  ``n x n`` distance table.  The cache decodes it once and keeps its copy
+  plan beside it; a memory hit copies the 65,536 entries by that stored
+  plan (256 C-level dict copies, no type checks) and a disk hit costs one
+  JSON parse and decode plus that copy.  Its warm hit (median of ``HIT_REPEATS``)
   must clear ``APSP_SPEEDUP_FLOOR``; the disk tier has no floor.
 
 The machine-readable twin is ``BENCH_service_cache.json``.

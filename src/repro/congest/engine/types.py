@@ -21,7 +21,9 @@ __all__ = [
     "RoundLimitExceeded",
     "encode_result_value",
     "decode_result_value",
-    "copy_result_value",
+    "decode_result_planned",
+    "copy_plan",
+    "copy_by_plan",
     "RESULT_CODEC_VERSION",
 ]
 
@@ -131,54 +133,101 @@ def encode_result_value(value: Any, path: str = "$") -> Any:
         ) from None
 
 
-def _decode_column(column: Any) -> Iterable[Any]:
-    """The decoded items of ``column``: the list itself when it holds only
-    atoms, else a lazy item-by-item decode."""
+def _plan(kind: type, items: Iterable[Any], plans: Optional[List[Any]]) -> Any:
+    """The copy plan of a ``kind`` container holding ``items``, whose own
+    plans are ``plans`` (``None`` when every item is an atom).  A tuple
+    whose items all plan ``None`` is shared only when they are atoms: a
+    decoded column holding ``inf`` (a tagged item) plans ``None`` too."""
+    if kind is set:
+        return set
+    if kind is frozenset:
+        return None
+    if plans is None or all(plan is None for plan in plans):
+        if kind is not tuple:
+            return kind
+        return None if set(map(type, items)) <= _ATOMS else (tuple, None)
+    first = plans[0]
+    return kind, first if all(plan == first for plan in plans) else plans
+
+
+def copy_plan(value: Any) -> Any:
+    """How :func:`copy_by_plan` copies ``value``, as plain nested data.
+
+    ``None`` shares the value (atoms, all-atom tuples, frozensets); ``dict``,
+    ``list`` or ``set`` is one C-level copy; ``(kind, plan)`` rebuilds a
+    ``kind`` container applying ``plan`` to every item (dict values), and
+    ``(kind, [plans])`` applies one plan per item.  Items with equal plans
+    collapse to one, so the plan grows with the number of differently
+    shaped containers, not with the number of atoms.
+    """
+    kind = type(value)
+    if kind is not dict and kind is not list and kind is not tuple:
+        return set if kind is set else None
+    items = value.values() if kind is dict else value
+    if set(map(type, items)) <= _ATOMS:
+        return _plan(kind, items, None)
+    return _plan(kind, items, list(map(copy_plan, items)))
+
+
+def copy_by_plan(plan: Any, value: Any) -> Any:
+    """A structural copy of ``value`` made by its :func:`copy_plan`: every
+    dict, list and set is new, and nothing is type-checked."""
+    if plan is None:
+        return value
+    if type(plan) is not tuple:
+        return plan(value)
+    kind, inner = plan
+    items = value.values() if kind is dict else value
+    if type(inner) is list:
+        copies = map(copy_by_plan, inner, items)
+    elif type(inner) is type:
+        copies = map(inner, items)
+    else:
+        copies = map(functools.partial(copy_by_plan, inner), items)
+    return dict(zip(value, copies)) if kind is dict else kind(copies)
+
+
+def _decode_column(column: Any) -> Tuple[List[Any], Optional[List[Any]]]:
+    """The decoded items of ``column`` and their copy plans; the plans are
+    ``None`` and the items the list itself when it holds only atoms."""
     if type(column) is not list:
         raise ValueError(f"a serialized column must be a list, got {type(column).__name__}")
     if set(map(type, column)) <= _ATOMS:
-        return column
-    return map(decode_result_value, column)
+        return column, None
+    items, plans = zip(*map(decode_result_planned, column))
+    return list(items), list(plans)
+
+
+def decode_result_planned(payload: Any) -> Tuple[Any, Any]:
+    """The decoded value of ``payload`` and its :func:`copy_plan`, derived
+    in the same walk."""
+    if type(payload) is list:
+        items, plans = _decode_column(payload)
+        return list(items), _plan(list, items, plans)
+    if isinstance(payload, dict):
+        tag = payload.get(_TAG)
+        if tag == "dict":
+            keys, _ = _decode_column(payload.get("k"))
+            values, plans = _decode_column(payload.get("v"))
+            decoded = dict(zip(keys, values, strict=True))
+            if len(decoded) != len(values):
+                raise ValueError("a serialized dict repeats a key")
+            return decoded, _plan(dict, values, plans)
+        if tag == "float":
+            return float(payload["v"]), None
+        if tag not in _SEQUENCES:
+            raise ValueError(f"unknown serialization tag {tag!r}")
+        kind = _SEQUENCES[tag]
+        items, plans = _decode_column(payload.get("v"))
+        return kind(items), _plan(kind, items, plans)
+    if payload is None or isinstance(payload, (bool, int, float, str)):
+        return payload, None
+    raise ValueError(f"cannot decode serialized payload of type {type(payload).__name__}")
 
 
 def decode_result_value(payload: Any) -> Any:
     """Inverse of :func:`encode_result_value`."""
-    if type(payload) is list:
-        return list(_decode_column(payload))
-    if isinstance(payload, dict):
-        tag = payload.get(_TAG)
-        if tag == "dict":
-            return dict(
-                zip(_decode_column(payload.get("k")), _decode_column(payload.get("v")), strict=True)
-            )
-        if tag == "float":
-            return float(payload["v"])
-        if tag not in _SEQUENCES:
-            raise ValueError(f"unknown serialization tag {tag!r}")
-        return _SEQUENCES[tag](_decode_column(payload.get("v")))
-    if payload is None or isinstance(payload, (bool, int, float, str)):
-        return payload
-    raise ValueError(f"cannot decode serialized payload of type {type(payload).__name__}")
-
-
-def copy_result_value(value: Any) -> Any:
-    """A structural copy of a decoded value: every dict, list and set is
-    new, while atoms, all-atom tuples and frozensets (immutable throughout)
-    are shared.  An all-atom column is copied in one C-level pass."""
-    kind = type(value)
-    if kind is dict:
-        if set(map(type, value.values())) <= _ATOMS:
-            return dict(value)
-        return {key: copy_result_value(item) for key, item in value.items()}
-    if kind is list:
-        if set(map(type, value)) <= _ATOMS:
-            return list(value)
-        return list(map(copy_result_value, value))
-    if kind is set:
-        return set(value)
-    if kind is tuple and not set(map(type, value)) <= _ATOMS:
-        return tuple(map(copy_result_value, value))
-    return value
+    return decode_result_planned(payload)[0]
 
 
 def _values_equal(a: Any, b: Any) -> bool:
@@ -404,13 +453,19 @@ class SimulationResult:
     @classmethod
     def from_json(cls, payload: Dict[str, Any]) -> "SimulationResult":
         """Restore a result produced by :meth:`to_json` (empty contexts)."""
+        return cls.from_json_planned(payload)[0]
+
+    @classmethod
+    def from_json_planned(cls, payload: Dict[str, Any]) -> Tuple["SimulationResult", Any]:
+        """:meth:`from_json` and the :func:`copy_plan` of the outputs,
+        derived in the same walk."""
         if not isinstance(payload, dict) or "outputs" not in payload or "report" not in payload:
             raise ValueError(
                 "SimulationResult.from_json expects a dict with 'outputs' and 'report'"
             )
-        outputs = decode_result_value(payload["outputs"])
+        outputs, plan = decode_result_planned(payload["outputs"])
         if not isinstance(outputs, dict):
             raise ValueError(
                 f"serialized outputs must decode to a dict, got {type(outputs).__name__}"
             )
-        return cls(outputs=outputs, report=RoundReport.from_json(payload["report"]))
+        return cls(outputs=outputs, report=RoundReport.from_json(payload["report"])), plan

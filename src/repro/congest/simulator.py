@@ -106,9 +106,9 @@ class Simulator:
             ownership boundary; it never affects the execution itself.
             Only the ``sparse`` interpreter produces a message stream (the
             other engines derive reports, not messages), so an observed run
-            executes there whatever engine is selected; the selection still
-            runs first, so an explicitly named engine that cannot execute
-            the run raises as usual.
+            executes there whatever engine is selected.  No selection runs
+            for it, except that an explicitly named ``engine`` that cannot
+            execute the run still raises as usual.
         engine:
             Optional explicit engine name (``"sparse"``, ``"dense"``,
             ``"symbolic"``).  Defaults to the forced /
@@ -121,11 +121,11 @@ class Simulator:
         SimulationResult
             Node outputs, contexts and the round report.
         """
-        selected = resolve_engine(
-            engine, self._network, algorithm, initial_memory=initial_memory
-        )
         if observer is not None:
-            selected.release()
+            if engine is not None:
+                resolve_engine(
+                    engine, self._network, algorithm, initial_memory=initial_memory
+                ).release()
             return get_engine("sparse").run(
                 self._network,
                 algorithm,
@@ -134,7 +134,9 @@ class Simulator:
                 halt_on_quiescence=halt_on_quiescence,
                 observer=observer,
             )
-        return selected.run(
+        return resolve_engine(
+            engine, self._network, algorithm, initial_memory=initial_memory
+        ).run(
             self._network,
             algorithm,
             max_rounds=self._max_rounds,

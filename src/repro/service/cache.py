@@ -23,9 +23,11 @@ its execution knobs.  On disk each entry's file is named by both keys,
 file name and never reads an unrelated result.
 
 An entry is serialized once (:meth:`SimulationResult.to_json`, the disk and
-wire format) and decoded once, at store or disk load; the LRU keeps only the
-decoded result, and every hit returns a structural copy of it, so a caller
-that mutates its result cannot change what the next request is served.
+wire format) and decoded once, at store or disk load.  The same walk that
+decodes it derives its copy plan (:func:`~repro.congest.engine.types.copy_plan`);
+the LRU keeps the decoded result beside that plan, and every hit returns a
+structural copy made by the plan, with no type checks, so a caller that
+mutates its result cannot change what the next request is served.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
-from repro.congest.engine.types import RESULT_CODEC_VERSION, SimulationResult, copy_result_value
+from repro.congest.engine.types import RESULT_CODEC_VERSION, SimulationResult, copy_by_plan
 from repro.service.spec import RunSpec
 
 __all__ = ["CacheStats", "ResultCache", "cache_key", "semantic_key"]
@@ -80,10 +82,15 @@ def semantic_key(spec: RunSpec, graph_digest: str) -> str:
     ).hexdigest()
 
 
-def _copy(result: SimulationResult) -> SimulationResult:
-    """A context-free copy of ``result`` sharing no mutable container."""
+#: A decoded result and the copy plan of its outputs.
+_Planned = Tuple[SimulationResult, Any]
+
+
+def _copy(entry: _Planned) -> SimulationResult:
+    """A context-free copy of the entry's result sharing no mutable container."""
+    result, plan = entry
     return SimulationResult(
-        outputs=copy_result_value(result.outputs), report=dataclasses.replace(result.report)
+        outputs=copy_by_plan(plan, result.outputs), report=dataclasses.replace(result.report)
     )
 
 
@@ -141,8 +148,9 @@ class ResultCache:
         self._directory = Path(directory) if directory is not None else None
         if self._directory is not None:
             self._directory.mkdir(parents=True, exist_ok=True)
-        #: exact key -> (semantic key, decoded result); insertion order = LRU.
-        self._entries: "OrderedDict[str, Tuple[str, SimulationResult]]" = OrderedDict()
+        #: exact key -> (semantic key, decoded result, its copy plan);
+        #: insertion order = LRU.
+        self._entries: "OrderedDict[str, Tuple[str, SimulationResult, Any]]" = OrderedDict()
         #: semantic key -> exact key of one stored entry (for cross-engine).
         self._semantic_index: Dict[str, str] = {}
         self._lock = threading.Lock()
@@ -207,7 +215,7 @@ class ResultCache:
             "spec": spec.to_json(),
             "result": result.to_json(),
         }
-        decoded = SimulationResult.from_json(document["result"])
+        decoded = SimulationResult.from_json_planned(document["result"])
         with self._lock:
             self._insert_locked(exact, semantic, decoded)
             self._semantic_index[semantic] = exact
@@ -236,22 +244,23 @@ class ResultCache:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _insert_locked(self, key: str, semantic: str, result: SimulationResult) -> None:
-        """Make ``result`` the most recent entry and evict past the bound."""
-        self._entries[key] = (semantic, result)
+    def _insert_locked(self, key: str, semantic: str, decoded: _Planned) -> None:
+        """Make ``decoded`` the most recent entry and evict past the bound."""
+        self._entries[key] = (semantic, *decoded)
         self._entries.move_to_end(key)
         while len(self._entries) > self._max_entries:
-            evicted_key, (evicted_semantic, _) = self._entries.popitem(last=False)
+            evicted_key, (evicted_semantic, _, _) = self._entries.popitem(last=False)
             self.stats.evictions += 1
             if self._semantic_index.get(evicted_semantic) == evicted_key:
                 del self._semantic_index[evicted_semantic]
 
-    def _decode(self, document: Dict[str, Any]) -> Optional[SimulationResult]:
-        """The disk document's result, decoded, or ``None`` when it does not
-        decode, which counts it as corrupt.  Disk documents are decoded
-        before they enter the LRU, so a corrupt one never does."""
+    def _decode(self, document: Dict[str, Any]) -> Optional[_Planned]:
+        """The disk document's result, decoded, with its copy plan, or
+        ``None`` when it does not decode, which counts it as corrupt.  Disk
+        documents are decoded before they enter the LRU, so a corrupt one
+        never does."""
         try:
-            return SimulationResult.from_json(document["result"])
+            return SimulationResult.from_json_planned(document["result"])
         except (KeyError, TypeError, ValueError):
             with self._lock:
                 self.stats.corrupt += 1
@@ -269,21 +278,21 @@ class ResultCache:
             if entry is not None:
                 self._entries.move_to_end(key)
         if entry is not None:
-            return _copy(entry[1])
+            return _copy(entry[1:])
         if self._directory is None:
             return None
         path = self._disk_path(key, semantic)
         if not path.is_file():
             return None
         document = self._read_disk(path)
-        result = self._decode(document) if document is not None else None
-        if result is None:
+        decoded = self._decode(document) if document is not None else None
+        if decoded is None:
             return None
         with self._lock:
             self.stats.disk_hits += 1
-            self._insert_locked(key, document["semantic_key"], result)
+            self._insert_locked(key, document["semantic_key"], decoded)
             self._semantic_index.setdefault(document["semantic_key"], key)
-        return _copy(result)
+        return _copy(decoded)
 
     def _load_disk_semantic(self, semantic: str) -> Optional[SimulationResult]:
         """Any disk entry with the given semantic key.
@@ -296,12 +305,12 @@ class ResultCache:
             document = self._read_disk(path)
             if document is None or document["semantic_key"] != semantic:
                 continue
-            result = self._decode(document)
-            if result is not None:
+            decoded = self._decode(document)
+            if decoded is not None:
                 with self._lock:
                     self.stats.disk_hits += 1
                     self._semantic_index.setdefault(semantic, document["key"])
-                return result
+                return decoded[0]
         return None
 
     def _read_disk(self, path: Path) -> Optional[Dict[str, Any]]:

@@ -198,10 +198,12 @@ class TestRegistry:
 
 
 class TestObserverSemantics:
-    """Observers see rounds numbered from 1 with exactly the delivered messages."""
+    """Observers see rounds numbered from 1 with exactly the delivered
+    messages.  An observed run always executes on ``sparse`` (see
+    ``test_tree_observer_streams_identical`` for the routing per engine)."""
 
     @staticmethod
-    def _record(network, algorithm, engine, **kwargs):
+    def _record(network, algorithm, **kwargs):
         rounds = []
 
         def observer(round_number, delivered):
@@ -214,21 +216,13 @@ class TestObserverSemantics:
                 )
             )
 
-        # force_engine, not engine=: engines that cannot run the algorithm
-        # (e.g. symbolic on an ungated flood) must fall back to sparse and
-        # still produce the identical observer stream.
-        with force_engine(engine):
-            result = Simulator(network).run(algorithm, observer=observer, **kwargs)
+        result = Simulator(network).run(algorithm, observer=observer, **kwargs)
         return rounds, result
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_round_numbering_and_delivery(self, network, engine):
+    def test_round_numbering_and_delivery(self, network):
         source = min(network.nodes)
         rounds, result = self._record(
-            network,
-            _BellmanFordAlgorithm([source]),
-            engine,
-            halt_on_quiescence=True,
+            network, _BellmanFordAlgorithm([source]), halt_on_quiescence=True
         )
         numbers = [number for number, _ in rounds]
         assert numbers == list(range(1, result.report.rounds + 1))
@@ -240,28 +234,37 @@ class TestObserverSemantics:
         delivered_total = sum(len(batch) for _, batch in rounds)
         assert delivered_total == result.report.total_messages
 
-    def test_observed_messages_identical_across_engines(self, network):
-        streams = {}
-        for engine in ENGINES:
-            streams[engine] = self._record(
-                network,
-                _BellmanFordAlgorithm(sorted(network.nodes)[:4]),
-                engine,
-                halt_on_quiescence=True,
-            )[0]
-        reference = streams.pop("sparse")
-        for engine, stream in streams.items():
-            assert stream == reference, f"{engine} observer stream diverged"
+    def test_observed_messages_identical_across_engines(self, network, monkeypatch):
+        """Under ``auto`` or a forced engine, an observed run asks no engine
+        whether it ``supports`` the run (symbolic's is a full input pass
+        that the sparse run would discard) and streams what sparse does."""
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        algorithm = _BellmanFordAlgorithm(sorted(network.nodes)[:4])
+        reference = self._record(
+            network, algorithm, halt_on_quiescence=True, engine="sparse"
+        )[0]
+        asked = []
+        for name in ENGINES:
+            cls = type(get_engine(name))
+            monkeypatch.setattr(
+                cls,
+                "supports",
+                lambda self, *args, _supports=cls.supports: asked.append(self.name)
+                or _supports(self, *args),
+            )
+        assert self._record(network, algorithm, halt_on_quiescence=True)[0] == reference
+        for name in ENGINES:
+            with force_engine(name):
+                stream = self._record(network, algorithm, halt_on_quiescence=True)[0]
+            assert stream == reference, f"{name} observer stream diverged"
+        assert asked == []
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_idle_rounds_observed_with_empty_delivery(self, engine):
+    def test_idle_rounds_observed_with_empty_delivery(self):
         # Budget far beyond convergence: the trailing rounds are idle but
         # still numbered and observed, with nothing delivered.
         network = Network(path_graph(4))
         budget = 9
-        rounds, result = self._record(
-            network, _MinIdFloodAlgorithm(budget), engine
-        )
+        rounds, result = self._record(network, _MinIdFloodAlgorithm(budget))
         assert result.report.rounds == budget
         numbers = [number for number, _ in rounds]
         assert numbers == list(range(1, budget + 1))

@@ -370,14 +370,17 @@ def test_the_handoff_serves_only_the_same_run_on_the_same_topology(monkeypatch):
 
 
 def test_an_observed_run_leaves_no_handoff():
-    """An observed run resolves to symbolic and then executes on sparse;
-    the inputs ``supports`` derived for it must not stay on the engine."""
+    """An observed run that names symbolic is checked by its ``supports``
+    and then executes on sparse; the inputs ``supports`` derived for it
+    must not stay on the engine."""
     network = _network()
     algorithm = BoundedDistanceSsspAlgorithm(0, 12)
     expected = Simulator(network).run(algorithm, engine="sparse")
     rounds = []
     result = Simulator(network).run(
-        algorithm, observer=lambda number, delivered: rounds.append(number)
+        algorithm,
+        observer=lambda number, delivered: rounds.append(number),
+        engine="symbolic",
     )
     assert get_engine("symbolic")._handoff is None
     assert result.report == expected.report
