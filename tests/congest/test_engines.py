@@ -199,11 +199,15 @@ class TestRegistry:
 
 class TestObserverSemantics:
     """Observers see rounds numbered from 1 with exactly the delivered
-    messages.  An observed run always executes on ``sparse`` (see
+    messages.  An observed run always executes on ``sparse``; the cases per
+    engine force each one in turn and check its hand-off (see also
     ``test_tree_observer_streams_identical`` for the routing per engine)."""
 
     @staticmethod
-    def _record(network, algorithm, **kwargs):
+    def _record(network, algorithm, forced=None, **kwargs):
+        """Run ``algorithm`` observed, under ``force_engine(forced)`` when
+        given: an engine that cannot run it must still hand the observed run
+        to sparse and produce the identical stream."""
         rounds = []
 
         def observer(round_number, delivered):
@@ -216,13 +220,23 @@ class TestObserverSemantics:
                 )
             )
 
-        result = Simulator(network).run(algorithm, observer=observer, **kwargs)
+        if forced is None:
+            result = Simulator(network).run(algorithm, observer=observer, **kwargs)
+        else:
+            with force_engine(forced):
+                result = Simulator(network).run(
+                    algorithm, observer=observer, **kwargs
+                )
         return rounds, result
 
-    def test_round_numbering_and_delivery(self, network):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_round_numbering_and_delivery(self, network, engine):
         source = min(network.nodes)
         rounds, result = self._record(
-            network, _BellmanFordAlgorithm([source]), halt_on_quiescence=True
+            network,
+            _BellmanFordAlgorithm([source]),
+            engine,
+            halt_on_quiescence=True,
         )
         numbers = [number for number, _ in rounds]
         assert numbers == list(range(1, result.report.rounds + 1))
@@ -259,12 +273,13 @@ class TestObserverSemantics:
             assert stream == reference, f"{name} observer stream diverged"
         assert asked == []
 
-    def test_idle_rounds_observed_with_empty_delivery(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_idle_rounds_observed_with_empty_delivery(self, engine):
         # Budget far beyond convergence: the trailing rounds are idle but
         # still numbered and observed, with nothing delivered.
         network = Network(path_graph(4))
         budget = 9
-        rounds, result = self._record(network, _MinIdFloodAlgorithm(budget))
+        rounds, result = self._record(network, _MinIdFloodAlgorithm(budget), engine)
         assert result.report.rounds == budget
         numbers = [number for number, _ in rounds]
         assert numbers == list(range(1, budget + 1))
