@@ -2,8 +2,8 @@
 
 Regenerates a table comparing, per backend, the wall-clock of exact
 all-pairs shortest paths on a 500-node random graph against the seed
-implementation (one dict-based Dijkstra per node, kept as
-``all_pairs_distances_reference``), plus a larger ladder from
+implementation (one dict-based Dijkstra per node,
+``all_pairs_distances_reference`` in ``tests/graphs/shortest_path_reference.py``), plus a larger ladder from
 ``kernel_scaling_workloads`` showing the sizes the batched kernels unlock.
 On an accelerated backend each ladder graph also gets an extremal-eccentricity
 row: the bound-pruned diameter and radius with their node sets
@@ -26,8 +26,10 @@ and message totals.
 
 from __future__ import annotations
 
+import importlib.util
 import statistics
 import time
+from pathlib import Path
 
 import pytest
 from conftest import run_once
@@ -36,10 +38,7 @@ from repro.analysis import kernel_scaling_workloads, render_table
 from repro.congest import Network, force_engine
 from repro.core.parameters import AlgorithmParameters, ParameterProfile
 from repro.graphs import random_weighted_graph, yao_spanner_graph
-from repro.graphs.shortest_paths import (
-    all_pairs_distances,
-    all_pairs_distances_reference,
-)
+from repro.graphs.shortest_paths import all_pairs_distances
 from repro.kernels import (
     CSRGraph,
     all_pairs_distances_csr,
@@ -48,6 +47,21 @@ from repro.kernels import (
     get_backend,
 )
 from repro.nanongkai import multi_source_bounded_hop_protocol, sample_skeleton_sets
+
+_REFERENCE_PATH = (
+    Path(__file__).parent.parent / "tests" / "graphs" / "shortest_path_reference.py"
+)
+
+
+def _reference():
+    """``all_pairs_distances_reference``, loaded from the test suite by path."""
+    spec = importlib.util.spec_from_file_location("shortest_path_reference", _REFERENCE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.all_pairs_distances_reference
+
+
+all_pairs_distances_reference = _reference()
 
 HEADERS = ["implementation", "n", "time [s]", "speedup", "matches reference"]
 

@@ -16,6 +16,8 @@ from repro.congest.engine.types import (
 from repro.congest.engine.base import (
     ENGINE_ENV_VAR,
     ExecutionEngine,
+    PreparedRun,
+    ResolvedRun,
     available_engines,
     force_engine,
     get_engine,
@@ -43,6 +45,8 @@ __all__ = [
     "SimulationResult",
     "ENGINE_ENV_VAR",
     "ExecutionEngine",
+    "PreparedRun",
+    "ResolvedRun",
     "available_engines",
     "force_engine",
     "get_engine",

@@ -18,15 +18,18 @@ resolves one per run.  Three engines ship with the library:
   that declare a structured numeric message schema
   (:meth:`NodeAlgorithm.message_schema`) are eligible.
 
-Selection order (first match wins):
+:meth:`ExecutionEngine.prepare` validates one run and returns it as a
+:data:`PreparedRun` closing over what validation derived, or ``None`` when
+the engine cannot execute it faithfully; the work runs when the prepared run
+is called.  Engines keep no per-run state.  :func:`resolve_engine` picks the
+engine and prepares the run once, in this order (first match wins):
 
 1. an explicit ``engine=`` argument on :meth:`Simulator.run`,
-2. a :func:`force_engine` override (used by the differential tests and the
-   engine benchmarks),
+2. a :func:`force_engine` override (or :func:`repro.runtime.configure`),
 3. the ``REPRO_ENGINE`` environment variable (``sparse``, ``dense``,
    ``symbolic`` or ``auto``),
-4. ``auto``: the first of ``symbolic``, ``dense`` and ``sparse`` that can
-   execute the run.
+4. ``auto``: the first of ``symbolic``, ``dense`` and ``sparse`` that
+   prepares the run.
 
 A forced or environment-selected engine that cannot execute a particular run
 (e.g. ``dense`` for an algorithm without a message schema) falls back to
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import contextlib
 import os
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional
 
 from repro.congest.algorithm import NodeAlgorithm
 from repro.congest.engine.types import SimulationResult
@@ -48,6 +51,8 @@ from repro.congest.network import Network
 
 __all__ = [
     "ExecutionEngine",
+    "PreparedRun",
+    "ResolvedRun",
     "register_engine",
     "available_engines",
     "get_engine",
@@ -76,23 +81,26 @@ _REGISTRY: Dict[str, "ExecutionEngine"] = {}
 _FORCED: Optional[str] = None
 
 
+#: A validated run, ready to execute: ``prepared(max_rounds,
+#: halt_on_quiescence)`` returns its :class:`SimulationResult`.
+PreparedRun = Callable[[int, bool], SimulationResult]
+
+
 class ExecutionEngine:
     """Interface every CONGEST execution engine implements."""
 
     name: str = "abstract"
 
-    def supports(
+    def prepare(
         self,
         network: Network,
         algorithm: NodeAlgorithm,
         initial_memory: Optional[Dict[int, Dict[str, Any]]] = None,
-    ) -> bool:
-        """Whether this engine can execute the given run faithfully."""
-        return True
-
-    def release(self) -> None:
-        """Drop what :meth:`supports` kept for a run that then executes on
-        another engine (an observed run goes to ``sparse``)."""
+    ) -> Optional[PreparedRun]:
+        """The run of ``algorithm`` on ``network``, validated for this
+        engine, or ``None`` when this engine cannot execute it faithfully.
+        Validation only: call the run before the topology changes."""
+        raise NotImplementedError
 
     def run(
         self,
@@ -102,12 +110,26 @@ class ExecutionEngine:
         initial_memory: Optional[Dict[int, Dict[str, Any]]] = None,
         halt_on_quiescence: bool = False,
     ) -> SimulationResult:
-        """Execute ``algorithm`` on ``network`` until every node halts.
+        """Prepare the run and execute it until every node halts.  Only
+        ``sparse``'s ``run`` also takes an observer."""
+        prepared = self.prepare(network, algorithm, initial_memory)
+        if prepared is None:
+            raise ValueError(
+                f"{self.name} engine cannot execute protocol '{algorithm.name}'"
+            )
+        return prepared(max_rounds, halt_on_quiescence)
 
-        Engines return reports, not message streams: a run with an observer
-        goes to the ``sparse`` interpreter, whose ``run`` alone takes one.
-        """
-        raise NotImplementedError
+
+class ResolvedRun(NamedTuple):
+    """The engine :func:`resolve_engine` chose for a run, and the run it prepared."""
+
+    engine: ExecutionEngine
+    run: PreparedRun
+
+    @property
+    def name(self) -> str:
+        """The chosen engine's name."""
+        return self.engine.name
 
 
 def register_engine(engine: ExecutionEngine) -> None:
@@ -135,14 +157,15 @@ def resolve_engine(
     network: Network,
     algorithm: NodeAlgorithm,
     initial_memory: Optional[Dict[int, Dict[str, Any]]] = None,
-) -> ExecutionEngine:
-    """Select the engine for one run (explicit > forced > env > auto).
+) -> ResolvedRun:
+    """Select the engine for one run (explicit > forced > env > auto) and
+    prepare the run on it, once.
 
-    ``name=None`` consults the override/environment; ``"auto"`` picks the
-    first eligible engine of ``symbolic``, ``dense``, ``sparse``.  An explicitly named engine that cannot execute
-    the run raises; a forced/environment preference silently falls back to
-    the ``sparse`` engine, so a blanket ``REPRO_ENGINE=dense`` accelerates
-    the eligible protocols without breaking the rest.
+    ``name=None`` consults the override/environment.  An explicitly named
+    engine that cannot execute the run raises; a forced/environment
+    preference silently falls back to the ``sparse`` engine, so a blanket
+    ``REPRO_ENGINE=dense`` accelerates the eligible protocols without
+    breaking the rest.
     """
     explicit = name is not None
     if name is None:
@@ -150,25 +173,24 @@ def resolve_engine(
     if name is None:
         name = os.environ.get(ENGINE_ENV_VAR, "auto").strip().lower() or "auto"
     if name == "auto":
-        for preferred in ("symbolic", "dense"):
-            engine = _REGISTRY.get(preferred)
-            if engine is not None and engine.supports(
-                network, algorithm, initial_memory
-            ):
-                return engine
-        return _REGISTRY[_FALLBACK]
-    if not explicit and name in _OPTIONAL_ENGINES and name not in _REGISTRY:
-        return _REGISTRY[_FALLBACK]
-    engine = get_engine(name)
-    if engine.supports(network, algorithm, initial_memory):
-        return engine
-    if explicit:
+        candidates = [_REGISTRY.get(preferred) for preferred in ("symbolic", "dense")]
+    elif not explicit and name in _OPTIONAL_ENGINES and name not in _REGISTRY:
+        candidates = []
+    else:
+        candidates = [get_engine(name)]
+    for engine in candidates:
+        if engine is not None:
+            prepared = engine.prepare(network, algorithm, initial_memory)
+            if prepared is not None:
+                return ResolvedRun(engine, prepared)
+    if explicit and name != "auto":
         raise ValueError(
-            f"engine {engine.name!r} cannot execute protocol "
+            f"engine {name!r} cannot execute protocol "
             f"'{algorithm.name}' (no structured message schema, or an "
             f"unsupported run configuration)"
         )
-    return _REGISTRY[_FALLBACK]
+    fallback = _REGISTRY[_FALLBACK]
+    return ResolvedRun(fallback, fallback.prepare(network, algorithm, initial_memory))
 
 
 @contextlib.contextmanager

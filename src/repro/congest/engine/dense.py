@@ -39,13 +39,14 @@ star/path and single-node networks.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.congest.algorithm import NodeAlgorithm, NodeContext
 from repro.congest.engine import dense_tree
-from repro.congest.engine.base import ExecutionEngine, register_engine
+from repro.congest.engine.base import ExecutionEngine, PreparedRun, register_engine
 from repro.congest.engine.schema import MinPlusSchema, TreeSchema
 from repro.congest.engine.types import (
     RoundLimitExceeded,
@@ -68,25 +69,23 @@ class DenseEngine(ExecutionEngine):
 
     name = "dense"
 
-    def supports(
+    def prepare(
         self,
         network: Network,
         algorithm: NodeAlgorithm,
         initial_memory: Optional[Dict[int, Dict[str, Any]]] = None,
-    ) -> bool:
+    ) -> Optional[PreparedRun]:
         schema = algorithm.message_schema()
         if isinstance(schema, TreeSchema):
             if schema.kind != "flood":
-                return dense_tree.tree_supports(network, schema, initial_memory)
-            # The flood member carries ordinary min-plus semantics; fall
-            # through to the MinPlusSchema eligibility checks below.
-            schema = schema.flood
+                return dense_tree.prepare_tree(network, algorithm, schema, initial_memory)
+            schema = schema.flood  # ordinary min-plus semantics, checked below
         if not isinstance(schema, MinPlusSchema):
-            return False
+            return None
         if schema.arrival_gated or initial_memory:
             # Gated schedules belong to the symbolic engine; pre-loaded
             # state stays on sparse (which runs the node program as-is).
-            return False
+            return None
         # Every state value must stay exactly representable in float64, or
         # the relaxation sums would silently diverge from the exact-int
         # engines.  Conservative bound for the bundled schemas (whose initial
@@ -98,193 +97,172 @@ class DenseEngine(ExecutionEngine):
         bound = max((abs(node) for node in network.nodes), default=0)
         if schema.add_edge_weight and network.num_nodes > 1:
             bound += network.num_nodes * network.max_weight()
-        return bound < _EXACT_FLOAT_LIMIT
+        if bound >= _EXACT_FLOAT_LIMIT:
+            return None
+        return functools.partial(_run_minplus, network, algorithm, schema)
 
-    def run(
-        self,
-        network: Network,
-        algorithm: NodeAlgorithm,
-        max_rounds: int,
-        initial_memory: Optional[Dict[int, Dict[str, Any]]] = None,
-        halt_on_quiescence: bool = False,
-    ) -> SimulationResult:
-        # Validate against the schema object actually executed (supports()
-        # already ran in resolve_engine, but on its own schema fetch); the
-        # in-run exactness guard below covers the 2^53 bound.
-        schema = algorithm.message_schema()
-        if isinstance(schema, TreeSchema):
-            if schema.kind != "flood":
-                return dense_tree.run_tree(
-                    network,
-                    algorithm,
-                    schema,
-                    max_rounds=max_rounds,
-                    initial_memory=initial_memory,
-                    halt_on_quiescence=halt_on_quiescence,
-                )
-            schema = schema.flood  # min-plus semantics, executed below
-        if (
-            not isinstance(schema, MinPlusSchema)
-            or schema.arrival_gated
-            or initial_memory
-        ):
+
+def _run_minplus(
+    network: Network,
+    algorithm: NodeAlgorithm,
+    schema: MinPlusSchema,
+    max_rounds: int,
+    halt_on_quiescence: bool,
+) -> SimulationResult:
+    """Execute a prepared announce-on-improvement run."""
+    nodes = list(network.nodes)
+    n = len(nodes)
+    k = schema.num_columns
+    bandwidth = network.bandwidth_bits
+    strict = network.config.strict_bandwidth
+    budget = schema.round_budget
+
+    csr = CSRGraph.from_graph(network.graph)
+    indptr, indices, weights = csr.numpy_arrays()
+    degrees = np.diff(indptr)
+
+    # Per-column constant part of one message's charged size: label,
+    # optional key label(s), tuple overhead and tag.
+    word_bits = network.word_bits
+    overhead = np.array(
+        [schema.payload_overhead_bits(j, word_bits) for j in range(k)],
+        dtype=np.int64,
+    )
+
+    dist = np.empty((n, k), dtype=np.float64)
+    for i, node in enumerate(nodes):
+        row = schema.initial(node)
+        if len(row) != k:
             raise ValueError(
-                f"dense engine cannot execute protocol '{algorithm.name}'"
+                f"schema initial() returned {len(row)} values, expected {k}"
+            )
+        dist[i] = row
+    flat = dist.reshape(-1)  # a view: entry (i, j) sits at i * k + j
+
+    # ``frontier``: the sorted flat indices of the entries broadcast this
+    # round (announced at the end of the previous one).
+    if schema.send_initial == "all":
+        frontier = np.arange(n * k)
+    elif schema.send_initial == "finite":
+        frontier = np.flatnonzero(np.isfinite(flat))
+    elif schema.send_initial == "none":
+        frontier = np.empty(0, dtype=np.int64)
+    else:
+        raise ValueError(f"unknown send_initial mode {schema.send_initial!r}")
+    # Broadcasting over zero neighbors sends nothing.  Later frontiers
+    # only hold entries improved by a delivery, whose node has a neighbor.
+    frontier = frontier[degrees[frontier // k] > 0]
+    marks = np.zeros(n * k, dtype=bool)
+
+    report = RoundReport(protocol=algorithm.name)
+    round_number = 0
+    halted = False
+
+    while not halted:
+        round_number += 1
+        if round_number > max_rounds:
+            raise RoundLimitExceeded(
+                f"protocol '{algorithm.name}' exceeded {max_rounds} rounds"
             )
 
-        nodes = list(network.nodes)
-        n = len(nodes)
-        k = schema.num_columns
-        bandwidth = network.bandwidth_bits
-        strict = network.config.strict_bandwidth
-        budget = schema.round_budget
-
-        csr = CSRGraph.from_graph(network.graph)
-        indptr, indices, weights = csr.numpy_arrays()
-        degrees = np.diff(indptr)
-
-        # Per-column constant part of one message's charged size: label,
-        # optional key label(s), tuple overhead and tag.
-        word_bits = network.word_bits
-        overhead = np.array(
-            [schema.payload_overhead_bits(j, word_bits) for j in range(k)],
-            dtype=np.int64,
-        )
-
-        dist = np.empty((n, k), dtype=np.float64)
-        for i, node in enumerate(nodes):
-            row = schema.initial(node)
-            if len(row) != k:
-                raise ValueError(
-                    f"schema initial() returned {len(row)} values, expected {k}"
+        # --- Accounting (analytic: one broadcast = degree copies) ------ #
+        max_edge_charge = 1
+        improved = frontier  # empty when nothing is in flight
+        if frontier.size:
+            values = flat[frontier]
+            if (
+                not np.isfinite(values).all()
+                or np.abs(values).max() >= _EXACT_FLOAT_LIMIT
+            ):
+                raise RuntimeError(
+                    "dense engine scheduled a non-finite or non-exact "
+                    "payload; the message schema must only flood finite "
+                    f"integers of magnitude below 2**53 "
+                    f"(protocol '{algorithm.name}')"
                 )
-            dist[i] = row
-        flat = dist.reshape(-1)  # a view: entry (i, j) sits at i * k + j
+            senders, columns = np.divmod(frontier, k)
+            # encode_value charges an integer bit_length(|v|) + 1 (sign
+            # bit), negative ids (min-id flood) included; the payloads
+            # are exact float64 ints, whose frexp exponent is their
+            # bit_length (0 for 0).
+            msg_bits = overhead[columns] + np.frexp(np.abs(values))[1] + 1
+            copies = degrees[senders]
+            report.total_messages += int(copies.sum())
+            report.total_bits += int((msg_bits * copies).sum())
+            report.max_message_bits = max(
+                report.max_message_bits, int(msg_bits.max())
+            )
+            # Each sender's per-edge load, in node order (the frontier
+            # is sorted, so every sender's entries are contiguous).
+            starts = np.flatnonzero(np.diff(senders, prepend=-1))
+            per_sender_bits = np.add.reduceat(msg_bits, starts)
+            over = per_sender_bits > bandwidth
+            if over.any():
+                if strict:
+                    first = int(per_sender_bits[np.argmax(over)])
+                    raise ValueError(
+                        f"protocol '{algorithm.name}' exceeded the "
+                        f"bandwidth: {first} bits on one edge in one "
+                        f"round (B={bandwidth})"
+                    )
+                max_edge_charge = int(
+                    np.ceil(per_sender_bits[over] / bandwidth).max()
+                )
 
-        # ``frontier``: the sorted flat indices of the entries broadcast this
-        # round (announced at the end of the previous one).
-        if schema.send_initial == "all":
-            frontier = np.arange(n * k)
-        elif schema.send_initial == "finite":
-            frontier = np.flatnonzero(np.isfinite(flat))
-        elif schema.send_initial == "none":
-            frontier = np.empty(0, dtype=np.int64)
+            # --- Deliver and relax: each announcement over its row --- #
+            ends = np.cumsum(copies)
+            edges = np.arange(ends[-1]) + np.repeat(
+                indptr[senders] - (ends - copies), copies
+            )
+            targets = indices[edges] * k + np.repeat(columns, copies)
+            candidates = np.repeat(values, copies)
+            if schema.add_edge_weight:
+                candidates += weights[edges]
+            better = candidates < flat[targets]
+            improved = targets[better]
+            np.minimum.at(flat, improved, candidates[better])
+        report.rounds += 1
+        report.congested_rounds += max_edge_charge
+
+        # --- Halt / schedule, mirroring the node program's receive ----- #
+        if budget is not None and round_number >= budget:
+            halted = True
+            frontier = improved[:0]
         else:
-            raise ValueError(f"unknown send_initial mode {schema.send_initial!r}")
-        # Broadcasting over zero neighbors sends nothing.  Later frontiers
-        # only hold entries improved by a delivery, whose node has a neighbor.
-        frontier = frontier[degrees[frontier // k] > 0]
-        marks = np.zeros(n * k, dtype=bool)
+            marks[improved] = True
+            frontier = np.flatnonzero(marks)
+            marks[frontier] = False
 
-        report = RoundReport(protocol=algorithm.name)
-        round_number = 0
-        halted = False
-
-        while not halted:
-            round_number += 1
-            if round_number > max_rounds:
+        if not halted and not frontier.size:
+            if halt_on_quiescence:
+                halted = True
+            elif budget is not None:
+                # Nothing in flight and nothing will ever be: the nodes
+                # idle (one charged round each) until the budget round
+                # halts them.
+                if budget > max_rounds:
+                    raise RoundLimitExceeded(
+                        f"protocol '{algorithm.name}' exceeded "
+                        f"{max_rounds} rounds"
+                    )
+                report.rounds += budget - round_number
+                report.congested_rounds += budget - round_number
+                halted = True
+            else:
+                # No budget and no quiescence halting: the protocol can
+                # never terminate; fail like the other engines do.
                 raise RoundLimitExceeded(
                     f"protocol '{algorithm.name}' exceeded {max_rounds} rounds"
                 )
 
-            # --- Accounting (analytic: one broadcast = degree copies) ------ #
-            max_edge_charge = 1
-            improved = frontier  # empty when nothing is in flight
-            if frontier.size:
-                values = flat[frontier]
-                if (
-                    not np.isfinite(values).all()
-                    or np.abs(values).max() >= _EXACT_FLOAT_LIMIT
-                ):
-                    raise RuntimeError(
-                        "dense engine scheduled a non-finite or non-exact "
-                        "payload; the message schema must only flood finite "
-                        f"integers of magnitude below 2**53 "
-                        f"(protocol '{algorithm.name}')"
-                    )
-                senders, columns = np.divmod(frontier, k)
-                # encode_value charges an integer bit_length(|v|) + 1 (sign
-                # bit), negative ids (min-id flood) included; the payloads
-                # are exact float64 ints, whose frexp exponent is their
-                # bit_length (0 for 0).
-                msg_bits = overhead[columns] + np.frexp(np.abs(values))[1] + 1
-                copies = degrees[senders]
-                report.total_messages += int(copies.sum())
-                report.total_bits += int((msg_bits * copies).sum())
-                report.max_message_bits = max(
-                    report.max_message_bits, int(msg_bits.max())
-                )
-                # Each sender's per-edge load, in node order (the frontier
-                # is sorted, so every sender's entries are contiguous).
-                starts = np.flatnonzero(np.diff(senders, prepend=-1))
-                per_sender_bits = np.add.reduceat(msg_bits, starts)
-                over = per_sender_bits > bandwidth
-                if over.any():
-                    if strict:
-                        first = int(per_sender_bits[np.argmax(over)])
-                        raise ValueError(
-                            f"protocol '{algorithm.name}' exceeded the "
-                            f"bandwidth: {first} bits on one edge in one "
-                            f"round (B={bandwidth})"
-                        )
-                    max_edge_charge = int(
-                        np.ceil(per_sender_bits[over] / bandwidth).max()
-                    )
-
-                # --- Deliver and relax: each announcement over its row --- #
-                ends = np.cumsum(copies)
-                edges = np.arange(ends[-1]) + np.repeat(
-                    indptr[senders] - (ends - copies), copies
-                )
-                targets = indices[edges] * k + np.repeat(columns, copies)
-                candidates = np.repeat(values, copies)
-                if schema.add_edge_weight:
-                    candidates += weights[edges]
-                better = candidates < flat[targets]
-                improved = targets[better]
-                np.minimum.at(flat, improved, candidates[better])
-            report.rounds += 1
-            report.congested_rounds += max_edge_charge
-
-            # --- Halt / schedule, mirroring the node program's receive ----- #
-            if budget is not None and round_number >= budget:
-                halted = True
-                frontier = improved[:0]
-            else:
-                marks[improved] = True
-                frontier = np.flatnonzero(marks)
-                marks[frontier] = False
-
-            if not halted and not frontier.size:
-                if halt_on_quiescence:
-                    halted = True
-                elif budget is not None:
-                    # Nothing in flight and nothing will ever be: the nodes
-                    # idle (one charged round each) until the budget round
-                    # halts them.
-                    if budget > max_rounds:
-                        raise RoundLimitExceeded(
-                            f"protocol '{algorithm.name}' exceeded "
-                            f"{max_rounds} rounds"
-                        )
-                    report.rounds += budget - round_number
-                    report.congested_rounds += budget - round_number
-                    halted = True
-                else:
-                    # No budget and no quiescence halting: the protocol can
-                    # never terminate; fail like the other engines do.
-                    raise RoundLimitExceeded(
-                        f"protocol '{algorithm.name}' exceeded {max_rounds} rounds"
-                    )
-
-        contexts: Dict[int, NodeContext] = {}
-        for node, row in zip(nodes, exact_int_rows(dist)):
-            ctx = NodeContext(node=node, network=network)
-            ctx.memory.update(schema.finalize(node, row))
-            ctx._halted = True
-            contexts[node] = ctx
-        outputs = {node: algorithm.output(contexts[node]) for node in nodes}
-        return SimulationResult(outputs=outputs, report=report, contexts=contexts)
+    contexts: Dict[int, NodeContext] = {}
+    for node, row in zip(nodes, exact_int_rows(dist)):
+        ctx = NodeContext(node=node, network=network)
+        ctx.memory.update(schema.finalize(node, row))
+        ctx._halted = True
+        contexts[node] = ctx
+    outputs = {node: algorithm.output(contexts[node]) for node in nodes}
+    return SimulationResult(outputs=outputs, report=report, contexts=contexts)
 
 
 register_engine(DenseEngine())

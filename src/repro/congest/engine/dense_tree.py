@@ -32,6 +32,7 @@ guarantee across random, structured and single-node networks.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import weakref
 from collections import Counter, deque
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.congest.algorithm import NodeAlgorithm, NodeContext
-from repro.congest.engine.base import get_engine
+from repro.congest.engine.base import PreparedRun, get_engine
 from repro.congest.engine.schema import TreeSchema
 from repro.congest.engine.types import (
     RoundLimitExceeded,
@@ -49,7 +50,7 @@ from repro.congest.engine.types import (
 from repro.congest.message import message_size_bits
 from repro.congest.network import Network
 
-__all__ = ["tree_supports", "run_tree", "final_state"]
+__all__ = ["prepare_tree", "final_state"]
 
 
 @dataclass
@@ -81,8 +82,8 @@ _FLAT_TYPES = (int, float, str, bool, type(None))
 #: and, within a graph, keyed by its mutation counter first:
 #:
 #: * ``(version, root)`` -> the explore-flood layering of :func:`_bfs_layers`
-#:   (``supports()`` and ``run()`` both need it, so one run would otherwise
-#:   walk the graph twice); ``None`` records a disconnected outcome;
+#:   (Theorem 1.1 builds the same tree many times); ``None`` records a
+#:   disconnected outcome;
 #: * ``(version, root, "tree")`` -> the :class:`_TreeMemo` of the last tree
 #:   with that root validated by :func:`_tree_arrays`.
 #:
@@ -296,13 +297,17 @@ def _compute_bfs_layers(
     return depth, parent
 
 
-def _bfs_plan(network: Network, schema: TreeSchema, word_bits: int) -> _TreePlan:
+def _bfs_plan(
+    network: Network,
+    schema: TreeSchema,
+    layering: Tuple[Dict[int, int], Dict[int, Optional[int]]],
+    max_rounds: int,
+) -> _TreePlan:
     root = schema.root
     tag = schema.tag
+    word_bits = network.word_bits
     nodes = list(network.nodes)
-    if root not in nodes:
-        raise _Unsupported(f"root {root} is not a node of the network")
-    depth, parent = _bfs_layers(network, root)
+    depth, parent = layering
     height = max(depth.values())
 
     children: Dict[int, List[int]] = {node: [] for node in nodes}
@@ -405,8 +410,10 @@ def _bfs_plan(network: Network, schema: TreeSchema, word_bits: int) -> _TreePlan
 # --------------------------------------------------------------------------- #
 # Pipelined broadcast
 # --------------------------------------------------------------------------- #
-def _broadcast_plan(network: Network, schema: TreeSchema, word_bits: int) -> _TreePlan:
-    tree = _tree_arrays(network, schema)
+def _broadcast_plan(
+    network: Network, schema: TreeSchema, tree: _TreeArrays, max_rounds: int
+) -> _TreePlan:
+    word_bits = network.word_bits
     values = list(schema.values)
     k = len(values)
     height = tree.height
@@ -456,14 +463,11 @@ def _broadcast_plan(network: Network, schema: TreeSchema, word_bits: int) -> _Tr
 # Convergecast
 # --------------------------------------------------------------------------- #
 def _convergecast_plan(
-    network: Network, schema: TreeSchema, word_bits: int
+    network: Network, schema: TreeSchema, tree: _TreeArrays, max_rounds: int
 ) -> _TreePlan:
-    tree = _tree_arrays(network, schema)
+    word_bits = network.word_bits
     nodes = tree.nodes
     node_values = schema.node_values
-    for node in nodes:
-        if node not in node_values:
-            raise _Unsupported(f"convergecast is missing a value for node {node}")
 
     # Emit round: leaves emit during initialize (t = 0); an inner node emits
     # one round after its slowest child.  The fold applies children in their
@@ -524,9 +528,9 @@ def _convergecast_plan(
 # Pipelined gather (upcast)
 # --------------------------------------------------------------------------- #
 def _gather_plan(
-    network: Network, schema: TreeSchema, word_bits: int, max_rounds: int
+    network: Network, schema: TreeSchema, tree: _TreeArrays, max_rounds: int
 ) -> _TreePlan:
-    tree = _tree_arrays(network, schema)
+    word_bits = network.word_bits
     nodes = tree.nodes
     n = len(nodes)
     order = tree.order
@@ -621,71 +625,58 @@ def _gather_plan(
 
 
 # --------------------------------------------------------------------------- #
-# Entry points used by the dense engine
+# Entry point used by the dense and symbolic engines
 # --------------------------------------------------------------------------- #
-def _plan(
-    network: Network, schema: TreeSchema, max_rounds: int
-) -> _TreePlan:
-    word_bits = network.word_bits
-    if schema.kind == "bfs":
-        return _bfs_plan(network, schema, word_bits)
-    if schema.kind == "broadcast":
-        return _broadcast_plan(network, schema, word_bits)
-    if schema.kind == "convergecast":
-        return _convergecast_plan(network, schema, word_bits)
-    if schema.kind == "gather":
-        return _gather_plan(network, schema, word_bits, max_rounds)
-    raise _Unsupported(f"unknown tree kind {schema.kind!r}")
+#: Planner per tree kind, called as ``(network, schema, layout, max_rounds)``.
+_PLANNERS: Dict[str, Callable[..., _TreePlan]] = {
+    "bfs": _bfs_plan,
+    "broadcast": _broadcast_plan,
+    "convergecast": _convergecast_plan,
+    "gather": _gather_plan,
+}
 
 
-def tree_supports(
-    network: Network,
-    schema: TreeSchema,
-    initial_memory: Optional[Dict[int, Dict[str, Any]]] = None,
-) -> bool:
-    """Cheap eligibility check: the declared tree (or, for ``bfs``, the
-    topology) must be one whose schedule the planners reproduce exactly."""
-    if initial_memory:
-        return False
-    try:
-        if schema.kind == "bfs":
-            if schema.root not in set(network.nodes):
-                return False
-            _bfs_layers(network, schema.root)
-        elif schema.kind in ("broadcast", "convergecast", "gather"):
-            tree = _tree_arrays(network, schema)
-            if schema.kind == "convergecast":
-                node_values = schema.node_values
-                if any(node not in node_values for node in tree.nodes):
-                    return False
-        else:
-            return False
-    except _Unsupported:
-        return False
-    return True
-
-
-def run_tree(
+def prepare_tree(
     network: Network,
     algorithm: NodeAlgorithm,
     schema: TreeSchema,
-    max_rounds: int,
     initial_memory: Optional[Dict[int, Dict[str, Any]]] = None,
-    halt_on_quiescence: bool = False,
-) -> SimulationResult:
-    """Execute a tree-schema run; accounting is bit-identical to sparse."""
-    name = algorithm.name
-    if initial_memory:
-        raise ValueError(
-            f"dense engine cannot execute protocol '{name}' with pre-loaded memory"
-        )
+) -> Optional[PreparedRun]:
+    """The tree-schema run, validated, or ``None``: the declared tree (or,
+    for ``bfs``, the topology) must be one whose schedule the planners
+    reproduce exactly.  The run closes over the validated layout and plans
+    its schedule when called."""
+    planner = _PLANNERS.get(schema.kind)
+    if planner is None or initial_memory:
+        return None
     try:
-        plan = _plan(network, schema, max_rounds)
-    except _Unsupported as error:
-        raise ValueError(
-            f"dense engine cannot execute protocol '{name}': {error}"
-        ) from None
+        if schema.kind == "bfs":
+            if schema.root not in network.graph:
+                return None
+            layout: Any = _bfs_layers(network, schema.root)
+        else:
+            layout = _tree_arrays(network, schema)
+    except _Unsupported:
+        return None
+    if schema.kind == "convergecast" and any(
+        node not in schema.node_values for node in layout.nodes
+    ):
+        return None
+    return functools.partial(_run_tree, network, algorithm, schema, planner, layout)
 
+
+def _run_tree(
+    network: Network,
+    algorithm: NodeAlgorithm,
+    schema: TreeSchema,
+    planner: Callable[..., _TreePlan],
+    layout: Any,
+    max_rounds: int,
+    halt_on_quiescence: bool,
+) -> SimulationResult:
+    """Execute a prepared tree-schema run, bit-identical to sparse."""
+    name = algorithm.name
+    plan = planner(network, schema, layout, max_rounds)
     rounds = plan.rounds
     if halt_on_quiescence and any(plan.msgs[t] == 0 for t in range(1, rounds)):
         # An idle round mid-protocol would make the sparse engine's

@@ -29,7 +29,7 @@ import math
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.congest.algorithm import NodeAlgorithm, NodeContext
-from repro.congest.engine.base import ExecutionEngine, register_engine
+from repro.congest.engine.base import ExecutionEngine, PreparedRun, register_engine
 from repro.congest.engine.types import (
     RoundLimitExceeded,
     RoundReport,
@@ -45,6 +45,16 @@ class SparseEngine(ExecutionEngine):
     """Optimized synchronous executor for arbitrary node programs."""
 
     name = "sparse"
+
+    def prepare(
+        self,
+        network: Network,
+        algorithm: NodeAlgorithm,
+        initial_memory: Optional[Dict[int, Dict[str, Any]]] = None,
+    ) -> PreparedRun:
+        return lambda max_rounds, halt_on_quiescence: self.run(
+            network, algorithm, max_rounds, initial_memory, halt_on_quiescence
+        )
 
     def run(
         self,

@@ -28,17 +28,14 @@ strict-bandwidth violation) from the schedule the schema determines:
   registry rules.
 
 The engine is registered always (pure Python) and is ``auto``'s first
-choice: every run it supports executes here by default, the rest go to
-``dense`` or ``sparse``.  Pre-loaded node memory is accepted only in the
+choice.  Pre-loaded node memory is accepted only in the
 shape a schema's ``weight_memory_key`` declares (Algorithm 1's rounded
 weights); any other pre-loaded state is declined, as are gated runs that
 flood values unchanged (``add_edge_weight=False``), initial entries that
 broadcast before round ``base + value``, and ``send_initial="all"``.
 A ``halt_on_quiescence`` min-plus run is handed to ``sparse``: the halt ends
 the run in the first round with nothing in flight, even with a gate still
-to fire.  Like every engine but ``sparse``, this one reports and never
-streams messages; :meth:`Simulator.run` hands every run with an observer
-to ``sparse``, so this engine's ``run`` never receives one.
+to fire.  Observed runs go to ``sparse`` (see :meth:`Simulator.run`).
 
 The contract is the library invariant: outputs, contexts and every
 :class:`RoundReport` field are bit-identical to the sparse engine, enforced
@@ -49,13 +46,18 @@ Python ints, so weights of any size are exact.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.congest.algorithm import NodeAlgorithm
 from repro.congest.engine import dense_tree
-from repro.congest.engine.base import ExecutionEngine, get_engine, register_engine
+from repro.congest.engine.base import (
+    ExecutionEngine,
+    PreparedRun,
+    get_engine,
+    register_engine,
+)
 from repro.congest.engine.schema import (
     BroadcastReplaySchema,
     MinPlusSchema,
@@ -112,97 +114,68 @@ class SymbolicEngine(ExecutionEngine):
 
     name = "symbolic"
 
-    #: ``(_run_of(...), inputs)`` of the gated run ``supports`` last accepted.
-    _handoff: Optional[Tuple[Tuple[Any, ...], Any]] = None
-
-    def supports(
+    def prepare(
         self,
         network: Network,
         algorithm: NodeAlgorithm,
         initial_memory: Optional[Dict[int, Dict[str, Any]]] = None,
-    ) -> bool:
+    ) -> Optional[PreparedRun]:
         schema = algorithm.message_schema()
-        if isinstance(schema, BroadcastReplaySchema):
-            return True
+        inputs = None
         if isinstance(schema, TreeSchema):
             if schema.kind != "flood":
-                return dense_tree.tree_supports(network, schema, initial_memory)
+                return dense_tree.prepare_tree(network, algorithm, schema, initial_memory)
             # The min-id flood announces on improvement (no gate): dynamic
             # schedule, not symbolically executable.
             schema = schema.flood
-        if not isinstance(schema, MinPlusSchema):
-            return False
-        inputs = _minplus_inputs(network, schema, initial_memory)
-        self._handoff = inputs and (_run_of(network, algorithm, initial_memory), inputs)
-        return inputs is not None
+        if isinstance(schema, MinPlusSchema):
+            inputs = _minplus_inputs(network, schema, initial_memory)
+            if inputs is None:
+                return None
+        elif not isinstance(schema, BroadcastReplaySchema):
+            return None
+        return functools.partial(_run, network, algorithm, schema, initial_memory, inputs)
 
-    def release(self) -> None:
-        self._handoff = None
 
-    def run(
-        self,
-        network: Network,
-        algorithm: NodeAlgorithm,
-        max_rounds: int,
-        initial_memory: Optional[Dict[int, Dict[str, Any]]] = None,
-        halt_on_quiescence: bool = False,
-    ) -> SimulationResult:
-        handoff, self._handoff = self._handoff, None
-        schema = algorithm.message_schema()
-        if isinstance(schema, TreeSchema) and schema.kind != "flood":
-            return dense_tree.run_tree(
-                network,
-                algorithm,
-                schema,
-                max_rounds=max_rounds,
-                initial_memory=initial_memory,
-                halt_on_quiescence=halt_on_quiescence,
-            )
-        if halt_on_quiescence and not isinstance(schema, BroadcastReplaySchema):
-            # A quiescence halt ends the run in the first round with nothing
-            # in flight, even with a gate still to fire; hand the run to the
-            # engine that interprets the node program.
-            return get_engine("sparse").run(
-                network,
-                algorithm,
-                max_rounds,
-                initial_memory=initial_memory,
-                halt_on_quiescence=halt_on_quiescence,
-            )
-        if isinstance(schema, BroadcastReplaySchema):
-            report = broadcast_replay_report(schema, network.word_bits)
-            report.protocol = algorithm.name
-            schema = dist = None
-        else:
-            if isinstance(schema, TreeSchema):
-                schema = schema.flood
-            run = _run_of(network, algorithm, initial_memory)
-            inputs = handoff[1] if handoff and all(map(operator.is_, handoff[0], run)) else None
-            dist, totals, last_round = _minplus_closed_form(
-                network, algorithm.name, schema, max_rounds, initial_memory, inputs
-            )
-            report = RoundReport(
-                rounds=last_round,
-                congested_rounds=last_round + totals.extra_charge,
-                total_messages=totals.messages,
-                total_bits=totals.bits,
-                max_message_bits=totals.max_message_bits,
-                protocol=algorithm.name,
-            )
-        memory = _final_memory(network, initial_memory, schema, dist)
-        return SimulationResult(
-            None,
-            report,
-            table=dist,
-            nodes=network.nodes,
-            build=dense_tree.final_state(network, algorithm, memory),
+def _run(
+    network: Network,
+    algorithm: NodeAlgorithm,
+    schema: Any,
+    initial_memory: Optional[Dict[int, Dict[str, Any]]],
+    inputs: Optional[Tuple[_Seeds, Optional[Dict[int, Dict[int, int]]]]],
+    max_rounds: int,
+    halt_on_quiescence: bool,
+) -> SimulationResult:
+    """Execute a prepared broadcast replay (``inputs`` is ``None``) or gated
+    min-plus run (``inputs`` from :func:`_minplus_inputs`)."""
+    if isinstance(schema, BroadcastReplaySchema):
+        report = broadcast_replay_report(schema, network.word_bits)
+        report.protocol = algorithm.name
+        schema = dist = None
+    elif halt_on_quiescence:
+        # A quiescence halt ends the run in the first round with nothing in
+        # flight, even with a gate still to fire: the interpreter runs it.
+        return get_engine("sparse").run(network, algorithm, max_rounds, initial_memory, True)
+    else:
+        dist, totals, last_round = _minplus_closed_form(
+            network, algorithm.name, schema, max_rounds, inputs
         )
-
-
-def _run_of(network: Network, algorithm: NodeAlgorithm, initial_memory: Any) -> Tuple[Any, ...]:
-    """What a run's :func:`_minplus_inputs` derive from, compared by identity
-    (a topology mutation replaces the version object)."""
-    return (network, algorithm, initial_memory, network.graph._version)
+        report = RoundReport(
+            rounds=last_round,
+            congested_rounds=last_round + totals.extra_charge,
+            total_messages=totals.messages,
+            total_bits=totals.bits,
+            max_message_bits=totals.max_message_bits,
+            protocol=algorithm.name,
+        )
+    memory = _final_memory(network, initial_memory, schema, dist)
+    return SimulationResult(
+        None,
+        report,
+        table=dist,
+        nodes=network.nodes,
+        build=dense_tree.final_state(network, algorithm, memory),
+    )
 
 
 def _minplus_inputs(
@@ -269,7 +242,8 @@ def _resolve_weight_overrides(
     schema (arbitrary node-program state), memory entries beyond the single
     override dict, overrides missing an incident edge, or non-positive /
     non-integer weights (the Dijkstra needs integer weights ``>= 1``).
-    ``supports()`` turns the error into a clean fallback to ``sparse``.
+    :meth:`SymbolicEngine.prepare` turns the error into a clean fallback to
+    ``sparse``.
     """
     key = schema.weight_memory_key
     if not initial_memory:
@@ -381,11 +355,9 @@ def _final_memory(
 
 def _gated_arguments(
     network: Network,
-    name: str,
     schema: Any,
     max_rounds: int,
-    initial_memory: Optional[Dict[int, Dict[str, Any]]],
-    inputs: Optional[Tuple[_Seeds, Optional[Dict[int, Dict[int, int]]]]] = None,
+    inputs: Tuple[_Seeds, Optional[Dict[int, Dict[int, int]]]],
 ) -> Tuple[Tuple[Any, ...], int, Optional[int]]:
     """The :meth:`~repro.kernels.backend.KernelBackend.gated_minplus`
     arguments of a gated run, its last round and its halting round.
@@ -395,12 +367,8 @@ def _gated_arguments(
     messages relax neighbors when they arrive inside the window
     (``base_j < round <= close_j``) and by the halting round.  The run halts
     in round ``max(round_budget, 1)`` (``None`` without a budget).
-    ``inputs`` is the run's :func:`_minplus_inputs` when already known.
+    ``inputs`` is the run's :func:`_minplus_inputs`.
     """
-    if inputs is None and isinstance(schema, MinPlusSchema):
-        inputs = _minplus_inputs(network, schema, initial_memory)
-    if inputs is None:
-        raise ValueError(f"symbolic engine cannot execute protocol '{name}'")
     seeds, overrides = inputs
     csr = CSRGraph.from_graph(network.graph)
     palettes, positions, groups = _column_weights(csr, schema, overrides)
@@ -434,15 +402,12 @@ def _minplus_closed_form(
     name: str,
     schema: Any,
     max_rounds: int,
-    initial_memory: Optional[Dict[int, Dict[str, Any]]],
-    inputs: Optional[Tuple[_Seeds, Optional[Dict[int, Dict[int, int]]]]] = None,
+    inputs: Tuple[_Seeds, Optional[Dict[int, Dict[int, int]]]],
 ) -> Tuple[Sequence[Sequence[Any]], GatedTotals, int]:
     """Final rows, message totals and last round of a gated run (see
     :func:`_gated_arguments`); raises exactly where the stepping engines do
     (first strict-bandwidth violation, then the round limit)."""
-    arguments, last_round, halt = _gated_arguments(
-        network, name, schema, max_rounds, initial_memory, inputs
-    )
+    arguments, last_round, halt = _gated_arguments(network, schema, max_rounds, inputs)
     dist, totals = get_backend().gated_minplus(*arguments)
     if network.config.strict_bandwidth and totals.first_violation:
         raise ValueError(

@@ -23,11 +23,11 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.congest.algorithm import NodeAlgorithm, NodeContext
-from repro.congest.engine import resolve_engine
+from repro.congest.engine import PreparedRun, resolve_engine
 from repro.congest.engine.schema import MinPlusSchema, TreeSchema
 from repro.congest.message import Message
 from repro.congest.network import Network
-from repro.congest.simulator import RoundReport, Simulator
+from repro.congest.simulator import RoundReport, Simulator, default_max_rounds
 
 __all__ = [
     "BfsTree",
@@ -231,10 +231,9 @@ def build_bfs_tree(network: Network, root: int) -> Tuple[BfsTree, RoundReport]:
     """
     if root not in network.graph:
         raise KeyError(f"root {root} is not a node of the network")
-    algorithm = _BfsTreeAlgorithm(root)
-    engine = resolve_engine(None, network, algorithm).name
+    engine, prepared = resolve_engine(None, network, _BfsTreeAlgorithm(root))
     tree, report = network._memoized(
-        ("bfs-tree", root, engine), lambda: _run_bfs_tree(network, algorithm, engine)
+        ("bfs-tree", root, engine.name), lambda: _run_bfs_tree(network, root, prepared)
     )
     children = {node: list(kids) for node, kids in tree.children.items()}
     return (
@@ -244,16 +243,15 @@ def build_bfs_tree(network: Network, root: int) -> Tuple[BfsTree, RoundReport]:
 
 
 def _run_bfs_tree(
-    network: Network, algorithm: _BfsTreeAlgorithm, engine: str
+    network: Network, root: int, prepared: PreparedRun
 ) -> Tuple[BfsTree, RoundReport]:
-    root = algorithm._root
     unreachable = _unreachable_from(network, root)
     if unreachable:
         raise ValueError(
             f"BFS tree rooted at {root} cannot reach nodes {unreachable}: "
             "the network topology is disconnected"
         )
-    result = Simulator(network).run(algorithm, engine=engine)
+    result = prepared(default_max_rounds(network), False)
     parent = {node: out["parent"] for node, out in result.outputs.items()}
     depth = {node: out["depth"] for node, out in result.outputs.items()}
     children = {node: out["children"] for node, out in result.outputs.items()}
@@ -548,10 +546,10 @@ def zero_convergecast_report(network: Network, tree: BfsTree) -> RoundReport:
     returns its own copy of the report.
     """
     algorithm = _ConvergecastAlgorithm(tree, dict.fromkeys(network.nodes, 0), max)
-    engine = resolve_engine(None, network, algorithm).name
+    engine, prepared = resolve_engine(None, network, algorithm)
     report = network._memoized(
-        ("zero-convergecast", tree.root, engine),
-        lambda: Simulator(network).run(algorithm, engine=engine).report,
+        ("zero-convergecast", tree.root, engine.name),
+        lambda: prepared(default_max_rounds(network), False).report,
     )
     return replace(report)
 

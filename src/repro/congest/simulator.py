@@ -19,17 +19,19 @@ one "round" is automatically charged the rounds it would need to pipeline that
 payload.  All round-complexity numbers quoted in the benchmarks are the
 congestion-adjusted counts.
 
-Since the engine refactor, :class:`Simulator` is a thin facade: the actual
-round loop lives in one of the pluggable execution engines under
-:mod:`repro.congest.engine`.  By default the first eligible of three runs
-it: the closed-form ``symbolic`` engine (schedule-determined schemas: tree
-primitives, broadcast replays, arrival-gated min-plus runs), the vectorized
-``dense`` engine (announce-on-improvement floods), then the event-driven
-``sparse`` engine (any node program).  Every engine produces
-bit-identical :class:`RoundReport` numbers and identical outputs, so which
-engine runs is purely a performance decision -- overridable per call
-(``engine=``), per process (:func:`repro.congest.engine.force_engine`) or
-per environment (``REPRO_ENGINE``).
+:class:`Simulator` is a thin facade over the pluggable execution engines
+of :mod:`repro.congest.engine`: per run it calls
+:func:`~repro.congest.engine.resolve_engine` once, which picks an engine and
+has it *prepare* the run (validation only), then calls the prepared run.
+By default the first engine that prepares it runs it: the closed-form
+``symbolic`` engine (schedule-determined schemas: tree primitives,
+broadcast replays, arrival-gated min-plus runs), the vectorized ``dense``
+engine (announce-on-improvement floods), then the event-driven ``sparse``
+engine (any node program).  Every engine produces bit-identical
+:class:`RoundReport` numbers and identical outputs, so which engine runs is
+purely a performance decision -- overridable per call (``engine=``), per
+process (:func:`repro.runtime.configure`) or per environment
+(``REPRO_ENGINE``).
 """
 
 from __future__ import annotations
@@ -45,7 +47,18 @@ from repro.congest.engine.types import (
 )
 from repro.congest.network import Network
 
-__all__ = ["RoundReport", "SimulationResult", "Simulator", "RoundLimitExceeded"]
+__all__ = [
+    "RoundReport",
+    "SimulationResult",
+    "Simulator",
+    "RoundLimitExceeded",
+    "default_max_rounds",
+]
+
+
+def default_max_rounds(network: Network) -> int:
+    """The default round limit, which comfortably covers every protocol here."""
+    return 50 * network.num_nodes**2 + 1000
 
 
 class Simulator:
@@ -57,15 +70,13 @@ class Simulator:
         The communication topology and bandwidth configuration.
     max_rounds:
         Safety limit; exceeding it raises :class:`RoundLimitExceeded` so a
-        buggy protocol cannot hang the benchmarks.  The default scales as
-        ``50 * n^2 + 1000`` which comfortably covers every protocol here.
+        buggy protocol cannot hang the benchmarks.  Defaults to
+        :func:`default_max_rounds`.
     """
 
     def __init__(self, network: Network, max_rounds: Optional[int] = None) -> None:
         self._network = network
-        if max_rounds is None:
-            max_rounds = 50 * network.num_nodes**2 + 1000
-        self._max_rounds = max_rounds
+        self._max_rounds = default_max_rounds(network) if max_rounds is None else max_rounds
 
     @property
     def network(self) -> Network:
@@ -104,11 +115,9 @@ class Simulator:
             that round.  Used by the Server-model reduction (Lemma 4.1) to
             count the communication that crosses the Alice/Bob/server
             ownership boundary; it never affects the execution itself.
-            Only the ``sparse`` interpreter produces a message stream (the
-            other engines derive reports, not messages), so an observed run
-            executes there whatever engine is selected.  No selection runs
-            for it, except that an explicitly named ``engine`` that cannot
-            execute the run still raises as usual.
+            Only the ``sparse`` interpreter produces a message stream, so an
+            observed run executes there whatever engine is selected; an
+            explicitly named ``engine`` that cannot execute it still raises.
         engine:
             Optional explicit engine name (``"sparse"``, ``"dense"``,
             ``"symbolic"``).  Defaults to the forced /
@@ -122,10 +131,8 @@ class Simulator:
             Node outputs, contexts and the round report.
         """
         if observer is not None:
-            if engine is not None:
-                resolve_engine(
-                    engine, self._network, algorithm, initial_memory=initial_memory
-                ).release()
+            if engine is not None:  # raises if the named engine cannot run it
+                resolve_engine(engine, self._network, algorithm, initial_memory)
             return get_engine("sparse").run(
                 self._network,
                 algorithm,
@@ -134,12 +141,5 @@ class Simulator:
                 halt_on_quiescence=halt_on_quiescence,
                 observer=observer,
             )
-        return resolve_engine(
-            engine, self._network, algorithm, initial_memory=initial_memory
-        ).run(
-            self._network,
-            algorithm,
-            max_rounds=self._max_rounds,
-            initial_memory=initial_memory,
-            halt_on_quiescence=halt_on_quiescence,
-        )
+        _, prepared = resolve_engine(engine, self._network, algorithm, initial_memory)
+        return prepared(self._max_rounds, halt_on_quiescence)

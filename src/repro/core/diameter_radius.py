@@ -302,7 +302,7 @@ def quantum_weighted_diameter(
     mode:
         Quantum-search execution mode.  The default is the Lemma 3.1 query
         model so that charged invocation counts follow the paper's constants;
-        pass :attr:`SearchMode.STATEVECTOR` (or ``AUTO``) to run genuine
+        pass :attr:`SearchMode.STATEVECTOR` to run genuine
         Dürr-Høyer searches instead.
 
     Returns

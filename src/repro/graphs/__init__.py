@@ -26,10 +26,6 @@ from repro.graphs.shortest_paths import (
     bounded_distance_sssp,
     all_pairs_distances,
     shortest_path,
-    dijkstra_reference,
-    bellman_ford_reference,
-    bounded_hop_distances_reference,
-    all_pairs_distances_reference,
 )
 from repro.graphs.properties import (
     eccentricity,
@@ -76,10 +72,6 @@ __all__ = [
     "bounded_distance_sssp",
     "all_pairs_distances",
     "shortest_path",
-    "dijkstra_reference",
-    "bellman_ford_reference",
-    "bounded_hop_distances_reference",
-    "all_pairs_distances_reference",
     "eccentricity",
     "all_eccentricities",
     "diameter",

@@ -15,11 +15,16 @@ runs (``sparse``, ``symbolic``) do serialize on the GIL; batches
 of those gain concurrency only in wall-clock overlap of their NumPy phases,
 not CPU parallelism.
 
-Execution-knob scoping: a spec's engine/backend are applied through
-:func:`repro.runtime.configure`, which pins *process-wide* registries.  To
-keep one job's knobs from leaking into a concurrently running job, the
-executor always serializes the apply-and-run section with a lock; cache
-lookups and stores stay outside it.
+Execution-knob scoping: a spec's engine/backend are validated at submit and
+applied around the run by the one :func:`repro.runtime.configure` call,
+which pins *process-wide* registries.  To keep one job's knobs from leaking
+into a concurrently running job, the executor always serializes the
+apply-and-run section with a lock; cache lookups and stores stay outside it.
+
+Job records: a ``submit()``-ed job keeps its record for its
+:class:`JobHandle`.  :meth:`~SimulationService.run` and
+:meth:`~SimulationService.run_batch` hand out no handle, so they drop each
+record once they have collected its result or error.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.congest.engine.types import SimulationResult
 from repro.congest.network import Network
+from repro.runtime import configure
 from repro.service.cache import ResultCache
 from repro.service.metrics import MetricsRegistry
 from repro.service.protocols import get_protocol
@@ -239,8 +245,9 @@ class SimulationService:
         return job.result
 
     def run(self, spec: RunSpec) -> SimulationResult:
-        """Synchronous convenience: ``submit`` + ``result``."""
-        return self.submit(spec).result()
+        """Synchronous convenience: ``submit`` + ``result``; the job's
+        record goes once its result is collected."""
+        return self._collect(self.submit(spec).job_id)
 
     def run_batch(self, specs: List[RunSpec]) -> List[SimulationResult]:
         """Execute ``specs`` concurrently; results in submission order.
@@ -253,7 +260,7 @@ class SimulationService:
         first_error: Optional[BaseException] = None
         for handle in handles:
             try:
-                results.append(handle.result())
+                results.append(self._collect(handle.job_id))
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 results.append(None)
                 if first_error is None:
@@ -263,21 +270,27 @@ class SimulationService:
         return results  # type: ignore[return-value]
 
     def jobs(self) -> List[JobStatus]:
-        """Snapshots of every job this service has seen, oldest first."""
+        """Snapshots of the jobs this service still holds, oldest first:
+        every ``submit()``-ed job, and ``run``/``run_batch`` jobs until
+        their result is collected."""
         with self._jobs_lock:
             return [job.status() for job in self._jobs.values()]
 
     def service_stats(self) -> Dict[str, Any]:
-        """A JSON-friendly snapshot: job counts, cache stats, metrics."""
+        """A JSON-friendly snapshot: job counts, cache stats, metrics.
+
+        ``total``, ``completed`` and ``failed`` are the metrics registry's
+        job counters; ``pending`` and ``running`` count the held jobs.
+        """
         with self._jobs_lock:
             states = [job.state for job in self._jobs.values()]
         return {
             "jobs": {
-                "total": len(states),
-                **{
-                    state.value: sum(1 for s in states if s is state)
-                    for state in JobState
-                },
+                "total": int(self._submitted.total()),
+                JobState.PENDING.value: states.count(JobState.PENDING),
+                JobState.RUNNING.value: states.count(JobState.RUNNING),
+                JobState.COMPLETED.value: int(self._completed.total()),
+                JobState.FAILED.value: int(self._failed.total()),
             },
             "cache": self._cache.snapshot(),
             "metrics": self._metrics.snapshot(),
@@ -304,11 +317,17 @@ class SimulationService:
     def _get_job(self, job_id: str) -> _Job:
         with self._jobs_lock:
             job = self._jobs.get(job_id)
-        if job is None:
-            with self._jobs_lock:
-                known = sorted(self._jobs)
-            raise KeyError(f"unknown job id {job_id!r}; known jobs: {known}")
+            if job is None:
+                raise KeyError(f"unknown job id {job_id!r}; known jobs: {sorted(self._jobs)}")
         return job
+
+    def _collect(self, job_id: str) -> SimulationResult:
+        """:meth:`result`, then drop the record: the caller holds no handle."""
+        try:
+            return self.result(job_id)
+        finally:
+            with self._jobs_lock:
+                del self._jobs[job_id]
 
     def _execute(self, job: _Job) -> None:
         spec = job.spec
@@ -350,7 +369,7 @@ class SimulationService:
             self._finish(job, JobState.FAILED)
 
     def _run_spec(self, protocol, network, spec: RunSpec) -> SimulationResult:
-        with spec.run_config().apply():
+        with configure(engine=spec.engine, backend=spec.backend):
             return protocol.run(network, spec.params, spec.run_options())
 
     def _finish(self, job: _Job, state: JobState) -> None:

@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.congest.network import CongestConfig, Network
 from repro.graphs.weighted_graph import WeightedGraph
-from repro.runtime import RunConfig
+from repro.runtime import configure
 from repro.service.protocols import RunOptions, get_protocol
 
 __all__ = ["GraphSpec", "RunSpec", "available_generators"]
@@ -297,12 +297,8 @@ class RunSpec:
         """
         get_protocol(self.protocol)
         self.graph.validate()
-        self.run_config().validate()
+        configure(engine=self.engine, backend=self.backend)
         return self
-
-    def run_config(self) -> RunConfig:
-        """The :class:`repro.runtime.RunConfig` this spec asks for."""
-        return RunConfig(engine=self.engine, backend=self.backend)
 
     def run_options(self) -> RunOptions:
         """The per-run simulator options this spec asks for."""

@@ -70,7 +70,7 @@ def _outcome(network, algorithm, engine, **kwargs):
 
 
 def _assert_dense_matches_sparse(network, make_algorithm, **kwargs):
-    assert get_engine("dense").supports(network, make_algorithm())
+    assert get_engine("dense").prepare(network, make_algorithm()) is not None
     dense = _outcome(network, make_algorithm(), "dense", **kwargs)
     sparse = _outcome(network, make_algorithm(), "sparse", **kwargs)
     if isinstance(sparse, tuple):

@@ -4,8 +4,7 @@
 weakref-evicted) and per mutation counter, two kinds of layout:
 
 * the explore-flood layering of ``_bfs_layers``, keyed by (version, root),
-  so that ``supports()`` and ``run()`` do not each walk the topology and
-  repeated tree primitives on the same network reuse one layering;
+  so that repeated tree primitives on the same network reuse one layering;
 * the validated declared tree of ``_tree_arrays``, keyed by
   (version, root, "tree") and stored with a snapshot of the declared
   ``depth`` / ``parent`` / ``children`` maps, so that the many tree

@@ -260,7 +260,7 @@ def test_tree_primitives_are_dense_eligible():
         _MinIdFloodAlgorithm(4),
     ]
     for algorithm in algorithms:
-        assert dense.supports(network, algorithm), algorithm.name
+        assert dense.prepare(network, algorithm) is not None, algorithm.name
         # An explicit engine request must execute (it raises when unsupported).
         result = Simulator(network).run(algorithm, engine="dense")
         assert result.report.rounds > 0
@@ -278,9 +278,9 @@ def test_tree_schema_ineligible_runs_fall_back():
     tree, _ = build_bfs_tree(network, root)
     dense = get_engine("dense")
     algorithm = _TreeBroadcastAlgorithm(tree, [1, 2])
-    assert not dense.supports(
+    assert dense.prepare(
         network, algorithm, initial_memory={root: {"x": 1}}
-    )
+    ) is None
     # A tree whose edges are not network edges would make the node program
     # raise on its first send; the planner declines instead of guessing.
     nodes = sorted(network.nodes)
@@ -290,7 +290,7 @@ def test_tree_schema_ineligible_runs_fall_back():
         depth={node: (0 if node == root else 1) for node in nodes},
         children={root: [node for node in nodes if node != root]},
     )
-    assert not dense.supports(network, _TreeBroadcastAlgorithm(bogus, [1]))
+    assert dense.prepare(network, _TreeBroadcastAlgorithm(bogus, [1])) is None
 
 
 def test_tree_strict_bandwidth_parity():
@@ -338,12 +338,12 @@ def test_tree_observer_streams_identical(engine, kind, monkeypatch):
     """Only the sparse interpreter streams messages: an observed run -- a
     tree primitive, the gated Algorithm 2 or an ungated Bellman-Ford flood
     -- executes on ``sparse`` whatever engine is named.  It makes exactly one
-    ``SparseEngine.run`` call and no other engine's ``run`` or tree planner
-    runs; the stream, report and outputs equal a plain sparse run's.  An
+    ``SparseEngine.run`` call and no other engine's ``run`` or prepared run
+    executes; the stream, report and outputs equal a plain sparse run's.  An
     engine that cannot execute the run still rejects the explicit request."""
     from collections import Counter
 
-    from repro.congest.engine import dense_tree, get_engine
+    from repro.congest.engine import dense_tree, get_engine, symbolic
     from repro.congest.primitives import (
         _BfsTreeAlgorithm,
         _ConvergecastAlgorithm,
@@ -404,9 +404,16 @@ def test_tree_observer_streams_identical(engine, kind, monkeypatch):
     for name in ENGINES:
         cls = type(get_engine(name))
         monkeypatch.setattr(cls, "run", counted(name, cls.run))
-    monkeypatch.setattr(dense_tree, "run_tree", counted("run_tree", dense_tree.run_tree))
+    # What the schema engines' prepared runs execute.
+    executors = [(dense_tree, "_run_tree"), (symbolic, "_run")]
+    if "dense" in ENGINES:
+        from repro.congest.engine import dense
 
-    if not get_engine(engine).supports(network, algorithms[kind]()):
+        executors.append((dense, "_run_minplus"))
+    for module, attr in executors:
+        monkeypatch.setattr(module, attr, counted(attr, getattr(module, attr)))
+
+    if get_engine(engine).prepare(network, algorithms[kind]()) is None:
         assert (engine, kind) in {("dense", "algorithm2"), ("symbolic", "bellman-ford")}
         with pytest.raises(ValueError, match="cannot execute"):
             record(engine)
@@ -449,14 +456,14 @@ def test_tree_schema_validation_declines_malformed_trees():
     orphan = variant(parent={**tree.parent, nodes[-1]: None})
     bad_children = variant(children={**tree.children, nodes[-1]: [nodes[0]]})
     for bogus in (missing_depth, bad_root, broken_depth, orphan, bad_children):
-        assert not dense.supports(network, _TreeGatherAlgorithm(bogus, records))
+        assert dense.prepare(network, _TreeGatherAlgorithm(bogus, records)) is None
     foreign_root = variant(root=987654)
-    assert not dense.supports(network, _TreeGatherAlgorithm(foreign_root, records))
+    assert dense.prepare(network, _TreeGatherAlgorithm(foreign_root, records)) is None
     # Convergecast additionally needs a value for every node.
     partial_values = {node: node for node in nodes[1:]}
-    assert not dense.supports(
+    assert dense.prepare(
         network, _ConvergecastAlgorithm(tree, partial_values, max)
-    )
+    ) is None
 
 
 @pytest.mark.skipif("dense" not in ENGINES, reason="dense engine needs NumPy")
@@ -471,19 +478,19 @@ def test_tree_schema_dense_guards():
     network = Network(graph)
     graph.remove_edge(1, 2)
     dense = get_engine("dense")
-    assert not dense.supports(network, _BfsTreeAlgorithm(0))
-    assert not dense.supports(network, _BfsTreeAlgorithm(99))
+    assert dense.prepare(network, _BfsTreeAlgorithm(0)) is None
+    assert dense.prepare(network, _BfsTreeAlgorithm(99)) is None
 
     connected = NETWORKS["path"]
     tree, _ = build_bfs_tree(connected, min(connected.nodes))
     algorithm = _TreeGatherAlgorithm(tree, {n: [] for n in connected.nodes})
     memory = {min(connected.nodes): {"x": 1}}
-    assert not dense.supports(connected, algorithm, initial_memory=memory)
+    assert dense.prepare(connected, algorithm, initial_memory=memory) is None
     # An explicit Simulator request refuses at resolution time; invoking the
     # engine directly must still fail loudly rather than drop the memory.
     with pytest.raises(ValueError, match="dense"):
         Simulator(connected).run(algorithm, initial_memory=memory, engine="dense")
-    with pytest.raises(ValueError, match="pre-loaded memory"):
+    with pytest.raises(ValueError, match="dense engine cannot execute protocol"):
         dense.run(connected, algorithm, max_rounds=100, initial_memory=memory)
 
 
@@ -604,7 +611,7 @@ def test_tree_layout_memo_never_serves_a_mutated_tree(case, data):
         for engine, outcome in seen.items():
             assert outcome == reference, f"{label}: {engine} diverges from sparse"
 
-    assert get_engine("symbolic").supports(network, make())  # memo warm
+    assert get_engine("symbolic").prepare(network, make()) is not None  # memo warm
     assert_agree(outcomes(), "valid tree")
     mutation = _mutate_tree(data.draw, network, tree)
     assert_agree(outcomes(), mutation)
@@ -720,7 +727,7 @@ def test_gated_runs_decline_dense():
         ),
     ]
     for algorithm, memory in runs:
-        assert not dense.supports(network, algorithm, initial_memory=memory)
+        assert dense.prepare(network, algorithm, initial_memory=memory) is None
         with pytest.raises(ValueError, match="dense"):
             Simulator(network).run(algorithm, initial_memory=memory, engine="dense")
         with pytest.raises(ValueError, match="dense"):
@@ -804,7 +811,7 @@ def test_huge_weights_stay_exact_on_every_engine():
         from repro.congest.engine import get_engine
 
         algorithm = _BellmanFordAlgorithm([source])
-        assert not get_engine("dense").supports(network, algorithm)
+        assert get_engine("dense").prepare(network, algorithm) is None
         with pytest.raises(ValueError):
             Simulator(network).run(algorithm, engine="dense")
 
@@ -885,7 +892,7 @@ def test_announce_schedule_runs_are_symbolic_eligible():
     network = NETWORKS["spanner"]
     source = min(network.nodes)
     symbolic = get_engine("symbolic")
-    assert symbolic.supports(network, BoundedDistanceSsspAlgorithm(source, 20))
+    assert symbolic.prepare(network, BoundedDistanceSsspAlgorithm(source, 20)) is not None
     # An explicit engine request must execute (it raises when unsupported).
     result = Simulator(network).run(
         BoundedDistanceSsspAlgorithm(source, 20), engine="symbolic"
@@ -941,7 +948,7 @@ def test_symbolic_strict_bandwidth_first_violation_parity():
         CongestConfig(bandwidth_words=1, word_bits_override=8, strict_bandwidth=True),
     )
     algorithm = BoundedDistanceSsspAlgorithm(min(network.nodes), 120)
-    assert get_engine("symbolic").supports(network, algorithm)
+    assert get_engine("symbolic").prepare(network, algorithm) is not None
     messages = {}
     for engine in ("sparse", "symbolic"):
         with pytest.raises(ValueError) as excinfo:

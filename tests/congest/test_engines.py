@@ -53,8 +53,8 @@ class _PinnedEngine(engine_base.ExecutionEngine):
 
     name = "pinned-test"
 
-    def run(self, network, algorithm, max_rounds, **kwargs):
-        return get_engine("sparse").run(network, algorithm, max_rounds, **kwargs)
+    def prepare(self, network, algorithm, initial_memory=None):
+        return get_engine("sparse").prepare(network, algorithm, initial_memory)
 
 
 @pytest.fixture
@@ -184,10 +184,8 @@ class TestRegistry:
         class EchoEngine(engine_base.ExecutionEngine):
             name = "echo-test"
 
-            def run(self, network, algorithm, max_rounds, **kwargs):
-                return get_engine("sparse").run(
-                    network, algorithm, max_rounds, **kwargs
-                )
+            def prepare(self, network, algorithm, initial_memory=None):
+                return get_engine("sparse").prepare(network, algorithm, initial_memory)
 
         engine_base.register_engine(EchoEngine())
         try:
@@ -250,8 +248,8 @@ class TestObserverSemantics:
 
     def test_observed_messages_identical_across_engines(self, network, monkeypatch):
         """Under ``auto`` or a forced engine, an observed run asks no engine
-        whether it ``supports`` the run (symbolic's is a full input pass
-        that the sparse run would discard) and streams what sparse does."""
+        to ``prepare`` the run (symbolic's is a full input pass that the
+        sparse run would discard) and streams what sparse does."""
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
         algorithm = _BellmanFordAlgorithm(sorted(network.nodes)[:4])
         reference = self._record(
@@ -262,9 +260,9 @@ class TestObserverSemantics:
             cls = type(get_engine(name))
             monkeypatch.setattr(
                 cls,
-                "supports",
-                lambda self, *args, _supports=cls.supports: asked.append(self.name)
-                or _supports(self, *args),
+                "prepare",
+                lambda self, *args, _prepare=cls.prepare: asked.append(self.name)
+                or _prepare(self, *args),
             )
         assert self._record(network, algorithm, halt_on_quiescence=True)[0] == reference
         for name in ENGINES:
@@ -410,7 +408,7 @@ def test_dense_bit_lengths_exact_at_power_boundaries():
     # Every id is announced in round 1; the minimum then floods the path.
     network = Network(WeightedGraph(edges=[(a, b, 1) for a, b in zip(ids, ids[1:])]))
     algorithm = _MinIdFloodAlgorithm(4)
-    assert get_engine("dense").supports(network, algorithm)
+    assert get_engine("dense").prepare(network, algorithm) is not None
     results = {
         engine: Simulator(network).run(algorithm, engine=engine)
         for engine in ("dense", "sparse")
@@ -470,20 +468,20 @@ class TestWeightOverrideValidation:
 
     def test_well_formed_overrides_are_eligible(self, network):
         symbolic = get_engine("symbolic")
-        assert symbolic.supports(network, self._algorithm(), self._memory(network))
+        assert symbolic.prepare(network, self._algorithm(), self._memory(network)) is not None
 
     def test_schema_key_without_memory_falls_back(self, network):
         # The node program would KeyError on its first weight lookup; the
         # symbolic engine must not silently run the network weights instead.
         symbolic = get_engine("symbolic")
-        assert not symbolic.supports(network, self._algorithm())
+        assert symbolic.prepare(network, self._algorithm()) is None
 
     def test_extra_memory_keys_fall_back(self, network):
         memory = self._memory(network)
         memory[min(network.nodes)]["extra_state"] = 1
-        assert not get_engine("symbolic").supports(
+        assert get_engine("symbolic").prepare(
             network, self._algorithm(), memory
-        )
+        ) is None
         with pytest.raises(ValueError, match="symbolic|memory"):
             Simulator(network).run(
                 self._algorithm(), initial_memory=memory, engine="symbolic"
@@ -494,31 +492,31 @@ class TestWeightOverrideValidation:
         node = min(network.nodes)
         neighbor = network.neighbors(node)[0]
         memory[node]["override_weights"][neighbor] = 2.5
-        assert not get_engine("symbolic").supports(
+        assert get_engine("symbolic").prepare(
             network, self._algorithm(), memory
-        )
+        ) is None
 
     def test_non_positive_weights_fall_back(self, network):
         memory = self._memory(network)
         node = min(network.nodes)
         neighbor = network.neighbors(node)[0]
         memory[node]["override_weights"][neighbor] = 0
-        assert not get_engine("symbolic").supports(
+        assert get_engine("symbolic").prepare(
             network, self._algorithm(), memory
-        )
+        ) is None
 
     def test_unknown_nodes_in_memory_fall_back(self, network):
         memory = self._memory(network)
         memory[987654] = {"override_weights": {}}
-        assert not get_engine("symbolic").supports(
+        assert get_engine("symbolic").prepare(
             network, self._algorithm(), memory
-        )
+        ) is None
 
     def test_memory_without_schema_key_falls_back(self, network):
         memory = self._memory(network)
-        assert not get_engine("symbolic").supports(
+        assert get_engine("symbolic").prepare(
             network, self._algorithm(weight_key=None), memory
-        )
+        ) is None
 
     def test_huge_override_weights_stay_exact(self, network):
         # Symbolic relaxes exact Python ints, so weights past float64's 2^53
@@ -528,7 +526,7 @@ class TestWeightOverrideValidation:
         neighbor = network.neighbors(node)[0]
         memory[node]["override_weights"][neighbor] = 2**53 + 1
         algorithm = self._algorithm(source=neighbor)
-        assert get_engine("symbolic").supports(network, algorithm, memory)
+        assert get_engine("symbolic").prepare(network, algorithm, memory) is not None
         symbolic, sparse = (
             Simulator(network).run(algorithm, initial_memory=memory, engine=engine)
             for engine in ("symbolic", "sparse")
@@ -741,7 +739,7 @@ class TestGatedShapes:
         shape = dict(shape)
         initial = {min(network.nodes): shape.pop("initial_value", 0)}
         algorithm = _GatedFlood(initial, **shape)
-        assert get_engine("symbolic").supports(network, algorithm)
+        assert get_engine("symbolic").prepare(network, algorithm) is not None
         symbolic, sparse = (
             Simulator(network).run(algorithm, engine=engine)
             for engine in ("symbolic", "sparse")
@@ -771,7 +769,7 @@ class TestGatedShapes:
         shape = dict(shape)
         initial = {min(network.nodes): shape.pop("initial_value", 0)}
         algorithm = _GatedFlood(initial, **shape)
-        assert not get_engine("symbolic").supports(network, algorithm)
+        assert get_engine("symbolic").prepare(network, algorithm) is None
         with force_engine("symbolic"):
             forced = Simulator(network).run(algorithm)
         sparse = Simulator(network).run(algorithm, engine="sparse")
@@ -782,7 +780,7 @@ class TestGatedShapes:
         from repro.congest.simulator import RoundLimitExceeded
 
         algorithm = _GatedFlood({min(network.nodes): 0}, budget=50)
-        assert get_engine("symbolic").supports(network, algorithm)
+        assert get_engine("symbolic").prepare(network, algorithm) is not None
         messages = {}
         for engine in ("symbolic", "sparse"):
             with pytest.raises(RoundLimitExceeded) as excinfo:

@@ -5,15 +5,17 @@ this file covers what cross-checking final reports cannot: the
 :class:`BroadcastReplaySchema` contract, the Lemma A.4 replay closed form,
 and -- via Hypothesis -- the *per-round* trajectory of the min-plus closed
 form against totals collected from a sparse-engine observer on random
-networks.  It also pins the hand-off of ``supports``' closed-form inputs to
-the ``run`` that follows: one derivation per run, never another run's.
+networks.  It also pins that ``prepare`` derives a run's closed-form
+inputs once and leaves nothing on the shared engine instance.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -23,12 +25,21 @@ from repro.congest import Network, Simulator
 from repro.congest.engine import (
     BroadcastReplaySchema,
     MinPlusSchema,
+    available_engines,
     force_engine,
     get_engine,
+    resolve_engine,
 )
 from repro.congest.engine import symbolic as symbolic_module
 from repro.congest.engine.symbolic import SymbolicEngine, broadcast_replay_report
 from repro.congest.message import message_size_bits
+from repro.congest.primitives import (
+    _BfsTreeAlgorithm,
+    _ConvergecastAlgorithm,
+    _MinIdFloodAlgorithm,
+    build_bfs_tree,
+)
+from repro.congest.sssp import _BellmanFordAlgorithm
 from repro.graphs import WeightedGraph
 from repro.nanongkai.bounded_distance_sssp import BoundedDistanceSsspAlgorithm
 from repro.nanongkai.multi_source import (
@@ -95,8 +106,6 @@ class TestBroadcastReplaySchema:
 
 
 def test_trace_rejects_ungated_schemas():
-    from repro.congest.sssp import _BellmanFordAlgorithm
-
     network = Network(WeightedGraph(edges=[(0, 1, 2), (1, 2, 3)]))
     with pytest.raises(ValueError):
         minplus_round_trace(network, _BellmanFordAlgorithm([0]), max_rounds=50)
@@ -304,7 +313,7 @@ def test_column_groups_must_cover_every_column():
 
 
 # --------------------------------------------------------------------------- #
-# supports() hands its inputs to the run that follows it
+# prepare() closes over its inputs; the engines keep nothing
 # --------------------------------------------------------------------------- #
 def _override_run(network):
     algorithm = BoundedDistanceSsspAlgorithm(0, 12, weight_key="override_weights")
@@ -344,35 +353,9 @@ def test_a_gated_run_builds_its_inputs_once(monkeypatch):
     assert result.outputs == expected.outputs
 
 
-def test_the_handoff_serves_only_the_same_run_on_the_same_topology(monkeypatch):
-    """A run on another algorithm, other memory or a mutated graph derives
-    its own inputs, so it runs (or fails) exactly as without a handoff."""
-    network = _network()
-    algorithm, memory = _override_run(network)
-    symbolic = get_engine("symbolic")
-    calls = _counting_inputs(monkeypatch)
-
-    assert symbolic.supports(network, algorithm, memory)
-    other, _ = _override_run(network)
-    symbolic.run(network, other, 50, initial_memory=memory)
-    assert len(calls) == 2
-
-    assert symbolic.supports(network, algorithm, memory)
-    with pytest.raises(ValueError, match="symbolic engine cannot execute"):
-        symbolic.run(network, algorithm, 50, initial_memory={})
-    assert len(calls) == 4
-
-    assert symbolic.supports(network, algorithm, memory)
-    network.graph.add_edge(0, 2, 3)  # memory now misses the new edge
-    assert not symbolic.supports(network, algorithm, memory)
-    with pytest.raises(ValueError, match="symbolic engine cannot execute"):
-        symbolic.run(network, algorithm, 50, initial_memory=memory)
-
-
 def test_an_observed_run_leaves_no_handoff():
-    """An observed run that names symbolic is checked by its ``supports``
-    and then executes on sparse; the inputs ``supports`` derived for it
-    must not stay on the engine."""
+    """An observed run that names symbolic is checked by its ``prepare``
+    and then executes on sparse; nothing of it stays on the engine."""
     network = _network()
     algorithm = BoundedDistanceSsspAlgorithm(0, 12)
     expected = Simulator(network).run(algorithm, engine="sparse")
@@ -382,7 +365,7 @@ def test_an_observed_run_leaves_no_handoff():
         observer=lambda number, delivered: rounds.append(number),
         engine="symbolic",
     )
-    assert get_engine("symbolic")._handoff is None
+    assert vars(get_engine("symbolic")) == {}
     assert result.report == expected.report
     assert result.outputs == expected.outputs
     assert rounds == list(range(1, expected.report.rounds + 1))
@@ -392,22 +375,57 @@ def test_a_declined_run_leaves_no_handoff(monkeypatch):
     network = _network()
     algorithm, memory = _override_run(network)
     symbolic = get_engine("symbolic")
-    assert symbolic.supports(network, algorithm, memory)
-    symbolic.run(network, algorithm, 50, initial_memory=memory)  # consumes it
+    symbolic.run(network, algorithm, 50, initial_memory=memory)
     calls = _counting_inputs(monkeypatch)
     bad = {node: dict(entry, extra=1) for node, entry in memory.items()}
-    assert not symbolic.supports(network, algorithm, bad)
+    assert symbolic.prepare(network, algorithm, bad) is None
     with pytest.raises(ValueError, match="symbolic engine cannot execute"):
         symbolic.run(network, algorithm, 50, initial_memory=bad)
     assert len(calls) == 2
+    assert vars(symbolic) == {}
+
+
+def test_a_dropped_resolution_keeps_nothing_alive(monkeypatch):
+    """Under ``auto`` symbolic prepares a gated run; once the caller drops
+    what :func:`resolve_engine` returned, nothing holds the network."""
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    network = _network()
+    ref = weakref.ref(network)
+    assert resolve_engine(None, network, BoundedDistanceSsspAlgorithm(0, 12)).name == "symbolic"
+    del network
+    gc.collect()
+    assert ref() is None
+
+
+def test_no_engine_gains_state_from_prepare_or_run():
+    network = _network()
+    algorithm, memory = _override_run(network)
+    tree = build_bfs_tree(network, 0)[0]
+    runs = [
+        (algorithm, memory, False),
+        (BoundedDistanceSsspAlgorithm(0, 12), None, False),
+        (_BellmanFordAlgorithm([0]), None, True),
+        (_BfsTreeAlgorithm(0), None, False),
+        (_ConvergecastAlgorithm(tree, dict.fromkeys(network.nodes, 1), max), None, False),
+        (_MinIdFloodAlgorithm(8), None, False),
+    ]
+    for name in available_engines():
+        engine = get_engine(name)
+        before = dict(vars(engine))
+        for run_algorithm, run_memory, halt_on_quiescence in runs:
+            prepared = engine.prepare(network, run_algorithm, run_memory)
+            assert vars(engine) == before, (name, run_algorithm.name)
+            if prepared is not None:
+                prepared(10_000, halt_on_quiescence)
+                assert vars(engine) == before, (name, run_algorithm.name)
 
 
 def test_concurrent_runs_each_get_their_own_inputs(monkeypatch):
-    """The handoff lives on the shared engine instance: threads interleaving
-    ``supports`` and ``run`` on different networks and override weights
-    must each get their own sparse-identical result.  ``supports`` yields
-    the interpreter before returning, so another thread's ``supports``
-    lands between most ``supports`` / ``run`` pairs."""
+    """Threads sharing the registered engine instance, preparing and
+    running on different networks and override weights, must each get
+    their own sparse-identical result.  ``prepare`` yields the interpreter
+    before returning, so another thread's ``prepare`` lands between most
+    ``prepare`` / run pairs."""
     runs = []
     for offset in range(4):
         network = _network()
@@ -422,14 +440,14 @@ def test_concurrent_runs_each_get_their_own_inputs(monkeypatch):
         }
         expected = Simulator(network).run(algorithm, initial_memory=memory, engine="sparse")
         runs.append((network, algorithm, memory, expected))
-    supports = SymbolicEngine.supports
+    prepare = SymbolicEngine.prepare
 
-    def yielding_supports(self, *args, **kwargs):
-        accepted = supports(self, *args, **kwargs)
+    def yielding_prepare(self, *args, **kwargs):
+        prepared = prepare(self, *args, **kwargs)
         time.sleep(0.0005)
-        return accepted
+        return prepared
 
-    monkeypatch.setattr(SymbolicEngine, "supports", yielding_supports)
+    monkeypatch.setattr(SymbolicEngine, "prepare", yielding_prepare)
     barrier = threading.Barrier(len(runs))
     errors = []
 

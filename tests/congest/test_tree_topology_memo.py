@@ -51,17 +51,23 @@ def _snapshot(tree, report):
 
 @pytest.fixture
 def runs(monkeypatch):
-    """Count ``run`` calls per registered engine."""
+    """Count the prepared runs each registered engine executes."""
     counts = Counter()
     for name in available_engines():
         engine = get_engine(name)
-        run = engine.run
 
-        def counting(*args, _name=name, _run=run, **kwargs):
-            counts[_name] += 1
-            return _run(*args, **kwargs)
+        def counting(*args, _name=name, _prepare=engine.prepare, **kwargs):
+            prepared = _prepare(*args, **kwargs)
+            if prepared is None:
+                return None
 
-        monkeypatch.setattr(engine, "run", counting)
+            def run(*run_args):
+                counts[_name] += 1
+                return prepared(*run_args)
+
+            return run
+
+        monkeypatch.setattr(engine, "prepare", counting)
     return counts
 
 

@@ -101,11 +101,14 @@ def minplus_round_trace(
     schema = algorithm.message_schema()
     if isinstance(schema, TreeSchema) and schema.kind == "flood":
         schema = schema.flood
+    inputs = symbolic._minplus_inputs(network, schema, initial_memory)
+    if inputs is None:
+        raise ValueError(f"symbolic engine cannot execute protocol '{algorithm.name}'")
     rows, totals, last_round = symbolic._minplus_closed_form(
-        network, algorithm.name, schema, max_rounds, initial_memory
+        network, algorithm.name, schema, max_rounds, inputs
     )
     (csr, _, _, columns, _, bandwidth), _, _ = symbolic._gated_arguments(
-        network, algorithm.name, schema, max_rounds, initial_memory
+        network, schema, max_rounds, inputs
     )
     records = round_records(csr, rows, columns, bandwidth)
     assert totals_of(records) == totals

@@ -12,20 +12,16 @@ asserting bit-for-bit identical distance tables.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graphs import WeightedGraph
-from repro.graphs.shortest_paths import (
-    INFINITY,
-    all_pairs_distances_reference,
-    bellman_ford_reference,
-    bounded_hop_distances_reference,
-    dijkstra_reference,
-)
+from repro.graphs.shortest_paths import INFINITY
 from repro.kernels import (
     all_pairs_distances_csr,
     available_backends,
@@ -37,6 +33,22 @@ from repro.kernels import (
     multi_source_dijkstra,
     radius_csr,
 )
+
+
+def _load_reference():
+    """The dict-based oracles, loaded from ``tests/graphs`` by path."""
+    path = Path(__file__).parent.parent / "graphs" / "shortest_path_reference.py"
+    spec = importlib.util.spec_from_file_location("shortest_path_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_reference = _load_reference()
+dijkstra_reference = _reference.dijkstra_reference
+bellman_ford_reference = _reference.bellman_ford_reference
+bounded_hop_distances_reference = _reference.bounded_hop_distances_reference
+all_pairs_distances_reference = _reference.all_pairs_distances_reference
 
 pytestmark = pytest.mark.kernels
 

@@ -198,11 +198,13 @@ class TestSkeletonApproximator:
         for name in available_engines():
             engine = get_engine(name)
 
-            def counting(net, algorithm, *args, _run=engine.run, **kwargs):
-                runs.append(algorithm.name)
-                return _run(net, algorithm, *args, **kwargs)
+            def counting(net, algorithm, *args, _prepare=engine.prepare, **kwargs):
+                prepared = _prepare(net, algorithm, *args, **kwargs)
+                if prepared is None:
+                    return None
+                return lambda *run_args: runs.append(algorithm.name) or prepared(*run_args)
 
-            monkeypatch.setattr(engine, "run", counting)
+            monkeypatch.setattr(engine, "prepare", counting)
         reports = []
         for seed in (1, 2):
             approx = SkeletonApproximator(

@@ -22,7 +22,7 @@ def _costs(t0=20, t_setup=6, t_eval=4):
     )
 
 
-def _optimizer(mode=SearchMode.AUTO, delta=0.1, seed=0, costs=None):
+def _optimizer(mode=SearchMode.STATEVECTOR, delta=0.1, seed=0, costs=None):
     return DistributedQuantumOptimizer(
         costs or _costs(),
         delta=delta,
@@ -83,18 +83,6 @@ class TestQueryModelMode:
         outcome = optimizer.minimize(domain, lambda x: x, rho=0.25)
         if outcome.succeeded:
             assert outcome.value <= sorted(domain)[9]
-
-
-class TestAutoMode:
-    def test_small_domain_uses_statevector(self):
-        optimizer = _optimizer(mode=SearchMode.AUTO)
-        outcome = optimizer.maximize(list(range(20)), lambda x: x)
-        assert outcome.mode is SearchMode.STATEVECTOR
-
-    def test_large_domain_uses_query_model(self):
-        optimizer = _optimizer(mode=SearchMode.AUTO)
-        outcome = optimizer.maximize(list(range(2000)), lambda x: x)
-        assert outcome.mode is SearchMode.QUERY_MODEL
 
 
 class TestSearchWithPromise:

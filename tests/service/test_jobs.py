@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.service import (
@@ -87,10 +90,10 @@ class TestRunBatch:
         ]
         with pytest.raises(Exception):
             service.run_batch(specs)
-        states = {s.state for s in service.jobs()}
-        assert JobState.FAILED in states
+        jobs = service.service_stats()["jobs"]
+        assert jobs["failed"] == 1
         # The siblings still completed -- one bad spec doesn't orphan them.
-        assert sum(1 for s in service.jobs() if s.state is JobState.COMPLETED) == 2
+        assert jobs["completed"] == 2
 
     def test_service_stats_counts_jobs(self, service):
         service.run_batch([leader_spec(n=5), leader_spec(n=5)])
@@ -99,6 +102,38 @@ class TestRunBatch:
         assert stats["jobs"]["completed"] == 2
         assert stats["jobs"]["failed"] == 0
         assert stats["cache"]["stores"] >= 1
+
+
+class TestJobRetention:
+    """``run`` and ``run_batch`` hand out no job handle, so they drop each
+    job's record once they have collected it (``submit``-ed jobs keep
+    theirs: see ``test_result_is_idempotent``)."""
+
+    def test_warm_runs_leave_no_records_and_keep_no_results(self):
+        spec = RunSpec(
+            protocol="weighted-apsp",
+            graph=GraphSpec(generator="yao_spanner", params={"num_nodes": 256, "seed": 0}),
+        )
+        service = SimulationService(max_workers=1)
+        try:
+            service.run(spec)  # the miss
+            for _ in range(100):
+                result = service.run(spec)
+            assert service.cache.stats.hits == 100
+            assert service.jobs() == []
+            jobs = service.service_stats()["jobs"]
+            assert jobs == {"total": 101, "pending": 0, "running": 0, "completed": 101, "failed": 0}
+        finally:
+            service.close()  # joins the worker, so it holds no job either
+        held = weakref.ref(result)
+        del result
+        gc.collect()
+        assert held() is None
+
+    def test_batch_records_go_after_collection(self, service):
+        with pytest.raises(Exception):
+            service.run_batch([leader_spec(n=5), leader_spec(params={"budget": 1}, max_rounds=1)])
+        assert service.jobs() == []
 
 
 class TestMetricsWiring:

@@ -6,16 +6,22 @@ import os
 
 import pytest
 
-from repro.runtime import RunConfig, configure
+from repro.runtime import configure
 
 pytestmark = pytest.mark.service
 
 
 class TestRunConfigValidation:
+    """``configure`` validates its knobs when called, before any is applied."""
+
     def test_default_is_all_none(self):
-        config = RunConfig()
-        assert (config.engine, config.backend) == (None, None)
-        config.validate()
+        from repro.congest.engine import base as engine_base
+        from repro.kernels.backend import get_backend
+
+        backend = get_backend().name
+        with configure():
+            assert engine_base._FORCED is None
+            assert get_backend().name == backend
 
     def test_unknown_engine_names_registry(self):
         from repro.congest import available_engines
@@ -23,21 +29,24 @@ class TestRunConfigValidation:
         # "legacy" names the removed seed loop: it must fail like any typo.
         for name in ("warp", "legacy"):
             with pytest.raises(ValueError) as excinfo:
-                RunConfig(engine=name).validate()
+                configure(engine=name)
             message = str(excinfo.value)
             assert repr(name) in message
             assert f"available: {available_engines()}" in message
 
     def test_unknown_backend_names_registry(self):
         with pytest.raises(ValueError) as excinfo:
-            RunConfig(backend="tpu").validate()
+            configure(backend="tpu")
         message = str(excinfo.value)
         assert "tpu" in message and "python" in message
 
     def test_apply_validates_eagerly(self):
+        from repro.congest.engine import base as engine_base
+
         with pytest.raises(ValueError, match="warp"):
-            with RunConfig(engine="warp").apply():
+            with configure(engine="sparse", backend="warp"):
                 raise AssertionError("the body must not run")
+        assert engine_base._FORCED is None
         with pytest.raises(ValueError, match="unknown execution engine 'legacy'"):
             with configure(engine="legacy"):
                 raise AssertionError("the body must not run")
