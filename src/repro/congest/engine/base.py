@@ -25,7 +25,8 @@ is called.  Engines keep no per-run state.  :func:`resolve_engine` picks the
 engine and prepares the run once, in this order (first match wins):
 
 1. an explicit ``engine=`` argument on :meth:`Simulator.run`,
-2. a :func:`force_engine` override (or :func:`repro.runtime.configure`),
+2. a :func:`force_engine` pin of the current context (or
+   :func:`repro.runtime.configure`),
 3. the ``REPRO_ENGINE`` environment variable (``sparse``, ``dense``,
    ``symbolic`` or ``auto``),
 4. ``auto``: the first of ``symbolic``, ``dense`` and ``sparse`` that
@@ -42,6 +43,7 @@ outputs -- the paper's round-complexity claims depend on it.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import os
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional
 
@@ -78,7 +80,8 @@ _FALLBACK = "sparse"
 _OPTIONAL_ENGINES = frozenset({"dense"})
 
 _REGISTRY: Dict[str, "ExecutionEngine"] = {}
-_FORCED: Optional[str] = None
+#: The :func:`force_engine` pin: context-local, so no other thread sees it.
+_FORCED: contextvars.ContextVar[Optional[str]] = contextvars.ContextVar("engine", default=None)
 
 
 #: A validated run, ready to execute: ``prepared(max_rounds,
@@ -169,7 +172,7 @@ def resolve_engine(
     """
     explicit = name is not None
     if name is None:
-        name = _FORCED
+        name = _FORCED.get()
     if name is None:
         name = os.environ.get(ENGINE_ENV_VAR, "auto").strip().lower() or "auto"
     if name == "auto":
@@ -195,16 +198,16 @@ def resolve_engine(
 
 @contextlib.contextmanager
 def force_engine(name: str) -> Iterator[ExecutionEngine]:
-    """Context manager pinning the process-wide engine preference.
+    """Context manager pinning the engine preference of the current context.
 
-    The pinned engine is still subject to per-run eligibility: runs it cannot
-    execute fall back to ``sparse`` (see :func:`resolve_engine`).
+    The pin is a :class:`contextvars.ContextVar`: other threads, and jobs
+    running in contexts copied before the pin, do not see it.  The pinned
+    engine is still subject to per-run eligibility: runs it cannot execute
+    fall back to ``sparse`` (see :func:`resolve_engine`).
     """
-    global _FORCED
     engine = get_engine(name)  # validate eagerly
-    previous = _FORCED
-    _FORCED = engine.name
+    token = _FORCED.set(engine.name)
     try:
         yield engine
     finally:
-        _FORCED = previous
+        _FORCED.reset(token)

@@ -13,7 +13,8 @@ Two backends ship with the library:
 Selection order (first match wins):
 
 1. an explicit ``backend=`` argument on the kernel call,
-2. a :func:`force_backend` override (used by the differential tests),
+2. a :func:`force_backend` pin of the current context (used by the
+   differential tests and by :func:`repro.runtime.configure`),
 3. the ``REPRO_BACKEND`` environment variable (``scipy``, ``python`` or
    ``auto``),
 4. ``auto``: SciPy when available, otherwise pure Python.
@@ -27,6 +28,7 @@ exact-int reference), so switching backends never changes any oracle value
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import heapq
 import math
 import operator
@@ -53,7 +55,8 @@ __all__ = [
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 _REGISTRY: Dict[str, "KernelBackend"] = {}
-_FORCED: Optional[str] = None
+#: The :func:`force_backend` pin: context-local, so no other thread sees it.
+_FORCED: contextvars.ContextVar[Optional[str]] = contextvars.ContextVar("backend", default=None)
 
 
 class GatedColumn(NamedTuple):
@@ -402,7 +405,7 @@ def available_backends() -> List[str]:
 
 def _resolve_name(name: Optional[str]) -> str:
     if name is None:
-        name = _FORCED
+        name = _FORCED.get()
     if name is None:
         name = os.environ.get(BACKEND_ENV_VAR, "auto").strip().lower() or "auto"
     if name == "auto":
@@ -423,15 +426,17 @@ def get_backend(name: Optional[str] = None) -> KernelBackend:
 
 @contextlib.contextmanager
 def force_backend(name: str) -> Iterator[KernelBackend]:
-    """Context manager pinning the process-wide backend (for tests/debugging)."""
-    global _FORCED
+    """Context manager pinning the backend of the current context.
+
+    Like :func:`repro.congest.engine.force_engine`, the pin is a
+    :class:`contextvars.ContextVar`, invisible to other threads.
+    """
     backend = get_backend(name)  # validate eagerly
-    previous = _FORCED
-    _FORCED = backend.name
+    token = _FORCED.set(backend.name)
     try:
         yield backend
     finally:
-        _FORCED = previous
+        _FORCED.reset(token)
 
 
 register_backend(KernelBackend())

@@ -11,10 +11,11 @@ manager with one restore path::
         result = Simulator(network).run(protocol)
 
 A knob left ``None`` leaves its selection mechanism untouched (an outer
-``force_engine`` or an environment variable still applies).  The service
-layer validates and applies a :class:`RunSpec`'s execution knobs through
-this same call, so programmatic, environment and service-driven
-configuration cannot drift apart.
+``force_engine`` or an environment variable still applies).  The pins are
+context-local: no other thread sees them.  The service layer validates and
+applies a :class:`RunSpec`'s execution knobs through this same call, so
+programmatic, environment and service-driven configuration cannot drift
+apart.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ def configure(
     engine: Optional[str] = None, backend: Optional[str] = None
 ) -> ContextManager[None]:
     """Validate ``engine`` and ``backend`` now, raising with the registered
-    names; pin them while entered and restore both on exit.
+    names; pin them in the current context while entered and restore both on
+    exit.
 
     A forced ``engine`` (``sparse``/``dense``/``symbolic``) is still subject
     to per-run eligibility and falls back to ``sparse`` exactly like

@@ -17,7 +17,7 @@ Everything here is stdlib-only; the engines and backends a spec selects are
 resolved through the existing registries via :mod:`repro.runtime`.
 """
 
-from repro.service.cache import CacheStats, ResultCache, cache_key, semantic_key
+from repro.service.cache import CacheStats, ResultCache, cache_key
 from repro.service.jobs import JobHandle, JobState, JobStatus, SimulationService
 from repro.service.metrics import (
     Counter,
@@ -54,5 +54,4 @@ __all__ = [
     "get_protocol",
     "parse_exposition",
     "register_protocol",
-    "semantic_key",
 ]

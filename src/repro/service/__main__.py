@@ -66,11 +66,7 @@ def _build_service(args: argparse.Namespace) -> SimulationService:
     cache: Optional[ResultCache] = None
     if args.cache_dir is not None:
         cache = ResultCache(directory=args.cache_dir)
-    return SimulationService(
-        max_workers=args.workers,
-        cache=cache,
-        allow_cross_engine=args.allow_cross_engine,
-    )
+    return SimulationService(max_workers=args.workers, cache=cache)
 
 
 def _emit(document: Any, pretty: bool) -> None:
@@ -163,11 +159,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         sub.add_argument(
             "--cache-dir", default=None, help="directory for the persistent result cache"
-        )
-        sub.add_argument(
-            "--allow-cross-engine",
-            action="store_true",
-            help="let engine-invariant cached results serve other engines",
         )
 
     run_parser = subparsers.add_parser("run", help="execute one run spec")

@@ -17,9 +17,9 @@ not CPU parallelism.
 
 Execution-knob scoping: a spec's engine/backend are validated at submit and
 applied around the run by the one :func:`repro.runtime.configure` call,
-which pins *process-wide* registries.  To keep one job's knobs from leaking
-into a concurrently running job, the executor always serializes the
-apply-and-run section with a lock; cache lookups and stores stay outside it.
+whose pins are context-local.  Each job runs in a copy of its submitter's
+context, so it sees the submitter's pins and its own spec's, never a
+concurrent job's.
 
 Job records: a ``submit()``-ed job keeps its record for its
 :class:`JobHandle`.  :meth:`~SimulationService.run` and
@@ -29,6 +29,7 @@ record once they have collected its result or error.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import threading
 import time
@@ -65,7 +66,6 @@ class JobStatus:
     state: JobState
     protocol: str
     cache_hit: bool = False
-    cross_engine: bool = False
     error: Optional[str] = None
     queue_seconds: Optional[float] = None
     run_seconds: Optional[float] = None
@@ -87,7 +87,6 @@ class _Job:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     cache_hit: bool = False
-    cross_engine: bool = False
     result: Optional[SimulationResult] = None
     error: Optional[BaseException] = None
     done: threading.Event = field(default_factory=threading.Event)
@@ -103,7 +102,6 @@ class _Job:
             state=self.state,
             protocol=self.spec.protocol,
             cache_hit=self.cache_hit,
-            cross_engine=self.cross_engine,
             error=str(self.error) if self.error is not None else None,
             queue_seconds=queue,
             run_seconds=run,
@@ -136,9 +134,6 @@ class SimulationService:
     cache:
         A :class:`ResultCache`, or ``None`` to build a default in-memory
         one.  Pass ``ResultCache(directory=...)`` for a persistent tier.
-    allow_cross_engine:
-        Opt-in: let an engine-invariant protocol's cached result answer a
-        request that names a *different* engine/backend configuration.
     metrics:
         A shared :class:`MetricsRegistry`; a private one is created by
         default.
@@ -148,7 +143,6 @@ class SimulationService:
         self,
         max_workers: int = 2,
         cache: Optional[ResultCache] = None,
-        allow_cross_engine: bool = False,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if not isinstance(max_workers, int) or isinstance(max_workers, bool) or max_workers < 1:
@@ -159,9 +153,7 @@ class SimulationService:
             max_workers=max_workers, thread_name_prefix="repro-service"
         )
         self._cache = cache if cache is not None else ResultCache()
-        self._allow_cross_engine = allow_cross_engine
         self._metrics = metrics if metrics is not None else MetricsRegistry()
-        self._execution_lock = threading.Lock()
         self._jobs: Dict[str, _Job] = {}
         self._jobs_lock = threading.Lock()
         self._ids = itertools.count(1)
@@ -211,17 +203,8 @@ class SimulationService:
         backend / generator fails the ``submit`` call itself with a message
         naming the registered options, not a later ``result()`` call.
         """
-        if self._closed:
-            raise RuntimeError("the service has been closed")
-        if not isinstance(spec, RunSpec):
-            raise TypeError(f"submit() takes a RunSpec, got {type(spec).__name__}")
-        spec.validate()
-        job = _Job(job_id=f"job-{next(self._ids)}", spec=spec, submitted_at=time.perf_counter())
-        with self._jobs_lock:
-            self._jobs[job.job_id] = job
-        self._submitted.inc()
-        self._executor.submit(self._execute, job)
-        return JobHandle(job_id=job.job_id, spec=spec, _service=self)
+        self._validate(spec)
+        return self._enqueue(spec)
 
     def poll(self, job_id: str) -> JobStatus:
         """A snapshot of the job's state (never blocks)."""
@@ -252,10 +235,13 @@ class SimulationService:
     def run_batch(self, specs: List[RunSpec]) -> List[SimulationResult]:
         """Execute ``specs`` concurrently; results in submission order.
 
-        The first failing job's exception propagates after every job has
-        settled (so one bad spec cannot orphan its batch siblings).
+        Every spec is validated before any is submitted.  The first failing
+        job's exception propagates after every job has settled (so one bad
+        spec cannot orphan its batch siblings).
         """
-        handles = [self.submit(spec) for spec in specs]
+        for spec in specs:
+            self._validate(spec)
+        handles = [self._enqueue(spec) for spec in specs]
         results: List[Optional[SimulationResult]] = []
         first_error: Optional[BaseException] = None
         for handle in handles:
@@ -314,6 +300,22 @@ class SimulationService:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
+    def _validate(self, spec: RunSpec) -> None:
+        if self._closed:
+            raise RuntimeError("the service has been closed")
+        if not isinstance(spec, RunSpec):
+            raise TypeError(f"submit() takes a RunSpec, got {type(spec).__name__}")
+        spec.validate()
+
+    def _enqueue(self, spec: RunSpec) -> JobHandle:
+        """Record a job for the validated ``spec`` and hand it to the executor."""
+        job = _Job(job_id=f"job-{next(self._ids)}", spec=spec, submitted_at=time.perf_counter())
+        with self._jobs_lock:
+            self._jobs[job.job_id] = job
+        self._submitted.inc()
+        self._executor.submit(contextvars.copy_context().run, self._execute, job)
+        return JobHandle(job_id=job.job_id, spec=spec, _service=self)
+
     def _get_job(self, job_id: str) -> _Job:
         with self._jobs_lock:
             job = self._jobs.get(job_id)
@@ -339,14 +341,9 @@ class SimulationService:
             # The digest is memoized per graph spec, so a warm request never
             # pays for materializing a graph it will not run on.
             digest, graph = spec.graph.digest_with_graph()
-            cached = self._cache.lookup(
-                spec,
-                digest,
-                allow_cross_engine=self._allow_cross_engine,
-                engine_invariant=protocol.engine_invariant,
-            )
+            cached = self._cache.lookup(spec, digest)
             if cached is not None:
-                job.result, job.cross_engine = cached
+                job.result = cached
                 job.cache_hit = True
                 self._cache_hits.inc()
                 self._finish(job, JobState.COMPLETED)
@@ -356,8 +353,8 @@ class SimulationService:
                 graph = spec.graph.build()
             network = Network(graph, spec.congest_config())
             run_started = time.perf_counter()
-            with self._execution_lock:
-                result = self._run_spec(protocol, network, spec)
+            with configure(engine=spec.engine, backend=spec.backend):
+                result = protocol.run(network, spec.params, spec.run_options())
             run_seconds = time.perf_counter() - run_started
             self._run_latency.observe(run_seconds, engine=spec.engine or "auto")
             # Serve the job from what it stored: the caller receives a
@@ -367,10 +364,6 @@ class SimulationService:
         except BaseException as exc:  # noqa: BLE001 - stored and re-raised in result()
             job.error = exc
             self._finish(job, JobState.FAILED)
-
-    def _run_spec(self, protocol, network, spec: RunSpec) -> SimulationResult:
-        with configure(engine=spec.engine, backend=spec.backend):
-            return protocol.run(network, spec.params, spec.run_options())
 
     def _finish(self, job: _Job, state: JobState) -> None:
         job.finished_at = time.perf_counter()

@@ -11,13 +11,12 @@ where ``options`` carries the spec-level execution options (``max_rounds``,
 ``halt_on_quiescence``) that apply to the underlying
 :meth:`Simulator.run <repro.congest.simulator.Simulator.run>` call.
 
-Entries declare ``engine_invariant``: whether the protocol's outputs and
-round report are bit-identical across execution engines (the repository-wide
-differential contract enforced by
-``tests/congest/test_engine_differential.py``).  Only invariant protocols
-are eligible for *cross-engine* cache serving (a ``dense`` result answering
-a ``sparse`` request -- see :class:`repro.service.cache.ResultCache`), and
-even then only when the service opts in.
+Every protocol's outputs and round report are bit-identical across
+execution engines and kernel backends (the repository-wide differential
+contract enforced by ``tests/congest/test_engine_differential.py``), so the
+result cache serves one engine's result to a request naming any other (see
+:class:`repro.service.cache.ResultCache`).  A protocol whose result depended
+on the engine would break that contract and must not be registered.
 
 Composite pipeline protocols (``classical-diameter``, ``classical-radius``,
 ``theorem11-pipeline``) run several phases internally and report the
@@ -69,9 +68,6 @@ class ProtocolSpec:
     name: str
     runner: Callable[[Network, Dict[str, Any], RunOptions], SimulationResult]
     description: str = ""
-    #: Outputs + report are bit-identical on every execution engine (the
-    #: differential contract).  Required for cross-engine cache serving.
-    engine_invariant: bool = True
     #: Composite pipelines reject spec-level max_rounds/halt_on_quiescence
     #: overrides instead of silently ignoring them.
     supports_run_options: bool = True

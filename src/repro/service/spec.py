@@ -255,7 +255,7 @@ class RunSpec:
         Protocol parameters (JSON-safe values only).
     engine / backend:
         Execution knobs, applied via :func:`repro.runtime.configure`;
-        ``None`` leaves the process/environment selection untouched.
+        ``None`` leaves the caller's pins and the environment untouched.
     max_rounds / halt_on_quiescence:
         Per-run simulator options; ``None`` means the protocol's natural
         behavior.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 import threading
@@ -10,8 +11,17 @@ from pathlib import Path
 import pytest
 
 from repro.congest.engine.base import available_engines
-from repro.service import GraphSpec, ResultCache, RunSpec, SimulationService
-from repro.service.cache import cache_key, semantic_key
+from repro.kernels.backend import available_backends
+from repro.runtime import configure
+from repro.service import (
+    GraphSpec,
+    ResultCache,
+    RunSpec,
+    SimulationService,
+    available_protocols,
+    get_protocol,
+)
+from repro.service.cache import cache_key
 
 pytestmark = pytest.mark.service
 
@@ -30,27 +40,21 @@ def _document(outputs) -> str:
     """A disk document with every field, whose ``result`` holds ``outputs``."""
     report = {"rounds": 1, "protocol": "x"}
     return json.dumps(
-        {"key": "x", "semantic_key": "y", "result": {"outputs": outputs, "report": report}}
+        {"key": "x", "result": {"outputs": outputs, "report": report}}
     )
 
 
 class TestKeys:
-    def test_exact_key_depends_on_engine(self):
+    def test_key_ignores_execution_fields(self):
         digest = "ab" * 32
-        a = cache_key(sssp_spec(engine="sparse"), digest)
+        a = cache_key(sssp_spec(engine="sparse", backend="python"), digest)
         b = cache_key(sssp_spec(engine="dense"), digest)
-        assert a != b
+        assert a == b == cache_key(sssp_spec(), digest)
 
-    def test_semantic_key_ignores_execution_fields(self):
+    def test_key_depends_on_protocol_params(self):
         digest = "ab" * 32
-        a = semantic_key(sssp_spec(engine="sparse", backend="python"), digest)
-        b = semantic_key(sssp_spec(engine="dense"), digest)
-        assert a == b
-
-    def test_semantic_key_still_sees_protocol_params(self):
-        digest = "ab" * 32
-        a = semantic_key(sssp_spec(params={"source": 0}), digest)
-        b = semantic_key(sssp_spec(params={"source": 1}), digest)
+        a = cache_key(sssp_spec(params={"source": 0}), digest)
+        b = cache_key(sssp_spec(params={"source": 1}), digest)
         assert a != b
 
     def test_key_depends_on_graph_digest(self):
@@ -66,10 +70,9 @@ class TestKeys:
     def test_key_depends_on_the_codec_version(self, monkeypatch):
         # An entry written in an older result format must miss.
         digest = "ab" * 32
-        before = (cache_key(sssp_spec(), digest), semantic_key(sssp_spec(), digest))
+        before = cache_key(sssp_spec(), digest)
         monkeypatch.setattr("repro.service.cache.RESULT_CODEC_VERSION", 1)
-        after = (cache_key(sssp_spec(), digest), semantic_key(sssp_spec(), digest))
-        assert before[0] != after[0] and before[1] != after[1]
+        assert cache_key(sssp_spec(), digest) != before
 
     def test_graph_mutation_changes_the_key(self):
         # The full chain: mutate a graph -> content_digest changes -> the
@@ -108,50 +111,64 @@ class TestWarmHitsEqualFreshRuns:
         service.close()
 
 
-class TestCrossEngine:
-    def test_default_never_serves_cross_engine(self):
-        service = SimulationService(max_workers=1)
-        a = service.run(sssp_spec(engine="sparse"))
-        b = service.run(sssp_spec(engine="symbolic"))
-        assert a == b  # engine invariance: equal results...
-        assert service.cache.stats.hits == 0  # ...but both computed
-        assert service.cache.stats.misses == 2
-        service.close()
+#: Parameters running each registered protocol on a small graph.
+_PROTOCOL_PARAMS = {
+    "bellman-ford-sssp": {"source": 0},
+    "multi-source-sssp": {"sources": [0, 5]},
+    "weighted-apsp": {},
+    "leader-election": {},
+    "bfs-tree": {"root": 3},
+    "classical-diameter": {},
+    "classical-radius": {},
+    "theorem11-pipeline": {},
+}
 
-    def test_opt_in_serves_cross_engine(self):
-        service = SimulationService(max_workers=1, allow_cross_engine=True)
-        a = service.run(sssp_spec(engine="sparse"))
-        b = service.run(sssp_spec(engine="symbolic"))
-        assert a == b
-        assert service.cache.stats.hits == 1
-        assert service.cache.stats.cross_engine_hits == 1
-        service.close()
+#: Every (engine, backend) a spec can name here; ``dense`` and ``scipy``
+#: are absent without NumPy/SciPy.
+_CONFIGURATIONS = [
+    (engine, backend)
+    for engine in ("sparse", "dense", "symbolic")
+    if engine in available_engines()
+    for backend in ("scipy", "python")
+    if backend in available_backends()
+]
 
-    def test_non_invariant_protocol_never_cross_served(self):
-        # Same semantic request, different engine, but the protocol does
-        # *not* declare engine invariance: the cache must miss even though
-        # the caller opted in.
-        cache = ResultCache()
-        spec = sssp_spec(engine="sparse")
-        digest = "cd" * 32
-        from repro.congest.engine.types import RoundReport, SimulationResult
 
-        cache.store(
-            spec,
-            digest,
-            SimulationResult(
-                outputs={}, report=RoundReport(1, 0, 0, 0, 0, "x"), contexts={}
-            ),
+def _fresh_run(spec: RunSpec):
+    """An uncached run of ``spec`` under its own engine and backend."""
+    with configure(engine=spec.engine, backend=spec.backend):
+        return get_protocol(spec.protocol).run(
+            spec.build_network(), spec.params, spec.run_options()
         )
-        other = spec.with_engine("symbolic")
-        assert (
-            cache.lookup(other, digest, allow_cross_engine=True, engine_invariant=False)
-            is None
+
+
+class TestOneKeyContract:
+    """The cache key leaves engine and backend out, which is sound only
+    because every protocol returns the same result under each of them."""
+
+    def test_every_protocol_has_contract_params(self):
+        assert sorted(_PROTOCOL_PARAMS) == available_protocols()
+
+    @pytest.mark.parametrize("protocol", sorted(_PROTOCOL_PARAMS))
+    def test_a_stored_result_serves_every_engine_and_backend(self, protocol, tmp_path):
+        spec = RunSpec(
+            protocol=protocol,
+            graph=GraphSpec(generator="yao_spanner", params={"num_nodes": 12, "seed": 3}),
+            params=_PROTOCOL_PARAMS[protocol],
         )
-        assert (
-            cache.lookup(other, digest, allow_cross_engine=True, engine_invariant=True)
-            is not None
-        )
+        digest = spec.graph.build().content_digest()
+        (stored_engine, stored_backend), *others = _CONFIGURATIONS
+        stored = dataclasses.replace(spec, engine=stored_engine, backend=stored_backend)
+        cache = ResultCache(directory=tmp_path)
+        cache.store(stored, digest, _fresh_run(stored))
+        for engine, backend in others:
+            other = dataclasses.replace(spec, engine=engine, backend=backend)
+            fresh = _fresh_run(other).to_json()
+            # Served from memory, and from disk to a cache that never ran it.
+            for reader in (cache, ResultCache(directory=tmp_path)):
+                served = reader.lookup(other, digest)
+                assert served is not None, (engine, backend)
+                assert served.to_json() == fresh, (engine, backend)
 
 
 class TestLruAndDiskTier:
@@ -192,25 +209,8 @@ class TestLruAndDiskTier:
         assert second.cache.stats.hits == 1
         second.close()
 
-    def test_disk_tier_cross_engine_scan(self, tmp_path):
-        spec = sssp_spec(engine="sparse")
-        first = SimulationService(max_workers=1, cache=ResultCache(directory=tmp_path))
-        fresh = first.run(spec)
-        first.close()
-
-        second = SimulationService(
-            max_workers=1,
-            cache=ResultCache(directory=tmp_path),
-            allow_cross_engine=True,
-        )
-        warm = second.run(spec.with_engine("symbolic"))
-        assert warm == fresh
-        assert second.cache.stats.cross_engine_hits == 1
-        second.close()
-
-    def test_cross_engine_disk_lookup_reads_only_donors(self, tmp_path, monkeypatch):
-        # The semantic key is in each file name, so a cross-engine lookup
-        # opens only the documents that can serve it.
+    def test_disk_lookup_reads_only_its_own_file(self, tmp_path, monkeypatch):
+        # A disk lookup opens ``<key>.json`` and no other document.
         writer = SimulationService(max_workers=1, cache=ResultCache(directory=tmp_path))
         for source in range(4):
             writer.run(sssp_spec(engine="sparse", params={"source": source}))
@@ -226,15 +226,13 @@ class TestLruAndDiskTier:
         digest = sssp_spec().graph.build().content_digest()
         cache = ResultCache(directory=tmp_path)
         missing = sssp_spec(engine="symbolic", params={"source": 5})
-        assert cache.lookup(missing, digest, allow_cross_engine=True) is None
-        assert reads == []
-        donor = sssp_spec(engine="symbolic", params={"source": 2})
-        assert cache.lookup(donor, digest, allow_cross_engine=True) is not None
-        assert reads == [
-            f"{cache_key(donor.with_engine('sparse'), digest)}."
-            f"{semantic_key(donor, digest)}.json"
-        ]
-        assert cache.stats.cross_engine_hits == 1
+        assert cache.lookup(missing, digest) is None
+        assert reads == [f"{cache_key(missing, digest)}.json"]
+        reads.clear()
+        stored = sssp_spec(engine="symbolic", params={"source": 2})
+        assert cache.lookup(stored, digest) is not None
+        assert reads == [f"{cache_key(stored, digest)}.json"]
+        assert cache.stats.disk_hits == 1
 
     @pytest.mark.parametrize(
         "payload",
@@ -322,8 +320,7 @@ class TestLruAndDiskTier:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         key = cache_key(spec, digest)
-        semantic = semantic_key(spec, digest)
-        assert sorted(path.name for path in tmp_path.iterdir()) == [f"{key}.{semantic}.json"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [f"{key}.json"]
         fresh = ResultCache(directory=tmp_path)
         assert fresh.lookup(spec, digest) is not None
 

@@ -48,8 +48,8 @@ def _mutable_ids(value, found=None):
 
 
 def _hit(cache: ResultCache) -> SimulationResult:
-    result, cross_engine = cache.lookup(SPEC, DIGEST)
-    assert not cross_engine
+    result = cache.lookup(SPEC, DIGEST)
+    assert result is not None
     return result
 
 
@@ -112,7 +112,7 @@ def test_tuples_frozensets_and_inf_round_trip(tmp_path):
 def test_corrupt_disk_entry_never_enters_the_lru(tmp_path):
     ResultCache(directory=tmp_path).store(SPEC, DIGEST, _result())
     (path,) = tmp_path.glob("*.json")
-    path.write_text('{"key": "x", "semantic_key": "y", "result": {"outputs": [1]}}')
+    path.write_text('{"key": "x", "result": {"outputs": [1]}}')
     cache = ResultCache(directory=tmp_path)
     for expected_corrupt in (1, 2):
         assert cache.lookup(SPEC, DIGEST) is None

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import sys
+import threading
 import weakref
 
 import pytest
@@ -135,6 +137,16 @@ class TestJobRetention:
             service.run_batch([leader_spec(n=5), leader_spec(params={"budget": 1}, max_rounds=1)])
         assert service.jobs() == []
 
+    def test_an_invalid_batch_starts_no_job(self, service):
+        # Every spec is validated before any is submitted, so a bad last
+        # spec leaves no record of the good ones behind.
+        with pytest.raises(ValueError, match="quantum-gossip"):
+            service.run_batch(
+                [leader_spec(n=5), leader_spec(n=7), leader_spec(protocol="quantum-gossip")]
+            )
+        assert service.jobs() == []
+        assert service.service_stats()["jobs"]["total"] == 0
+
 
 class TestMetricsWiring:
     def test_counters_before_and_after_batch(self, service):
@@ -211,3 +223,148 @@ class TestContextFreeResults:
         assert calls == ["$.outputs"]
         assert service.run(leader_spec()) == cold
         assert calls == ["$.outputs"]
+
+
+def bfs_spec(n: int, **overrides) -> RunSpec:
+    """A bfs-tree spec; sparse, dense and symbolic all run it, unforced
+    ``auto`` picks symbolic."""
+    return RunSpec(
+        protocol="bfs-tree",
+        graph=GraphSpec(generator="path", params={"num_nodes": n}),
+        params={"root": 0},
+        **overrides,
+    )
+
+
+class _Resolutions:
+    """The ``(engine, backend)`` pairs each graph size's runs resolved to."""
+
+    def __init__(self) -> None:
+        self.seen = {}
+        self.lock = threading.Lock()
+        self.barrier = threading.Barrier(2, timeout=30)
+        self.gated = 0
+
+    def gate_next_two(self) -> None:
+        """Make the next two resolutions wait for each other before they
+        resolve and again after they are recorded, so both happen while two
+        jobs hold their pins at once.  A service that ran one job at a time
+        would break the barrier and fail the job."""
+        self.gated = 2
+
+    def take_gate(self) -> bool:
+        with self.lock:
+            gated = self.gated > 0
+            self.gated -= gated
+        return gated
+
+    def record(self, run, network) -> None:
+        from repro.kernels.backend import get_backend
+
+        with self.lock:
+            self.seen.setdefault(network.num_nodes, set()).add((run.name, get_backend().name))
+
+
+@pytest.fixture
+def resolutions(monkeypatch):
+    from repro.congest import simulator
+
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    recorder = _Resolutions()
+    resolve_engine = simulator.resolve_engine
+
+    def recording_resolve(name, network, *args, **kwargs):
+        gated = recorder.take_gate()
+        if gated:
+            recorder.barrier.wait()
+        run = resolve_engine(name, network, *args, **kwargs)
+        recorder.record(run, network)
+        if gated:
+            recorder.barrier.wait()
+        return run
+
+    monkeypatch.setattr(simulator, "resolve_engine", recording_resolve)
+    return recorder
+
+
+class TestContextLocalJobs:
+    """Jobs run without a lock, each under its own spec's engine/backend pins
+    and its submitter's, never a concurrent job's."""
+
+    def test_concurrent_forced_specs_equal_serial_runs(self, resolutions):
+        from repro.congest import available_engines
+        from repro.kernels import available_backends
+
+        # Twice every (engine, backend), each on its own path length, so no
+        # spec is another's cache hit.
+        configurations = [
+            (engine, backend) for engine in available_engines() for backend in available_backends()
+        ] * 2
+        specs = [
+            bfs_spec(n, engine=engine, backend=backend)
+            for n, (engine, backend) in enumerate(configurations, start=5)
+        ]
+        with SimulationService(max_workers=1) as serial_service:
+            serial = [serial_service.run(spec).to_json() for spec in specs]
+        resolutions.seen.clear()
+        resolutions.gate_next_two()
+        with SimulationService(max_workers=2) as service:
+            batch = [result.to_json() for result in service.run_batch(specs)]
+        assert batch == serial
+        for spec in specs:
+            assert resolutions.seen[spec.graph.params["num_nodes"]] == {
+                (spec.engine, spec.backend)
+            }
+
+    def test_a_job_sees_its_submitters_pins(self, resolutions):
+        from repro.congest.engine.base import force_engine
+
+        seen = resolutions.seen
+        with SimulationService(max_workers=2) as service:
+            with force_engine("sparse"):
+                service.run(bfs_spec(5))
+            service.run(bfs_spec(6))
+            # The spec's own knob wins over the submitter's pin.
+            with force_engine("sparse"):
+                service.run(bfs_spec(7, engine="symbolic"))
+        assert {n: {engine for engine, _ in seen[n]} for n in (5, 6, 7)} == {
+            5: {"sparse"},
+            6: {"symbolic"},
+            7: {"symbolic"},
+        }
+
+    def test_stress_more_workers_than_cores(self):
+        # Jobs share the engines' module-level memos and the service's cache
+        # and metrics; a short switch interval interleaves them finely.
+        from repro.congest import available_engines
+        from repro.kernels import available_backends
+
+        configurations = [
+            (engine, backend) for engine in available_engines() for backend in available_backends()
+        ]
+        specs = [
+            RunSpec(
+                protocol=protocol,
+                graph=GraphSpec(generator="yao_spanner", params={"num_nodes": 16, "seed": seed}),
+                params=params,
+                engine=engine,
+                backend=backend,
+            )
+            for seed, (engine, backend) in enumerate(configurations)
+            for protocol, params in (
+                ("bfs-tree", {"root": 0}),
+                ("bellman-ford-sssp", {"source": 1}),
+                ("theorem11-pipeline", {}),
+            )
+        ]
+        with SimulationService(max_workers=1) as serial_service:
+            serial = [serial_service.run(spec).to_json() for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with SimulationService(max_workers=6) as service:
+                batch = [result.to_json() for result in service.run_batch(specs)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert batch == serial
